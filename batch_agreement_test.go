@@ -205,8 +205,8 @@ func TestBatchRowAgreementRandomized(t *testing.T) {
 
 		rows := mustAgreeOrdered(t, plan, cat, "plan")
 
-		// The optimizer path (engine.Execute) must agree as a bag — plan
-		// normalization may reorder, but never change, the result.
+		// The optimizer path (engine.Session.Execute) must agree as a bag —
+		// plan normalization may reorder, but never change, the result.
 		res, err := execPlanTbl(plan, cat)
 		if err != nil {
 			t.Fatalf("execute: %v", err)

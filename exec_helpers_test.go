@@ -1,7 +1,7 @@
 package repro_test
 
 // Shared execution helpers: every root test drives the engine through the
-// single non-deprecated entrypoints (engine.Session.Execute and
+// single entrypoints (engine.Session.Execute and
 // rewrite.Frontend.Query) and materializes the *engine.Table shape the
 // assertions compare.
 
@@ -21,15 +21,6 @@ func execPlanTbl(plan algebra.Node, cat *engine.Catalog) (*engine.Table, error) 
 		return nil, err
 	}
 	return engine.ResultTable(res), nil
-}
-
-// execSQLTbl plans and runs a deterministic SQL string against cat.
-func execSQLTbl(cat *engine.Catalog, query string) (*engine.Table, error) {
-	plan, err := engine.NewPlanner(cat).PlanSQL(query)
-	if err != nil {
-		return nil, err
-	}
-	return execPlanTbl(plan, cat)
 }
 
 // frontQueryTbl runs a UA-SQL query through the frontend, materialized.

@@ -1,9 +1,9 @@
 // Package cliutil is the one copy of the flag plumbing the command-line
-// tools share: the -dop / -fuse / -mem-budget execution knobs (cmd/uadb,
-// cmd/bench, cmd/uadb-server all take the same three, with the same
-// parsing and the same error wording) and the repeatable -table name=path
-// CSV loader. Each tool registers what it needs on its own FlagSet and
-// keeps tool-specific flags to itself.
+// tools share: the -dop / -fuse / -mem-budget / -attr-bounds execution knobs
+// (cmd/uadb and cmd/uadb-server take the same four, with the same parsing
+// and the same error wording) and the repeatable -table name=path CSV
+// loader. Each tool registers what it needs on its own FlagSet and keeps
+// tool-specific flags to itself.
 package cliutil
 
 import (
@@ -17,20 +17,12 @@ import (
 	"repro/internal/rewrite"
 )
 
-// ExecFlagSpec selects which of the shared execution flags a tool takes
-// and lets it override the usage text where its semantics differ
-// (cmd/bench's -dop gates suite entries rather than a query, and its
-// -mem-budget accepts "auto").
+// ExecFlagSpec lets a tool override the usage text of the shared execution
+// flags where its semantics differ (cmd/uadb-server's -mem-budget is a
+// server-wide budget, not a per-query one).
 type ExecFlagSpec struct {
-	// DOPUsage / BudgetUsage override the standard usage text when set.
-	DOPUsage    string
+	// BudgetUsage overrides the standard -mem-budget usage text when set.
 	BudgetUsage string
-	// NoFuse omits the -fuse flag (cmd/bench has no fusion knob; the
-	// suite measures both sides itself).
-	NoFuse bool
-	// NoAttrBounds omits the -attr-bounds flag (cmd/bench benchmarks the
-	// tuple-level path only).
-	NoAttrBounds bool
 }
 
 // ExecFlags holds the shared execution flags after Register.
@@ -41,47 +33,37 @@ type ExecFlags struct {
 	attrBounds *bool
 }
 
-// RegisterExec adds -dop, -fuse, and -mem-budget to fs with the standard
-// usage text.
+// RegisterExec adds -dop, -fuse, -mem-budget, and -attr-bounds to fs with
+// the standard usage text.
 func RegisterExec(fs *flag.FlagSet) *ExecFlags {
 	return ExecFlagSpec{}.Register(fs)
 }
 
-// Register adds the selected execution flags to fs.
+// Register adds the execution flags to fs.
 func (s ExecFlagSpec) Register(fs *flag.FlagSet) *ExecFlags {
-	dopUsage := s.DOPUsage
-	if dopUsage == "" {
-		dopUsage = "degree of parallelism: 0 = GOMAXPROCS, 1 = serial engine"
-	}
 	budgetUsage := s.BudgetUsage
 	if budgetUsage == "" {
 		budgetUsage = "per-query memory budget for sorts/aggregates/joins, e.g. 64M or 2G (empty or 0 = unlimited, never spill)"
 	}
-	e := &ExecFlags{
-		dop:       fs.Int("dop", 0, dopUsage),
-		memBudget: fs.String("mem-budget", "", budgetUsage),
+	return &ExecFlags{
+		dop:        fs.Int("dop", 0, "degree of parallelism: 0 = GOMAXPROCS, 1 = serial engine"),
+		memBudget:  fs.String("mem-budget", "", budgetUsage),
+		fuse:       fs.Bool("fuse", false, "compile scan→filter→project(→probe) chains into fused single-loop pipelines (identical results, faster on columnar tables)"),
+		attrBounds: fs.Bool("attr-bounds", false, "attribute-level uncertainty mode: answer every column as a [lower, best-guess, upper] range (AU-DB), enabling aggregates over uncertain data"),
 	}
-	if !s.NoFuse {
-		e.fuse = fs.Bool("fuse", false, "compile scan→filter→project(→probe) chains into fused single-loop pipelines (identical results, faster on columnar tables)")
-	}
-	if !s.NoAttrBounds {
-		e.attrBounds = fs.Bool("attr-bounds", false, "attribute-level uncertainty mode: answer every column as a [lower, best-guess, upper] range (AU-DB), enabling aggregates over uncertain data")
-	}
-	return e
 }
 
 // DOP reports the parsed -dop value.
 func (e *ExecFlags) DOP() int { return *e.dop }
 
-// Fuse reports the parsed -fuse value (false when not registered).
-func (e *ExecFlags) Fuse() bool { return e.fuse != nil && *e.fuse }
+// Fuse reports the parsed -fuse value.
+func (e *ExecFlags) Fuse() bool { return *e.fuse }
 
-// AttrBounds reports the parsed -attr-bounds value (false when not
-// registered).
-func (e *ExecFlags) AttrBounds() bool { return e.attrBounds != nil && *e.attrBounds }
+// AttrBounds reports the parsed -attr-bounds value.
+func (e *ExecFlags) AttrBounds() bool { return *e.attrBounds }
 
-// MemBudgetRaw reports the unparsed -mem-budget string, for tools with
-// extra spellings (cmd/bench accepts "auto").
+// MemBudgetRaw reports the unparsed -mem-budget string (cmd/uadb -connect
+// forwards it to the server as given).
 func (e *ExecFlags) MemBudgetRaw() string { return *e.memBudget }
 
 // MemBudget parses the -mem-budget flag, with the flag name in the error.

@@ -73,37 +73,6 @@ func ResultTable(res *physical.Result) *Table {
 	return out
 }
 
-// Execute evaluates a logical plan against the catalog and materializes the
-// result.
-//
-// Deprecated: use NewSession(cat, physical.Options{}).Execute with a
-// context (and ResultTable if a *Table is needed). Kept as a thin wrapper
-// for external callers only.
-func Execute(n algebra.Node, cat *Catalog) (*Table, error) {
-	return ExecuteOpts(n, cat, physical.Options{})
-}
-
-// ExecuteOpts is Execute with explicit physical execution options.
-//
-// Deprecated: use NewSession(cat, opt).Execute with a context (and
-// ResultTable if a *Table is needed). Kept as a thin wrapper for external
-// callers only.
-func ExecuteOpts(n algebra.Node, cat *Catalog, opt physical.Options) (*Table, error) {
-	res, err := NewSession(cat, opt).Execute(context.Background(), n)
-	if err != nil {
-		return nil, err
-	}
-	return ResultTable(res), nil
-}
-
-// ExecuteColumns is ExecuteOpts with a columnar result sink.
-//
-// Deprecated: use NewSession(cat, opt).Execute with a context — it is the
-// same call. Kept as a thin wrapper for external callers only.
-func ExecuteColumns(n algebra.Node, cat *Catalog, opt physical.Options) (*physical.Result, error) {
-	return NewSession(cat, opt).Execute(context.Background(), n)
-}
-
 // compile validates, optimizes, and lowers a logical plan. Plans whose scan
 // schemas were not compiled in (arity 0 — some programmatic plans rely on
 // pure runtime resolution) skip the optimizer, whose rewrites need static
@@ -124,14 +93,16 @@ func compile(n algebra.Node, cat *Catalog, opt physical.Options) (physical.Opera
 // ExplainPhysical returns the physical operator tree Execute would run for
 // the plan, after optimization, as an indented string — the plan-shape
 // tests and EXPLAIN output both use it. It compiles with the same default
-// options as Execute, so parallelized plans show their Gather pipelines.
+// options as a zero-option Session, so parallelized plans show their Gather
+// pipelines.
 func ExplainPhysical(n algebra.Node, cat *Catalog) (string, error) {
 	return ExplainPhysicalOpts(n, cat, physical.Options{})
 }
 
 // ExplainPhysicalOpts is ExplainPhysical under explicit execution options —
-// the tree ExecuteOpts would run. With Options.Fuse set, fused chains render
-// as a single FusedPipeline node listing the collapsed operators.
+// the tree Session.Execute runs under opt. With Options.Fuse set, fused
+// chains render as a single FusedPipeline node listing the collapsed
+// operators.
 func ExplainPhysicalOpts(n algebra.Node, cat *Catalog, opt physical.Options) (string, error) {
 	op, err := compile(n, cat, opt)
 	if err != nil {

@@ -1,8 +1,8 @@
 package engine
 
 // Test helpers that route every execution through the package's single
-// non-deprecated entrypoint, Session.Execute, materializing the *Table
-// shape the assertions compare.
+// entrypoint, Session.Execute, materializing the *Table shape the
+// assertions compare.
 
 import (
 	"context"

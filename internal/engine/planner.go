@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/algebra"
-	"repro/internal/physical"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -78,38 +76,6 @@ func (p *Planner) PlanSQL(query string) (algebra.Node, error) {
 		return nil, err
 	}
 	return p.Plan(stmt)
-}
-
-// Run plans and executes a SQL string.
-//
-// Deprecated: plan with PlanSQL and execute through Session.Execute with a
-// context. Kept as a thin wrapper for external callers only.
-func (p *Planner) Run(query string) (*Table, error) {
-	plan, err := p.PlanSQL(query)
-	if err != nil {
-		return nil, err
-	}
-	res, err := NewSession(p.cat, physical.Options{}).Execute(context.Background(), plan)
-	if err != nil {
-		return nil, err
-	}
-	return ResultTable(res), nil
-}
-
-// RunStmt plans and executes a parsed statement.
-//
-// Deprecated: plan with Plan and execute through Session.Execute with a
-// context. Kept as a thin wrapper for external callers only.
-func (p *Planner) RunStmt(stmt *sql.SelectStmt) (*Table, error) {
-	plan, err := p.Plan(stmt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := NewSession(p.cat, physical.Options{}).Execute(context.Background(), plan)
-	if err != nil {
-		return nil, err
-	}
-	return ResultTable(res), nil
 }
 
 func (p *Planner) planSelect(stmt *sql.SelectStmt) (algebra.Node, *scope, error) {

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/physical"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -121,7 +123,7 @@ func TestExecuteUnknownTableAtRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Execute against a different catalog missing the table.
-	if _, err := Execute(plan, NewCatalog()); err == nil {
+	if _, err := NewSession(NewCatalog(), physical.Options{}).Execute(context.Background(), plan); err == nil {
 		t.Error("expected unknown-table execution error")
 	}
 }

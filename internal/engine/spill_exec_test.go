@@ -49,6 +49,6 @@ func TestExecuteOptsMemBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ents) != 0 {
-		t.Fatalf("%d spill files leaked through engine.ExecuteOpts", len(ents))
+		t.Fatalf("%d spill files leaked through Session.Execute", len(ents))
 	}
 }

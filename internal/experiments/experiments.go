@@ -1,8 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 11). Each Fig* function runs one experiment and
 // returns a Report whose rows mirror the series the paper plots; cmd/bench
-// prints them and bench_test.go wraps the timing-critical ones in
-// testing.B benchmarks. Sizes are scaled for single-machine runs (see
+// prints them. Sizes are scaled for single-machine runs (see
 // DESIGN.md); the comparisons are relative, matching the paper's claims
 // about who wins and by roughly what factor.
 package experiments

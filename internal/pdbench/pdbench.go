@@ -74,15 +74,14 @@ func Generate(cfg Config) *Workload {
 	custSchema := types.NewSchema("customer", "c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment")
 	customer := models.NewXRelation(custSchema)
 	custGen := cellGenerators{
-		1: func(r *rand.Rand) types.Value { return iv(r.Int63n(int64(len(nations)))) },
-		2: func(r *rand.Rand) types.Value { return fv(float64(r.Intn(10000)) - 999) },
-		3: func(r *rand.Rand) types.Value { return sv(mktSegments[r.Intn(len(mktSegments))]) },
+		{1, func(r *rand.Rand) types.Value { return iv(r.Int63n(int64(len(nations)))) }},
+		{2, func(r *rand.Rand) types.Value { return fv(float64(r.Intn(10000)) - 999) }},
+		{3, func(r *rand.Rand) types.Value { return sv(mktSegments[r.Intn(len(mktSegments))]) }},
 	}
 	for i := 0; i < nCust; i++ {
-		row := types.Tuple{
-			iv(int64(i + 1)),
-			custGen[1](rng), custGen[2](rng), custGen[3](rng),
-		}
+		row := make(types.Tuple, custSchema.Arity())
+		row[0] = iv(int64(i + 1))
+		custGen.fill(row, rng)
 		addRow(customer, row, custGen, cfg, rng)
 	}
 	w.Tables["customer"] = customer
@@ -93,17 +92,16 @@ func Generate(cfg Config) *Workload {
 		"o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice", "o_orderdate", "o_shippriority")
 	orders := models.NewXRelation(ordSchema)
 	ordGen := cellGenerators{
-		1: func(r *rand.Rand) types.Value { return iv(r.Int63n(int64(nCust)) + 1) },
-		2: func(r *rand.Rand) types.Value { return sv(statuses[r.Intn(len(statuses))]) },
-		3: func(r *rand.Rand) types.Value { return fv(float64(r.Intn(500000)) / 100 * 10) },
-		4: func(r *rand.Rand) types.Value { return iv(r.Int63n(2406)) }, // days over ~6.5 years
-		5: func(r *rand.Rand) types.Value { return iv(r.Int63n(2)) },
+		{1, func(r *rand.Rand) types.Value { return iv(r.Int63n(int64(nCust)) + 1) }},
+		{2, func(r *rand.Rand) types.Value { return sv(statuses[r.Intn(len(statuses))]) }},
+		{3, func(r *rand.Rand) types.Value { return fv(float64(r.Intn(500000)) / 100 * 10) }},
+		{4, func(r *rand.Rand) types.Value { return iv(r.Int63n(2406)) }}, // days over ~6.5 years
+		{5, func(r *rand.Rand) types.Value { return iv(r.Int63n(2)) }},
 	}
 	for i := 0; i < nOrders; i++ {
-		row := types.Tuple{
-			iv(int64(i + 1)),
-			ordGen[1](rng), ordGen[2](rng), ordGen[3](rng), ordGen[4](rng), ordGen[5](rng),
-		}
+		row := make(types.Tuple, ordSchema.Arity())
+		row[0] = iv(int64(i + 1))
+		ordGen.fill(row, rng)
 		addRow(orders, row, ordGen, cfg, rng)
 	}
 	w.Tables["orders"] = orders
@@ -114,17 +112,16 @@ func Generate(cfg Config) *Workload {
 		"l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate")
 	lineitem := models.NewXRelation(liSchema)
 	liGen := cellGenerators{
-		2: func(r *rand.Rand) types.Value { return iv(r.Int63n(50) + 1) },
-		3: func(r *rand.Rand) types.Value { return fv(float64(r.Intn(100000)) / 100) },
-		4: func(r *rand.Rand) types.Value { return fv(float64(r.Intn(11)) / 100) },
-		5: func(r *rand.Rand) types.Value { return iv(r.Int63n(2406)) },
+		{2, func(r *rand.Rand) types.Value { return iv(r.Int63n(50) + 1) }},
+		{3, func(r *rand.Rand) types.Value { return fv(float64(r.Intn(100000)) / 100) }},
+		{4, func(r *rand.Rand) types.Value { return fv(float64(r.Intn(11)) / 100) }},
+		{5, func(r *rand.Rand) types.Value { return iv(r.Int63n(2406)) }},
 	}
 	for i := 0; i < nLines; i++ {
-		row := types.Tuple{
-			iv(rng.Int63n(int64(nOrders)) + 1),
-			iv(int64(i%7 + 1)),
-			liGen[2](rng), liGen[3](rng), liGen[4](rng), liGen[5](rng),
-		}
+		row := make(types.Tuple, liSchema.Arity())
+		row[0] = iv(rng.Int63n(int64(nOrders)) + 1)
+		row[1] = iv(int64(i%7 + 1))
+		liGen.fill(row, rng)
 		addRow(lineitem, row, liGen, cfg, rng)
 	}
 	w.Tables["lineitem"] = lineitem
@@ -132,19 +129,34 @@ func Generate(cfg Config) *Workload {
 	return w
 }
 
-// cellGenerators maps column positions eligible for uncertainty to their
-// value generators (keys are never made uncertain, matching PDBench).
-type cellGenerators map[int]func(*rand.Rand) types.Value
+// cellGenerators lists the column positions eligible for uncertainty, in
+// ascending order, with their value generators (keys are never made
+// uncertain, matching PDBench). Walking a slice rather than a map keeps the
+// draws from the seeded source in one fixed order, so a seed determines the
+// generated database.
+type cellGenerators []cellGen
+
+type cellGen struct {
+	col int
+	gen func(*rand.Rand) types.Value
+}
+
+// fill draws every eligible cell of row, in column order.
+func (gs cellGenerators) fill(row types.Tuple, rng *rand.Rand) {
+	for _, g := range gs {
+		row[g.col] = g.gen(rng)
+	}
+}
 
 // addRow injects uncertainty: with probability proportional to the cell
 // uncertainty rate, a row becomes an x-tuple whose alternatives redraw each
 // uncertain cell. The original row stays the first alternative, so the
 // best-guess world is the clean generation.
 func addRow(rel *models.XRelation, row types.Tuple, gens cellGenerators, cfg Config, rng *rand.Rand) {
-	var dirty []int
-	for col := range gens {
+	var dirty cellGenerators
+	for _, g := range gens {
 		if rng.Float64() < cfg.Uncertainty {
-			dirty = append(dirty, col)
+			dirty = append(dirty, g)
 		}
 	}
 	if len(dirty) == 0 {
@@ -156,9 +168,7 @@ func addRow(rel *models.XRelation, row types.Tuple, gens cellGenerators, cfg Con
 	alts = append(alts, models.Alternative{Data: row, Prob: 1 / float64(nAlts)})
 	for a := 1; a < nAlts; a++ {
 		alt := row.Clone()
-		for _, col := range dirty {
-			alt[col] = gens[col](rng)
-		}
+		dirty.fill(alt, rng)
 		alts = append(alts, models.Alternative{Data: alt, Prob: 1 / float64(nAlts)})
 	}
 	rel.Add(models.XTuple{Alts: alts})

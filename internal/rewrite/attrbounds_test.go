@@ -134,24 +134,24 @@ func TestAttrBoundsAggregate(t *testing.T) {
 		t.Fatalf("groups = %v, want 2", out.Rows)
 	}
 	type want struct {
-		cat                string
-		n, s, mn, mx       [3]float64
-		av                 [3]float64
-		ec, ebg            int64
+		cat          string
+		n, s, mn, mx [3]float64
+		av           [3]float64
+		ec, ebg      int64
 	}
 	wants := []want{
 		{cat: "a",
 			n:  [3]float64{2, 2, 2},
-			s:  [3]float64{30, 30, 40},  // 10+20 .. 10+30
-			mn: [3]float64{10, 10, 10},  // 10 certain caps the min
-			mx: [3]float64{20, 20, 30},  // certain row floors the max at max(lo)=20
-			av: [3]float64{10, 15, 30},  // [min lo, bg avg, max hi]
+			s:  [3]float64{30, 30, 40}, // 10+20 .. 10+30
+			mn: [3]float64{10, 10, 10}, // 10 certain caps the min
+			mx: [3]float64{20, 20, 30}, // certain row floors the max at max(lo)=20
+			av: [3]float64{10, 15, 30}, // [min lo, bg avg, max hi]
 			ec: 1, ebg: 1},
 		{cat: "b",
-			n:  [3]float64{1, 2, 2},    // t3 may be absent
-			s:  [3]float64{7, 12, 12},  // phantom contributes min(5,0)=0 below
-			mn: [3]float64{5, 5, 7},    // without t3 the min is 7
-			mx: [3]float64{7, 7, 7},    // t4 certain: max ≥ 7; no larger upper
+			n:  [3]float64{1, 2, 2},   // t3 may be absent
+			s:  [3]float64{7, 12, 12}, // phantom contributes min(5,0)=0 below
+			mn: [3]float64{5, 5, 7},   // without t3 the min is 7
+			mx: [3]float64{7, 7, 7},   // t4 certain: max ≥ 7; no larger upper
 			av: [3]float64{5, 6, 7},
 			ec: 1, ebg: 1},
 	}

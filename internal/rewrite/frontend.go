@@ -363,46 +363,6 @@ func primaryAnnotated(prim *sql.Primary) bool {
 	return prim.Model != nil
 }
 
-// Run parses, rewrites, and executes a UA-SQL query.
-//
-// Deprecated: use Query with a context — it is the same path with an
-// explicit QueryOpts and a lazily materialized result. Kept as a thin
-// wrapper for external callers only.
-func (f *Frontend) Run(query string) (*engine.Table, error) {
-	res, err := f.Query(context.Background(), query, f.Opts)
-	if err != nil {
-		return nil, err
-	}
-	return engine.ResultTable(res), nil
-}
-
-// RunStmt is Run over a pre-parsed statement.
-//
-// Deprecated: use Query with a context. Kept as a thin wrapper for external
-// callers only.
-func (f *Frontend) RunStmt(stmt *sql.SelectStmt) (*engine.Table, error) {
-	if err := f.resolveAnnotations(stmt); err != nil {
-		return nil, err
-	}
-	plan, err := f.Plan(stmt)
-	if err != nil {
-		return nil, err
-	}
-	res, err := engine.NewSession(f.Enc, f.Opts.physical()).Execute(context.Background(), plan)
-	if err != nil {
-		return nil, err
-	}
-	return engine.ResultTable(res), nil
-}
-
-// RunColumns is Run with a columnar result sink.
-//
-// Deprecated: use Query with a context — it already returns the columnar
-// *physical.Result. Kept as a thin wrapper for external callers only.
-func (f *Frontend) RunColumns(query string) (*physical.Result, error) {
-	return f.Query(context.Background(), query, f.Opts)
-}
-
 // Explain parses, resolves annotations, compiles and rewrites the query,
 // returning the rewritten logical plan's textual form without executing it.
 func (f *Frontend) Explain(query string) (string, error) {

@@ -16,8 +16,8 @@ import (
 	"repro/internal/uadb"
 )
 
-// runFront drives the frontend through its single non-deprecated entrypoint
-// and materializes the table shape the assertions compare.
+// runFront drives the frontend through its single entrypoint and
+// materializes the table shape the assertions compare.
 func runFront(front *Frontend, query string) (*engine.Table, error) {
 	res, err := front.Query(context.Background(), query, front.Opts)
 	if err != nil {

@@ -1,10 +1,9 @@
 // Package rowref preserves the row-at-a-time (Volcano) execution engine
 // that internal/physical replaced with batch-at-a-time operators. It exists
-// for two reasons only: as the baseline side of the batch-vs-row benchmarks
-// (internal/physbench, cmd/bench) and as the independent reference
-// implementation the randomized agreement tests compare the batch engine
-// against, row for row and in order. It is not wired into any production
-// path and should not grow features; semantics here are frozen to PR 1.
+// for one reason only: as the independent reference implementation the
+// randomized agreement tests compare the batch engine against, row for row
+// and in order. It is not wired into any production path and should not
+// grow features; its semantics are frozen to the original row engine's.
 package rowref
 
 import (

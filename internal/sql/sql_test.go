@@ -45,8 +45,8 @@ func TestTokenizeStringEscapes(t *testing.T) {
 		{`'it''s'`, "it's"},
 		{`'it\'s'`, "it's"},
 		{`'a\\b'`, `a\b`},
-		{`'a\nb'`, `a\nb`},     // no C-style escapes: backslash is literal
-		{`'\\''x'`, `\'x`},     // backslash-escape then doubled quote
+		{`'a\nb'`, `a\nb`},                // no C-style escapes: backslash is literal
+		{`'\\''x'`, `\'x`},                // backslash-escape then doubled quote
 		{`'don\'t -- go'`, "don't -- go"}, // comment marker inside a literal
 	}
 	for _, c := range cases {
