@@ -16,12 +16,12 @@
 //	uadb-server -listen :7483 -table addr=addr.csv -table loc=loc.csv \
 //	            -mem-budget 256M -query-budget 32M
 //
-// -dop and -fuse set the session defaults a client inherits until it sends
-// its own (per-session set requests override per query run). -query-budget
-// is the default admission ask per query (default: a quarter of the global
-// budget). SIGINT/SIGTERM trigger a graceful shutdown: the listener closes,
-// running queries drain (10s grace), then stragglers are cancelled and
-// their spill files cleaned.
+// -dop and -attr-bounds set the session defaults a client inherits until it
+// sends its own (per-session set requests override per query run).
+// -query-budget is the default admission ask per query (default: a quarter
+// of the global budget). SIGINT/SIGTERM trigger a graceful shutdown: the
+// listener closes, running queries drain (10s grace), then stragglers are
+// cancelled and their spill files cleaned.
 //
 // The Go client for this protocol is repro/internal/server/client.
 package main

@@ -14,17 +14,14 @@
 // -mem-budget caps each query's pipeline-breaker working set (e.g. "64M",
 // "2G", or plain bytes; 0 = unlimited): sorts, aggregates, and join builds
 // that exceed the budget spill to temp files and stream back, so one big
-// GROUP BY or join cannot OOM the process. -fuse compiles each
-// scan→filter→project (and equi-join probe) chain into one fused loop over
-// the columnar storage — an execution strategy switch only: results are
-// byte-identical with and without it. -csv streams results as CSV in engine
-// order, straight from the columnar result sink when the plan produces one
-// (no boxed result rows at all).
+// GROUP BY or join cannot OOM the process. -csv streams results as CSV in
+// engine order, straight from the columnar result sink when the plan
+// produces one (no boxed result rows at all).
 //
 // With -connect host:port the tool runs the same query loop against a
 // running uadb-server instead of loading tables locally: the client
 // negotiates the binary columnar result encoding (falling back to JSON
-// against older servers), -dop / -mem-budget / -fuse become session
+// against older servers), -dop / -mem-budget / -attr-bounds become session
 // options, and -csv streams straight off the decoded wire columns.
 //
 // For a long-lived multi-session surface over the same engine, see
@@ -127,9 +124,6 @@ func runRemote(addr string, tables cliutil.TableFlags, exec *cliutil.ExecFlags, 
 	var opts server.SessionOpts
 	if dop := exec.DOP(); dop != 0 {
 		opts.DOP = &dop
-	}
-	if fuse := exec.Fuse(); fuse {
-		opts.Fuse = &fuse
 	}
 	if mb := exec.MemBudgetRaw(); mb != "" {
 		opts.MemBudget = &mb

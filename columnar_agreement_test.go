@@ -3,9 +3,8 @@ package repro_test
 // Randomized columnar-sink agreement: DrainColumns — the result path that
 // hands query output over as vectors and boxes rows only on demand — must
 // materialize to byte-identical rows, in identical order, to the boxed Drain
-// of the same lowered plan. Across fused and unfused lowering, at every DOP,
-// under unlimited and governed memory budgets, on plain and UA-rewritten
-// plans. This is the acceptance gate for the result sink: a columnar result
+// of the same plan on the boxed serial engine. At every DOP, under unlimited
+// and governed memory budgets, on plain and UA-rewritten plans. This is the acceptance gate for the result sink: a columnar result
 // is a representation change, never a semantics change.
 
 import (
@@ -47,16 +46,11 @@ func TestColumnarResultAgreementRandomized(t *testing.T) {
 		g := &planGen{rng: rng, cat: cat}
 		plan, _ := g.gen(1 + rng.Intn(3))
 
-		want := drainOpts(t, plan, cat, physical.Options{DOP: 1}, "boxed serial")
-		for _, fuse := range []bool{false, true} {
-			for _, dop := range typedDOPs() {
-				for _, budget := range columnarBudgets() {
-					opt := physical.Options{DOP: dop, MorselSize: 64,
-						MinParallelRows: 1, Fuse: fuse,
-						MemBudget: budget, SpillDir: dir}
-					got := drainColumnsOpts(t, plan, cat, opt, "columnar sink")
-					mustMatchRows(t, got, want, "columnar sink vs boxed drain")
-				}
+		want := drainOpts(t, plan, rowSource{cat}, physical.Options{DOP: 1}, "boxed serial")
+		for _, dop := range typedDOPs() {
+			for _, budget := range columnarBudgets() {
+				got := drainColumnsOpts(t, plan, cat, typedOpts(dop, budget, dir), "columnar sink")
+				mustMatchRows(t, got, want, "columnar sink vs boxed drain")
 			}
 		}
 	}
@@ -64,7 +58,7 @@ func TestColumnarResultAgreementRandomized(t *testing.T) {
 
 // TestColumnarResultAgreementUA runs UA-rewritten plans — trailing certainty
 // column, least() certainty combination — through the columnar sink across
-// the same fuse × DOP × budget grid against the boxed serial reference.
+// the same DOP × budget grid against the boxed serial reference.
 func TestColumnarResultAgreementUA(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	dir := t.TempDir()
@@ -82,15 +76,10 @@ func TestColumnarResultAgreementUA(t *testing.T) {
 		}
 
 		want := drainOpts(t, ua, rowSource{enc}, physical.Options{DOP: 1}, "boxed serial UA")
-		for _, fuse := range []bool{false, true} {
-			for _, dop := range typedDOPs() {
-				for _, budget := range columnarBudgets() {
-					opt := physical.Options{DOP: dop, MorselSize: 64,
-						MinParallelRows: 1, Fuse: fuse,
-						MemBudget: budget, SpillDir: dir}
-					got := drainColumnsOpts(t, ua, enc, opt, "columnar sink UA")
-					mustMatchRows(t, got, want, "columnar sink vs boxed drain UA")
-				}
+		for _, dop := range typedDOPs() {
+			for _, budget := range columnarBudgets() {
+				got := drainColumnsOpts(t, ua, enc, typedOpts(dop, budget, dir), "columnar sink UA")
+				mustMatchRows(t, got, want, "columnar sink vs boxed drain UA")
 			}
 		}
 	}
@@ -123,7 +112,7 @@ func TestColumnarSinkEngages(t *testing.T) {
 	}
 
 	fusedOp, err := physical.LowerOpts(fusedChainPlan(cat), cat,
-		physical.Options{DOP: 1, Fuse: true})
+		physical.Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

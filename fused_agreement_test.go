@@ -1,88 +1,25 @@
 package repro_test
 
-// Randomized fused/unfused agreement: with Options.Fuse set, maximal
-// scan→filter→project(→probe) chains collapse into single-loop FusedPipeline
-// operators — and must produce byte-identical results, in identical order, to
-// the unfused operator tree running the same plans against the same catalog.
-// Serially and at every DOP, under unlimited and tight memory budgets, on
-// plain and UA-rewritten plans. This is the acceptance gate for the fusion
-// layer: like typed execution before it, fusion is an optimization, never a
-// semantics change.
+// Fused plan shapes and directed aggregate parity. Fusion always applies:
+// maximal scan→filter→project(→probe, →aggregate) chains over columnar
+// tables collapse into FusedPipeline and FusedAggregate operators. These
+// tests pin which plans fuse — serially, inside Gather workers, and under a
+// memory budget — and hold the fused aggregate's unboxed accumulation arms
+// to the boxed serial HashAggregate on directed extreme values. The
+// randomized byte-identity gate against the boxed operator tree is the
+// typed/boxed agreement harness (typed_agreement_test.go).
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/engine"
 	"repro/internal/physical"
-	"repro/internal/rewrite"
 	"repro/internal/types"
 )
-
-// fusedBudgets are the memory regimes the fused suite runs under: unlimited,
-// and a budget tight enough to force the governor on for these tables. Under
-// a governor, fused probes must decline (governed joins need the spilling
-// HashJoin) and fall back to the unfused tree — agreement pins that the
-// fallback actually composes.
-func fusedBudgets() []int64 { return []int64{0, 8 << 10} }
-
-func fusedOpts(dop int, budget int64, dir string) physical.Options {
-	return physical.Options{DOP: dop, MorselSize: 64, MinParallelRows: 1,
-		Fuse: true, MemBudget: budget, SpillDir: dir}
-}
-
-func TestFusedUnfusedAgreementRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	dir := t.TempDir()
-	for trial := 0; trial < 120; trial++ {
-		cat := typedAgreementCatalog(rng)
-		g := &planGen{rng: rng, cat: cat}
-		plan, _ := g.gen(1 + rng.Intn(3))
-
-		want := drainOpts(t, plan, cat, physical.Options{DOP: 1}, "unfused serial")
-		for _, dop := range typedDOPs() {
-			for _, budget := range fusedBudgets() {
-				got := drainOpts(t, plan, cat, fusedOpts(dop, budget, dir), "fused")
-				mustMatchRows(t, got, want, "fused vs unfused")
-			}
-		}
-	}
-}
-
-// TestFusedUnfusedAgreementUA runs UA-rewritten plans — trailing certainty
-// column, least() certainty combination at joins — through the fused engine
-// at every DOP and budget against the unfused serial tree. UA projections are
-// computing projections (least(), certainty arithmetic), so rewritten plans
-// exercise the fusion gate's main target.
-func TestFusedUnfusedAgreementUA(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	dir := t.TempDir()
-	for trial := 0; trial < 120; trial++ {
-		det := typedAgreementCatalog(rng)
-		enc := engine.NewCatalog()
-		for _, name := range det.Names() {
-			enc.PutAs(name, rewrite.EncodeDeterministic(det.Get(name)))
-		}
-		g := &planGen{rng: rng, cat: det, raPlus: true}
-		plan, _ := g.gen(1 + rng.Intn(3))
-		ua, err := rewrite.RewriteUA(plan)
-		if err != nil {
-			t.Fatalf("rewrite: %v", err)
-		}
-
-		want := drainOpts(t, ua, rowSource{enc}, physical.Options{DOP: 1}, "unfused serial UA")
-		for _, dop := range typedDOPs() {
-			for _, budget := range fusedBudgets() {
-				got := drainOpts(t, ua, enc, fusedOpts(dop, budget, dir), "fused UA")
-				mustMatchRows(t, got, want, "fused vs unfused UA")
-			}
-		}
-	}
-}
 
 // fusedTestCatalog builds two small int tables suitable for chain and probe
 // plans: t(k, v) with k = i%7, v = i, and r(k, w) with one row per key 0..6.
@@ -116,23 +53,23 @@ func fusedChainPlan(cat *engine.Catalog) algebra.Node {
 	}
 }
 
-// TestFusedPathEngages pins that Fuse actually changes the lowered tree: the
-// chain collapses to a single FusedPipeline (serially and inside Gather
-// workers), the probe variant absorbs the join's probe side, Explain renders
-// the collapsed chain as one node, and without Fuse nothing changes.
+// TestFusedPathEngages pins the fused lowered tree: the chain collapses to a
+// single FusedPipeline (serially and inside Gather workers), the probe
+// variant absorbs the join's probe side, and Explain renders the collapsed
+// chain as one node.
 func TestFusedPathEngages(t *testing.T) {
 	cat := fusedTestCatalog()
 	plan := fusedChainPlan(cat)
 
 	// Serial: one FusedPipeline, exact Explain rendering.
-	op, err := physical.LowerOpts(plan, cat, physical.Options{DOP: 1, Fuse: true})
+	op, err := physical.LowerOpts(plan, cat, physical.Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := op.(*physical.FusedPipeline); !ok {
 		t.Fatalf("serial fused lowering produced %T, want *FusedPipeline", op)
 	}
-	out, err := engine.ExplainPhysicalOpts(plan, cat, physical.Options{DOP: 1, Fuse: true})
+	out, err := engine.ExplainPhysicalOpts(plan, cat, physical.Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,18 +77,8 @@ func TestFusedPathEngages(t *testing.T) {
 		t.Fatalf("fused explain:\n%s\nwant:\n%s", out, want)
 	}
 
-	// Without the flag the tree is untouched — the reference engine remains
-	// the default.
-	op, err = physical.LowerOpts(plan, cat, physical.Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*physical.Project); !ok {
-		t.Fatalf("unfused lowering produced %T, want *Project", op)
-	}
-
 	// Parallel: each Gather worker runs a FusedPipeline over its MorselScan.
-	popt := physical.Options{DOP: 2, MorselSize: 16, MinParallelRows: 1, Fuse: true}
+	popt := physical.Options{DOP: 2, MorselSize: 16, MinParallelRows: 1}
 	op, err = physical.LowerOpts(plan, cat, popt)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +96,7 @@ func TestFusedPathEngages(t *testing.T) {
 	join := &algebra.Join{Left: fusedChainPlan(cat),
 		Right: &algebra.Scan{Table: "r", TblSchema: cat.Get("r").Schema},
 		EquiL: []int{0}, EquiR: []int{0}}
-	out, err = engine.ExplainPhysicalOpts(join, cat, physical.Options{DOP: 1, Fuse: true})
+	out, err = engine.ExplainPhysicalOpts(join, cat, physical.Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +107,7 @@ func TestFusedPathEngages(t *testing.T) {
 
 	// A governed join declines fusion of the probe (spilling needs the real
 	// HashJoin) while the scan-side chain still fuses below it.
-	gopt := physical.Options{DOP: 1, Fuse: true, MemBudget: 8 << 10, SpillDir: t.TempDir()}
+	gopt := physical.Options{DOP: 1, MemBudget: 8 << 10, SpillDir: t.TempDir()}
 	out, err = engine.ExplainPhysicalOpts(join, cat, gopt)
 	if err != nil {
 		t.Fatal(err)
@@ -204,17 +131,17 @@ func fusedAggPlan(cat *engine.Catalog) *algebra.Aggregate {
 	}
 }
 
-// TestFusedAggEngages pins that Fuse carries past the pipeline breaker: an
+// TestFusedAggEngages pins that fusion carries past the pipeline breaker: an
 // ungoverned aggregate over a fusable chain lowers to one FusedAggregate
-// (ParallelFusedAggregate at DOP > 1), Explain renders the collapsed chain
-// including the aggregate, a memory budget declines fusion back to the
-// governed spilling HashAggregate, and without Fuse nothing changes.
+// (folding per morsel at DOP > 1), Explain renders the collapsed chain
+// including the aggregate, and a memory budget declines fusion back to the
+// governed spilling HashAggregate.
 func TestFusedAggEngages(t *testing.T) {
 	cat := fusedTestCatalog()
 
 	// Serial: the whole chain, breaker included, is one operator. A bare
 	// scan-aggregate fuses too — there is no worth gate past the breaker.
-	op, err := physical.LowerOpts(fusedAggPlan(cat), cat, physical.Options{DOP: 1, Fuse: true})
+	op, err := physical.LowerOpts(fusedAggPlan(cat), cat, physical.Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,33 +153,33 @@ func TestFusedAggEngages(t *testing.T) {
 		GroupBy: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}}, GroupNames: []string{"g"},
 		Aggs: []algebra.AggSpec{{Func: algebra.AggCount, Star: true, Name: "n"}},
 	}
-	out, err := engine.ExplainPhysicalOpts(bare, cat, physical.Options{DOP: 1, Fuse: true})
+	out, err := engine.ExplainPhysicalOpts(bare, cat, physical.Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The optimizer prunes the scan through an inserted projection before
 	// lowering, so the collapsed chain shows it.
-	if want := "FusedAggregate[scan t → project → aggregate; by k#0; count(*)]\n"; out != want {
+	if want := "FusedAggregate[dop=1; scan t → project → aggregate; by k#0; count(*)]\n"; out != want {
 		t.Fatalf("fused aggregate explain:\n%s\nwant:\n%s", out, want)
 	}
 
 	// Parallel: morsel workers fold windows straight off the shared source.
-	popt := physical.Options{DOP: 2, MorselSize: 16, MinParallelRows: 1, Fuse: true}
+	popt := physical.Options{DOP: 2, MorselSize: 16, MinParallelRows: 1}
 	op, err = physical.LowerOpts(fusedAggPlan(cat), cat, popt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfa, ok := op.(*physical.ParallelFusedAggregate)
+	fa, ok := op.(*physical.FusedAggregate)
 	if !ok {
-		t.Fatalf("parallel fused aggregate lowering produced %T, want *ParallelFusedAggregate", op)
+		t.Fatalf("parallel fused aggregate lowering produced %T, want *FusedAggregate", op)
 	}
-	if pfa.DOP() != 2 {
-		t.Fatalf("parallel fused aggregate DOP %d, want 2", pfa.DOP())
+	if fa.DOP() != 2 {
+		t.Fatalf("parallel fused aggregate DOP %d, want 2", fa.DOP())
 	}
 
 	// Governed: aggregation must stay the serial spilling HashAggregate; the
 	// chain below it still fuses.
-	gopt := physical.Options{DOP: 1, Fuse: true, MemBudget: 8 << 10, SpillDir: t.TempDir()}
+	gopt := physical.Options{DOP: 1, MemBudget: 8 << 10, SpillDir: t.TempDir()}
 	gout, err := engine.ExplainPhysicalOpts(fusedAggPlan(cat), cat, gopt)
 	if err != nil {
 		t.Fatal(err)
@@ -260,15 +187,6 @@ func TestFusedAggEngages(t *testing.T) {
 	if !strings.Contains(gout, "HashAggregate[") ||
 		!strings.Contains(gout, "FusedPipeline[scan t → filter → project]") {
 		t.Fatalf("governed fused aggregate explain:\n%s", gout)
-	}
-
-	// Without the flag the tree is untouched.
-	op, err = physical.LowerOpts(fusedAggPlan(cat), cat, physical.Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*physical.HashAggregate); !ok {
-		t.Fatalf("unfused aggregate lowering produced %T, want *HashAggregate", op)
 	}
 }
 
@@ -334,9 +252,9 @@ func TestFusedAggDirectedParity(t *testing.T) {
 	}
 	cat := mk()
 	for pi, plan := range plans {
-		want := drainOpts(t, plan, cat, physical.Options{DOP: 1}, "serial HashAggregate")
+		want := drainOpts(t, plan, rowSource{cat}, physical.Options{DOP: 1}, "serial HashAggregate")
 		for _, dop := range typedDOPs() {
-			got := drainOpts(t, plan, cat, fusedOpts(dop, 0, ""), "fused aggregate")
+			got := drainOpts(t, plan, cat, typedOpts(dop, 0, ""), "fused aggregate")
 			mustMatchRows(t, got, want, fmt.Sprintf("plan %d dop %d: fused vs serial aggregate", pi, dop))
 		}
 	}
@@ -354,7 +272,7 @@ func TestFusedFilterOnlyStaysUnfused(t *testing.T) {
 		Input: &algebra.Scan{Table: "t", TblSchema: sch},
 		Pred:  algebra.Bin{Op: algebra.OpLt, L: v, R: algebra.Const{V: types.NewInt(100)}},
 	}
-	op, err := physical.LowerOpts(filter, cat, physical.Options{DOP: 1, Fuse: true})
+	op, err := physical.LowerOpts(filter, cat, physical.Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +285,7 @@ func TestFusedFilterOnlyStaysUnfused(t *testing.T) {
 		Exprs: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}},
 		Names: []string{"k"},
 	}
-	op, err = physical.LowerOpts(passthrough, cat, physical.Options{DOP: 1, Fuse: true})
+	op, err = physical.LowerOpts(passthrough, cat, physical.Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

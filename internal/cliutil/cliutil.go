@@ -1,6 +1,6 @@
 // Package cliutil is the one copy of the flag plumbing the command-line
-// tools share: the -dop / -fuse / -mem-budget / -attr-bounds execution knobs
-// (cmd/uadb and cmd/uadb-server take the same four, with the same parsing
+// tools share: the -dop / -mem-budget / -attr-bounds execution knobs
+// (cmd/uadb and cmd/uadb-server take the same three, with the same parsing
 // and the same error wording) and the repeatable -table name=path CSV
 // loader. Each tool registers what it needs on its own FlagSet and keeps
 // tool-specific flags to itself.
@@ -28,12 +28,11 @@ type ExecFlagSpec struct {
 // ExecFlags holds the shared execution flags after Register.
 type ExecFlags struct {
 	dop        *int
-	fuse       *bool
 	memBudget  *string
 	attrBounds *bool
 }
 
-// RegisterExec adds -dop, -fuse, -mem-budget, and -attr-bounds to fs with
+// RegisterExec adds -dop, -mem-budget, and -attr-bounds to fs with
 // the standard usage text.
 func RegisterExec(fs *flag.FlagSet) *ExecFlags {
 	return ExecFlagSpec{}.Register(fs)
@@ -48,16 +47,12 @@ func (s ExecFlagSpec) Register(fs *flag.FlagSet) *ExecFlags {
 	return &ExecFlags{
 		dop:        fs.Int("dop", 0, "degree of parallelism: 0 = GOMAXPROCS, 1 = serial engine"),
 		memBudget:  fs.String("mem-budget", "", budgetUsage),
-		fuse:       fs.Bool("fuse", false, "compile scan→filter→project(→probe) chains into fused single-loop pipelines (identical results, faster on columnar tables)"),
 		attrBounds: fs.Bool("attr-bounds", false, "attribute-level uncertainty mode: answer every column as a [lower, best-guess, upper] range (AU-DB), enabling aggregates over uncertain data"),
 	}
 }
 
 // DOP reports the parsed -dop value.
 func (e *ExecFlags) DOP() int { return *e.dop }
-
-// Fuse reports the parsed -fuse value.
-func (e *ExecFlags) Fuse() bool { return *e.fuse }
 
 // AttrBounds reports the parsed -attr-bounds value.
 func (e *ExecFlags) AttrBounds() bool { return *e.attrBounds }
@@ -81,7 +76,7 @@ func (e *ExecFlags) QueryOpts() (rewrite.QueryOpts, error) {
 	if err != nil {
 		return rewrite.QueryOpts{}, err
 	}
-	return rewrite.QueryOpts{DOP: e.DOP(), MemBudget: budget, Fuse: e.Fuse(), AttrBounds: e.AttrBounds()}, nil
+	return rewrite.QueryOpts{DOP: e.DOP(), MemBudget: budget, AttrBounds: e.AttrBounds()}, nil
 }
 
 // TableFlags collects repeatable -table name=path.csv specs.

@@ -36,8 +36,8 @@ type Session struct {
 	// Cat is the catalog queries resolve tables against.
 	Cat *Catalog
 	// Opt are the physical execution options: the zero value means
-	// automatic parallelism (DOP = GOMAXPROCS), no memory budget, no
-	// fusion. With Opt.Gov set (the server's admission grant), that
+	// automatic parallelism (DOP = GOMAXPROCS) and no memory budget. With
+	// Opt.Gov set (the server's admission grant), that
 	// governor — not a per-query one built from MemBudget — caps the
 	// query's pipeline-breaker working set.
 	Opt physical.Options
@@ -100,9 +100,8 @@ func ExplainPhysical(n algebra.Node, cat *Catalog) (string, error) {
 }
 
 // ExplainPhysicalOpts is ExplainPhysical under explicit execution options —
-// the tree Session.Execute runs under opt. With Options.Fuse set, fused
-// chains render as a single FusedPipeline node listing the collapsed
-// operators.
+// the tree Session.Execute runs under opt. Fused chains render as a single
+// FusedPipeline or FusedAggregate node listing the collapsed operators.
 func ExplainPhysicalOpts(n algebra.Node, cat *Catalog, opt physical.Options) (string, error) {
 	op, err := compile(n, cat, opt)
 	if err != nil {

@@ -33,8 +33,9 @@ func TestPlanShapeHashJoinForEquiJoins(t *testing.T) {
 	if strings.Contains(s, "NestedLoopJoin") {
 		t.Errorf("equi-join must not nested-loop:\n%s", s)
 	}
-	// The amount filter must sit below the join, on the orders side.
-	if !strings.Contains(s, "Filter") {
+	// The amount filter must sit below the join, on the orders side: here
+	// inside the orders chain's fused pipeline.
+	if !strings.Contains(s, "FusedPipeline[scan orders → project → filter]") {
 		t.Errorf("pushed filter missing from physical plan:\n%s", s)
 	}
 

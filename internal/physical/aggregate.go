@@ -187,11 +187,10 @@ func (st *aggState) result(aggs []algebra.AggSpec, nGroupCols int) []types.Value
 	return row
 }
 
-// aggFolder is the batch-folding core shared by the serial HashAggregate and
-// the per-worker partial aggregation of ParallelHashAggregate: compiled
-// group-key and argument kernels, reused evaluation columns, and the
-// canonical-key group lookup. One folder belongs to one goroutine — the
-// kernels it compiles are closures, so parallel workers each build their own.
+// aggFolder is HashAggregate's batch-folding core, in-memory and governed:
+// compiled group-key and argument kernels, reused evaluation columns, and
+// the canonical-key group lookup. One folder belongs to one goroutine — the
+// kernels it compiles are closures with private scratch.
 //
 // When every group-by expression is a bare column and the batch is columnar,
 // group keys are encoded straight from the vectors (the per-vector-type

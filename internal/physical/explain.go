@@ -47,16 +47,7 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 		explain(sb, o.Left, depth+1)
 		explain(sb, o.Right, depth+1)
 	case *HashAggregate:
-		keys := make([]string, len(o.GroupBy))
-		for i, e := range o.GroupBy {
-			keys[i] = e.String()
-		}
-		aggs := make([]string, len(o.Aggs))
-		for i, a := range o.Aggs {
-			aggs[i] = a.String()
-		}
-		fmt.Fprintf(sb, "HashAggregate[by %s; %s]\n",
-			strings.Join(keys, ","), strings.Join(aggs, ","))
+		fmt.Fprintf(sb, "HashAggregate[by %s; %s]\n", exprList(o.GroupBy), aggList(o.Aggs))
 		explain(sb, o.Input, depth+1)
 	case *Sort:
 		keys := make([]string, len(o.Keys))
@@ -81,7 +72,7 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 		explain(sb, o.Input, depth+1)
 	case *FusedPipeline:
 		// One node for the whole collapsed chain; a probe stage also shows
-		// the join's build subtree, like HashJoinProbe does.
+		// the join's build subtree.
 		fmt.Fprintf(sb, "FusedPipeline[%s]\n", strings.Join(o.Ops, " → "))
 		if o.Probe != nil {
 			sb.WriteString(strings.Repeat("  ", depth+1))
@@ -92,36 +83,9 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 		// All workers run identical pipeline copies; print worker 0's.
 		fmt.Fprintf(sb, "Gather[dop=%d, morsel=%d]\n", o.DOP(), o.MorselSize())
 		explain(sb, o.Workers[0].Pipe, depth+1)
-	case *MorselScan:
-		fmt.Fprintf(sb, "MorselScan(%s)\n", o.Table)
-	case *HashJoinProbe:
-		res := ""
-		if o.Residual != nil {
-			res = fmt.Sprintf(", residual %s", o.Residual)
-		}
-		fmt.Fprintf(sb, "HashJoinProbe[L%v = R%v%s]\n", o.EquiL, o.Build.Keys, res)
-		explain(sb, o.Input, depth+1)
-		sb.WriteString(strings.Repeat("  ", depth+1))
-		sb.WriteString("build:\n")
-		explain(sb, o.Build.Input, depth+2)
 	case *FusedAggregate:
-		fmt.Fprintf(sb, "FusedAggregate[%s; by %s; %s]\n",
-			strings.Join(o.Ops, " → "), exprList(o.GroupBy), aggList(o.Aggs))
-	case *ParallelFusedAggregate:
-		fmt.Fprintf(sb, "ParallelFusedAggregate[dop=%d; %s; by %s; %s]\n",
+		fmt.Fprintf(sb, "FusedAggregate[dop=%d; %s; by %s; %s]\n",
 			o.DOP(), strings.Join(o.Ops, " → "), exprList(o.GroupBy), aggList(o.Aggs))
-	case *ParallelHashAggregate:
-		keys := make([]string, len(o.GroupBy))
-		for i, e := range o.GroupBy {
-			keys[i] = e.String()
-		}
-		aggs := make([]string, len(o.Aggs))
-		for i, a := range o.Aggs {
-			aggs[i] = a.String()
-		}
-		fmt.Fprintf(sb, "ParallelHashAggregate[dop=%d; by %s; %s]\n",
-			o.DOP(), strings.Join(keys, ","), strings.Join(aggs, ","))
-		explain(sb, o.workers[0].pipe, depth+1)
 	default:
 		fmt.Fprintf(sb, "%T\n", op)
 	}

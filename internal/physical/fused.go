@@ -9,7 +9,7 @@ import (
 	"repro/internal/vector"
 )
 
-// Fused pipeline compilation: the Options.Fuse lowering collapses a maximal
+// Fused pipeline compilation: the lowering collapses a maximal
 // Scan→Filter→Project chain (optionally capped by the probe side of an
 // equi-join) into one FusedPipeline operator that runs the whole chain as a
 // single loop per column window. The operator chain is composed at lowering
@@ -28,7 +28,8 @@ import (
 // composed predicate selects them (ascending selection-vector intersection),
 // and the probe stage encodes keys and orders matches exactly like the
 // serial HashJoin. The randomized agreement harnesses pin fused output
-// byte-identical to the unfused engine at every DOP and memory budget.
+// byte-identical to the boxed operator tree — the same plans over a source
+// without columns, where nothing fuses — at every DOP and memory budget.
 
 // FusedProbe is the optional hash-join probe stage of a fused pipeline: the
 // chain's output columns are probed against a shared build table without
@@ -679,17 +680,28 @@ func (fc *fusedChain) worthFusing() bool {
 // worthProbeFusing is the probe-capped variant: the chain need not end in a
 // projection (the probe materializes rows itself, late), but it must filter
 // or compute — a bare passthrough chain under a join gains nothing, because
-// the typed HashJoinProbe already probes straight off the scan's vectors and
+// the typed HashJoin already probes straight off the scan's vectors and
 // materializes only matches. Fusing it would just re-dispatch the same work.
 func (fc *fusedChain) worthProbeFusing() bool {
 	return len(fc.preds) > 0 || fc.computing
 }
 
-// lowerFusedPipeline lowers a standalone fusable chain rooted at n to a
-// FusedPipeline running the resolved table as one whole-table window. ok is
-// false when the chain doesn't fuse; the caller falls back to the unfused
-// operator tree.
-func lowerFusedPipeline(n algebra.Node, src Source) (Operator, bool, error) {
+// fusedDOP is the worker count a fused operator over an nRows-row table
+// runs at: opt.DOP when the table is big enough to split into morsels,
+// otherwise 1 (one whole-table window).
+func fusedDOP(opt Options, nRows int) int {
+	if opt.DOP > 1 && nRows >= opt.MinParallelRows {
+		return opt.DOP
+	}
+	return 1
+}
+
+// lowerFusedPipeline lowers a standalone fusable chain rooted at n: a
+// FusedPipeline running the resolved table as one whole-table window, or a
+// Gather of per-worker FusedPipelines when the table is big enough to
+// parallelize. ok is false when the chain doesn't fuse; the caller falls
+// back to the operator tree.
+func lowerFusedPipeline(n algebra.Node, src Source, opt Options) (Operator, bool, error) {
 	fc, ok, err := fuseChainFor(n, src)
 	if err != nil || !ok {
 		return nil, false, err
@@ -697,20 +709,26 @@ func lowerFusedPipeline(n algebra.Node, src Source) (Operator, bool, error) {
 	if !fc.worthFusing() || !fc.kernelsOK() {
 		return nil, false, nil
 	}
+	schema := types.Schema{Attrs: fc.names}
+	if dop := fusedDOP(opt, len(fc.rows)); dop > 1 {
+		return newFusedGather(fc, dop, opt.MorselSize, nil, schema), true, nil
+	}
 	return &FusedPipeline{
 		full:   fc.cols,
 		Preds:  fc.preds,
 		Projs:  fc.projs,
 		Ops:    fc.ops,
-		schema: types.Schema{Attrs: fc.names},
+		schema: schema,
 	}, true, nil
 }
 
 // lowerFusedProbe lowers an ungoverned equi-join whose probe (left) side is
-// a fusable chain to a FusedPipeline with a probe stage over a private
-// hashBuild — the serial fused join. Under a memory budget the join must
-// stay the governed (grace-spilling) HashJoin, which consumes fused inputs
-// unchanged; fused pipelines are not pipeline breakers.
+// a fusable chain to a FusedPipeline with a probe stage — serially over a
+// build table it constructs at Open, or as a Gather of probe workers over
+// one shared build table the Gather constructs before they start. Under a
+// memory budget the join must stay the governed (grace-spilling) HashJoin,
+// which consumes fused inputs unchanged; fused pipelines are not pipeline
+// breakers.
 func lowerFusedProbe(node *algebra.Join, src Source, opt Options) (Operator, bool, error) {
 	if len(node.EquiL) == 0 || opt.Gov != nil {
 		return nil, false, nil
@@ -729,46 +747,43 @@ func lowerFusedProbe(node *algebra.Join, src Source, opt Options) (Operator, boo
 	if err := checkJoin(node, len(fc.projs), right.Schema().Arity()); err != nil {
 		return nil, false, err
 	}
-	build := &hashBuild{Input: right, Keys: node.EquiR, dop: opt.DOP}
+	probe := &FusedProbe{Build: &hashBuild{Input: right, Keys: node.EquiR, dop: opt.DOP},
+		EquiL: node.EquiL, Residual: node.Residual}
+	schema := types.Schema{Attrs: fc.names}.Concat(right.Schema())
+	if dop := fusedDOP(opt, len(fc.rows)); dop > 1 {
+		return newFusedGather(fc, dop, opt.MorselSize, probe, schema), true, nil
+	}
+	probe.OwnsBuild = true
 	return &FusedPipeline{
-		full:  fc.cols,
-		Preds: fc.preds,
-		Projs: fc.projs,
-		Ops:   append(fc.ops[:len(fc.ops):len(fc.ops)], "probe"),
-		Probe: &FusedProbe{Build: build, EquiL: node.EquiL,
-			Residual: node.Residual, OwnsBuild: true},
-		schema: types.Schema{Attrs: fc.names}.Concat(right.Schema()),
+		full:   fc.cols,
+		Preds:  fc.preds,
+		Projs:  fc.projs,
+		Ops:    append(fc.ops[:len(fc.ops):len(fc.ops)], "probe"),
+		Probe:  probe,
+		schema: schema,
 	}, true, nil
 }
 
-// fusedPipelineSpec is the parallel twin of lowerFusedPipeline: a
-// pipelineSpec whose workers each run a private FusedPipeline over a
-// MorselScan. probe applies the probe-capped worth gate instead of the
-// standalone one.
-func fusedPipelineSpec(n algebra.Node, src Source, opt Options, probe bool) (*pipelineSpec, bool, error) {
-	fc, ok, err := fuseChainFor(n, src)
-	if err != nil || !ok {
-		return nil, false, err
+// newFusedGather assembles the parallel form of a fused chain: a Gather over
+// dop workers, each running a private FusedPipeline over its own MorselScan
+// of the chain's table. With a probe stage every worker probes the shared
+// build table, which the Gather's prepare step constructs once before any
+// worker opens; a probe can expand (1:N matches), so only probe-less chains
+// hint or cap the gathered row count.
+func newFusedGather(fc *fusedChain, dop, morselSize int, probe *FusedProbe, schema types.Schema) *Gather {
+	ms := &morselSource{rows: fc.rows, size: morselSize, cols: fc.cols}
+	ops := fc.ops
+	var prepare func() error
+	if probe != nil {
+		ops = append(ops[:len(ops):len(ops)], "probe")
+		prepare = probe.Build.build
 	}
-	if len(fc.rows) < opt.MinParallelRows {
-		return nil, false, nil
+	workers := make([]*Exchange, dop)
+	for i := range workers {
+		s := &MorselScan{Table: fc.table, src: ms, schema: fc.schema}
+		workers[i] = &Exchange{Scan: s, Pipe: &FusedPipeline{Input: s, Preds: fc.preds,
+			Projs: fc.projs, Ops: ops, Probe: probe, schema: schema}}
 	}
-	if probe && !fc.worthProbeFusing() {
-		return nil, false, nil
-	}
-	if (!probe && !fc.worthFusing()) || !fc.kernelsOK() {
-		return nil, false, nil
-	}
-	ms := &morselSource{rows: fc.rows, size: opt.MorselSize, cols: fc.cols}
-	schema := types.Schema{Attrs: fc.names}
-	return &pipelineSpec{
-		src: ms, table: fc.table, schema: schema,
-		preservesCount: len(fc.preds) == 0,
-		depth:          len(fc.ops) - 1,
-		mk: func() (Operator, *MorselScan) {
-			s := &MorselScan{Table: fc.table, src: ms, schema: fc.schema}
-			return &FusedPipeline{Input: s, Preds: fc.preds, Projs: fc.projs,
-				Ops: fc.ops, schema: schema}, s
-		},
-	}, true, nil
+	return &Gather{Workers: workers, src: ms, schema: schema, prepare: prepare,
+		hintOK: probe == nil && len(fc.preds) == 0, capOK: probe == nil}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/vector"
 )
 
-// Fused aggregation: the Options.Fuse lowering extends past the first
+// Fused aggregation: the fused lowering extends past the first
 // pipeline breaker, collapsing a maximal Scan→Filter→Project→Aggregate chain
 // over a columnar table into one operator that folds group states straight
 // off the source vectors. Per window the composed predicates select (range
@@ -28,11 +28,11 @@ import (
 // identical last ulp), and MIN/MAX replicate types.Value.Compare — integer
 // comparisons widen through float64 with ties keeping the incumbent, and
 // NaN never replaces nor is replaced, exactly as Compare orders it. Group
-// output order is the engine-wide first-seen order: the serial operator
-// folds one whole-table window; the parallel one merges per-morsel partials
-// in morsel sequence order via mergeSeqPartials, like ParallelHashAggregate.
-// Under a memory governor fused aggregation declines and the governed
-// (spilling) HashAggregate runs instead, exactly like the fused probe.
+// output order is the engine-wide first-seen order: at DOP 1 the operator
+// folds one whole-table window; at DOP > 1 it merges per-morsel partials in
+// morsel sequence order via mergeSeqPartials. Under a memory governor fused
+// aggregation declines and the governed (spilling) HashAggregate runs
+// instead, exactly like the fused probe.
 
 // fusedAggChain is a recognized Scan→Filter→Project→Aggregate chain: the
 // underlying fusedChain with the aggregate's group-by keys and arguments
@@ -100,11 +100,11 @@ func fusedAggFor(node *algebra.Aggregate, src Source) (*fusedAggChain, bool, err
 	}, true, nil
 }
 
-// fusedAggFolder folds column windows into group states without boxing: the
-// fused-aggregation core shared by the serial FusedAggregate (one whole-table
-// window) and each ParallelFusedAggregate worker (one window per morsel).
-// One folder belongs to one goroutine — its kernels are closures with private
-// scratch, so parallel workers each build their own.
+// fusedAggFolder folds column windows into group states without boxing:
+// FusedAggregate's core, run over one whole-table window at DOP 1 and over
+// one window per morsel by each worker at DOP > 1. One folder belongs to one
+// goroutine — its kernels are closures with private scratch, so parallel
+// workers each build their own.
 type fusedAggFolder struct {
 	predProgs  []*algebra.Compiled
 	groupProgs []*algebra.Compiled
@@ -323,10 +323,18 @@ func (f *fusedAggFolder) absorbCol(a int, vec vector.Vector, slots []*aggState, 
 	}
 }
 
-// FusedAggregate is the serial fused aggregate: the whole chain — scan,
-// filters, projections, grouping, accumulation — runs as one fold over the
-// resolved table's column vectors at Open, and Next streams the rendered
-// group rows exactly like HashAggregate.
+// FusedAggregate runs a whole fused Scan→Filter→Project→Aggregate chain —
+// scan, filters, projections, grouping, accumulation — as folds over the
+// resolved table's column vectors at Open; Next then streams the rendered
+// group rows exactly like HashAggregate. At DOP 1 it folds one whole-table
+// window, so every group's additions run in row order and float sums are
+// bit-identical to the serial HashAggregate. At DOP > 1 the workers claim
+// morsels straight off the shared source — folding is pure compute, so
+// there is no per-worker operator pipeline at all — fold each morsel's
+// window into a private partial-state map with their own folder, and Open
+// merges the partials in morsel sequence order (mergeSeqPartials), which
+// keeps the result a pure function of the input and the group order the
+// serial engine's first-seen order.
 type FusedAggregate struct {
 	Table   string
 	GroupBy []algebra.Expr // composed over the scan schema
@@ -334,99 +342,65 @@ type FusedAggregate struct {
 	Preds   []algebra.Expr // composed over the scan schema
 	Ops     []string       // collapsed chain, scan first — Explain renders this
 
-	full   *vector.Columns
 	args   []algebra.Expr
 	schema types.Schema
 	nGroup int
+	dop    int
+	src    *morselSource // the table's columns and, at DOP > 1, its morsel queue
 
-	folder *fusedAggFolder
+	folder *fusedAggFolder // the DOP 1 fold's kernels, compiled on first Open
 	out    [][]types.Value
 	pos    int
 	b      Batch
 }
 
+// partialGroup is one group's partial aggregate state for a single morsel,
+// tagged with its canonical key so the merge can find its global peer.
+// Groups travel in the morsel's first-seen order.
+type partialGroup struct {
+	key string
+	st  *aggState
+}
+
+// aggPacket carries one morsel's partial aggregation from a worker to the
+// merging Open. Ownership transfers with the send.
+type aggPacket struct {
+	seq    int
+	groups []partialGroup
+}
+
 // Schema implements Operator.
 func (h *FusedAggregate) Schema() types.Schema { return h.schema }
 
-// Open implements Operator: fold the single whole-table window and render
-// the groups. Kernels compile on the first Open and are memoized.
+// DOP reports the aggregate's worker count (1: one whole-table fold).
+func (h *FusedAggregate) DOP() int { return h.dop }
+
+// Open implements Operator: fold, merge where parallel, render the groups.
 func (h *FusedAggregate) Open() error {
 	h.out, h.pos = nil, 0
-	if h.folder == nil {
-		h.folder = newFusedAggFolder(h.Preds, h.GroupBy, h.args, h.Aggs)
-	}
-	groups := make(map[string]*aggState)
 	var states []*aggState // first-seen order
-	h.folder.foldWindow(h.full.Vecs, h.full.N, groups, func(_ string, st *aggState) {
-		states = append(states, st)
-	})
+	if h.dop <= 1 {
+		if h.folder == nil {
+			h.folder = newFusedAggFolder(h.Preds, h.GroupBy, h.args, h.Aggs)
+		}
+		groups := make(map[string]*aggState)
+		cols := h.src.cols
+		h.folder.foldWindow(cols.Vecs, cols.N, groups, func(_ string, st *aggState) {
+			states = append(states, st)
+		})
+	} else {
+		states = h.foldMorsels()
+	}
 	h.out = finishAggStates(states, h.nGroup == 0, h.Aggs, h.nGroup)
 	return nil
 }
 
-// RowCountHint implements RowCountHinter: after Open the groups are
-// materialized, so the count is exact.
-func (h *FusedAggregate) RowCountHint() (int, bool) { return len(h.out) - h.pos, true }
-
-// Next implements Operator.
-func (h *FusedAggregate) Next() (*Batch, error) {
-	if h.pos >= len(h.out) {
-		return nil, nil
-	}
-	end := h.pos + DefaultBatchSize
-	if end > len(h.out) {
-		end = len(h.out)
-	}
-	h.b.SetShared(h.out[h.pos:end])
-	h.pos = end
-	return &h.b, nil
-}
-
-// Close implements Operator. A fused aggregate has no input operator; only
-// the materialized output is released.
-func (h *FusedAggregate) Close() error {
-	h.out = nil
-	return nil
-}
-
-// ParallelFusedAggregate is the morsel-parallel fused aggregate: DOP workers
-// claim morsels straight off the shared source — folding is pure compute, so
-// there is no per-worker operator pipeline at all — fold each morsel's
-// column window into a private partial-state map with their own folder, and
-// Open merges the per-morsel partials in morsel sequence order
-// (mergeSeqPartials), which keeps the result a pure function of the input
-// and the group order the serial engine's first-seen order, exactly like
-// ParallelHashAggregate.
-type ParallelFusedAggregate struct {
-	Table   string
-	GroupBy []algebra.Expr
-	Aggs    []algebra.AggSpec
-	Preds   []algebra.Expr
-	Ops     []string
-
-	args   []algebra.Expr
-	schema types.Schema
-	nGroup int
-	dop    int
-	src    *morselSource
-
-	out [][]types.Value
-	pos int
-	b   Batch
-}
-
-// Schema implements Operator.
-func (h *ParallelFusedAggregate) Schema() types.Schema { return h.schema }
-
-// DOP reports the aggregate's worker count.
-func (h *ParallelFusedAggregate) DOP() int { return h.dop }
-
-// Open implements Operator: fan out, fold, merge in sequence order. Workers
-// send one packet per claimed morsel; folding cannot fail, so there is no
-// error path out of the workers.
-func (h *ParallelFusedAggregate) Open() error {
-	h.out, h.pos = nil, 0
+// foldMorsels is the DOP > 1 fold: fan out, fold per morsel, merge in
+// sequence order. Workers send one packet per claimed morsel; folding cannot
+// fail, so there is no error path out of the workers.
+func (h *FusedAggregate) foldMorsels() []*aggState {
 	h.src.reset()
+	// Two packets per worker let workers fold ahead of the collecting loop.
 	ch := make(chan aggPacket, 2*h.dop)
 	var wg sync.WaitGroup
 	for i := 0; i < h.dop; i++ {
@@ -457,17 +431,36 @@ func (h *ParallelFusedAggregate) Open() error {
 	for p := range ch {
 		bySeq[p.seq] = p.groups
 	}
-	states := mergeSeqPartials(bySeq, h.src.nMorsels())
-	h.out = finishAggStates(states, h.nGroup == 0, h.Aggs, h.nGroup)
-	return nil
+	return mergeSeqPartials(bySeq, h.src.nMorsels())
+}
+
+// mergeSeqPartials merges per-morsel partial states in morsel sequence
+// order — the step that makes parallel aggregation a pure function of the
+// input and restores the serial engine's global first-seen group order: a
+// group's position is decided by the first morsel (in table order) that
+// contains it.
+func mergeSeqPartials(bySeq map[int][]partialGroup, nMorsels int) []*aggState {
+	global := make(map[string]*aggState)
+	var states []*aggState
+	for seq := 0; seq < nMorsels; seq++ {
+		for _, pg := range bySeq[seq] {
+			if st, ok := global[pg.key]; ok {
+				st.merge(pg.st)
+				continue
+			}
+			global[pg.key] = pg.st
+			states = append(states, pg.st)
+		}
+	}
+	return states
 }
 
 // RowCountHint implements RowCountHinter: after Open the groups are
 // materialized, so the count is exact.
-func (h *ParallelFusedAggregate) RowCountHint() (int, bool) { return len(h.out) - h.pos, true }
+func (h *FusedAggregate) RowCountHint() (int, bool) { return len(h.out) - h.pos, true }
 
 // Next implements Operator.
-func (h *ParallelFusedAggregate) Next() (*Batch, error) {
+func (h *FusedAggregate) Next() (*Batch, error) {
 	if h.pos >= len(h.out) {
 		return nil, nil
 	}
@@ -480,42 +473,30 @@ func (h *ParallelFusedAggregate) Next() (*Batch, error) {
 	return &h.b, nil
 }
 
-// Close implements Operator.
-func (h *ParallelFusedAggregate) Close() error {
+// Close implements Operator. A fused aggregate has no input operator; only
+// the materialized output is released.
+func (h *FusedAggregate) Close() error {
 	h.out = nil
 	return nil
 }
 
-// lowerFusedAggregate lowers a fusable aggregate to the serial
-// FusedAggregate. ok is false when the chain doesn't fuse; the caller falls
-// back to the unfused HashAggregate over whatever its input lowers to.
-func lowerFusedAggregate(node *algebra.Aggregate, src Source) (Operator, bool, error) {
+// lowerFusedAggregate lowers an ungoverned fusable aggregate to a
+// FusedAggregate, parallel when the table is big enough to split. ok is
+// false when the chain doesn't fuse or a memory governor is set; the caller
+// falls back to the HashAggregate over whatever its input lowers to — under
+// a budget that is the governed (spilling) form, like the fused probe.
+func lowerFusedAggregate(node *algebra.Aggregate, src Source, opt Options) (Operator, bool, error) {
+	if opt.Gov != nil {
+		return nil, false, nil
+	}
 	fa, ok, err := fusedAggFor(node, src)
 	if err != nil || !ok {
 		return nil, false, err
 	}
 	return &FusedAggregate{
 		Table: fa.table, GroupBy: fa.groupBy, Aggs: fa.aggs, Preds: fa.preds,
-		Ops: fa.ops, full: fa.cols, args: fa.args,
-		schema: fa.schema, nGroup: fa.nGroup,
-	}, true, nil
-}
-
-// lowerParallelFusedAggregate is the parallel twin: a ParallelFusedAggregate
-// over a shared morsel source, gated on the table being big enough to split.
-// A too-small table declines here and the serial fused hook catches it.
-func lowerParallelFusedAggregate(node *algebra.Aggregate, src Source, opt Options) (Operator, bool, error) {
-	fa, ok, err := fusedAggFor(node, src)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if len(fa.rows) < opt.MinParallelRows {
-		return nil, false, nil
-	}
-	return &ParallelFusedAggregate{
-		Table: fa.table, GroupBy: fa.groupBy, Aggs: fa.aggs, Preds: fa.preds,
 		Ops: fa.ops, args: fa.args, schema: fa.schema, nGroup: fa.nGroup,
-		dop: opt.DOP,
+		dop: fusedDOP(opt, len(fa.rows)),
 		src: &morselSource{rows: fa.rows, size: opt.MorselSize, cols: fa.cols},
 	}, true, nil
 }

@@ -58,7 +58,7 @@ func TestFusedAggregateSerialUnit(t *testing.T) {
 		},
 	}
 
-	fusedOp, err := LowerOpts(plan, src, Options{DOP: 1, Fuse: true})
+	fusedOp, err := LowerOpts(plan, src, Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDrainColumnsFusedChainUnit(t *testing.T) {
 			algebra.Bin{Op: algebra.OpAdd, L: col(0, "k"), R: col(1, "v")}},
 		Names: []string{"k", "kv"},
 	}
-	op, err := LowerOpts(plan, src, Options{DOP: 1, Fuse: true})
+	op, err := LowerOpts(plan, src, Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,9 @@ func TestDrainColumnsFusedChainUnit(t *testing.T) {
 	}
 }
 
-// TestParallelFusedAggregateUnit drives the morsel-parallel fused aggregate
-// in-package and pins its explain rendering and DOP accessor.
+// TestParallelFusedAggregateUnit drives the fused aggregate at DOP 2
+// in-package — per-morsel folds merged in sequence order — and pins its
+// explain rendering and DOP accessor against the boxed serial engine.
 func TestParallelFusedAggregateUnit(t *testing.T) {
 	schema, rows, cols := mixedAggTable(200)
 	src := aggFuzzSource{schema: schema, rows: rows, cols: cols}
@@ -165,26 +166,26 @@ func TestParallelFusedAggregateUnit(t *testing.T) {
 			{Func: algebra.AggCount, Arg: col(2, "f"), Name: "nf"},
 		},
 	}
-	opt := Options{DOP: 2, MorselSize: 32, MinParallelRows: 1, Fuse: true}
+	opt := Options{DOP: 2, MorselSize: 32, MinParallelRows: 1}
 	op, err := LowerOpts(plan, src, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfa, ok := op.(*ParallelFusedAggregate)
+	fa, ok := op.(*FusedAggregate)
 	if !ok {
-		t.Fatalf("lowered to %T, want *ParallelFusedAggregate", op)
+		t.Fatalf("lowered to %T, want *FusedAggregate", op)
 	}
-	if pfa.DOP() != 2 {
-		t.Fatalf("DOP = %d, want 2", pfa.DOP())
+	if fa.DOP() != 2 {
+		t.Fatalf("DOP = %d, want 2", fa.DOP())
 	}
-	if ex := Explain(op); !strings.Contains(ex, "ParallelFusedAggregate[dop=2") {
+	if ex := Explain(op); !strings.Contains(ex, "FusedAggregate[dop=2") {
 		t.Fatalf("explain missing parallel fused aggregate:\n%s", ex)
 	}
 	got, err := Drain(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfused, err := LowerOpts(plan, struct{ Source }{src}, Options{DOP: 2, MorselSize: 32, MinParallelRows: 1})
+	unfused, err := LowerOpts(plan, struct{ Source }{src}, Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,13 +41,13 @@ func fusedBenchPlan(n int) (algebra.Node, *benchFusedSource) {
 	return plan, src
 }
 
-func benchLowered(b *testing.B, opt Options) {
+func BenchmarkFusedPipeline(b *testing.B) {
 	const n = 1_000_000
 	plan, src := fusedBenchPlan(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op, err := LowerOpts(plan, src, opt)
+		op, err := LowerOpts(plan, src, Options{DOP: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,12 +59,4 @@ func benchLowered(b *testing.B, opt Options) {
 			b.Fatalf("%d rows", len(rows))
 		}
 	}
-}
-
-func BenchmarkFusedPipeline(b *testing.B) {
-	benchLowered(b, Options{DOP: 1, Fuse: true})
-}
-
-func BenchmarkUnfusedTyped(b *testing.B) {
-	benchLowered(b, Options{DOP: 1})
 }

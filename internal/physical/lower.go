@@ -11,42 +11,34 @@ import (
 // scans against src and validating the plan's internal schema consistency
 // (column references in range, join keys paired, union arities equal) so
 // that execution cannot index out of bounds on a malformed or mismatched
-// plan. Lower always produces the serial operator tree; LowerOpts adds the
-// degree-of-parallelism knob.
+// plan. Lower runs serially (DOP 1); LowerOpts adds the execution options.
 func Lower(n algebra.Node, src Source) (Operator, error) {
 	return LowerOpts(n, src, Options{DOP: 1})
 }
 
-// LowerOpts is Lower with execution options. With DOP > 1 the lowering
-// rewrites eligible subtrees into morsel-driven parallel form:
+// LowerOpts is Lower with execution options. Fusion always applies: a
+// maximal Scan→Filter→Project chain over a columnar table, optionally capped
+// by an equi-join probe or an aggregate, lowers to one fused operator when
+// its composed expressions all have columnar kernels and fusing saves work
+// (see fused.go and fused_agg.go). Parallelism rides only those fused
+// operators. With DOP > 1 and a table of at least MinParallelRows rows:
 //
-//   - a Filter/Project pipeline over a big enough base-table scan becomes a
-//     Gather over DOP workers, each running its own copy of the pipeline
-//     (own compiled kernels, own scratch spines) over morsels claimed from
-//     a shared queue, with output restored to the serial first-seen order
-//     by morsel sequence number;
-//   - an equi-join whose probe (left) side is such a pipeline becomes a
-//     Gather of HashJoinProbe workers over a shared partitioned build table
-//     constructed in parallel before the workers start;
-//   - an aggregate over such a pipeline becomes a ParallelHashAggregate:
-//     per-worker partial states merged in morsel order.
+//   - a fused chain becomes a Gather over DOP workers, each running its own
+//     FusedPipeline (own compiled kernels, own scratch) over morsels claimed
+//     from a shared queue, with output restored to the serial first-seen
+//     order by morsel sequence number;
+//   - a fused probe becomes such a Gather whose workers probe one shared
+//     partitioned build table, constructed in parallel before they start;
+//   - a fused aggregate folds per morsel on DOP workers and merges the
+//     partials in morsel order.
 //
-// Every other node lowers serially around the parallel subtrees. DOP = 1
-// (or a plan with no eligible subtree) produces exactly the serial tree.
+// Everything else, including a chain that does not fuse, lowers to the
+// serial operator tree at any DOP.
 func LowerOpts(n algebra.Node, src Source, opt Options) (Operator, error) {
 	return lowerNode(n, src, opt.normalized())
 }
 
 func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
-	if opt.DOP > 1 {
-		op, ok, err := lowerParallel(n, src, opt)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return op, nil
-		}
-	}
 	switch node := n.(type) {
 	case *algebra.Scan:
 		schema, rows, err := resolveScan(node, src)
@@ -56,12 +48,10 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		return NewColumnarScan(node.Table, schema, rows, columnsFor(src, node.Table, len(rows))), nil
 
 	case *algebra.Filter:
-		if opt.Fuse {
-			if fp, ok, err := lowerFusedPipeline(n, src); err != nil {
-				return nil, err
-			} else if ok {
-				return fp, nil
-			}
+		if fp, ok, err := lowerFusedPipeline(n, src, opt); err != nil {
+			return nil, err
+		} else if ok {
+			return fp, nil
 		}
 		in, err := lowerNode(node.Input, src, opt)
 		if err != nil {
@@ -73,12 +63,10 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		return &Filter{Input: in, Pred: node.Pred}, nil
 
 	case *algebra.Project:
-		if opt.Fuse {
-			if fp, ok, err := lowerFusedPipeline(n, src); err != nil {
-				return nil, err
-			} else if ok {
-				return fp, nil
-			}
+		if fp, ok, err := lowerFusedPipeline(n, src, opt); err != nil {
+			return nil, err
+		} else if ok {
+			return fp, nil
 		}
 		in, err := lowerNode(node.Input, src, opt)
 		if err != nil {
@@ -90,12 +78,10 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		return NewProject(in, node.Exprs, node.Names), nil
 
 	case *algebra.Join:
-		if opt.Fuse {
-			if fp, ok, err := lowerFusedProbe(node, src, opt); err != nil {
-				return nil, err
-			} else if ok {
-				return fp, nil
-			}
+		if fp, ok, err := lowerFusedProbe(node, src, opt); err != nil {
+			return nil, err
+		} else if ok {
+			return fp, nil
 		}
 		l, err := lowerNode(node.Left, src, opt)
 		if err != nil {
@@ -131,15 +117,10 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		return &UnionAll{Left: l, Right: r}, nil
 
 	case *algebra.Aggregate:
-		if opt.Fuse && opt.Gov == nil {
-			// Ungoverned aggregates over a fusable chain fold straight off
-			// the column vectors; under a memory budget the governed
-			// (spilling) HashAggregate runs instead, like the fused probe.
-			if fa, ok, err := lowerFusedAggregate(node, src); err != nil {
-				return nil, err
-			} else if ok {
-				return fa, nil
-			}
+		if fa, ok, err := lowerFusedAggregate(node, src, opt); err != nil {
+			return nil, err
+		} else if ok {
+			return fa, nil
 		}
 		in, err := lowerNode(node.Input, src, opt)
 		if err != nil {
@@ -184,7 +165,7 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 }
 
 // resolveScan resolves a logical scan against the source and cross-checks
-// the compiled arity, shared by the serial and parallel lowering paths.
+// the compiled arity, shared by the operator-tree and fused lowerings.
 func resolveScan(node *algebra.Scan, src Source) (types.Schema, [][]types.Value, error) {
 	schema, rows, err := src.Resolve(node.Table)
 	if err != nil {
@@ -250,234 +231,6 @@ func checkAggregate(node *algebra.Aggregate, arity int) error {
 		}
 	}
 	return nil
-}
-
-// pipelineSpec describes a parallelizable pipeline: a Filter/Project chain
-// over a base-table scan big enough to split into morsels. mk builds one
-// worker's private copy of the pipeline — fresh operator structs over a new
-// MorselScan, so nothing but the read-only morsel source (and the shared
-// algebra expressions, which compile per Open into per-worker kernels) is
-// shared between workers.
-type pipelineSpec struct {
-	src            *morselSource
-	table          string
-	schema         types.Schema
-	preservesCount bool // no Filter in the chain → scan cardinality survives
-	depth          int  // compute operators above the scan
-	mk             func() (Operator, *MorselScan)
-}
-
-// pipelineFor recognizes a parallelizable pipeline rooted at n. ok is false
-// — with no error — when the subtree has the wrong shape or the table is too
-// small to be worth splitting; validation errors are the same ones serial
-// lowering would report.
-func pipelineFor(n algebra.Node, src Source, opt Options) (*pipelineSpec, bool, error) {
-	switch node := n.(type) {
-	case *algebra.Scan:
-		schema, rows, err := resolveScan(node, src)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(rows) < opt.MinParallelRows {
-			return nil, false, nil
-		}
-		ms := &morselSource{rows: rows, size: opt.MorselSize,
-			cols: columnsFor(src, node.Table, len(rows))}
-		return &pipelineSpec{
-			src: ms, table: node.Table, schema: schema, preservesCount: true,
-			mk: func() (Operator, *MorselScan) {
-				s := &MorselScan{Table: node.Table, src: ms, schema: schema}
-				return s, s
-			},
-		}, true, nil
-
-	case *algebra.Filter:
-		in, ok, err := pipelineFor(node.Input, src, opt)
-		if !ok || err != nil {
-			return nil, ok, err
-		}
-		if err := checkCols(node.Pred, in.schema.Arity(), "filter predicate"); err != nil {
-			return nil, false, err
-		}
-		out := *in
-		out.preservesCount = false
-		out.depth++
-		inMk := in.mk
-		out.mk = func() (Operator, *MorselScan) {
-			pipe, scan := inMk()
-			return &Filter{Input: pipe, Pred: node.Pred}, scan
-		}
-		return &out, true, nil
-
-	case *algebra.Project:
-		in, ok, err := pipelineFor(node.Input, src, opt)
-		if !ok || err != nil {
-			return nil, ok, err
-		}
-		if err := checkProject(node, in.schema.Arity()); err != nil {
-			return nil, false, err
-		}
-		out := *in
-		out.schema = types.Schema{Attrs: node.Names}
-		out.depth++
-		inMk := in.mk
-		out.mk = func() (Operator, *MorselScan) {
-			pipe, scan := inMk()
-			return NewProject(pipe, node.Exprs, node.Names), scan
-		}
-		return &out, true, nil
-	}
-	return nil, false, nil
-}
-
-// newGather assembles a Gather over opt.DOP workers built from spec, with
-// wrap (optional) stacking a per-worker operator — the join probe — on top
-// of each pipeline copy.
-func newGather(spec *pipelineSpec, opt Options, schema types.Schema,
-	wrap func(Operator) Operator, prepare func() error, hintOK, capOK bool) *Gather {
-	workers := make([]*Exchange, opt.DOP)
-	for i := range workers {
-		pipe, scan := spec.mk()
-		if wrap != nil {
-			pipe = wrap(pipe)
-		}
-		workers[i] = &Exchange{Pipe: pipe, Scan: scan}
-	}
-	return &Gather{Workers: workers, src: spec.src, schema: schema,
-		prepare: prepare, hintOK: hintOK, capOK: capOK}
-}
-
-// lowerParallel rewrites eligible subtrees to morsel-driven parallel
-// operators; ok reports whether it took the node.
-func lowerParallel(n algebra.Node, src Source, opt Options) (Operator, bool, error) {
-	switch node := n.(type) {
-	case *algebra.Filter, *algebra.Project:
-		// A fused chain replaces the worker pipelines outright; chains that
-		// don't fuse (shape, kernels, or not worth it) parallelize unfused.
-		if opt.Fuse {
-			spec, ok, err := fusedPipelineSpec(n, src, opt, false)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				// Filter/Project output never exceeds the scan, so the scan
-				// size caps the gathered result.
-				g := newGather(spec, opt, spec.schema, nil, nil, spec.preservesCount, true)
-				return g, true, nil
-			}
-		}
-		spec, ok, err := pipelineFor(n, src, opt)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if spec.depth == 0 {
-			// A bare scan has no per-row compute to spread across workers;
-			// the serial zero-copy Scan is strictly better.
-			return nil, false, nil
-		}
-		g := newGather(spec, opt, spec.schema, nil, nil, spec.preservesCount, true)
-		return g, true, nil
-
-	case *algebra.Join:
-		if len(node.EquiL) == 0 {
-			return nil, false, nil
-		}
-		if opt.Gov != nil {
-			// Under a memory budget the join lowers serially so its build
-			// side is governed (grace spilling); declining here still lets
-			// the probe-side Filter/Project pipeline become a Gather when
-			// lowerNode descends into it.
-			return nil, false, nil
-		}
-		if opt.Fuse {
-			// Fused probe workers: the probe chain's key and payload columns
-			// are read straight off each worker's morsel windows; the shared
-			// build table is constructed once by the Gather's prepare step.
-			spec, ok, err := fusedPipelineSpec(node.Left, src, opt, true)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				right, err := lowerNode(node.Right, src, opt)
-				if err != nil {
-					return nil, false, err
-				}
-				if err := checkJoin(node, spec.schema.Arity(), right.Schema().Arity()); err != nil {
-					return nil, false, err
-				}
-				build := &hashBuild{Input: right, Keys: node.EquiR, dop: opt.DOP}
-				schema := spec.schema.Concat(right.Schema())
-				wrap := func(pipe Operator) Operator {
-					fp := pipe.(*FusedPipeline)
-					fp.Probe = &FusedProbe{Build: build, EquiL: node.EquiL,
-						Residual: node.Residual}
-					fp.Ops = append(fp.Ops[:len(fp.Ops):len(fp.Ops)], "probe")
-					fp.schema = schema
-					return fp
-				}
-				g := newGather(spec, opt, schema, wrap, build.build, false, false)
-				return g, true, nil
-			}
-		}
-		spec, ok, err := pipelineFor(node.Left, src, opt)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		right, err := lowerNode(node.Right, src, opt)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := checkJoin(node, spec.schema.Arity(), right.Schema().Arity()); err != nil {
-			return nil, false, err
-		}
-		build := &hashBuild{Input: right, Keys: node.EquiR, dop: opt.DOP}
-		schema := spec.schema.Concat(right.Schema())
-		wrap := func(pipe Operator) Operator {
-			return &HashJoinProbe{Input: pipe, Build: build,
-				EquiL: node.EquiL, Residual: node.Residual, schema: schema}
-		}
-		g := newGather(spec, opt, schema, wrap, build.build, false, false)
-		return g, true, nil
-
-	case *algebra.Aggregate:
-		if opt.Gov != nil {
-			// Same rule as the join: governed aggregation is the serial
-			// spilling operator; its input pipeline still parallelizes.
-			return nil, false, nil
-		}
-		if opt.Fuse {
-			// Fused aggregate workers fold morsel windows straight off the
-			// shared columnar source; a too-small table declines here and
-			// the serial fused hook in lowerNode catches it.
-			if pfa, ok, err := lowerParallelFusedAggregate(node, src, opt); err != nil {
-				return nil, false, err
-			} else if ok {
-				return pfa, true, nil
-			}
-		}
-		spec, ok, err := pipelineFor(node.Input, src, opt)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if err := checkAggregate(node, spec.schema.Arity()); err != nil {
-			return nil, false, err
-		}
-		attrs := append([]string{}, node.GroupNames...)
-		for _, a := range node.Aggs {
-			attrs = append(attrs, a.Name)
-		}
-		h := &ParallelHashAggregate{
-			GroupBy: node.GroupBy, GroupNames: node.GroupNames, Aggs: node.Aggs,
-			schema: types.Schema{Attrs: attrs}, src: spec.src,
-		}
-		h.workers = make([]*aggWorker, opt.DOP)
-		for i := range h.workers {
-			pipe, scan := spec.mk()
-			h.workers[i] = &aggWorker{scan: scan, pipe: pipe}
-		}
-		return h, true, nil
-	}
-	return nil, false, nil
 }
 
 // checkCols verifies every column reference of e lies within the input

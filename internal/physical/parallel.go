@@ -18,12 +18,11 @@ const DefaultMorselSize = 16384
 
 // Options tunes plan lowering. The zero value asks for automatic parallelism
 // (DOP = runtime.GOMAXPROCS) with default morsel sizing and no memory
-// budget; DOP = 1 disables the parallel rewrites entirely and lowers exactly
-// the serial operator tree PR 2 shipped, which is also what Lower (without
-// options) does.
+// budget; DOP = 1 runs every fused operator over one whole-table window,
+// which is also what Lower (without options) does.
 type Options struct {
-	// DOP is the degree of parallelism: how many workers a parallelized
-	// pipeline runs. <= 0 means runtime.GOMAXPROCS(0); 1 lowers serially.
+	// DOP is the degree of parallelism: how many workers a parallel fused
+	// operator runs. <= 0 means runtime.GOMAXPROCS(0); 1 lowers serially.
 	DOP int
 	// MorselSize is the rows-per-morsel unit of work distribution;
 	// <= 0 means DefaultMorselSize.
@@ -33,12 +32,12 @@ type Options struct {
 	// the morsel size (below that there is nothing to balance).
 	MinParallelRows int
 	// MemBudget caps the query's pipeline-breaker working set in bytes
-	// (the -mem-budget flag). <= 0 means unlimited: no governor is built,
-	// lowering produces exactly today's operator tree, and nothing ever
-	// spills. With a budget, sort, hash aggregate, and hash join degrade to
-	// their spilling forms under pressure — and lower serially (their
-	// input pipelines still parallelize), because the parallel breakers'
-	// shared build tables and per-worker partial states are ungoverned.
+	// (the -mem-budget flag). <= 0 means unlimited: no governor is built
+	// and nothing ever spills. With a budget, sort, hash aggregate, and hash
+	// join degrade to their spilling forms under pressure — and the fused
+	// probe and fused aggregate decline in their favour (fused chains below
+	// them still fuse and parallelize), because the fused breakers' shared
+	// build tables and per-worker partial states are ungoverned.
 	MemBudget int64
 	// SpillDir is where spill runs are written; "" means os.TempDir().
 	SpillDir string
@@ -46,14 +45,7 @@ type Options struct {
 	// one from MemBudget. Tests pass a pre-built governor to observe the
 	// peak tracked allocation of a single execution.
 	Gov *MemGovernor
-	// Fuse turns on fused pipeline compilation: maximal Scan→Filter→Project
-	// chains (and equi-join probe sides) whose composed expressions all have
-	// columnar kernels lower to a single-loop FusedPipeline instead of the
-	// operator chain (see fused.go). Off by default: the unfused tree is the
-	// reference engine, and fusion is pinned byte-identical to it by the
-	// agreement harnesses. Fusion composes with DOP (fused kernels run
-	// inside morsel workers) and with MemBudget (fused pipelines are not
-	// pipeline breakers; governed joins simply decline the fused probe).
+	// Deprecated: has no effect; fusion always applies. Kept only because benchmark/ still sets it.
 	Fuse bool
 }
 
@@ -78,12 +70,12 @@ func (o Options) normalized() Options {
 // table's rows, split into fixed-size morsels claimed by workers with one
 // atomic increment each. Morsel sequence numbers are positions in the
 // original table order; the Gather above uses them to restore deterministic
-// first-seen output order no matter which worker ran which morsel. cols,
-// when present, is the table's columnar form: read-only like rows, so every
-// worker slices it zero-copy without coordination.
+// first-seen output order no matter which worker ran which morsel. cols is
+// the table's columnar form, which every fused worker reads: read-only like
+// rows, so every worker slices it zero-copy without coordination.
 type morselSource struct {
 	rows [][]types.Value
-	cols *vector.Columns // nil: row-only source
+	cols *vector.Columns
 	size int
 	next atomic.Int64
 }
@@ -110,12 +102,12 @@ func (m *morselSource) claim() (seq, lo, hi int, ok bool) {
 	return s, lo, hi, true
 }
 
-// MorselScan is the per-worker leaf of a parallel pipeline: a Scan whose row
-// range is not the whole table but the morsel its worker most recently
-// claimed from the shared morselSource. Next emits zero-copy shared batches
-// within the current morsel and reports exhaustion at the morsel boundary;
-// the worker then claims the next morsel (advance) and resumes the pipeline,
-// so the operators stacked above never notice they are running on slices of
+// MorselScan is the per-worker leaf of a parallel fused pipeline: a Scan
+// whose row range is not the whole table but the morsel its worker most
+// recently claimed from the shared morselSource. Next emits zero-copy
+// dual-view batches within the current morsel and reports exhaustion at the
+// morsel boundary; the worker then claims the next morsel (advance) and
+// resumes its FusedPipeline, which never notices it is running on slices of
 // the table.
 type MorselScan struct {
 	Table     string
@@ -159,11 +151,7 @@ func (m *MorselScan) Next() (*Batch, error) {
 	if end > m.hi {
 		end = m.hi
 	}
-	if m.src.cols != nil {
-		m.out.SetSharedWithCols(m.src.rows[m.pos:end], m.src.cols.Slice(m.pos, end))
-	} else {
-		m.out.SetShared(m.src.rows[m.pos:end])
-	}
+	m.out.SetSharedWithCols(m.src.rows[m.pos:end], m.src.cols.Slice(m.pos, end))
 	m.pos = end
 	return &m.out, nil
 }
@@ -317,7 +305,7 @@ func (g *Gather) RowCountHint() (int, bool) {
 }
 
 // RowCountCap implements RowCapHinter for pipelines that can only shrink the
-// scan (Filter/Project chains, fused or not): the scan size bounds the
+// scan (probe-less fused chains): the scan size bounds the
 // gathered result, so Drain can pre-size its spine. Join gathers can expand
 // and cap nothing.
 func (g *Gather) RowCountCap() (int, bool) {

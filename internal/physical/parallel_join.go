@@ -3,9 +3,7 @@ package physical
 import (
 	"sync"
 
-	"repro/internal/algebra"
 	"repro/internal/types"
-	"repro/internal/vector"
 )
 
 // keyHash is FNV-1a over a canonical key encoding; it only routes keys to
@@ -36,8 +34,8 @@ func keyHashSalted(key []byte, salt uint64) uint64 {
 	return h
 }
 
-// hashBuild is a hash-join build table shared, read-only, by every probe
-// worker of a parallel join. It is partitioned by key hash so construction
+// hashBuild is the build table of a fused hash join, shared, read-only, by
+// every probe worker of a parallel one. It is partitioned by key hash so construction
 // parallelizes: one pass computes each build row's partition in parallel
 // chunks, then one worker per partition inserts its rows — in global build
 // order, so bucket contents match the serial HashJoin's first-seen order
@@ -142,124 +140,4 @@ func (hb *hashBuild) lookup(key []byte) [][]types.Value {
 		return part.buckets[idx]
 	}
 	return nil
-}
-
-// HashJoinProbe is the per-worker probe half of a parallel hash join. It sits
-// on top of a worker's morsel pipeline inside an Exchange and runs the exact
-// probe loop of the serial HashJoin — resumable mid-probe-row, slab-allocated
-// output, residual over the concatenated row — against the shared immutable
-// hashBuild instead of a private table. Because bucket order matches the
-// serial build and the Gather restores morsel order, the joined output is
-// byte-identical to the serial operator's.
-type HashJoinProbe struct {
-	Input    Operator
-	Build    *hashBuild
-	EquiL    []int
-	Residual algebra.Expr
-
-	schema types.Schema
-	res    *algebra.Compiled
-	keyBuf []byte
-	probe  *Batch
-	pi     int
-	// Per-probe-batch cached views, as in the serial HashJoin: vector keying
-	// only when the batch has no row view yet, rows resolved lazily.
-	probeKeyCols []vector.Vector
-	probeRows    [][]types.Value
-	matches      [][]types.Value
-	mi           int
-	out          Batch
-	sl           *slab
-}
-
-// Schema implements Operator.
-func (j *HashJoinProbe) Schema() types.Schema { return j.schema }
-
-// Open implements Operator. The shared build table is prepared by the Gather
-// before any worker opens, so only worker-local state is set up here.
-func (j *HashJoinProbe) Open() error {
-	j.probe, j.matches, j.pi, j.mi = nil, nil, 0, 0
-	j.sl = newSlab(j.schema.Arity())
-	j.res = nil
-	if j.Residual != nil {
-		j.res = algebra.Compile(j.Residual)
-	}
-	return j.Input.Open()
-}
-
-// emit concatenates l and r into a slab row and appends it to the output
-// batch when the residual accepts it, exactly as the serial HashJoin does.
-func (j *HashJoinProbe) emit(l, r []types.Value) {
-	row := j.sl.peek()
-	copy(row, l)
-	copy(row[len(l):], r)
-	if j.res != nil && !algebra.Truthy(j.res.Eval(row)) {
-		return
-	}
-	j.sl.commit()
-	j.out.Append(row)
-}
-
-// Next implements Operator.
-func (j *HashJoinProbe) Next() (*Batch, error) {
-	j.out.Reset()
-	for {
-		if j.probe != nil {
-			for {
-				for j.mi < len(j.matches) {
-					if j.probeRows == nil {
-						j.probeRows = j.probe.Rows()
-					}
-					j.emit(j.probeRows[j.pi-1], j.matches[j.mi])
-					j.mi++
-					if j.out.Len() >= DefaultBatchSize {
-						return &j.out, nil
-					}
-				}
-				if j.pi >= j.probe.Len() {
-					j.probe = nil
-					break
-				}
-				pi := j.pi
-				j.pi++
-				j.matches, j.mi = nil, 0
-				var key []byte
-				var ok bool
-				if j.probeKeyCols != nil {
-					key, ok = appendVecJoinKey(j.keyBuf[:0], j.probeKeyCols, pi, j.EquiL)
-				} else {
-					key, ok = appendJoinKey(j.keyBuf[:0], j.probeRows[pi], j.EquiL)
-				}
-				j.keyBuf = key
-				if ok {
-					j.matches = j.Build.lookup(key)
-				}
-			}
-		}
-		b, err := j.Input.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			if j.out.Len() > 0 {
-				return &j.out, nil
-			}
-			return nil, nil
-		}
-		j.probe, j.pi, j.matches, j.mi = b, 0, nil, 0
-		j.probeKeyCols = b.KeyCols()
-		j.probeRows = nil
-		if j.probeKeyCols == nil {
-			j.probeRows = b.Rows()
-		}
-	}
-}
-
-// Close implements Operator: worker-local teardown only — the shared build
-// table belongs to the Gather's prepare step and its input was closed when
-// build() drained it.
-func (j *HashJoinProbe) Close() error {
-	j.matches, j.probe, j.sl = nil, nil, nil
-	j.probeRows, j.probeKeyCols = nil, nil
-	return j.Input.Close()
 }

@@ -10,9 +10,13 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
-// parSource is an in-memory Source for parallel lowering tests.
+// parSource is an in-memory ColumnSource for parallel lowering tests: every
+// table carries its columnar form, so fusable chains fuse — and parallelize
+// — exactly as they do over the engine's catalog. struct{ Source }{src}
+// strips the columns, which is the boxed serial reference engine.
 type parSource map[string]struct {
 	schema types.Schema
 	rows   [][]types.Value
@@ -24,6 +28,14 @@ func (s parSource) Resolve(table string) (types.Schema, [][]types.Value, error) 
 		return types.Schema{}, nil, fmt.Errorf("no table %q", table)
 	}
 	return t.schema, t.rows, nil
+}
+
+func (s parSource) ResolveColumns(table string) (*vector.Columns, bool) {
+	t, ok := s[table]
+	if !ok {
+		return nil, false
+	}
+	return vector.FromRows(t.rows, t.schema.Arity()), true
 }
 
 func (s parSource) put(name string, attrs []string, rows [][]types.Value) {
@@ -102,15 +114,15 @@ func sfpPlan(src parSource) algebra.Node {
 	}
 }
 
-// TestGatherPipelineMatchesSerial: the parallel pipeline must produce
-// byte-identical ordered output to serial lowering across sizes that do and
-// don't divide the morsel size, and across DOPs.
+// TestGatherPipelineMatchesSerial: the parallel fused pipeline must produce
+// byte-identical ordered output to the boxed serial engine across sizes that
+// do and don't divide the morsel size, and across DOPs.
 func TestGatherPipelineMatchesSerial(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 640, 1000} {
 		src := parSource{}
 		src.put("t", []string{"k", "v", "c"}, intTable(n, 7))
 		plan := sfpPlan(src)
-		want := mustRows(t, plan, src, Options{DOP: 1})
+		want := mustRows(t, plan, struct{ Source }{src}, Options{DOP: 1})
 		for _, dop := range []int{2, 3, 8} {
 			got := mustRows(t, plan, src, parOpts(dop))
 			mustIdentical(t, got, want, fmt.Sprintf("n=%d dop=%d", n, dop))
@@ -118,8 +130,8 @@ func TestGatherPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGatherLowering pins the plan shapes: big-table pipelines gather, bare
-// scans and small tables stay serial, DOP=1 is the serial tree.
+// TestGatherLowering pins the plan shapes: big-table fused pipelines gather,
+// bare scans and small tables stay serial, DOP=1 is the serial tree.
 func TestGatherLowering(t *testing.T) {
 	src := parSource{}
 	src.put("t", []string{"k", "v", "c"}, intTable(1000, 7))
@@ -131,7 +143,8 @@ func TestGatherLowering(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Explain(op)
-	if !strings.Contains(s, "Gather[dop=4, morsel=64]") || !strings.Contains(s, "MorselScan(t)") {
+	if !strings.Contains(s, "Gather[dop=4, morsel=64]") ||
+		!strings.Contains(s, "FusedPipeline[scan t → filter → project]") {
 		t.Errorf("big pipeline must gather:\n%s", s)
 	}
 
@@ -152,15 +165,51 @@ func TestGatherLowering(t *testing.T) {
 		t.Errorf("bare scan must stay serial:\n%s", s)
 	}
 
-	// Small table: below MinParallelRows.
-	small := &algebra.Filter{Input: scanNode("tiny", src["tiny"].schema),
-		Pred: algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(5)}}}
+	// Small table: below MinParallelRows the chain fuses serially.
+	small := &algebra.Project{Input: &algebra.Filter{Input: scanNode("tiny", src["tiny"].schema),
+		Pred: algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(5)}}},
+		Exprs: []algebra.Expr{algebra.Col{Idx: 0}}, Names: []string{"k"}}
 	op, err = LowerOpts(small, src, Options{DOP: 4, MorselSize: 64, MinParallelRows: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := Explain(op); strings.Contains(s, "Gather") {
-		t.Errorf("small table must stay serial:\n%s", s)
+	if _, ok := op.(*FusedPipeline); !ok {
+		t.Errorf("small table must fuse serially, got:\n%s", Explain(op))
+	}
+}
+
+// TestNonFusableChainLowersSerially: parallelism rides only the fused
+// operators, so a chain that does not fuse — a BETWEEN filter has no
+// columnar kernel, and a source without columns fuses nothing — lowers to
+// the serial operator tree at DOP 2 and still answers like it.
+func TestNonFusableChainLowersSerially(t *testing.T) {
+	src := parSource{}
+	src.put("t", []string{"k", "v", "c"}, intTable(1000, 7))
+	between := &algebra.Project{
+		Input: &algebra.Filter{Input: scanNode("t", src["t"].schema),
+			Pred: algebra.BetweenE{E: algebra.Col{Idx: 1},
+				Lo: algebra.Const{V: types.NewInt(100)}, Hi: algebra.Const{V: types.NewInt(700)}}},
+		Exprs: []algebra.Expr{algebra.Bin{Op: algebra.OpAdd, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 1}}},
+		Names: []string{"kv"},
+	}
+	for name, c := range map[string]struct {
+		plan algebra.Node
+		src  Source
+	}{
+		"between":  {between, src},
+		"row-only": {sfpPlan(src), struct{ Source }{src}},
+	} {
+		op, err := LowerOpts(c.plan, c.src, parOpts(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := Explain(op)
+		if !strings.HasPrefix(s, "Project[") || !strings.Contains(s, "Filter[") ||
+			strings.Contains(s, "Gather") || strings.Contains(s, "Fused") {
+			t.Errorf("%s: non-fusable chain must lower to the serial tree:\n%s", name, s)
+		}
+		mustIdentical(t, mustRows(t, c.plan, c.src, parOpts(2)),
+			mustRows(t, c.plan, struct{ Source }{src}, Options{DOP: 1}), name)
 	}
 }
 
@@ -218,9 +267,9 @@ func TestGatherHintForwarding(t *testing.T) {
 	}
 }
 
-// TestParallelJoinMatchesSerial: parallel probe over the shared partitioned
-// build must agree byte-for-byte with the serial HashJoin, including NULL
-// join keys and a residual predicate.
+// TestParallelJoinMatchesSerial: the parallel fused probe over the shared
+// partitioned build must agree byte-for-byte with the boxed serial HashJoin,
+// including NULL join keys and a residual predicate.
 func TestParallelJoinMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mkRows := func(n int) [][]types.Value {
@@ -252,14 +301,15 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 			EquiR:    []int{0},
 			Residual: residual,
 		}
-		want := mustRows(t, plan, src, Options{DOP: 1})
+		want := mustRows(t, plan, struct{ Source }{src}, Options{DOP: 1})
 		for _, dop := range []int{2, 5} {
 			op, err := LowerOpts(plan, src, parOpts(dop))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := op.(*Gather); !ok {
-				t.Fatalf("parallel equi-join must lower to Gather, got %T", op)
+			if s := Explain(op); !strings.HasPrefix(s, fmt.Sprintf("Gather[dop=%d", dop)) ||
+				!strings.Contains(s, "filter → probe]") || !strings.Contains(s, "build:") {
+				t.Fatalf("parallel equi-join must lower to a Gather of fused probes:\n%s", s)
 			}
 			got, err := Drain(op)
 			if err != nil {
@@ -269,24 +319,25 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// Bare-scan probe side is allowed for joins (the probe is the compute).
+	// A bare-scan probe side is not worth fusing (the typed HashJoin already
+	// probes straight off the scan's vectors), so it stays the serial join.
 	bare := &algebra.Join{Left: scanNode("l", src["l"].schema),
 		Right: scanNode("r", src["r"].schema), EquiL: []int{0}, EquiR: []int{0}}
 	op, err := LowerOpts(bare, src, parOpts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Explain(op)
-	if !strings.Contains(s, "HashJoinProbe") || !strings.Contains(s, "build:") {
-		t.Errorf("parallel join explain must show probe and build:\n%s", s)
+	if s := Explain(op); !strings.HasPrefix(s, "HashJoin[") || strings.Contains(s, "Gather") {
+		t.Errorf("bare probe join must lower serially:\n%s", s)
 	}
 	mustIdentical(t, mustRows(t, bare, src, parOpts(3)),
-		mustRows(t, bare, src, Options{DOP: 1}), "bare probe join")
+		mustRows(t, bare, struct{ Source }{src}, Options{DOP: 1}), "bare probe join")
 }
 
-// TestParallelAggregateMatchesSerial: per-worker partial aggregation merged
-// in morsel order must reproduce the serial first-seen group order and the
-// exact integer aggregate values, including NULL groups and NULL arguments.
+// TestParallelAggregateMatchesSerial: the fused aggregate's per-morsel
+// partials merged in morsel order must reproduce the boxed serial
+// HashAggregate's first-seen group order and exact integer aggregate values,
+// including NULL groups and NULL arguments.
 func TestParallelAggregateMatchesSerial(t *testing.T) {
 	src := parSource{}
 	src.put("t", []string{"k", "v", "c"}, intTable(1200, 9))
@@ -308,14 +359,14 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		Pred:  algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(400)}},
 	}, Aggs: aggs}
 	for name, plan := range map[string]algebra.Node{"grouped": grouped, "global": global} {
-		want := mustRows(t, plan, src, Options{DOP: 1})
+		want := mustRows(t, plan, struct{ Source }{src}, Options{DOP: 1})
 		for _, dop := range []int{2, 4} {
 			op, err := LowerOpts(plan, src, parOpts(dop))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := op.(*ParallelHashAggregate); !ok {
-				t.Fatalf("%s: want ParallelHashAggregate, got %T", name, op)
+			if fa, ok := op.(*FusedAggregate); !ok || fa.DOP() != dop {
+				t.Fatalf("%s: want FusedAggregate[dop=%d], got:\n%s", name, dop, Explain(op))
 			}
 			got, err := Drain(op)
 			if err != nil {
@@ -331,7 +382,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		Pred:  algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(-1)}},
 	}, Aggs: aggs[:2]}
 	mustIdentical(t, mustRows(t, empty, src, parOpts(3)),
-		mustRows(t, empty, src, Options{DOP: 1}), "empty global aggregate")
+		mustRows(t, empty, struct{ Source }{src}, Options{DOP: 1}), "empty global aggregate")
 }
 
 // TestGatherEarlyClose: a Limit above a Gather stops pulling mid-stream;
@@ -397,7 +448,7 @@ func (f *failOp) Close() error { return f.inner.Close() }
 // surface from Gather without deadlocking the pool.
 func TestGatherErrorPropagation(t *testing.T) {
 	rows := intTable(640, 7)
-	ms := &morselSource{rows: rows, size: 64}
+	ms := &morselSource{rows: rows, size: 64, cols: vector.FromRows(rows, 3)}
 	mkGather := func(n int, openErr error, failAt int) *Gather {
 		workers := make([]*Exchange, n)
 		for i := range workers {
@@ -423,22 +474,19 @@ func TestGatherErrorPropagation(t *testing.T) {
 		}
 	}
 
-	// Build-side failure of a parallel join surfaces from Open.
+	// Build-side failure of a parallel fused join surfaces from Open.
 	src := parSource{}
 	src.put("l", []string{"k", "v", "c"}, rows)
-	spec, ok, err := pipelineFor(scanNode("l", types.NewSchema("l", "k", "v", "c")), src,
-		parOpts(2).normalized())
+	fc, ok, err := fuseChainFor(scanNode("l", src["l"].schema), src)
 	if err != nil || !ok {
-		t.Fatalf("pipelineFor: %v %v", ok, err)
+		t.Fatalf("fuseChainFor: %v %v", ok, err)
 	}
-	build := &hashBuild{
+	probe := &FusedProbe{EquiL: []int{0}, Build: &hashBuild{
 		Input: &failOp{inner: NewScan("r", types.NewSchema("r", "k"), nil),
 			openErr: errors.New("synthetic build failure")},
 		Keys: []int{0}, dop: 2,
-	}
-	g := newGather(spec, parOpts(2).normalized(), spec.schema, func(pipe Operator) Operator {
-		return &HashJoinProbe{Input: pipe, Build: build, EquiL: []int{0}, schema: spec.schema}
-	}, build.build, false, false)
+	}}
+	g := newFusedGather(fc, 2, 64, probe, src["l"].schema.Concat(types.NewSchema("r", "k")))
 	if err := g.Open(); err == nil {
 		g.Close()
 		t.Error("build failure must surface from Gather.Open")

@@ -376,15 +376,20 @@ func TestBadSpillDirIsAQueryError(t *testing.T) {
 // TestGovernedLoweringShape: with no budget the lowered tree is byte-for-
 // byte today's (governor nil everywhere); with a budget the breaker types
 // are unchanged (Explain identical) and at DOP > 1 the governed join
-// lowers serially while its probe pipeline still becomes a Gather.
+// lowers serially — declining the fused probe — while its fusable probe-side
+// chain still becomes a Gather of fused pipelines.
 func TestGovernedLoweringShape(t *testing.T) {
 	schema, rows := spillTable(40000, 11)
 	src := testSource{"t": {schema, rows}}
 	plan := &algebra.Join{
-		Left: &algebra.Filter{
-			Input: &algebra.Scan{Table: "t", TblSchema: schema},
-			Pred: algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1},
-				R: algebra.Const{V: types.NewInt(1000)}}},
+		Left: &algebra.Project{
+			Input: &algebra.Filter{
+				Input: &algebra.Scan{Table: "t", TblSchema: schema},
+				Pred: algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1},
+					R: algebra.Const{V: types.NewInt(1000)}}},
+			Exprs: []algebra.Expr{algebra.Col{Idx: 0},
+				algebra.Bin{Op: algebra.OpAdd, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 1}}},
+			Names: []string{"k", "kv"}},
 		Right: &algebra.Scan{Table: "t", TblSchema: schema},
 		EquiL: []int{0}, EquiR: []int{0},
 	}
@@ -409,17 +414,19 @@ func TestGovernedLoweringShape(t *testing.T) {
 		t.Fatalf("unbudgeted lowering must leave the governor nil (%T)", serial)
 	}
 
-	par, err := LowerOpts(plan, src, Options{DOP: 4, MemBudget: 1 << 20,
+	csrc := parSource{}
+	csrc.put("t", schema.Attrs, rows)
+	par, err := LowerOpts(plan, csrc, Options{DOP: 4, MemBudget: 1 << 20,
 		MorselSize: 4096, MinParallelRows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shape := Explain(par)
-	if !strings.Contains(shape, "HashJoin[") || strings.Contains(shape, "HashJoinProbe") {
+	if !strings.HasPrefix(shape, "HashJoin[") || strings.Contains(shape, "probe]") {
 		t.Fatalf("governed parallel join must be the serial spilling operator:\n%s", shape)
 	}
-	if !strings.Contains(shape, "Gather[") {
-		t.Fatalf("governed join lost its parallel probe pipeline:\n%s", shape)
+	if !strings.Contains(shape, "Gather[") || !strings.Contains(shape, "FusedPipeline[scan t → filter → project]") {
+		t.Fatalf("governed join lost its parallel fused probe-side pipeline:\n%s", shape)
 	}
 }
 

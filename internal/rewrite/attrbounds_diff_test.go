@@ -419,7 +419,7 @@ func attrBoundsTrial(t *testing.T, rng *rand.Rand, cfgs []QueryOpts, spill strin
 				t.Fatalf("%s [cfg %d %+v]: %v", q.sql, ci, cfg, err)
 			}
 			auTbl := engine.ResultTable(res)
-			label := fmt.Sprintf("%s [cfg %d dop=%d fuse=%v budget=%d]", q.sql, ci, cfg.DOP, cfg.Fuse, cfg.MemBudget)
+			label := fmt.Sprintf("%s [cfg %d dop=%d budget=%d]", q.sql, ci, cfg.DOP, cfg.MemBudget)
 			ms := multisetOf(auTbl.Rows)
 			if ci == 0 {
 				base, baseRows = ms, parseAttrRows(t, auTbl)
@@ -452,13 +452,13 @@ func attrBoundsTrial(t *testing.T, rng *rand.Rand, cfgs []QueryOpts, spill strin
 
 // TestAttrBoundsDifferential is the randomized soundness harness: AU bounds
 // must contain every possible world's answer and reproduce the best-guess
-// world, identically across serial, parallel, fused, and spill-budgeted
+// world, identically across serial, parallel, and spill-budgeted
 // configurations. CI runs this under -race.
 func TestAttrBoundsDifferential(t *testing.T) {
 	cfgs := []QueryOpts{
 		{AttrBounds: true, DOP: 1},
-		{AttrBounds: true, DOP: 1, Fuse: true},
-		{AttrBounds: true, DOP: 2, Fuse: true, MemBudget: 32 << 20},
+		{AttrBounds: true, DOP: 2},
+		{AttrBounds: true, DOP: 2, MemBudget: 32 << 20},
 		{AttrBounds: true, DOP: runtime.NumCPU(), MemBudget: 32 << 20},
 	}
 	trials := 6
@@ -480,7 +480,7 @@ func FuzzAttrBounds(f *testing.F) {
 	}
 	cfgs := []QueryOpts{
 		{AttrBounds: true, DOP: 1},
-		{AttrBounds: true, DOP: 2, Fuse: true, MemBudget: 32 << 20},
+		{AttrBounds: true, DOP: 2, MemBudget: 32 << 20},
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		attrBoundsTrial(t, rand.New(rand.NewSource(seed)), cfgs, t.TempDir())

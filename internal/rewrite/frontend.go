@@ -35,10 +35,7 @@ type QueryOpts struct {
 	// SpillDir is where spill runs are written; "" means the system temp
 	// directory.
 	SpillDir string
-	// Fuse turns on fused pipeline compilation: maximal scan→filter→project
-	// (→probe, →aggregate) chains lower to single-loop operators over the
-	// typed vectors. Results are identical either way — the knob selects an
-	// execution strategy, not semantics.
+	// Deprecated: has no effect; fusion always applies. Kept only because benchmark/ still sets it.
 	Fuse bool
 	// Gov, when set, is a pre-built memory governor — the query server's
 	// admission grant — used instead of a per-query governor derived from
@@ -55,8 +52,7 @@ type QueryOpts struct {
 // physical converts the options to the engine layer's form.
 func (o QueryOpts) physical() physical.Options {
 	return physical.Options{
-		DOP: o.DOP, MemBudget: o.MemBudget, SpillDir: o.SpillDir,
-		Fuse: o.Fuse, Gov: o.Gov,
+		DOP: o.DOP, MemBudget: o.MemBudget, SpillDir: o.SpillDir, Gov: o.Gov,
 	}
 }
 
@@ -73,9 +69,10 @@ type Frontend struct {
 	// AttrBounds-mode queries plan and execute against it. Tables are
 	// registered with PutAttrTable or derived on demand from Raw.
 	AEnc *engine.Catalog
-	// Opts are the frontend's default execution options, used when Query is
-	// called with a zero QueryOpts by callers that configure the frontend
-	// once (the CLIs) rather than per query (the server).
+	// Opts are the frontend's default execution options: callers that
+	// configure the frontend once (the CLIs) pass them to Query, and the
+	// server seeds new sessions from them. Query never substitutes them for
+	// the options it is given; Explain follows their AttrBounds mode.
 	Opts QueryOpts
 
 	// plans, when enabled, caches rewritten logical plans keyed on
@@ -113,7 +110,7 @@ func (f *Frontend) attrMask(name string) []bool {
 
 // Query is the frontend's one execution entrypoint: parse → resolve model
 // annotations → plan → UA-rewrite → execute, under ctx for cancellation and
-// opt for execution strategy (a zero opt falls back to f.Opts). The result
+// opt for execution strategy, taken as given. The result
 // carries the user columns plus the trailing certainty column, columnar
 // when the plan's root produces vectors and row-backed otherwise, rows
 // materialized lazily — the *physical.Result contract shared with
@@ -130,9 +127,6 @@ func (f *Frontend) Query(ctx context.Context, query string, opt QueryOpts) (*phy
 // per-query bit the server's streaming result header carries. Annotated
 // or cache-disabled queries always report false.
 func (f *Frontend) QueryCached(ctx context.Context, query string, opt QueryOpts) (*physical.Result, bool, error) {
-	if opt == (QueryOpts{}) {
-		opt = f.Opts
-	}
 	if opt.AttrBounds {
 		plan, hit, err := f.planAttrSQL(query)
 		if err != nil {

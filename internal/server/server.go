@@ -195,7 +195,6 @@ func (s *Server) Close() error {
 type session struct {
 	mu         sync.Mutex
 	dop        int
-	fuse       bool
 	attrBounds bool
 	memBudget  int64 // per-query ask in bytes; 0 = server default
 	timeoutMS  int64
@@ -206,7 +205,6 @@ type session struct {
 func (s *Server) newSession() *session {
 	return &session{
 		dop:        s.front.Opts.DOP,
-		fuse:       s.front.Opts.Fuse,
 		attrBounds: s.front.Opts.AttrBounds,
 		encoding:   EncodingJSON,
 		prepared:   map[string]string{},
@@ -243,9 +241,6 @@ func (sess *session) apply(o *SessionOpts) error {
 	defer sess.mu.Unlock()
 	if o.DOP != nil {
 		sess.dop = *o.DOP
-	}
-	if o.Fuse != nil {
-		sess.fuse = *o.Fuse
 	}
 	if o.MemBudget != nil {
 		b, err := physical.ParseByteSize(*o.MemBudget)
@@ -394,7 +389,7 @@ func (s *Server) hello(sess *session, fw *frameWriter, req Request) {
 // column stream.
 func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, id uint64, sqlText string) {
 	sess.mu.Lock()
-	dop, fuse, ask, timeoutMS := sess.dop, sess.fuse, sess.memBudget, sess.timeoutMS
+	dop, ask, timeoutMS := sess.dop, sess.memBudget, sess.timeoutMS
 	attrBounds := sess.attrBounds
 	encoding := sess.encoding
 	sess.mu.Unlock()
@@ -405,7 +400,7 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 		defer cancel()
 	}
 
-	opt := rewrite.QueryOpts{DOP: dop, Fuse: fuse, SpillDir: s.spillDir, AttrBounds: attrBounds}
+	opt := rewrite.QueryOpts{DOP: dop, SpillDir: s.spillDir, AttrBounds: attrBounds}
 	if s.admission != nil {
 		if ask <= 0 {
 			ask = s.queryBudget

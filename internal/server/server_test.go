@@ -157,12 +157,11 @@ func TestServerConcurrentSessionsAgree(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			// Sessions differ in execution strategy — serial vs parallel,
-			// fused vs not — which must never show in the results.
+			// Sessions differ in execution strategy — serial vs parallel —
+			// which must never show in the results.
 			budget := grant
 			dop := 1 + s%2
-			fuse := s%2 == 0
-			if err := c.Set(server.SessionOpts{DOP: &dop, Fuse: &fuse, MemBudget: &budget}); err != nil {
+			if err := c.Set(server.SessionOpts{DOP: &dop, MemBudget: &budget}); err != nil {
 				errs <- err
 				return
 			}

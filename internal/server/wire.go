@@ -156,7 +156,7 @@ type SessionOpts struct {
 	// DOP caps the engine's parallelism for this session's queries
 	// (0 = GOMAXPROCS, 1 = serial).
 	DOP *int `json:"dop,omitempty"`
-	// Fuse selects fused pipeline compilation.
+	// Deprecated: has no effect; fusion always applies. Kept only because benchmark/ still sets it.
 	Fuse *bool `json:"fuse,omitempty"`
 	// MemBudget is the session's per-query memory ask as a byte-size
 	// string ("64M", "2G", plain bytes; "0" = server default). Under a

@@ -41,10 +41,6 @@ func TestZeroRowColbinTypedColumns(t *testing.T) {
 	if enc := c.Encoding(); enc != server.EncodingColBin {
 		t.Fatalf("negotiated %q, want colbin", enc)
 	}
-	fuse := true
-	if err := c.Set(server.SessionOpts{Fuse: &fuse}); err != nil {
-		t.Fatal(err)
-	}
 
 	res, err := c.Query("SELECT id, score, tag FROM ev WHERE id < 0")
 	if err != nil {
@@ -97,12 +93,7 @@ func TestZeroRowStreamWire(t *testing.T) {
 	if resp := readResp(t, conn); resp.Encoding != server.EncodingColBin {
 		t.Fatalf("negotiation failed: %+v", resp)
 	}
-	fuse := true
-	writeReq(t, conn, server.Request{ID: 2, Op: "set", Opts: &server.SessionOpts{Fuse: &fuse}})
-	if resp := readResp(t, conn); !resp.OK {
-		t.Fatalf("set failed: %+v", resp)
-	}
-	writeReq(t, conn, server.Request{ID: 3, Op: "query", SQL: "SELECT id, score, tag FROM ev WHERE id < 0"})
+	writeReq(t, conn, server.Request{ID: 2, Op: "query", SQL: "SELECT id, score, tag FROM ev WHERE id < 0"})
 
 	header := readResp(t, conn)
 	if !header.Chunked || !header.OK {

@@ -1,16 +1,19 @@
 package repro_test
 
 // Exchange-order determinism: the morsel-parallel engine must produce
-// byte-identical ordered output to the serial batch engine — not just once,
+// byte-identical ordered output to the boxed serial engine — not just once,
 // but across hundreds of repetitions at DOP 1, 2, and NumCPU, because the
-// morsel-to-worker assignment is scheduling-dependent and only the Gather's
-// sequence-number reordering makes the output deterministic. CI runs this
-// under -race, which is the enforcement mechanism for the engine's
-// cross-goroutine ownership rules.
+// morsel-to-worker assignment is scheduling-dependent and only the morsel
+// sequence numbers (the Gather's reordering, the fused aggregate's merge
+// order) make the output deterministic. Every plan is first pinned to
+// actually lower to a parallel operator at DOP 2, so the comparison cannot
+// pass on a serial plan. CI runs this under -race, which is the enforcement
+// mechanism for the engine's cross-goroutine ownership rules.
 
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -56,8 +59,8 @@ func stressCatalog() *engine.Catalog {
 	return cat
 }
 
-// stressPlans are the shapes the parallel lowering rewrites: a filter+project
-// pipeline, a parallel-probe equi-join, and a partial-merge aggregate.
+// stressPlans are the shapes the parallel lowering rewrites: a fused
+// filter+project pipeline, a fused-probe equi-join, and a fused aggregate.
 func stressPlans(cat *engine.Catalog) map[string]algebra.Node {
 	scan := func(name string) *algebra.Scan {
 		return &algebra.Scan{Table: name, TblSchema: cat.Get(name).Schema}
@@ -104,6 +107,19 @@ func drainWith(t *testing.T, plan algebra.Node, src physical.Source, opt physica
 	return rows
 }
 
+// mustGoParallel requires plan to lower to a parallel operator at DOP 2: a
+// Gather of fused workers or a fused aggregate folding per morsel.
+func mustGoParallel(t *testing.T, plan algebra.Node, src physical.Source, what string) {
+	t.Helper()
+	op, err := physical.LowerOpts(plan, src, stressOpts(2))
+	if err != nil {
+		t.Fatalf("%s: lower: %v", what, err)
+	}
+	if s := physical.Explain(op); !strings.Contains(s, "Gather[") && !strings.Contains(s, "FusedAggregate[dop=2") {
+		t.Fatalf("%s: DOP 2 lowered to a serial plan:\n%s", what, s)
+	}
+}
+
 // mustMatchOrdered requires byte-identical rows in identical order.
 func mustMatchOrdered(t *testing.T, got, want [][]types.Value, what string) {
 	t.Helper()
@@ -125,7 +141,8 @@ func TestExchangeOrderDeterminismStress(t *testing.T) {
 		iters = 20
 	}
 	for name, plan := range plans {
-		want := drainWith(t, plan, cat, physical.Options{DOP: 1})
+		mustGoParallel(t, plan, cat, name)
+		want := drainWith(t, plan, rowSource{cat}, physical.Options{DOP: 1})
 		for _, dop := range stressDOPs() {
 			opt := stressOpts(dop)
 			for i := 0; i < iters; i++ {
@@ -156,7 +173,8 @@ func TestExchangeOrderDeterminismUA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: rewrite: %v", name, err)
 		}
-		want := drainWith(t, ua, enc, physical.Options{DOP: 1})
+		mustGoParallel(t, ua, enc, "ua "+name)
+		want := drainWith(t, ua, rowSource{enc}, physical.Options{DOP: 1})
 		if len(want) == 0 {
 			t.Fatalf("%s: UA reference plan returned no rows", name)
 		}

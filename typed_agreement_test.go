@@ -1,12 +1,15 @@
 package repro_test
 
 // Randomized typed/boxed agreement: the typed columnar engine (scans over a
-// ColumnSource, unboxed kernels, per-vector key encoding) must produce
-// byte-identical results, in identical first-seen order, to the boxed batch
-// engine running the same plans against the same catalog stripped of its
-// columnar storage — serially and at every DOP, on plain and UA-rewritten
-// plans. This is the acceptance gate for the columnar layer: typed execution
-// is an optimization, never a semantics change.
+// ColumnSource, unboxed kernels, per-vector key encoding, and the fused
+// pipelines, probes, and aggregates that chains over columns always lower
+// to) must produce byte-identical results, in identical first-seen order, to
+// the boxed batch engine running the same plans against the same catalog
+// stripped of its columnar storage, where nothing fuses. Serially and at
+// every DOP, under unlimited and tight memory budgets, on plain and
+// UA-rewritten plans. This is the acceptance gate for the columnar and fused
+// layers: typed and fused execution are optimizations, never a semantics
+// change.
 
 import (
 	"math"
@@ -23,7 +26,8 @@ import (
 )
 
 // rowSource strips the columnar half of a catalog: same tables, same rows,
-// but no ResolveColumns, so lowering produces the boxed reference engine.
+// but no ResolveColumns, so lowering produces the boxed, unfused reference
+// engine.
 type rowSource struct{ cat *engine.Catalog }
 
 func (s rowSource) Resolve(table string) (types.Schema, [][]types.Value, error) {
@@ -38,6 +42,20 @@ func typedDOPs() []int {
 		dops = append(dops, n)
 	}
 	return dops
+}
+
+// typedBudgets are the memory regimes the suite runs under: unlimited, and a
+// budget tight enough to force the governor on for these tables. Under a
+// governor the fused probe and fused aggregate decline (governed breakers
+// need the spilling HashJoin and HashAggregate) — agreement pins that the
+// fallback actually composes.
+func typedBudgets() []int64 { return []int64{0, 8 << 10} }
+
+// typedOpts is the option set of one agreement run: small morsels so every
+// DOP above 1 runs the parallel fused operators.
+func typedOpts(dop int, budget int64, dir string) physical.Options {
+	return physical.Options{DOP: dop, MorselSize: 64, MinParallelRows: 1,
+		MemBudget: budget, SpillDir: dir}
 }
 
 func drainOpts(t *testing.T, plan algebra.Node, src physical.Source, opt physical.Options, what string) [][]types.Value {
@@ -95,6 +113,7 @@ func typedAgreementCatalog(rng *rand.Rand) *engine.Catalog {
 
 func TestTypedBoxedAgreementRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
+	dir := t.TempDir()
 	for trial := 0; trial < 120; trial++ {
 		cat := typedAgreementCatalog(rng)
 		g := &planGen{rng: rng, cat: cat}
@@ -102,18 +121,22 @@ func TestTypedBoxedAgreementRandomized(t *testing.T) {
 
 		want := drainOpts(t, plan, rowSource{cat}, physical.Options{DOP: 1}, "boxed serial")
 		for _, dop := range typedDOPs() {
-			opt := physical.Options{DOP: dop, MorselSize: 64, MinParallelRows: 1}
-			got := drainOpts(t, plan, cat, opt, "typed")
-			mustMatchRows(t, got, want, "typed vs boxed")
+			for _, budget := range typedBudgets() {
+				got := drainOpts(t, plan, cat, typedOpts(dop, budget, dir), "typed")
+				mustMatchRows(t, got, want, "typed vs boxed")
+			}
 		}
 	}
 }
 
 // TestTypedBoxedAgreementUA runs UA-rewritten plans — trailing certainty
 // column, least() certainty combination at joins — through the typed engine
-// at every DOP against the boxed serial reference.
+// at every DOP and budget against the boxed serial reference. UA projections
+// are computing projections (least(), certainty arithmetic), so rewritten
+// plans exercise the fusion gate's main target.
 func TestTypedBoxedAgreementUA(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
+	dir := t.TempDir()
 	for trial := 0; trial < 120; trial++ {
 		det := typedAgreementCatalog(rng)
 		enc := engine.NewCatalog()
@@ -129,19 +152,22 @@ func TestTypedBoxedAgreementUA(t *testing.T) {
 
 		want := drainOpts(t, ua, rowSource{enc}, physical.Options{DOP: 1}, "boxed serial UA")
 		for _, dop := range typedDOPs() {
-			opt := physical.Options{DOP: dop, MorselSize: 64, MinParallelRows: 1}
-			got := drainOpts(t, ua, enc, opt, "typed UA")
-			mustMatchRows(t, got, want, "typed vs boxed UA")
+			for _, budget := range typedBudgets() {
+				got := drainOpts(t, ua, enc, typedOpts(dop, budget, dir), "typed UA")
+				mustMatchRows(t, got, want, "typed vs boxed UA")
+			}
 		}
 	}
 }
 
 // TestTypedPathEngages pins that the machinery is actually on: catalog scans
 // emit columnar batches, a typed filter keeps a columnar view on its output,
-// and a passthrough projection stays column-only (the contract Distinct's
-// typed dedup keying relies on). A computing projection emits rows directly
-// (the fused EvalVecStrided path) — also pinned, because silently staying
-// columnar there would reintroduce the double materialization pass.
+// and a passthrough projection operator stays column-only (the contract
+// Distinct's typed dedup keying relies on). A computing projection operator
+// emits rows directly (the EvalVecStrided path) — also pinned, because
+// silently staying columnar there would reintroduce the double
+// materialization pass. The projections sit above a union: directly over a
+// filtered scan they would fuse instead (TestFusedPathEngages).
 func TestTypedPathEngages(t *testing.T) {
 	tb := engine.NewTable(types.NewSchema("t", "k", "v"))
 	for i := 0; i < 100; i++ {
@@ -189,7 +215,8 @@ func TestTypedPathEngages(t *testing.T) {
 	done()
 
 	// Passthrough projection: column-only output, zero-copy column window.
-	b, done = firstBatch(t, &algebra.Project{Input: filter(),
+	union := func() algebra.Node { return &algebra.UnionAll{Left: filter(), Right: filter()} }
+	b, done = firstBatch(t, &algebra.Project{Input: union(),
 		Exprs: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}}, Names: []string{"k"}})
 	if b.Cols() == nil {
 		t.Fatal("passthrough projection dropped its columnar view")
@@ -199,8 +226,8 @@ func TestTypedPathEngages(t *testing.T) {
 	}
 	done()
 
-	// Computing projection: fused typed evaluation into row output.
-	b, done = firstBatch(t, &algebra.Project{Input: filter(),
+	// Computing projection: typed evaluation straight into row output.
+	b, done = firstBatch(t, &algebra.Project{Input: union(),
 		Exprs: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"},
 			algebra.Bin{Op: algebra.OpAdd, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 1}}},
 		Names: []string{"k", "kv"}})
