@@ -3,8 +3,8 @@ package repro_test
 // Fused plan shapes and directed aggregate parity. Fusion always applies:
 // maximal scan→filter→project(→probe, →aggregate) chains over columnar
 // tables collapse into FusedPipeline and FusedAggregate operators. These
-// tests pin which plans fuse — serially, inside Gather workers, and under a
-// memory budget — and hold the fused aggregate's unboxed accumulation arms
+// tests pin which plans fuse — at every DOP and under a memory budget — and
+// hold the fused aggregate's unboxed accumulation arms
 // to the boxed serial HashAggregate on directed extreme values. The
 // randomized byte-identity gate against the boxed operator tree is the
 // typed/boxed agreement harness (typed_agreement_test.go).
@@ -54,7 +54,7 @@ func fusedChainPlan(cat *engine.Catalog) algebra.Node {
 }
 
 // TestFusedPathEngages pins the fused lowered tree: the chain collapses to a
-// single FusedPipeline (serially and inside Gather workers), the probe
+// single FusedPipeline (at every DOP — fused chains run serially), the probe
 // variant absorbs the join's probe side, and Explain renders the collapsed
 // chain as one node.
 func TestFusedPathEngages(t *testing.T) {
@@ -73,22 +73,15 @@ func TestFusedPathEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "FusedPipeline[scan t → filter → project]\n"; out != want {
+	want := "FusedPipeline[scan t → filter → project]\n"
+	if out != want {
 		t.Fatalf("fused explain:\n%s\nwant:\n%s", out, want)
 	}
 
-	// Parallel: each Gather worker runs a FusedPipeline over its MorselScan.
+	// DOP 2 with morsel-sized tables: still the one serial FusedPipeline.
 	popt := physical.Options{DOP: 2, MorselSize: 16, MinParallelRows: 1}
-	op, err = physical.LowerOpts(plan, cat, popt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, ok := op.(*physical.Gather)
-	if !ok {
-		t.Fatalf("parallel fused lowering produced %T, want *Gather", op)
-	}
-	if _, ok := g.Workers[0].Pipe.(*physical.FusedPipeline); !ok {
-		t.Fatalf("gather worker runs %T, want *FusedPipeline", g.Workers[0].Pipe)
+	if out, err := engine.ExplainPhysicalOpts(plan, cat, popt); err != nil || out != want {
+		t.Fatalf("DOP 2 fused explain (err %v):\n%s\nwant:\n%s", err, out, want)
 	}
 
 	// Probe: the chain absorbs the join's probe side and Explain shows the

@@ -37,22 +37,20 @@ type Compiled struct {
 	// typed vectors when the batch is columnar; nil when the shape has no
 	// columnar kernel, in which case SelectTruthyVec/EvalVec report !ok and
 	// the operators use the row kernels above.
-	vecSel     vecSelFn
-	vecEval    vecEvalFn
-	vecRange   rangeSelFn
-	vecStrided stridedArithFn
+	vecSel   vecSelFn
+	vecEval  vecEvalFn
+	vecRange rangeSelFn
 }
 
 // Compile builds the kernels for e.
 func Compile(e Expr) *Compiled {
 	return &Compiled{
-		fn:         compileFn(e),
-		selector:   compileSelector(e),
-		strider:    compileStrider(e),
-		vecSel:     compileVecSelector(e),
-		vecEval:    compileVecEval(e),
-		vecRange:   compileVecRange(e),
-		vecStrided: compileVecStridedArith(e),
+		fn:       compileFn(e),
+		selector: compileSelector(e),
+		strider:  compileStrider(e),
+		vecSel:   compileVecSelector(e),
+		vecEval:  compileVecEval(e),
+		vecRange: compileVecRange(e),
 	}
 }
 

@@ -157,26 +157,27 @@ func TestSelectRangeVecEdges(t *testing.T) {
 	declines(Bin{Op: OpLt, L: col, R: col}, ascIntRows(1, 2, 3), "col cmp col")
 }
 
-// TestEvalVecStridedParity drives the strided projection kernels — the
-// direct arithmetic loops and the boxed-from-vector fallbacks, dense and
-// selected — against row-at-a-time Eval, with stride slots in between that
-// must stay untouched.
+// TestEvalVecStridedParity drives the projection path a fused chain's
+// output takes — unboxed EvalVec over a dense window or EvalVecSel at a
+// scattered selection, then vector.Materialize boxing the result vectors
+// into rows — against row-at-a-time Eval.
 func TestEvalVecStridedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	col := func(i int) Expr { return Col{Idx: i, Name: "c"} }
 	exprs := []Expr{
-		col(0),                               // bare column copy
-		Bin{Op: OpAdd, L: col(0), R: col(1)}, // int ⊕ int direct loop
+		col(0),                               // bare column passthrough
+		Bin{Op: OpAdd, L: col(0), R: col(1)}, // int ⊕ int
 		Bin{Op: OpSub, L: col(0), R: Const{V: types.NewInt(3)}},
 		Bin{Op: OpMul, L: Const{V: types.NewInt(-2)}, R: col(1)},
 		Bin{Op: OpDiv, L: col(0), R: col(1)}, // zero divisors → NULL
 		Bin{Op: OpMod, L: col(0), R: col(1)},
 		Bin{Op: OpAdd, L: col(2), R: col(2)},                               // float ⊕ float
-		Bin{Op: OpMul, L: col(0), R: col(2)},                               // int widening into float loop
+		Bin{Op: OpMul, L: col(0), R: col(2)},                               // int widening into float
 		Bin{Op: OpDiv, L: col(2), R: Const{V: types.NewFloat(0)}},          // float div by zero → NULL
-		Bin{Op: OpAdd, L: col(2), R: Const{V: types.NewInt(1)}},            // int const in float loop
-		Bin{Op: OpAdd, L: Bin{Op: OpAdd, L: col(0), R: col(1)}, R: col(0)}, // nested: two-pass path
+		Bin{Op: OpAdd, L: col(2), R: Const{V: types.NewInt(1)}},            // int const widened to float
+		Bin{Op: OpAdd, L: Bin{Op: OpAdd, L: col(0), R: col(1)}, R: col(0)}, // nested arithmetic
 	}
+	progs := CompileAll(exprs)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
 		rows := make([][]types.Value, n)
@@ -188,34 +189,31 @@ func TestEvalVecStridedParity(t *testing.T) {
 			}
 		}
 		if trial%4 == 0 {
-			rows[rng.Intn(n)][rng.Intn(2)] = types.Null() // null-bearing: direct loops decline
+			rows[rng.Intn(n)][rng.Intn(2)] = types.Null() // null-bearing column
 		}
-		cols := vector.FromRows(rows, 3)
-		vecs := cols.Slice(0, n)
-		for _, e := range exprs {
-			prog := Compile(e)
-			const stride = 2
-			dst := make([]types.Value, n*stride)
-			if !prog.EvalVecStrided(vecs, n, dst, stride) {
-				t.Fatalf("expr %s: no strided kernel", e)
+		vecs := vector.FromRows(rows, 3).Slice(0, n)
+		var sel []int
+		for i := 0; i < n; i += 1 + rng.Intn(3) {
+			sel = append(sel, i)
+		}
+		dense := make([]vector.Vector, len(progs))
+		selected := make([]vector.Vector, len(progs))
+		for j, prog := range progs {
+			var ok, okSel bool
+			dense[j], ok = prog.EvalVec(vecs, n)
+			selected[j], okSel = prog.EvalVecSel(vecs, n, sel)
+			if !ok || !okSel {
+				t.Fatalf("expr %s: no columnar kernel", exprs[j])
 			}
-			for i, row := range rows {
-				checkSameValue(t, e, i, e.Eval(row), dst[i*stride])
-				if !dst[i*stride+1].IsNull() {
-					t.Fatalf("expr %s: stride slot %d written", e, i*stride+1)
-				}
+		}
+		for i, out := range vector.Materialize(dense, n) {
+			for j, e := range exprs {
+				checkSameValue(t, e, i, e.Eval(rows[i]), out[j])
 			}
-
-			var sel []int
-			for i := 0; i < n; i += 1 + rng.Intn(3) {
-				sel = append(sel, i)
-			}
-			dstSel := make([]types.Value, len(sel)*stride)
-			if !prog.EvalVecSelStrided(vecs, n, sel, dstSel, stride) {
-				t.Fatalf("expr %s: no selected strided kernel", e)
-			}
-			for j, i := range sel {
-				checkSameValue(t, e, i, e.Eval(rows[i]), dstSel[j*stride])
+		}
+		for r, out := range vector.Materialize(selected, len(sel)) {
+			for j, e := range exprs {
+				checkSameValue(t, e, sel[r], e.Eval(rows[sel[r]]), out[j])
 			}
 		}
 	}
@@ -225,7 +223,7 @@ func checkSameValue(t *testing.T, e Expr, i int, want, got types.Value) {
 	t.Helper()
 	if want.Kind() != got.Kind() ||
 		string(want.AppendKey(nil)) != string(got.AppendKey(nil)) {
-		t.Fatalf("expr %s row %d: Eval=%v (%s), strided=%v (%s)",
+		t.Fatalf("expr %s row %d: Eval=%v (%s), columnar=%v (%s)",
 			e, i, want, want.Kind(), got, got.Kind())
 	}
 }

@@ -71,347 +71,13 @@ func (c *Compiled) EvalVecSel(cols []vector.Vector, n int, sel []int) (_ vector.
 }
 
 // CanEvalVec reports whether the expression has a columnar kernel (EvalVec
-// and EvalVecStrided will succeed).
+// and EvalVecSel will succeed).
 func (c *Compiled) CanEvalVec() bool { return c.vecEval != nil }
 
 // CanSelectVec reports whether the expression has a columnar selection
 // kernel (SelectTruthyVec will succeed). The fused-pipeline lowering asks
 // before committing a plan to the single-loop executor.
 func (c *Compiled) CanSelectVec() bool { return c.vecSel != nil }
-
-// EvalVecSelStrided is EvalVecStrided restricted to a selection: the
-// expression is evaluated through the unboxed columnar kernel over the whole
-// window (vector arithmetic is element-wise and total — division by zero
-// yields NULL, never a fault — so evaluating rows a filter discarded cannot
-// change the surviving rows' results), and only the selected rows are boxed,
-// the j-th selected row's value landing at dst[j*stride]. This is the
-// projection half of the fused scan→filter→project loop: source columns are
-// read once and output Values are written once, with neither a gather of the
-// surviving rows nor an intermediate batch in between. Returns false (dst
-// untouched) when the expression has no columnar kernel.
-func (c *Compiled) EvalVecSelStrided(cols []vector.Vector, n int, sel []int, dst []types.Value, stride int) bool {
-	if c.vecEval == nil {
-		return false
-	}
-	stridedFromVectorSel(c.vecEval(cols, n), sel, dst, stride)
-	return true
-}
-
-// EvalVecStrided is EvalStrided over a columnar batch: it evaluates through
-// the unboxed columnar kernel and writes the boxed results at dst[i*stride]
-// in one typed loop. Projections headed for row consumers use it to fuse
-// typed evaluation with row-slab construction — the output Values are
-// written exactly once, with no intermediate materialization pass. Simple
-// arithmetic over null-free numeric columns skips even the intermediate
-// result vector: the direct kernel computes and boxes in one loop. Returns
-// false (dst untouched) when the expression has no columnar kernel.
-func (c *Compiled) EvalVecStrided(cols []vector.Vector, n int, dst []types.Value, stride int) bool {
-	if c.vecStrided != nil && c.vecStrided(cols, n, dst, stride) {
-		return true
-	}
-	if c.vecEval == nil {
-		return false
-	}
-	stridedFromVector(c.vecEval(cols, n), n, dst, stride)
-	return true
-}
-
-// stridedArithFn computes an arithmetic node and boxes the results straight
-// into a strided destination, no intermediate result vector. Returns false
-// when this batch's runtime column types don't fit the unboxed loops (the
-// caller then goes through vecEval + stridedFromVector, which is total).
-type stridedArithFn func(cols []vector.Vector, n int, dst []types.Value, stride int) bool
-
-// compileVecStridedArith builds the direct strided kernel for arithmetic
-// whose operands are a bare column or constant — the dominant projection
-// shape. Anything deeper keeps the two-pass vecEval path.
-func compileVecStridedArith(e Expr) stridedArithFn {
-	b, isBin := e.(Bin)
-	if !isBin {
-		return nil
-	}
-	switch b.Op {
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-	default:
-		return nil
-	}
-	if !arithLeafOperand(b.L) || !arithLeafOperand(b.R) || !arithHasCol(b) {
-		return nil
-	}
-	op := b.Op
-	return func(cols []vector.Vector, n int, dst []types.Value, stride int) bool {
-		if la, ra, ok := intSides(b.L, b.R, cols); ok {
-			stridedArithInt(op, la, ra, n, dst, stride)
-			return true
-		}
-		if la, ra, ok := floatSides(b.L, b.R, cols); ok {
-			stridedArithFloat(op, la, ra, n, dst, stride)
-			return true
-		}
-		return false
-	}
-}
-
-func arithLeafOperand(e Expr) bool {
-	switch e.(type) {
-	case Col, Const:
-		return true
-	}
-	return false
-}
-
-func arithHasCol(b Bin) bool {
-	_, l := b.L.(Col)
-	_, r := b.R.(Col)
-	return l || r
-}
-
-// intStrideSide reads one operand of the direct int loop: a null-free int64
-// column (vals non-nil) or an int constant.
-type intStrideSide struct {
-	vals   []int64
-	scalar int64
-}
-
-func (s intStrideSide) at(i int) int64 {
-	if s.vals != nil {
-		return s.vals[i]
-	}
-	return s.scalar
-}
-
-type floatStrideSide struct {
-	vals   []float64
-	ints   []int64 // int column widening into a float loop
-	scalar float64
-}
-
-func (s floatStrideSide) at(i int) float64 {
-	if s.vals != nil {
-		return s.vals[i]
-	}
-	if s.ints != nil {
-		return float64(s.ints[i])
-	}
-	return s.scalar
-}
-
-func intSideOf(e Expr, cols []vector.Vector) (intStrideSide, bool) {
-	switch o := e.(type) {
-	case Col:
-		if v, ok := cols[o.Idx].(*vector.Int64Vector); ok && !v.AnyNull() {
-			return intStrideSide{vals: v.Vals}, true
-		}
-	case Const:
-		if o.V.Kind() == types.KindInt {
-			return intStrideSide{scalar: o.V.Int()}, true
-		}
-	}
-	return intStrideSide{}, false
-}
-
-func intSides(l, r Expr, cols []vector.Vector) (la, ra intStrideSide, ok bool) {
-	if la, ok = intSideOf(l, cols); !ok {
-		return la, ra, false
-	}
-	ra, ok = intSideOf(r, cols)
-	return la, ra, ok
-}
-
-func floatSideOf(e Expr, cols []vector.Vector) (floatStrideSide, bool) {
-	switch o := e.(type) {
-	case Col:
-		switch v := cols[o.Idx].(type) {
-		case *vector.Float64Vector:
-			if !v.AnyNull() {
-				return floatStrideSide{vals: v.Vals}, true
-			}
-		case *vector.Int64Vector:
-			if !v.AnyNull() {
-				return floatStrideSide{ints: v.Vals}, true
-			}
-		}
-	case Const:
-		if o.V.IsNumeric() {
-			return floatStrideSide{scalar: o.V.Float()}, true
-		}
-	}
-	return floatStrideSide{}, false
-}
-
-func floatSides(l, r Expr, cols []vector.Vector) (la, ra floatStrideSide, ok bool) {
-	if la, ok = floatSideOf(l, cols); !ok {
-		return la, ra, false
-	}
-	ra, ok = floatSideOf(r, cols)
-	return la, ra, ok
-}
-
-// stridedArithInt mirrors vecArithInt + stridedFromVector in one pass; the
-// div/mod zero cases box through evalArithInt, so NULL results match the
-// interpreter bit for bit.
-func stridedArithInt(op BinOp, l, r intStrideSide, n int, dst []types.Value, stride int) {
-	switch op {
-	case OpAdd:
-		for i := 0; i < n; i++ {
-			dst[i*stride] = types.NewInt(l.at(i) + r.at(i))
-		}
-	case OpSub:
-		for i := 0; i < n; i++ {
-			dst[i*stride] = types.NewInt(l.at(i) - r.at(i))
-		}
-	case OpMul:
-		for i := 0; i < n; i++ {
-			dst[i*stride] = types.NewInt(l.at(i) * r.at(i))
-		}
-	default: // OpDiv, OpMod
-		for i := 0; i < n; i++ {
-			dst[i*stride] = evalArithInt(op, l.at(i), r.at(i))
-		}
-	}
-}
-
-// stridedArithFloat mirrors vecArithFloat + stridedFromVector in one pass.
-func stridedArithFloat(op BinOp, l, r floatStrideSide, n int, dst []types.Value, stride int) {
-	switch op {
-	case OpAdd:
-		for i := 0; i < n; i++ {
-			dst[i*stride] = types.NewFloat(l.at(i) + r.at(i))
-		}
-	case OpSub:
-		for i := 0; i < n; i++ {
-			dst[i*stride] = types.NewFloat(l.at(i) - r.at(i))
-		}
-	case OpMul:
-		for i := 0; i < n; i++ {
-			dst[i*stride] = types.NewFloat(l.at(i) * r.at(i))
-		}
-	default: // OpDiv, OpMod
-		for i := 0; i < n; i++ {
-			dst[i*stride] = evalArithFloat(op, l.at(i), r.at(i))
-		}
-	}
-}
-
-// stridedFromVector boxes a result vector into a strided row-major slab,
-// one concrete loop per vector type. NULL slots stay the zero Value.
-func stridedFromVector(v vector.Vector, n int, dst []types.Value, stride int) {
-	switch tv := v.(type) {
-	case *vector.Int64Vector:
-		if !tv.AnyNull() {
-			for i, x := range tv.Vals {
-				dst[i*stride] = types.NewInt(x)
-			}
-			return
-		}
-		for i, x := range tv.Vals {
-			if tv.Null(i) {
-				dst[i*stride] = types.Null()
-			} else {
-				dst[i*stride] = types.NewInt(x)
-			}
-		}
-	case *vector.Float64Vector:
-		if !tv.AnyNull() {
-			for i, x := range tv.Vals {
-				dst[i*stride] = types.NewFloat(x)
-			}
-			return
-		}
-		for i, x := range tv.Vals {
-			if tv.Null(i) {
-				dst[i*stride] = types.Null()
-			} else {
-				dst[i*stride] = types.NewFloat(x)
-			}
-		}
-	case *vector.StringVector:
-		for i, x := range tv.Vals {
-			if tv.Null(i) {
-				dst[i*stride] = types.Null()
-			} else {
-				dst[i*stride] = types.NewString(x)
-			}
-		}
-	case *vector.BoolVector:
-		for i, x := range tv.Vals {
-			if tv.Null(i) {
-				dst[i*stride] = types.Null()
-			} else {
-				dst[i*stride] = types.NewBool(x)
-			}
-		}
-	case *vector.ValueVector:
-		for i, x := range tv.Vals {
-			dst[i*stride] = x
-		}
-	default:
-		for i := 0; i < n; i++ {
-			dst[i*stride] = v.Value(i)
-		}
-	}
-}
-
-// stridedFromVectorSel boxes the selected rows of a result vector into a
-// strided row-major slab: one concrete loop per vector type, exactly the
-// boxing rules of stridedFromVector (NULL slots stay the zero Value) applied
-// at sel's positions only.
-func stridedFromVectorSel(v vector.Vector, sel []int, dst []types.Value, stride int) {
-	switch tv := v.(type) {
-	case *vector.Int64Vector:
-		if !tv.AnyNull() {
-			for j, i := range sel {
-				dst[j*stride] = types.NewInt(tv.Vals[i])
-			}
-			return
-		}
-		for j, i := range sel {
-			if tv.Null(i) {
-				dst[j*stride] = types.Null()
-			} else {
-				dst[j*stride] = types.NewInt(tv.Vals[i])
-			}
-		}
-	case *vector.Float64Vector:
-		if !tv.AnyNull() {
-			for j, i := range sel {
-				dst[j*stride] = types.NewFloat(tv.Vals[i])
-			}
-			return
-		}
-		for j, i := range sel {
-			if tv.Null(i) {
-				dst[j*stride] = types.Null()
-			} else {
-				dst[j*stride] = types.NewFloat(tv.Vals[i])
-			}
-		}
-	case *vector.StringVector:
-		for j, i := range sel {
-			if tv.Null(i) {
-				dst[j*stride] = types.Null()
-			} else {
-				dst[j*stride] = types.NewString(tv.Vals[i])
-			}
-		}
-	case *vector.BoolVector:
-		for j, i := range sel {
-			if tv.Null(i) {
-				dst[j*stride] = types.Null()
-			} else {
-				dst[j*stride] = types.NewBool(tv.Vals[i])
-			}
-		}
-	case *vector.ValueVector:
-		for j, i := range sel {
-			dst[j*stride] = tv.Vals[i]
-		}
-	default:
-		for j, i := range sel {
-			dst[j*stride] = v.Value(i)
-		}
-	}
-}
 
 // vecOperand is a compiled operand of a columnar kernel: a constant bound at
 // compile time, or a sub-kernel producing a vector per batch (a bare column

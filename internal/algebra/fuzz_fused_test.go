@@ -9,9 +9,9 @@ import (
 
 // FuzzFusedVsUnfused is the fusion twin of FuzzCompileVsEval: it replays the
 // exact kernel sequence a FusedPipeline window runs — SelectTruthyVec per
-// predicate, ascending intersection of the survivor sets, then
-// EvalVecSelStrided of every projection at the surviving positions into one
-// strided row buffer — and requires byte-identical results (kind plus
+// predicate, ascending intersection of the survivor sets, then EvalVec over
+// a contiguous survivor run or EvalVecSel at scattered survivors, boxed into
+// rows by vector.Materialize — and requires byte-identical results (kind plus
 // canonical key encoding) to interpreted row-at-a-time filtering and
 // evaluation. NULL propagation through 3VL predicates, div/mod-by-zero,
 // NaN comparison arms, and int→float widening past 2^53 all flow through
@@ -97,28 +97,37 @@ func FuzzFusedVsUnfused(f *testing.F) {
 			t.Fatalf("preds %v: fused sel %v, want %v", preds, sel, wantSel)
 		}
 		if len(sel) == 0 {
-			return // the pipeline skips empty windows before projecting
+			return // nothing survives: the pipeline emits an empty result
 		}
 
-		// Projection at the surviving positions, strided like the pipeline's
-		// output buffer; full windows take the stride path sel-free windows use.
-		buf := make([]types.Value, len(sel)*nProjs)
+		// Projection at the survivors, exactly as the pipeline's one output
+		// routine runs it: a contiguous survivor run evaluates dense over a
+		// zero-copy sub-window, a scattered selection evaluates over the whole
+		// window and gathers the survivors; vector.Materialize then boxes the
+		// result vectors into rows.
+		lo, m := sel[0], len(sel)
+		dense := sel[m-1]-lo == m-1
+		win := make([]vector.Vector, len(cols))
+		for j, v := range cols {
+			win[j] = v.Slice(lo, lo+m)
+		}
+		out := make([]vector.Vector, nProjs)
 		for j, prog := range projProgs {
 			var ok bool
-			if len(sel) == nRows {
-				ok = prog.EvalVecStrided(cols, nRows, buf[j:], nProjs)
+			if dense {
+				out[j], ok = prog.EvalVec(win, m)
 			} else {
-				ok = prog.EvalVecSelStrided(cols, nRows, sel, buf[j:], nProjs)
+				out[j], ok = prog.EvalVecSel(cols, nRows, sel)
 			}
 			if !ok {
-				t.Fatalf("proj %s: CanEvalVec true but strided eval declined", projs[j])
+				t.Fatalf("proj %s: CanEvalVec true but columnar eval declined", projs[j])
 			}
 		}
+		got := vector.Materialize(out, m)
 		for r, i := range sel {
 			for j, p := range projs {
-				want, got := p.Eval(rows[i]), buf[r*nProjs+j]
-				if !sameValueFuzz(want, got) {
-					t.Fatalf("proj %s row %d: Eval=%v fused=%v", p, i, want, got)
+				if want := p.Eval(rows[i]); !sameValueFuzz(want, got[r][j]) {
+					t.Fatalf("proj %s row %d: Eval=%v fused=%v", p, i, want, got[r][j])
 				}
 			}
 		}

@@ -45,7 +45,7 @@ func (s ExecFlagSpec) Register(fs *flag.FlagSet) *ExecFlags {
 		budgetUsage = "per-query memory budget for sorts/aggregates/joins, e.g. 64M or 2G (empty or 0 = unlimited, never spill)"
 	}
 	return &ExecFlags{
-		dop:        fs.Int("dop", 0, "degree of parallelism: 0 = GOMAXPROCS, 1 = serial engine"),
+		dop:        fs.Int("dop", 0, "fused-aggregate workers (the only parallel operator; fused chains and probes are serial): 0 = GOMAXPROCS, 1 = serial"),
 		memBudget:  fs.String("mem-budget", "", budgetUsage),
 		attrBounds: fs.Bool("attr-bounds", false, "attribute-level uncertainty mode: answer every column as a [lower, best-guess, upper] range (AU-DB), enabling aggregates over uncertain data"),
 	}

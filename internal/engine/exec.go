@@ -93,8 +93,8 @@ func compile(n algebra.Node, cat *Catalog, opt physical.Options) (physical.Opera
 // ExplainPhysical returns the physical operator tree Execute would run for
 // the plan, after optimization, as an indented string — the plan-shape
 // tests and EXPLAIN output both use it. It compiles with the same default
-// options as a zero-option Session, so parallelized plans show their Gather
-// pipelines.
+// options as a zero-option Session, so a fused aggregate shows the worker
+// count it runs at (FusedAggregate[dop=N; …]).
 func ExplainPhysical(n algebra.Node, cat *Catalog) (string, error) {
 	return ExplainPhysicalOpts(n, cat, physical.Options{})
 }

@@ -258,9 +258,10 @@ func TestDistinctAndAggregateOverEmptySQL(t *testing.T) {
 	}
 }
 
-// TestExecuteOptsParallelAgreement: Execute's parallel path (forced down to
-// tiny tables via explicit options) must agree with the serial engine
-// row-for-row, and the explained plan must show the exchange.
+// TestExecuteOptsParallelAgreement: Execute's parallel path — the fused
+// aggregate's morsel workers, forced down to tiny tables via explicit
+// options — must agree with the serial engine row-for-row, and the explained
+// plan must show the workers.
 func TestExecuteOptsParallelAgreement(t *testing.T) {
 	cat := NewCatalog()
 	tbl := NewTable(types.NewSchema("big", "k", "v"))
@@ -268,14 +269,18 @@ func TestExecuteOptsParallelAgreement(t *testing.T) {
 		tbl.Append([]types.Value{types.NewInt(int64(i % 13)), types.NewInt(int64(i))})
 	}
 	cat.Put(tbl)
-	plan := &algebra.Project{
+	plan := &algebra.Aggregate{
 		Input: &algebra.Filter{
 			Input: &algebra.Scan{Table: "big", TblSchema: tbl.Schema},
 			Pred: algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1},
 				R: algebra.Const{V: types.NewInt(300)}},
 		},
-		Exprs: []algebra.Expr{algebra.Col{Idx: 0}},
-		Names: []string{"k"},
+		GroupBy:    []algebra.Expr{algebra.Col{Idx: 0}},
+		GroupNames: []string{"k"},
+		Aggs: []algebra.AggSpec{
+			{Func: algebra.AggCount, Star: true, Name: "n"},
+			{Func: algebra.AggSum, Arg: algebra.Col{Idx: 1}, Name: "s"},
+		},
 	}
 	par := physical.Options{DOP: 4, MorselSize: 32, MinParallelRows: 1}
 
@@ -300,7 +305,7 @@ func TestExecuteOptsParallelAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := physical.Explain(op); !strings.Contains(s, "Gather") {
-		t.Errorf("parallel compile must produce a Gather:\n%s", s)
+	if s := physical.Explain(op); !strings.HasPrefix(s, "FusedAggregate[dop=4") {
+		t.Errorf("parallel compile must produce a 4-worker fused aggregate:\n%s", s)
 	}
 }

@@ -18,10 +18,9 @@ const DefaultBatchSize = 1024
 // batches (sort runs, join build tables, Drain) may keep the row slices
 // without copying — but must copy the spine, since that is recycled.
 // Stability outlives the operator: Close must never reclaim or reuse emitted
-// row storage — Drain returns rows after closing the tree, and exchange
-// workers close their pipelines while their packets are still in flight, so
-// an operator that pooled its slabs at Close would corrupt both. Only spines
-// die with the producer; rows, once emitted, are immortal.
+// row storage — the row drain returns rows after closing the tree, so an
+// operator that pooled its slabs at Close would corrupt its result. Only
+// spines die with the producer; rows, once emitted, are immortal.
 //
 // A batch whose spine aliases storage owned elsewhere (a Scan slicing its
 // table's row array) is marked shared; consumers must not reorder or

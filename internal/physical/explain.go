@@ -77,12 +77,8 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 		if o.Probe != nil {
 			sb.WriteString(strings.Repeat("  ", depth+1))
 			sb.WriteString("build:\n")
-			explain(sb, o.Probe.Build.Input, depth+2)
+			explain(sb, o.Probe.Build, depth+2)
 		}
-	case *Gather:
-		// All workers run identical pipeline copies; print worker 0's.
-		fmt.Fprintf(sb, "Gather[dop=%d, morsel=%d]\n", o.DOP(), o.MorselSize())
-		explain(sb, o.Workers[0].Pipe, depth+1)
 	case *FusedAggregate:
 		fmt.Fprintf(sb, "FusedAggregate[dop=%d; %s; by %s; %s]\n",
 			o.DOP(), strings.Join(o.Ops, " → "), exprList(o.GroupBy), aggList(o.Aggs))

@@ -39,7 +39,6 @@ import (
 // composed down to expressions over the scan schema.
 type fusedAggChain struct {
 	table   string
-	rows    [][]types.Value
 	cols    *vector.Columns
 	preds   []algebra.Expr
 	groupBy []algebra.Expr // composed; empty for a global aggregate
@@ -92,7 +91,7 @@ func fusedAggFor(node *algebra.Aggregate, src Source) (*fusedAggChain, bool, err
 		attrs = append(attrs, a.Name)
 	}
 	return &fusedAggChain{
-		table: fc.table, rows: fc.rows, cols: fc.cols,
+		table: fc.table, cols: fc.cols,
 		preds: fc.preds, groupBy: groupBy, args: args, aggs: node.Aggs,
 		ops:    append(fc.ops[:len(fc.ops):len(fc.ops)], "aggregate"),
 		schema: types.Schema{Attrs: attrs},
@@ -493,10 +492,15 @@ func lowerFusedAggregate(node *algebra.Aggregate, src Source, opt Options) (Oper
 	if err != nil || !ok {
 		return nil, false, err
 	}
+	// Below MinParallelRows the table has too few morsels to balance: fold
+	// it as one whole-table window.
+	dop := 1
+	if opt.DOP > 1 && fa.cols.N >= opt.MinParallelRows {
+		dop = opt.DOP
+	}
 	return &FusedAggregate{
 		Table: fa.table, GroupBy: fa.groupBy, Aggs: fa.aggs, Preds: fa.preds,
 		Ops: fa.ops, args: fa.args, schema: fa.schema, nGroup: fa.nGroup,
-		dop: fusedDOP(opt, len(fa.rows)),
-		src: &morselSource{rows: fa.rows, size: opt.MorselSize, cols: fa.cols},
+		dop: dop, src: &morselSource{cols: fa.cols, size: opt.MorselSize},
 	}, true, nil
 }

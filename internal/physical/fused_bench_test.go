@@ -51,12 +51,12 @@ func BenchmarkFusedPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err := Drain(op)
+		res, err := DrainColumns(op)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != n/2 {
-			b.Fatalf("%d rows", len(rows))
+		if res.NumRows() != n/2 {
+			b.Fatalf("%d rows", res.NumRows())
 		}
 	}
 }

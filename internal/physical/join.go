@@ -43,12 +43,11 @@ type HashJoin struct {
 	SpillDir     string       // temp dir for spill files; "" means os.TempDir()
 	schema       types.Schema
 
-	buildIdx map[string]int    // canonical key -> index into buckets
-	buckets  [][][]types.Value // build rows per distinct key
-	res      *algebra.Compiled // compiled Residual, nil when absent
-	keyBuf   []byte
-	probe    *Batch // current probe batch, nil when a new one is needed
-	pi       int    // next probe row index
+	table  *hashTable        // the in-memory build table
+	res    *algebra.Compiled // compiled Residual, nil when absent
+	keyBuf []byte
+	probe  *Batch // current probe batch, nil when a new one is needed
+	pi     int    // next probe row index
 	// Per-probe-batch cached views: probeKeyCols keys off the vectors when
 	// the batch has no row view yet (typed fast path); probeRows is the row
 	// view, resolved lazily in that case — a batch probing with no matches
@@ -75,8 +74,7 @@ type gracePart struct {
 	bw      *spill.Writer // build rows on disk
 	brun    *spill.Run
 	pw      *spill.Writer // probe rows on disk, [seq | probe row]
-	idx     map[string]int
-	buckets [][][]types.Value
+	table   *hashTable    // a resident partition's build table
 }
 
 // NewHashJoin builds a hash join; key positions are left- and right-relative.
@@ -109,61 +107,73 @@ func (j *HashJoin) Open() error {
 	if j.Mem != nil {
 		return j.openGoverned()
 	}
-	j.buildIdx = make(map[string]int)
-	j.buckets = nil
-	for {
-		b, err := j.Right.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		// The build side always needs the row view (buckets retain row
-		// slices), so keys come off the spine directly.
-		for _, row := range b.Rows() {
-			key, ok := appendJoinKey(j.keyBuf[:0], row, j.EquiR)
-			j.keyBuf = key
-			if !ok {
-				continue
-			}
-			// The m[string(b)] lookup is allocation-free; the key string is
-			// materialized once per distinct key, not once per build row.
-			idx, seen := j.buildIdx[string(key)]
-			if !seen {
-				idx = len(j.buckets)
-				j.buildIdx[string(key)] = idx
-				j.buckets = append(j.buckets, nil)
-			}
-			j.buckets[idx] = append(j.buckets[idx], row)
-		}
-	}
-	return nil
+	j.table = newHashTable(j.EquiR)
+	return j.table.addFrom(j.Right)
 }
 
-// buildRowsTable constructs the canonical first-seen bucket table over a
-// build row slice — the one table shape shared by the governed whole-build
-// replay, resident grace partitions, and spilled partition joins (the
-// ungoverned Open keeps its streaming batch loop but builds the identical
-// structure). NULL-key rows are dropped, as everywhere.
-func (j *HashJoin) buildRowsTable(rows [][]types.Value) (map[string]int, [][][]types.Value) {
-	idx := make(map[string]int)
-	var buckets [][][]types.Value
-	for _, row := range rows {
-		key, ok := appendJoinKey(j.keyBuf[:0], row, j.EquiR)
-		j.keyBuf = key
-		if !ok {
-			continue
-		}
-		bi, seen := idx[string(key)]
-		if !seen {
-			bi = len(buckets)
-			idx[string(key)] = bi
-			buckets = append(buckets, nil)
-		}
-		buckets[bi] = append(buckets[bi], row)
+// hashTable is the build table of every hash join: build rows grouped by
+// canonical join key (key.go) into buckets that keep build order, so a
+// probe row's matches come out in the order the build saw them. NULL-keyed
+// rows are dropped on add — NULL join keys never match. The ungoverned
+// HashJoin, the governed join's whole-build replay and resident grace
+// partitions, each spilled partition join, and the fused probe all build
+// this one structure.
+type hashTable struct {
+	keys    []int             // key positions in the build rows
+	idx     map[string]int    // canonical key -> index into buckets
+	buckets [][][]types.Value // build rows per distinct key
+	keyBuf  []byte
+}
+
+func newHashTable(keys []int) *hashTable {
+	return &hashTable{keys: keys, idx: make(map[string]int)}
+}
+
+// add files row in its key's bucket. The m[string(b)] lookup is
+// allocation-free; the key string is materialized once per distinct key, not
+// once per build row.
+func (t *hashTable) add(row []types.Value) {
+	key, ok := appendJoinKey(t.keyBuf[:0], row, t.keys)
+	t.keyBuf = key
+	if !ok {
+		return
 	}
-	return idx, buckets
+	bi, seen := t.idx[string(key)]
+	if !seen {
+		bi = len(t.buckets)
+		t.idx[string(key)] = bi
+		t.buckets = append(t.buckets, nil)
+	}
+	t.buckets[bi] = append(t.buckets[bi], row)
+}
+
+// addRows adds every row of a slice and returns the table.
+func (t *hashTable) addRows(rows [][]types.Value) *hashTable {
+	for _, row := range rows {
+		t.add(row)
+	}
+	return t
+}
+
+// addFrom adds every row an opened operator emits. Buckets retain row
+// slices, so the build side always reads the row view and keys come off the
+// spine directly.
+func (t *hashTable) addFrom(op Operator) error {
+	for {
+		b, err := op.Next()
+		if b == nil || err != nil {
+			return err
+		}
+		t.addRows(b.Rows())
+	}
+}
+
+// lookup returns the build rows matching an encoded key, in build order.
+func (t *hashTable) lookup(key []byte) [][]types.Value {
+	if bi, ok := t.idx[string(key)]; ok {
+		return t.buckets[bi]
+	}
+	return nil
 }
 
 // graceFlushRows is how many rows a spilled partition buffers before the
@@ -300,7 +310,7 @@ func (j *HashJoin) openGoverned() error {
 
 	if !grace {
 		// The build fit: identical table, identical streaming probe.
-		j.buildIdx, j.buckets = j.buildRowsTable(buffer)
+		j.table = newHashTable(j.EquiR).addRows(buffer)
 		return nil
 	}
 
@@ -321,7 +331,7 @@ func (j *HashJoin) openGoverned() error {
 			p.brun, p.bw = run, nil
 			continue
 		}
-		p.idx, p.buckets = j.buildRowsTable(p.rows)
+		p.table = newHashTable(j.EquiR).addRows(p.rows)
 	}
 	return j.graceProbe(parts)
 }
@@ -386,11 +396,9 @@ func (j *HashJoin) graceProbe(parts []gracePart) error {
 				}
 				continue
 			}
-			if bi, hit := p.idx[string(key)]; hit {
-				for _, r := range p.buckets[bi] {
-					if err := j.emitTagged(memOut, s, row, r); err != nil {
-						return err
-					}
+			for _, r := range p.table.lookup(key) {
+				if err := j.emitTagged(memOut, s, row, r); err != nil {
+					return err
 				}
 			}
 		}
@@ -409,7 +417,7 @@ func (j *HashJoin) graceProbe(parts []gracePart) error {
 		}
 		j.Mem.Release(p.bytes)
 		j.held -= p.bytes
-		p.rows, p.bytes, p.idx, p.buckets = nil, 0, nil, nil
+		p.rows, p.bytes, p.table = nil, 0, nil
 	}
 	for i := range parts {
 		p := &parts[i]
@@ -502,7 +510,7 @@ loadLoop:
 	}
 	rd.Close()
 
-	idx, buckets := j.buildRowsTable(rows)
+	table := newHashTable(j.EquiR).addRows(rows)
 	out, err := j.sp.newWriter()
 	if err != nil {
 		return err
@@ -526,11 +534,9 @@ loadLoop:
 			if !ok {
 				continue
 			}
-			if bi, hit := idx[string(key)]; hit {
-				for _, r := range buckets[bi] {
-					if err := j.emitTagged(out, pr[0].Int(), cells, r); err != nil {
-						return err
-					}
+			for _, r := range table.lookup(key) {
+				if err := j.emitTagged(out, pr[0].Int(), cells, r); err != nil {
+					return err
 				}
 			}
 		}
@@ -700,9 +706,7 @@ func (j *HashJoin) Next() (*Batch, error) {
 				}
 				j.keyBuf = key
 				if ok {
-					if idx, hit := j.buildIdx[string(key)]; hit {
-						j.matches = j.buckets[idx]
-					}
+					j.matches = j.table.lookup(key)
 				}
 			}
 		}
@@ -749,7 +753,7 @@ func (j *HashJoin) graceNext() (*Batch, error) {
 // reservation still held and remove every spill file — including on early
 // Close mid-merge.
 func (j *HashJoin) Close() error {
-	j.buildIdx, j.buckets, j.matches, j.probe, j.sl = nil, nil, nil, nil, nil
+	j.table, j.matches, j.probe, j.sl = nil, nil, nil, nil
 	j.probeRows, j.probeKeyCols, j.graceHeap = nil, nil, nil
 	j.Mem.Release(j.held)
 	j.held = 0

@@ -87,3 +87,26 @@ func appendVecJoinKey(buf []byte, cols []vector.Vector, i int, idx []int) ([]byt
 	}
 	return buf, true
 }
+
+// keyHashSalted is FNV-1a over a canonical key encoding, re-mixed with a
+// salt. It only routes keys to spill partitions, so equality still rests on
+// the byte-exact key itself. Recursive spill partitioning (aggregate
+// generations, grace join sub-partitions) passes a new salt at every depth,
+// so a partition's keys split differently each time — without one, an
+// over-budget partition would re-partition into itself forever.
+func keyHashSalted(key []byte, salt uint64) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	if salt != 0 {
+		h ^= (salt + 1) * 0x9e3779b97f4a7c15
+		h *= prime64
+	}
+	return h
+}

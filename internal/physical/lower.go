@@ -20,20 +20,12 @@ func Lower(n algebra.Node, src Source) (Operator, error) {
 // maximal Scan→Filter→Project chain over a columnar table, optionally capped
 // by an equi-join probe or an aggregate, lowers to one fused operator when
 // its composed expressions all have columnar kernels and fusing saves work
-// (see fused.go and fused_agg.go). Parallelism rides only those fused
-// operators. With DOP > 1 and a table of at least MinParallelRows rows:
-//
-//   - a fused chain becomes a Gather over DOP workers, each running its own
-//     FusedPipeline (own compiled kernels, own scratch) over morsels claimed
-//     from a shared queue, with output restored to the serial first-seen
-//     order by morsel sequence number;
-//   - a fused probe becomes such a Gather whose workers probe one shared
-//     partitioned build table, constructed in parallel before they start;
-//   - a fused aggregate folds per morsel on DOP workers and merges the
-//     partials in morsel order.
-//
-// Everything else, including a chain that does not fuse, lowers to the
-// serial operator tree at any DOP.
+// (see fused.go and fused_agg.go). Parallelism is a property of one
+// operator: with DOP > 1 and a table of at least MinParallelRows rows, a
+// fused aggregate folds morsels on DOP workers and merges the partials in
+// morsel order. Fused pipelines, fused probes, and everything else run
+// serially, so the plan shape is the same at every DOP except for the
+// aggregate's worker count.
 func LowerOpts(n algebra.Node, src Source, opt Options) (Operator, error) {
 	return lowerNode(n, src, opt.normalized())
 }
@@ -48,7 +40,7 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		return NewColumnarScan(node.Table, schema, rows, columnsFor(src, node.Table, len(rows))), nil
 
 	case *algebra.Filter:
-		if fp, ok, err := lowerFusedPipeline(n, src, opt); err != nil {
+		if fp, ok, err := lowerFusedPipeline(n, src); err != nil {
 			return nil, err
 		} else if ok {
 			return fp, nil
@@ -63,7 +55,7 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		return &Filter{Input: in, Pred: node.Pred}, nil
 
 	case *algebra.Project:
-		if fp, ok, err := lowerFusedPipeline(n, src, opt); err != nil {
+		if fp, ok, err := lowerFusedPipeline(n, src); err != nil {
 			return nil, err
 		} else if ok {
 			return fp, nil

@@ -50,12 +50,12 @@ func BenchmarkOperators(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out, err := Drain(op)
+				res, err := DrainColumns(op)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(out) != c.want {
-					b.Fatalf("%d rows, want %d", len(out), c.want)
+				if res.NumRows() != c.want {
+					b.Fatalf("%d rows, want %d", res.NumRows(), c.want)
 				}
 			}
 		})

@@ -84,12 +84,12 @@ func (s *Scan) Close() error { return nil }
 // hands its whole table over as one zero-copy columnar result — no batches,
 // no row spine, no boxing. The columns alias table storage; Result documents
 // the read-only rule.
-func (s *Scan) drainColumns() (*vector.Columns, bool, error) {
+func (s *Scan) drainColumns() (*vector.Columns, bool) {
 	if s.cols == nil || s.pos != 0 {
-		return nil, false, nil
+		return nil, false
 	}
 	s.pos = len(s.rows)
-	return s.cols, true, nil
+	return s.cols, true
 }
 
 // Filter keeps the input rows whose predicate evaluates to TRUE (SQL
@@ -218,27 +218,23 @@ func (f *Filter) Close() error { return f.Input.Close() }
 // Close, as the engine-wide row-stability rule requires.
 //
 // Columnar batches take a typed path when every output expression has an
-// unboxed columnar kernel. A pure passthrough projection (bare columns and
-// constants only) stays column-only — zero work now, and typed consumers
-// (Distinct's dedup keying, join probes) keep their vectors; a consumer
-// that wants rows pays exactly the copy the row path would have made. A
-// computing projection instead fuses typed evaluation with row-slab
-// construction (EvalVecStrided): operands are read unboxed, but the output
-// Values are written once, directly into the slab — no intermediate vector
-// materialization on the way to row consumers like Drain, Sort, and join
-// builds. If any expression lacks a columnar kernel the whole batch falls
-// back to the boxed row kernels, so a batch is never evaluated twice.
+// unboxed columnar kernel: the expressions evaluate over the input vectors
+// and the batch goes out column-only — bare columns as zero-copy
+// passthroughs, computed ones in kernel scratch — so typed consumers
+// (Distinct's dedup keying, join probes) keep their vectors, and a consumer
+// that wants rows boxes them once, through vector.Materialize. If any
+// expression lacks a columnar kernel the whole batch falls back to the boxed
+// row kernels, so a batch is never evaluated twice.
 type Project struct {
 	Input  Operator
 	Exprs  []algebra.Expr
 	Names  []string
 	schema types.Schema
 
-	progs       []*algebra.Compiled
-	out         Batch
-	colsOut     []vector.Vector
-	passthrough bool // every expr is a bare Col or Const
-	allVec      bool // every expr has a columnar kernel
+	progs   []*algebra.Compiled
+	out     Batch
+	colsOut []vector.Vector
+	allVec  bool // every expr has a columnar kernel
 }
 
 // NewProject builds a projection operator.
@@ -253,16 +249,9 @@ func (p *Project) Schema() types.Schema { return p.schema }
 // Open implements Operator.
 func (p *Project) Open() error {
 	p.progs = algebra.CompileAll(p.Exprs)
-	p.passthrough, p.allVec = true, true
-	for i, e := range p.Exprs {
-		switch e.(type) {
-		case algebra.Col, algebra.Const:
-		default:
-			p.passthrough = false
-		}
-		if !p.progs[i].CanEvalVec() {
-			p.allVec = false
-		}
+	p.allVec = true
+	for _, prog := range p.progs {
+		p.allVec = p.allVec && prog.CanEvalVec()
 	}
 	return p.Input.Open()
 }
@@ -283,25 +272,14 @@ func (p *Project) Next() (*Batch, error) {
 	}
 	n, k := b.Len(), len(p.Exprs)
 	if cols := b.Cols(); cols != nil && p.allVec {
-		if p.passthrough {
-			if cap(p.colsOut) < k {
-				p.colsOut = make([]vector.Vector, k)
-			}
-			outCols := p.colsOut[:k]
-			for j, prog := range p.progs {
-				outCols[j], _ = prog.EvalVec(cols, n)
-			}
-			p.out.SetCols(outCols, n)
-			return &p.out, nil
+		if cap(p.colsOut) < k {
+			p.colsOut = make([]vector.Vector, k)
 		}
-		buf := make([]types.Value, n*k)
+		outCols := p.colsOut[:k]
 		for j, prog := range p.progs {
-			prog.EvalVecStrided(cols, n, buf[j:], k)
+			outCols[j], _ = prog.EvalVec(cols, n)
 		}
-		p.out.Reset()
-		for i := 0; i < n; i++ {
-			p.out.Append(buf[i*k : (i+1)*k : (i+1)*k])
-		}
+		p.out.SetCols(outCols, n)
 		return &p.out, nil
 	}
 	buf := make([]types.Value, n*k)

@@ -3,7 +3,6 @@ package physical
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -13,10 +12,11 @@ import (
 	"repro/internal/vector"
 )
 
-// parSource is an in-memory ColumnSource for parallel lowering tests: every
-// table carries its columnar form, so fusable chains fuse — and parallelize
-// — exactly as they do over the engine's catalog. struct{ Source }{src}
-// strips the columns, which is the boxed serial reference engine.
+// parSource is an in-memory ColumnSource for lowering tests: every table
+// carries its columnar form, so fusable chains fuse — and fused aggregates
+// parallelize — exactly as they do over the engine's catalog.
+// struct{ Source }{src} strips the columns, which is the boxed serial
+// reference engine.
 type parSource map[string]struct {
 	schema types.Schema
 	rows   [][]types.Value
@@ -114,74 +114,9 @@ func sfpPlan(src parSource) algebra.Node {
 	}
 }
 
-// TestGatherPipelineMatchesSerial: the parallel fused pipeline must produce
-// byte-identical ordered output to the boxed serial engine across sizes that
-// do and don't divide the morsel size, and across DOPs.
-func TestGatherPipelineMatchesSerial(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 640, 1000} {
-		src := parSource{}
-		src.put("t", []string{"k", "v", "c"}, intTable(n, 7))
-		plan := sfpPlan(src)
-		want := mustRows(t, plan, struct{ Source }{src}, Options{DOP: 1})
-		for _, dop := range []int{2, 3, 8} {
-			got := mustRows(t, plan, src, parOpts(dop))
-			mustIdentical(t, got, want, fmt.Sprintf("n=%d dop=%d", n, dop))
-		}
-	}
-}
-
-// TestGatherLowering pins the plan shapes: big-table fused pipelines gather,
-// bare scans and small tables stay serial, DOP=1 is the serial tree.
-func TestGatherLowering(t *testing.T) {
-	src := parSource{}
-	src.put("t", []string{"k", "v", "c"}, intTable(1000, 7))
-	src.put("tiny", []string{"k", "v", "c"}, intTable(10, 7))
-
-	plan := sfpPlan(src)
-	op, err := LowerOpts(plan, src, parOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Explain(op)
-	if !strings.Contains(s, "Gather[dop=4, morsel=64]") ||
-		!strings.Contains(s, "FusedPipeline[scan t → filter → project]") {
-		t.Errorf("big pipeline must gather:\n%s", s)
-	}
-
-	op, err = LowerOpts(plan, src, Options{DOP: 1, MorselSize: 64, MinParallelRows: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Explain(op); strings.Contains(s, "Gather") {
-		t.Errorf("DOP=1 must lower serially:\n%s", s)
-	}
-
-	// Bare scan: no compute to parallelize.
-	op, err = LowerOpts(scanNode("t", src["t"].schema), src, parOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Explain(op); strings.Contains(s, "Gather") {
-		t.Errorf("bare scan must stay serial:\n%s", s)
-	}
-
-	// Small table: below MinParallelRows the chain fuses serially.
-	small := &algebra.Project{Input: &algebra.Filter{Input: scanNode("tiny", src["tiny"].schema),
-		Pred: algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(5)}}},
-		Exprs: []algebra.Expr{algebra.Col{Idx: 0}}, Names: []string{"k"}}
-	op, err = LowerOpts(small, src, Options{DOP: 4, MorselSize: 64, MinParallelRows: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*FusedPipeline); !ok {
-		t.Errorf("small table must fuse serially, got:\n%s", Explain(op))
-	}
-}
-
-// TestNonFusableChainLowersSerially: parallelism rides only the fused
-// operators, so a chain that does not fuse — a BETWEEN filter has no
-// columnar kernel, and a source without columns fuses nothing — lowers to
-// the serial operator tree at DOP 2 and still answers like it.
+// TestNonFusableChainLowersSerially: a chain that does not fuse — a BETWEEN
+// filter has no columnar kernel, and a source without columns fuses nothing
+// — lowers to the serial operator tree at DOP 2 and still answers like it.
 func TestNonFusableChainLowersSerially(t *testing.T) {
 	src := parSource{}
 	src.put("t", []string{"k", "v", "c"}, intTable(1000, 7))
@@ -205,7 +140,7 @@ func TestNonFusableChainLowersSerially(t *testing.T) {
 		}
 		s := Explain(op)
 		if !strings.HasPrefix(s, "Project[") || !strings.Contains(s, "Filter[") ||
-			strings.Contains(s, "Gather") || strings.Contains(s, "Fused") {
+			strings.Contains(s, "Fused") {
 			t.Errorf("%s: non-fusable chain must lower to the serial tree:\n%s", name, s)
 		}
 		mustIdentical(t, mustRows(t, c.plan, c.src, parOpts(2)),
@@ -213,125 +148,57 @@ func TestNonFusableChainLowersSerially(t *testing.T) {
 	}
 }
 
-// TestGatherHintForwarding: satellite acceptance — a Gather over a
-// cardinality-preserving pipeline (no Filter) forwards the scan's row count
-// so Drain keeps its single-allocation result spine; a filtered pipeline
-// must not hint.
-func TestGatherHintForwarding(t *testing.T) {
-	const n = 1000
+// TestFusedChainsAreDOPInvariant: fused pipelines and fused probes run
+// serially, so over a table big enough for morsel parallelism (two default
+// morsels) the lowered plan is the same at DOP 0, 1, and 2, a fused chain
+// drains to columns at every DOP, and every DOP — and a re-drain of the
+// same lowered plan — answers like the boxed serial engine.
+func TestFusedChainsAreDOPInvariant(t *testing.T) {
 	src := parSource{}
-	src.put("t", []string{"k", "v", "c"}, intTable(n, 7))
-	proj := &algebra.Project{
-		Input: scanNode("t", src["t"].schema),
-		Exprs: []algebra.Expr{algebra.Bin{Op: algebra.OpAdd,
-			L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 1}}},
-		Names: []string{"s"},
+	src.put("t", []string{"k", "v", "c"}, intTable(2*DefaultMorselSize, 7))
+	var r [][]types.Value
+	for i := int64(0); i < 7; i++ {
+		r = append(r, []types.Value{types.NewInt(i), types.NewInt(100 * i)})
 	}
-	op, err := LowerOpts(proj, src, parOpts(4))
-	if err != nil {
-		t.Fatal(err)
+	src.put("r", []string{"k", "w"}, r)
+	join := &algebra.Join{
+		Left: &algebra.Filter{Input: scanNode("t", src["t"].schema),
+			Pred: algebra.Bin{Op: algebra.OpGe, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(50)}}},
+		Right: scanNode("r", src["r"].schema),
+		EquiL: []int{0}, EquiR: []int{0},
 	}
-	g, ok := op.(*Gather)
-	if !ok {
-		t.Fatalf("projection pipeline must lower to Gather, got %T", op)
-	}
-	if err := g.Open(); err != nil {
-		t.Fatal(err)
-	}
-	hint, known := g.RowCountHint()
-	if !known || hint != n {
-		t.Fatalf("Gather hint = (%d, %v), want (%d, true)", hint, known, n)
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drain's preallocation path: the hint sizes the result spine exactly, so
-	// append never regrows it — len == cap pins the single allocation.
-	rows, err := Drain(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != n || cap(rows) != n {
-		t.Fatalf("Drain over hinted Gather: len=%d cap=%d, want both %d (single allocation)",
-			len(rows), cap(rows), n)
-	}
-
-	// Filtered pipeline: data-dependent, must not hint.
-	op, err = LowerOpts(sfpPlan(src), src, parOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, known := op.(*Gather).RowCountHint(); known {
-		t.Error("filtered pipeline must not forward a row-count hint")
-	}
-}
-
-// TestParallelJoinMatchesSerial: the parallel fused probe over the shared
-// partitioned build must agree byte-for-byte with the boxed serial HashJoin,
-// including NULL join keys and a residual predicate.
-func TestParallelJoinMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	mkRows := func(n int) [][]types.Value {
-		rows := make([][]types.Value, n)
-		for i := range rows {
-			var k types.Value
-			if rng.Intn(8) == 0 {
-				k = types.Null()
-			} else {
-				k = types.NewInt(int64(rng.Intn(20)))
-			}
-			rows[i] = []types.Value{k, types.NewInt(int64(i))}
-		}
-		return rows
-	}
-	src := parSource{}
-	src.put("l", []string{"k", "v"}, mkRows(900))
-	src.put("r", []string{"k", "w"}, mkRows(300))
-
-	for _, residual := range []algebra.Expr{
-		nil,
-		algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1}, R: algebra.Col{Idx: 3}},
-	} {
-		plan := &algebra.Join{
-			Left: &algebra.Filter{Input: scanNode("l", src["l"].schema),
-				Pred: algebra.Bin{Op: algebra.OpGe, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(50)}}},
-			Right:    scanNode("r", src["r"].schema),
-			EquiL:    []int{0},
-			EquiR:    []int{0},
-			Residual: residual,
-		}
+	for name, plan := range map[string]algebra.Node{"chain": sfpPlan(src), "probe": join} {
 		want := mustRows(t, plan, struct{ Source }{src}, Options{DOP: 1})
-		for _, dop := range []int{2, 5} {
-			op, err := LowerOpts(plan, src, parOpts(dop))
+		var serial string
+		for _, dop := range []int{1, 0, 2} {
+			op, err := LowerOpts(plan, src, Options{DOP: dop})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := Explain(op); !strings.HasPrefix(s, fmt.Sprintf("Gather[dop=%d", dop)) ||
-				!strings.Contains(s, "filter → probe]") || !strings.Contains(s, "build:") {
-				t.Fatalf("parallel equi-join must lower to a Gather of fused probes:\n%s", s)
+			s := Explain(op)
+			if dop == 1 {
+				serial = s
+				if !strings.HasPrefix(s, "FusedPipeline[") {
+					t.Fatalf("%s: want a FusedPipeline root, got:\n%s", name, s)
+				}
+			} else if s != serial {
+				t.Errorf("%s: DOP %d plan differs from DOP 1:\n%s\nwant:\n%s", name, dop, s, serial)
 			}
-			got, err := Drain(op)
+			res, err := DrainColumns(op)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustIdentical(t, got, want, fmt.Sprintf("join dop=%d residual=%v", dop, residual != nil))
+			if name == "chain" && res.Cols() == nil {
+				t.Errorf("chain at DOP %d drained to a row-backed result", dop)
+			}
+			mustIdentical(t, res.Rows(), want, fmt.Sprintf("%s dop=%d", name, dop))
+			again, err := Drain(op) // a re-opened pipeline runs its pass afresh
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustIdentical(t, again, want, fmt.Sprintf("%s dop=%d re-drained", name, dop))
 		}
 	}
-
-	// A bare-scan probe side is not worth fusing (the typed HashJoin already
-	// probes straight off the scan's vectors), so it stays the serial join.
-	bare := &algebra.Join{Left: scanNode("l", src["l"].schema),
-		Right: scanNode("r", src["r"].schema), EquiL: []int{0}, EquiR: []int{0}}
-	op, err := LowerOpts(bare, src, parOpts(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Explain(op); !strings.HasPrefix(s, "HashJoin[") || strings.Contains(s, "Gather") {
-		t.Errorf("bare probe join must lower serially:\n%s", s)
-	}
-	mustIdentical(t, mustRows(t, bare, src, parOpts(3)),
-		mustRows(t, bare, struct{ Source }{src}, Options{DOP: 1}), "bare probe join")
 }
 
 // TestParallelAggregateMatchesSerial: the fused aggregate's per-morsel
@@ -385,40 +252,6 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		mustRows(t, empty, struct{ Source }{src}, Options{DOP: 1}), "empty global aggregate")
 }
 
-// TestGatherEarlyClose: a Limit above a Gather stops pulling mid-stream;
-// Close must tear the worker pool down without deadlock and the result must
-// still be the serial prefix.
-func TestGatherEarlyClose(t *testing.T) {
-	src := parSource{}
-	src.put("t", []string{"k", "v", "c"}, intTable(5000, 7))
-	plan := &algebra.Limit{Input: sfpPlan(src), N: 5}
-	want := mustRows(t, plan, src, Options{DOP: 1})
-	for i := 0; i < 20; i++ {
-		got := mustRows(t, plan, src, parOpts(4))
-		mustIdentical(t, got, want, "limited gather")
-	}
-}
-
-// TestGatherReOpen: operators support Open after Close; the pool must come
-// back up with a rewound morsel queue.
-func TestGatherReOpen(t *testing.T) {
-	src := parSource{}
-	src.put("t", []string{"k", "v", "c"}, intTable(500, 7))
-	op, err := LowerOpts(sfpPlan(src), src, parOpts(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Drain(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Drain(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustIdentical(t, got, want, "re-opened gather")
-}
-
 // failOp errors on the n-th Next call (or on Open when openErr is set).
 type failOp struct {
 	inner   Operator
@@ -444,58 +277,27 @@ func (f *failOp) Next() (*Batch, error) {
 }
 func (f *failOp) Close() error { return f.inner.Close() }
 
-// TestGatherErrorPropagation: worker pipeline failures (Open and Next) must
-// surface from Gather without deadlocking the pool.
-func TestGatherErrorPropagation(t *testing.T) {
-	rows := intTable(640, 7)
-	ms := &morselSource{rows: rows, size: 64, cols: vector.FromRows(rows, 3)}
-	mkGather := func(n int, openErr error, failAt int) *Gather {
-		workers := make([]*Exchange, n)
-		for i := range workers {
-			scan := &MorselScan{Table: "t", src: ms, schema: types.NewSchema("t", "k", "v", "c")}
-			var pipe Operator = scan
-			if i == 0 { // one faulty worker
-				pipe = &failOp{inner: scan, openErr: openErr, failAt: failAt}
-			}
-			workers[i] = &Exchange{Pipe: pipe, Scan: scan}
-		}
-		return &Gather{Workers: workers, src: ms, schema: types.NewSchema("t", "k", "v", "c")}
-	}
-	for name, g := range map[string]*Gather{
-		// Open always runs on every worker, so a faulty worker among healthy
-		// ones is deterministic; a Next failure needs the faulty worker to be
-		// the only one, or the others may legitimately claim every morsel
-		// before it reaches its failing call.
-		"open-failure": mkGather(3, errors.New("synthetic open failure"), 0),
-		"next-failure": mkGather(1, nil, 3),
+// TestFusedProbeBuildFailure: a fused probe drains its build side at Open,
+// so a build-side failure (in Open or Next) surfaces from the drain.
+func TestFusedProbeBuildFailure(t *testing.T) {
+	probeSide := vector.FromRows(intTable(640, 7), 3)
+	scan := NewScan("r", types.NewSchema("r", "k"), nil)
+	for name, build := range map[string]*failOp{
+		"open-failure": {inner: scan, openErr: errors.New("synthetic open failure")},
+		"next-failure": {inner: scan, failAt: 1},
 	} {
-		if _, err := Drain(g); err == nil {
-			t.Errorf("%s: Drain must surface the worker error", name)
+		fp := &FusedPipeline{src: probeSide, Projs: []algebra.Expr{algebra.Col{Idx: 0}},
+			Probe:  &FusedProbe{Build: build, EquiL: []int{0}, EquiR: []int{0}},
+			schema: types.NewSchema("", "k").Concat(build.Schema())}
+		if _, err := DrainColumns(fp); err == nil {
+			t.Errorf("%s: DrainColumns must surface the build-side error", name)
 		}
-	}
-
-	// Build-side failure of a parallel fused join surfaces from Open.
-	src := parSource{}
-	src.put("l", []string{"k", "v", "c"}, rows)
-	fc, ok, err := fuseChainFor(scanNode("l", src["l"].schema), src)
-	if err != nil || !ok {
-		t.Fatalf("fuseChainFor: %v %v", ok, err)
-	}
-	probe := &FusedProbe{EquiL: []int{0}, Build: &hashBuild{
-		Input: &failOp{inner: NewScan("r", types.NewSchema("r", "k"), nil),
-			openErr: errors.New("synthetic build failure")},
-		Keys: []int{0}, dop: 2,
-	}}
-	g := newFusedGather(fc, 2, 64, probe, src["l"].schema.Concat(types.NewSchema("r", "k")))
-	if err := g.Open(); err == nil {
-		g.Close()
-		t.Error("build failure must surface from Gather.Open")
 	}
 }
 
 // TestMorselSourceClaim: concurrent claims must partition the table exactly.
 func TestMorselSourceClaim(t *testing.T) {
-	ms := &morselSource{rows: make([][]types.Value, 1000), size: 64}
+	ms := &morselSource{cols: &vector.Columns{N: 1000}, size: 64}
 	if n := ms.nMorsels(); n != 16 {
 		t.Fatalf("nMorsels = %d, want 16", n)
 	}

@@ -15,8 +15,6 @@
 package physical
 
 import (
-	"context"
-
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -38,38 +36,14 @@ type Operator interface {
 }
 
 // RowCountHinter is optionally implemented by operators that know, after
-// Open, exactly how many rows their Next calls will emit in total. Drain
-// uses the hint to size its result slice in one allocation. Operators whose
-// output size is data-dependent and not yet materialized (filters, joins,
-// distinct) simply do not implement it.
+// Open, exactly how many rows their Next calls will emit in total. The row
+// drain uses the hint to size its result slice in one allocation. Operators
+// whose output size is data-dependent and not yet materialized (filters,
+// joins, distinct) simply do not implement it.
 type RowCountHinter interface {
 	// RowCountHint reports the exact remaining row count, and whether it is
 	// known. Valid only between Open and the first Next.
 	RowCountHint() (int, bool)
-}
-
-// RowCapHinter is optionally implemented by operators that know, after Open,
-// an upper bound on their total output — a fused or filtered pipeline over a
-// base-table scan, whose selectivity is unknown but whose output can never
-// exceed the scan. Drain uses the cap to pre-size its result spine when no
-// exact hint exists; that trades at most the same ≤2x terminal slack that
-// append-doubling growth would leave for the elimination of every
-// intermediate spine copy. Unlike RowCountHint, the value is a bound, not a
-// promise.
-type RowCapHinter interface {
-	// RowCountCap reports an upper bound on the remaining row count, and
-	// whether one is known. Valid only between Open and the first Next.
-	RowCountCap() (int, bool)
-}
-
-// rowsDrainer is optionally implemented by operators that can produce their
-// entire output in one shot more cheaply than batch-at-a-time iteration — a
-// serial fused pipeline over a whole-table window, which can size its output
-// buffer and result spine exactly instead of appending through a batch.
-// Drain calls it once right after Open; handled=false falls back to the
-// normal Next loop.
-type rowsDrainer interface {
-	drainRows() (rows [][]types.Value, handled bool, err error)
 }
 
 // Source resolves table names at lowering time, so one logical plan can run
@@ -105,83 +79,4 @@ func columnsFor(src Source, table string, nRows int) *vector.Columns {
 		return nil
 	}
 	return cols
-}
-
-// Drain opens op, collects every row, and closes it. The Close error is
-// reported only when iteration itself succeeded. The result's spine is owned
-// by the caller; the rows obey the engine-wide stability rule (stable, but
-// possibly aliasing table storage — do not mutate in place).
-func Drain(op Operator) ([][]types.Value, error) {
-	return DrainContext(context.Background(), op)
-}
-
-// DrainContext is Drain under a cancellation context: the drain loop checks
-// ctx between batches and before any one-shot whole-output drain, so a
-// cancelled or timed-out query stops producing within one batch of the
-// signal and returns ctx's error with the operator closed and its resources
-// (spill files, governed reservations) released. Cancellation inside a
-// pipeline breaker's materialization is the governor's job — engine.Session
-// binds the same ctx to the query's MemGovernor, whose Err the spill paths
-// poll — so between the two checks a query under a budget is cancellable
-// both mid-spill and mid-stream.
-func DrainContext(ctx context.Context, op Operator) ([][]types.Value, error) {
-	if err := op.Open(); err != nil {
-		op.Close()
-		return nil, err
-	}
-	return drainOpened(ctx, op)
-}
-
-// drainOpened collects every row from an already-opened operator and closes
-// it — the shared back half of Drain and the row fallback of DrainColumns.
-func drainOpened(ctx context.Context, op Operator) ([][]types.Value, error) {
-	if err := ctx.Err(); err != nil {
-		op.Close()
-		return nil, err
-	}
-	if d, ok := op.(rowsDrainer); ok {
-		rows, handled, err := d.drainRows()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if handled {
-			if cerr := op.Close(); cerr != nil {
-				return nil, cerr
-			}
-			return rows, nil
-		}
-	}
-	var rows [][]types.Value
-	if h, ok := op.(RowCountHinter); ok {
-		if n, known := h.RowCountHint(); known {
-			rows = make([][]types.Value, 0, n)
-		}
-	}
-	if rows == nil {
-		if h, ok := op.(RowCapHinter); ok {
-			if n, known := h.RowCountCap(); known {
-				rows = make([][]types.Value, 0, n)
-			}
-		}
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			op.Close()
-			return nil, err
-		}
-		b, err := op.Next()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		rows = append(rows, b.Rows()...)
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

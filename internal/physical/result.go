@@ -64,28 +64,34 @@ func (r *Result) Rows() [][]types.Value {
 
 // colsDrainer is optionally implemented by operators that can produce their
 // entire output as column vectors with no per-row boxing — a passthrough
-// columnar scan, or a serial fused pipeline whose projection kernels emit
-// vectors. DrainColumns calls it once right after Open; handled=false falls
-// back to the boxed row drain.
+// columnar scan, or a probe-less fused pipeline. DrainColumns calls it once
+// right after Open; handled=false falls back to the boxed row drain.
 type colsDrainer interface {
-	drainColumns() (cols *vector.Columns, handled bool, err error)
+	drainColumns() (cols *vector.Columns, handled bool)
 }
 
-// DrainColumns is Drain with a columnar result sink: when the root operator
-// can emit its whole output as vectors, no output row is ever boxed — the
-// boxed [][]types.Value sink (and its alloc-zeroing + GC-marking cost, the
-// structural floor of row draining at scale) disappears, and boxed Values
-// exist only if the caller materializes via Result.Rows. Operators without a
-// columnar output path drain through the normal row loop and return a
-// row-backed Result, so the call is total: every plan drains, only the
-// representation differs.
+// DrainColumns opens op, drains its whole output, and closes it. When the
+// root operator can emit its output as vectors, no output row is ever
+// boxed — the boxed [][]types.Value sink (and its alloc-zeroing + GC-marking
+// cost, the structural floor of row draining at scale) disappears, and
+// boxed Values exist only if the caller materializes via Result.Rows.
+// Operators without a columnar output path drain through the batch loop and
+// return a row-backed Result, so the call is total: every plan drains, only
+// the representation differs. The Close error is reported only when
+// iteration itself succeeded.
 func DrainColumns(op Operator) (*Result, error) {
 	return DrainColumnsContext(context.Background(), op)
 }
 
-// DrainColumnsContext is DrainColumns under a cancellation context, with the
-// same batch-granularity checks as DrainContext (and the same division of
-// labor with the governor-bound ctx for mid-spill cancellation).
+// DrainColumnsContext is DrainColumns under a cancellation context: the
+// drain checks ctx before the one-shot columnar drain and between batches,
+// so a cancelled or timed-out query stops producing within one batch of the
+// signal and returns ctx's error with the operator closed and its resources
+// (spill files, governed reservations) released. Cancellation inside a
+// pipeline breaker's materialization is the governor's job — engine.Session
+// binds the same ctx to the query's MemGovernor, whose Err the spill paths
+// poll — so between the two checks a query under a budget is cancellable
+// both mid-spill and mid-stream.
 func DrainColumnsContext(ctx context.Context, op Operator) (*Result, error) {
 	if err := op.Open(); err != nil {
 		op.Close()
@@ -96,21 +102,47 @@ func DrainColumnsContext(ctx context.Context, op Operator) (*Result, error) {
 		return nil, err
 	}
 	if d, ok := op.(colsDrainer); ok {
-		cols, handled, err := d.drainColumns()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if handled {
-			if cerr := op.Close(); cerr != nil {
-				return nil, cerr
+		if cols, handled := d.drainColumns(); handled {
+			if err := op.Close(); err != nil {
+				return nil, err
 			}
 			return NewColumnarResult(op.Schema(), cols), nil
 		}
 	}
-	rows, err := drainOpened(ctx, op)
-	if err != nil {
+	var rows [][]types.Value
+	if h, ok := op.(RowCountHinter); ok {
+		if n, known := h.RowCountHint(); known {
+			rows = make([][]types.Value, 0, n)
+		}
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			op.Close()
+			return nil, err
+		}
+		b, err := op.Next()
+		if err != nil {
+			op.Close()
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		rows = append(rows, b.Rows()...)
+	}
+	if err := op.Close(); err != nil {
 		return nil, err
 	}
 	return NewRowResult(op.Schema(), rows), nil
+}
+
+// Drain is DrainColumns materialized to boxed rows. The spine is owned by
+// the caller; the rows obey the engine-wide stability rule (stable, but
+// possibly aliasing table storage — do not mutate in place).
+func Drain(op Operator) ([][]types.Value, error) {
+	res, err := DrainColumns(op)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows(), nil
 }

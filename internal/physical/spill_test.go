@@ -376,8 +376,7 @@ func TestBadSpillDirIsAQueryError(t *testing.T) {
 // TestGovernedLoweringShape: with no budget the lowered tree is byte-for-
 // byte today's (governor nil everywhere); with a budget the breaker types
 // are unchanged (Explain identical) and at DOP > 1 the governed join
-// lowers serially — declining the fused probe — while its fusable probe-side
-// chain still becomes a Gather of fused pipelines.
+// declines the fused probe while its fusable probe-side chain still fuses.
 func TestGovernedLoweringShape(t *testing.T) {
 	schema, rows := spillTable(40000, 11)
 	src := testSource{"t": {schema, rows}}
@@ -425,8 +424,8 @@ func TestGovernedLoweringShape(t *testing.T) {
 	if !strings.HasPrefix(shape, "HashJoin[") || strings.Contains(shape, "probe]") {
 		t.Fatalf("governed parallel join must be the serial spilling operator:\n%s", shape)
 	}
-	if !strings.Contains(shape, "Gather[") || !strings.Contains(shape, "FusedPipeline[scan t → filter → project]") {
-		t.Fatalf("governed join lost its parallel fused probe-side pipeline:\n%s", shape)
+	if !strings.Contains(shape, "  FusedPipeline[scan t → filter → project]\n") {
+		t.Fatalf("governed join lost its fused probe-side pipeline:\n%s", shape)
 	}
 }
 

@@ -20,11 +20,11 @@ import (
 // Frontend.Query is its only consumer — so every way of running a UA-SQL
 // query shares one code path into the engine.
 type QueryOpts struct {
-	// DOP caps the physical engine's degree of parallelism: 0 means
-	// automatic (GOMAXPROCS), 1 forces the serial engine. The UA rewrite
-	// rides the same engine either way — the paper's lightweight claim —
-	// so parallel speedups apply to UA queries and deterministic ones
-	// alike.
+	// DOP is how many workers a fused aggregate folds on — the engine's
+	// only parallel operator: 0 means automatic (GOMAXPROCS), 1 serial.
+	// The UA rewrite rides the same engine either way — the paper's
+	// lightweight claim — so parallel speedups apply to UA queries and
+	// deterministic ones alike.
 	DOP int
 	// MemBudget caps the query's pipeline-breaker working set in bytes
 	// (sorts, aggregates, join builds spill to SpillDir under pressure);

@@ -437,9 +437,11 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 
 // streamResult writes one query result as a chunked binary column stream:
 // a JSON header frame carrying the schema and plan metadata, windowed
-// binary chunk frames sliced zero-copy off the result vectors (row-backed
-// results columnarize first — FromRows round-trips values exactly), and a
-// JSON trailer frame with the totals. The admission grant is held by the
+// binary chunk frames sliced zero-copy off the result vectors, and a JSON
+// trailer frame with the totals. Scans and probe-less fused chains hand
+// over columnar results at every DOP; plans whose root has no columnar
+// output (joins, sorts, aggregates, the unfused tree) arrive row-backed
+// and columnarize first — FromRows round-trips values exactly. The admission grant is held by the
 // caller until streaming finishes, so the result's memory is accounted for
 // as long as it is being read.
 func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, res *physical.Result, cacheHit bool) {

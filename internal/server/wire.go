@@ -153,8 +153,8 @@ type Request struct {
 // SessionOpts are the per-session execution options. Pointer fields
 // distinguish "not mentioned" from an explicit zero.
 type SessionOpts struct {
-	// DOP caps the engine's parallelism for this session's queries
-	// (0 = GOMAXPROCS, 1 = serial).
+	// DOP is the fused-aggregate worker count for this session's queries
+	// (0 = GOMAXPROCS, 1 = serial); fused chains and probes are serial.
 	DOP *int `json:"dop,omitempty"`
 	// Deprecated: has no effect; fusion always applies. Kept only because benchmark/ still sets it.
 	Fuse *bool `json:"fuse,omitempty"`

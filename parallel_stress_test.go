@@ -1,14 +1,15 @@
 package repro_test
 
-// Exchange-order determinism: the morsel-parallel engine must produce
-// byte-identical ordered output to the boxed serial engine — not just once,
-// but across hundreds of repetitions at DOP 1, 2, and NumCPU, because the
-// morsel-to-worker assignment is scheduling-dependent and only the morsel
-// sequence numbers (the Gather's reordering, the fused aggregate's merge
-// order) make the output deterministic. Every plan is first pinned to
-// actually lower to a parallel operator at DOP 2, so the comparison cannot
-// pass on a serial plan. CI runs this under -race, which is the enforcement
-// mechanism for the engine's cross-goroutine ownership rules.
+// Exchange-order determinism: the engine must produce byte-identical ordered
+// output to the boxed serial engine — not just once, but across hundreds of
+// repetitions at DOP 1, 2, and NumCPU. The fused aggregate is the one
+// parallel operator: its morsel-to-worker assignment is scheduling-dependent
+// and only the morsel sequence merge order makes its output deterministic,
+// so it is pinned to actually lower to FusedAggregate[dop=2 at DOP 2. The
+// fused pipeline and fused probe run serially at every DOP; they stay in the
+// set as DOP-invariance inputs and are pinned to the serial DOP 1 plan. CI
+// runs this under -race, which is the enforcement mechanism for the
+// engine's cross-goroutine ownership rules.
 
 import (
 	"fmt"
@@ -24,7 +25,7 @@ import (
 )
 
 // stressOpts splits the small test tables into many morsels so every DOP > 1
-// actually exercises the exchange.
+// actually runs the fused aggregate's workers.
 func stressOpts(dop int) physical.Options {
 	return physical.Options{DOP: dop, MorselSize: 128, MinParallelRows: 1}
 }
@@ -59,8 +60,8 @@ func stressCatalog() *engine.Catalog {
 	return cat
 }
 
-// stressPlans are the shapes the parallel lowering rewrites: a fused
-// filter+project pipeline, a fused-probe equi-join, and a fused aggregate.
+// stressPlans are the fused shapes: a filter+project pipeline, a fused-probe
+// equi-join, and a fused aggregate — the only one that parallelizes.
 func stressPlans(cat *engine.Catalog) map[string]algebra.Node {
 	scan := func(name string) *algebra.Scan {
 		return &algebra.Scan{Table: name, TblSchema: cat.Get(name).Schema}
@@ -107,16 +108,27 @@ func drainWith(t *testing.T, plan algebra.Node, src physical.Source, opt physica
 	return rows
 }
 
-// mustGoParallel requires plan to lower to a parallel operator at DOP 2: a
-// Gather of fused workers or a fused aggregate folding per morsel.
-func mustGoParallel(t *testing.T, plan algebra.Node, src physical.Source, what string) {
+// mustLowerAtDOP2 pins plan's DOP 2 shape: the aggregate must fold per
+// morsel on two workers, every other plan must run a fused pipeline and be
+// identical to its DOP 1 plan.
+func mustLowerAtDOP2(t *testing.T, plan algebra.Node, src physical.Source, what string) {
 	t.Helper()
-	op, err := physical.LowerOpts(plan, src, stressOpts(2))
-	if err != nil {
-		t.Fatalf("%s: lower: %v", what, err)
+	explain := func(dop int) string {
+		op, err := physical.LowerOpts(plan, src, stressOpts(dop))
+		if err != nil {
+			t.Fatalf("%s: lower: %v", what, err)
+		}
+		return physical.Explain(op)
 	}
-	if s := physical.Explain(op); !strings.Contains(s, "Gather[") && !strings.Contains(s, "FusedAggregate[dop=2") {
-		t.Fatalf("%s: DOP 2 lowered to a serial plan:\n%s", what, s)
+	s := explain(2)
+	if strings.HasPrefix(s, "FusedAggregate[") {
+		if !strings.HasPrefix(s, "FusedAggregate[dop=2") {
+			t.Fatalf("%s: DOP 2 aggregate lowered serially:\n%s", what, s)
+		}
+		return
+	}
+	if !strings.Contains(s, "FusedPipeline[") || s != explain(1) {
+		t.Fatalf("%s: DOP 2 plan is not the serial fused plan:\n%s", what, s)
 	}
 }
 
@@ -141,7 +153,7 @@ func TestExchangeOrderDeterminismStress(t *testing.T) {
 		iters = 20
 	}
 	for name, plan := range plans {
-		mustGoParallel(t, plan, cat, name)
+		mustLowerAtDOP2(t, plan, cat, name)
 		want := drainWith(t, plan, rowSource{cat}, physical.Options{DOP: 1})
 		for _, dop := range stressDOPs() {
 			opt := stressOpts(dop)
@@ -173,7 +185,7 @@ func TestExchangeOrderDeterminismUA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: rewrite: %v", name, err)
 		}
-		mustGoParallel(t, ua, enc, "ua "+name)
+		mustLowerAtDOP2(t, ua, enc, "ua "+name)
 		want := drainWith(t, ua, rowSource{enc}, physical.Options{DOP: 1})
 		if len(want) == 0 {
 			t.Fatalf("%s: UA reference plan returned no rows", name)

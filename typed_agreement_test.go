@@ -52,7 +52,7 @@ func typedDOPs() []int {
 func typedBudgets() []int64 { return []int64{0, 8 << 10} }
 
 // typedOpts is the option set of one agreement run: small morsels so every
-// DOP above 1 runs the parallel fused operators.
+// DOP above 1 runs the fused aggregate's workers.
 func typedOpts(dop int, budget int64, dir string) physical.Options {
 	return physical.Options{DOP: dop, MorselSize: 64, MinParallelRows: 1,
 		MemBudget: budget, SpillDir: dir}
@@ -162,11 +162,9 @@ func TestTypedBoxedAgreementUA(t *testing.T) {
 
 // TestTypedPathEngages pins that the machinery is actually on: catalog scans
 // emit columnar batches, a typed filter keeps a columnar view on its output,
-// and a passthrough projection operator stays column-only (the contract
-// Distinct's typed dedup keying relies on). A computing projection operator
-// emits rows directly (the EvalVecStrided path) — also pinned, because
-// silently staying columnar there would reintroduce the double
-// materialization pass. The projections sit above a union: directly over a
+// and a projection operator — passthrough or computing — stays column-only
+// (the contract Distinct's typed dedup keying relies on), its computed
+// columns typed. The projections sit above a union: directly over a
 // filtered scan they would fuse instead (TestFusedPathEngages).
 func TestTypedPathEngages(t *testing.T) {
 	tb := engine.NewTable(types.NewSchema("t", "k", "v"))
@@ -226,18 +224,16 @@ func TestTypedPathEngages(t *testing.T) {
 	}
 	done()
 
-	// Computing projection: typed evaluation straight into row output.
+	// Computing projection: typed evaluation into a typed output column.
 	b, done = firstBatch(t, &algebra.Project{Input: union(),
 		Exprs: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"},
 			algebra.Bin{Op: algebra.OpAdd, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 1}}},
 		Names: []string{"k", "kv"}})
-	if b.Cols() != nil {
-		t.Fatal("computing projection kept a columnar view; fused strided output expected")
+	if b.Cols() == nil {
+		t.Fatal("computing projection dropped its columnar view")
 	}
-	for i, r := range b.Rows() {
-		if r[1].Kind() != types.KindInt {
-			t.Fatalf("row %d: kv kind %s, want INTEGER", i, r[1].Kind())
-		}
+	if _, isInt := b.Cols()[1].(*vector.Int64Vector); !isInt {
+		t.Fatalf("computed column is %T, want *Int64Vector", b.Cols()[1])
 	}
 	done()
 }
