@@ -1,17 +1,16 @@
 // Command uadb-server is the UA-DB middleware as a long-lived multi-session
 // query server. It loads CSV tables once, then serves UA-SQL over TCP with
 // the wire protocol of internal/server (4-byte length-prefixed frames,
-// protocol version 2): clients that negotiate the "colbin" encoding in
-// their hello receive query results as chunked binary column frames —
-// header, CRC-checked column chunks, trailer — while JSON-only clients
-// (or those that send no hello at all) get the v1 single-frame JSON
-// responses unchanged. Each connection is a session with its own execution
-// options (set op) and
-// prepared statements, all sessions share one catalog and one plan cache,
-// and -mem-budget is a server-wide memory budget — concurrent queries are
-// admission-controlled so the sum of their grants never exceeds it, queueing
-// (not failing) when the server is saturated and spilling within their
-// grants exactly as one-shot -mem-budget queries would.
+// protocol version 3): a client opens its session with a hello listing the
+// "colbin" encoding and receives query results as chunked binary column
+// frames — header, CRC-checked column chunks, trailer. A client that sends
+// no hello, or one without colbin, gets an explicit error frame instead of
+// results. Each connection is a session with its own execution options
+// (set op) and prepared statements, all sessions share one catalog and one
+// plan cache, and -mem-budget is a server-wide memory budget — concurrent
+// queries are admission-controlled so the sum of their grants never exceeds
+// it, queueing (not failing) when the server is saturated and spilling
+// within their grants exactly as one-shot -mem-budget queries would.
 //
 //	uadb-server -listen :7483 -table addr=addr.csv -table loc=loc.csv \
 //	            -mem-budget 256M -query-budget 32M

@@ -20,10 +20,10 @@
 // produces one (no boxed result rows at all).
 //
 // With -connect host:port the tool runs the same query loop against a
-// running uadb-server instead of loading tables locally: the client
-// negotiates the binary columnar result encoding (falling back to JSON
-// against older servers), -dop / -mem-budget / -attr-bounds become session
-// options, and -csv streams straight off the decoded wire columns.
+// running uadb-server instead of loading tables locally: results arrive in
+// the server's binary columnar encoding, -dop / -mem-budget / -attr-bounds
+// become session options, and -csv streams straight off the decoded wire
+// columns.
 //
 // For a long-lived multi-session surface over the same engine, see
 // cmd/uadb-server.
@@ -106,9 +106,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 }
 
 // runRemote is the -connect mode: the same query loop, but over a running
-// uadb-server. The client negotiates the binary columnar encoding, so CSV
-// output streams straight off the decoded wire columns — a JSON-only server
-// downgrades transparently and the bytes out are identical.
+// uadb-server. Results arrive as binary columns, so CSV output streams
+// straight off the decoded wire columns.
 func runRemote(addr string, tables cliutil.TableFlags, exec *cliutil.ExecFlags, query string, explain, csvOut bool, stdin io.Reader, stdout, stderr io.Writer) error {
 	if len(tables) > 0 {
 		return fmt.Errorf("-table loads local CSVs and cannot be combined with -connect (the server owns the catalog)")

@@ -1,8 +1,7 @@
 package repro_test
 
-// Randomized wire agreement: a query result fetched over the server —
-// in the binary columnar encoding or the JSON encoding — must materialize
-// to byte-identical rows, in identical order, to the serial one-shot
+// Randomized wire agreement: a query result fetched over the server in the
+// binary columnar encoding must materialize to byte-identical rows, in identical order, to the serial one-shot
 // Frontend.Query of the same statement. Across DOP 1/2/NumCPU, under
 // unlimited and admission-governed tight budgets, on deterministic and
 // UA-rewritten (IS TI) plans, with NaN payloads, ±Inf, ±0, full-precision
@@ -220,41 +219,29 @@ func TestColumnarWireAgreementRandomized(t *testing.T) {
 			defer srv.Close()
 			addr := ln.Addr().String()
 
-			for _, enc := range []string{server.EncodingColBin, server.EncodingJSON} {
-				var c *client.Client
-				var err error
-				if enc == server.EncodingColBin {
-					c, err = client.Dial(addr)
-				} else {
-					c, err = client.DialJSON(addr)
+			c, err := client.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for _, dop := range dops {
+				dop := dop
+				opts := server.SessionOpts{DOP: &dop}
+				if bud.perQ != "" {
+					mb := bud.perQ
+					opts.MemBudget = &mb
 				}
-				if err != nil {
+				if err := c.Set(opts); err != nil {
 					t.Fatal(err)
 				}
-				defer c.Close()
-				if got := c.Encoding(); got != enc {
-					t.Fatalf("client negotiated %q, want %q", got, enc)
-				}
-
-				for _, dop := range dops {
-					dop := dop
-					opts := server.SessionOpts{DOP: &dop}
-					if bud.perQ != "" {
-						mb := bud.perQ
-						opts.MemBudget = &mb
+				for _, q := range queries {
+					res, err := c.Query(q)
+					if err != nil {
+						t.Fatalf("dop=%d %q: %v", dop, q, err)
 					}
-					if err := c.Set(opts); err != nil {
-						t.Fatal(err)
-					}
-					for _, q := range queries {
-						res, err := c.Query(q)
-						if err != nil {
-							t.Fatalf("%s dop=%d %q: %v", enc, dop, q, err)
-						}
-						w := want[q]
-						mustMatchWire(t, fmt.Sprintf("%s dop=%d", enc, dop),
-							q, res.Schema, res.Rows(), w.schema, w.rows)
-					}
+					w := want[q]
+					mustMatchWire(t, fmt.Sprintf("dop=%d", dop),
+						q, res.Schema, res.Rows(), w.schema, w.rows)
 				}
 			}
 

@@ -4,11 +4,11 @@
 // requests by id, so concurrent goroutines can share a connection the same
 // way concurrent queries share a server session.
 //
-// Dial negotiates the binary columnar result encoding (protocol v2): query
-// results stream back as binary column chunks, reassembled into
-// vector.Columns and exposed through Result both as columns (no boxing)
-// and as lazily materialized rows. DialJSON skips negotiation for the v1
-// JSON-only protocol; results are byte-identical either way.
+// Dial opens the session with a protocol 3 hello for the binary columnar
+// result encoding, the server's only one: query results stream back as
+// binary column chunks, reassembled into vector.Columns and exposed
+// through Result both as columns (no boxing) and as lazily materialized
+// rows.
 package client
 
 import (
@@ -23,49 +23,33 @@ import (
 	"repro/internal/vector"
 )
 
-// Result is a decoded query result. It holds the result columnar when the
-// session negotiated the binary encoding and row-backed otherwise; the
-// other form is derived lazily and cached. A Result is not safe for
-// concurrent use until fully materialized.
+// Result is a decoded query result: the reassembled columns, plus a boxed
+// row view built lazily and cached. A Result is not safe for concurrent
+// use until its rows are materialized.
 type Result struct {
 	Schema []string
 	// CacheHit reports whether the server served the plan from its shared
-	// plan cache (chunked streams only; JSON results leave it false).
+	// plan cache.
 	CacheHit bool
 
 	cols *vector.Columns
 	rows [][]types.Value
-	// haveRows distinguishes "rows not yet materialized" from a cached
-	// empty row set.
-	haveRows bool
 }
 
-// Columns returns the result as column vectors, building them from rows
-// (kind-inferred, value-exact) for a JSON-encoded result.
-func (r *Result) Columns() *vector.Columns {
-	if r.cols == nil {
-		r.cols = vector.FromRows(r.rows, len(r.Schema))
-	}
-	return r.cols
-}
+// Columns returns the result as column vectors.
+func (r *Result) Columns() *vector.Columns { return r.cols }
 
 // Rows returns the result as boxed rows, materializing (and caching) them
 // from the columns on first call.
 func (r *Result) Rows() [][]types.Value {
-	if !r.haveRows {
+	if r.rows == nil {
 		r.rows = vector.Materialize(r.cols.Vecs, r.cols.N)
-		r.haveRows = true
 	}
 	return r.rows
 }
 
 // NumRows reports the row count without materializing anything.
-func (r *Result) NumRows() int {
-	if r.cols != nil {
-		return r.cols.N
-	}
-	return len(r.rows)
-}
+func (r *Result) NumRows() int { return r.cols.N }
 
 // call is one in-flight request: its delivery channel plus, for chunked
 // results, the reassembly state. The state fields are touched only by the
@@ -95,69 +79,37 @@ type Client struct {
 	conn net.Conn
 
 	wmu    sync.Mutex // serializes request frames
-	mu     sync.Mutex // guards nextID, pending, readErr, encoding
+	mu     sync.Mutex // guards nextID, pending, readErr
 	nextID uint64
 	// pending maps an in-flight request id to its call state.
-	pending  map[uint64]*call
-	readErr  error
-	encoding string
-	done     chan struct{}
+	pending map[uint64]*call
+	readErr error
+	done    chan struct{}
 }
 
-// Dial connects to a server at addr ("host:port") and negotiates the
-// binary columnar result encoding. If the server only speaks JSON the
-// session downgrades cleanly; results are identical either way.
+// Dial connects to a server at addr ("host:port") and opens the session
+// with a hello for the binary columnar result encoding. A server that
+// cannot speak it fails the hello with an explicit error.
 func Dial(addr string) (*Client, error) {
-	c, err := dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.roundTrip(server.Request{
-		Op:        "hello",
-		Proto:     server.ProtoVersion,
-		Encodings: []string{server.EncodingColBin},
-	})
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("client: hello: %w", err)
-	}
-	enc := out.resp.Encoding
-	if enc == "" {
-		enc = server.EncodingJSON
-	}
-	c.mu.Lock()
-	c.encoding = enc
-	c.mu.Unlock()
-	return c, nil
-}
-
-// DialJSON connects without a hello handshake — the v1 protocol exactly as
-// a pre-versioning client speaks it. Results arrive as single JSON frames.
-func DialJSON(addr string) (*Client, error) {
-	return dial(addr)
-}
-
-func dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:     conn,
-		pending:  map[uint64]*call{},
-		encoding: server.EncodingJSON,
-		done:     make(chan struct{}),
-	}
+	c := &Client{conn: conn, pending: map[uint64]*call{}, done: make(chan struct{})}
 	go c.readLoop()
+	if _, err := c.roundTrip(server.Request{
+		Op:        "hello",
+		Proto:     server.ProtoVersion,
+		Encodings: []string{server.EncodingColBin},
+	}); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("client: hello: %w", err)
+	}
 	return c, nil
 }
 
-// Encoding reports the session's negotiated result encoding.
-func (c *Client) Encoding() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.encoding
-}
+// Encoding reports the session's result encoding, which is always colbin.
+func (c *Client) Encoding() string { return server.EncodingColBin }
 
 // readLoop is the one reader of the connection: it dispatches each frame —
 // JSON response or binary column chunk — to the request waiting on its id.
@@ -349,11 +301,7 @@ func (c *Client) Set(opts server.SessionOpts) error {
 
 // Query executes one UA-SQL statement and decodes the result.
 func (c *Client) Query(sql string) (*Result, error) {
-	out, err := c.roundTrip(server.Request{Op: "query", SQL: sql})
-	if err != nil {
-		return nil, err
-	}
-	return decodeResult(out)
+	return c.result(server.Request{Op: "query", SQL: sql})
 }
 
 // Prepare names a statement for later Exec calls; the SQL is validated
@@ -365,11 +313,19 @@ func (c *Client) Prepare(name, sql string) error {
 
 // Exec runs a statement prepared earlier in this session.
 func (c *Client) Exec(name string) (*Result, error) {
-	out, err := c.roundTrip(server.Request{Op: "exec", Name: name})
+	return c.result(server.Request{Op: "exec", Name: name})
+}
+
+// result runs a query or exec request and returns its assembled stream.
+func (c *Client) result(req server.Request) (*Result, error) {
+	out, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	return decodeResult(out)
+	if out.res == nil {
+		return nil, errors.New("client: result arrived without a column stream")
+	}
+	return out.res, nil
 }
 
 // Stats snapshots the server's counters.
@@ -398,17 +354,4 @@ func (c *Client) Close() error {
 	err := c.conn.Close()
 	<-c.done // reader exits once the conn is closed
 	return err
-}
-
-// decodeResult builds a Result from a completed outcome: the assembled
-// columns of a chunked stream, or the decoded rows of a JSON response.
-func decodeResult(out outcome) (*Result, error) {
-	if out.res != nil {
-		return out.res, nil
-	}
-	rows, err := server.DecodeRows(out.resp.Rows)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: out.resp.Schema, rows: rows, haveRows: true}, nil
 }

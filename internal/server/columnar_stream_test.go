@@ -2,10 +2,12 @@ package server_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // rawSession opens a bare wire connection for protocol-level tests that
@@ -36,65 +39,117 @@ func writeReq(t *testing.T, conn net.Conn, req server.Request) {
 
 func readResp(t *testing.T, conn net.Conn) server.Response {
 	t.Helper()
-	var resp server.Response
-	if err := server.ReadFrame(conn, &resp); err != nil {
+	payload, err := server.ReadRawFrame(conn)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var resp server.Response
+	if err := json.Unmarshal(payload, &resp); err != nil {
+		t.Fatalf("not a JSON response frame: %v", err)
 	}
 	return resp
 }
 
-// TestProtocolVersionNegotiation pins the hello handshake: explicit
-// rejection of future versions, encoding selection gated on the agreed
-// version, and a session that keeps working (as JSON) after a failed or
-// absent handshake.
-func TestProtocolVersionNegotiation(t *testing.T) {
-	_, addr := startServer(t, server.Config{Front: testFrontend(50)})
-	conn := rawSession(t, addr)
-
-	// A future protocol version must fail loudly at the handshake, naming
-	// the server's ceiling, instead of obscurely mid-stream.
-	writeReq(t, conn, server.Request{ID: 1, Op: "hello", Proto: 99, Encodings: []string{server.EncodingColBin}})
-	resp := readResp(t, conn)
-	if resp.OK || resp.Error == "" {
-		t.Fatalf("future version accepted: %+v", resp)
+// readStream reads request id's colbin answer off a raw session — header,
+// chunks, trailer — and returns its schema and rows.
+func readStream(t *testing.T, conn net.Conn, id uint64) ([]string, [][]types.Value) {
+	t.Helper()
+	header := readResp(t, conn)
+	if header.ID != id || !header.OK || !header.Chunked {
+		t.Fatalf("stream header for request %d = %+v", id, header)
 	}
-	if !strings.Contains(resp.Error, "99") || !strings.Contains(resp.Error, "2") {
-		t.Errorf("version error %q names neither version", resp.Error)
-	}
-	if resp.Proto != server.ProtoVersion {
-		t.Errorf("error frame Proto = %d, want the server ceiling %d", resp.Proto, server.ProtoVersion)
-	}
-
-	// The connection survives the rejected hello and still speaks v1 JSON.
-	writeReq(t, conn, server.Request{ID: 2, Op: "query", SQL: "SELECT id FROM big WHERE v = 3 ORDER BY id"})
-	if resp = readResp(t, conn); !resp.OK || resp.Chunked || len(resp.Rows) == 0 {
-		t.Fatalf("post-rejection query: %+v", resp)
-	}
-
-	// v2 + colbin negotiates the binary encoding.
-	writeReq(t, conn, server.Request{ID: 3, Op: "hello", Proto: 2, Encodings: []string{server.EncodingColBin}})
-	if resp = readResp(t, conn); !resp.OK || resp.Encoding != server.EncodingColBin || resp.Proto != 2 {
-		t.Fatalf("v2 hello: %+v", resp)
-	}
-	if resp.Stats == nil {
-		t.Error("hello response dropped the stats snapshot")
-	}
-
-	// v2 with no offered encodings stays JSON.
-	writeReq(t, conn, server.Request{ID: 4, Op: "hello", Proto: 2})
-	if resp = readResp(t, conn); !resp.OK || resp.Encoding != server.EncodingJSON {
-		t.Fatalf("v2 hello without encodings: %+v", resp)
-	}
-
-	// v1 cannot negotiate colbin even if it asks — the encoding is a v2
-	// feature, and an unknown encoding name is skipped, not an error.
-	writeReq(t, conn, server.Request{ID: 5, Op: "hello", Proto: 1, Encodings: []string{"zstd-frames", server.EncodingColBin}})
-	if resp = readResp(t, conn); !resp.OK || resp.Encoding != server.EncodingJSON {
-		t.Fatalf("v1 hello with colbin: %+v", resp)
+	var rows [][]types.Value
+	for {
+		payload, err := server.ReadRawFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload[0] != server.ColMagic {
+			var trailer server.Response
+			if err := json.Unmarshal(payload, &trailer); err != nil {
+				t.Fatal(err)
+			}
+			if trailer.ID != id || !trailer.OK || !trailer.Final || trailer.RowCount != int64(len(rows)) {
+				t.Fatalf("trailer for request %d after %d rows = %+v", id, len(rows), trailer)
+			}
+			return header.Schema, rows
+		}
+		_, _, n, cols, err := server.DecodeColChunk(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, vector.Materialize(cols, n)...)
 	}
 }
 
-// valuesBitEqual is the strict cross-encoding comparator: identical kind
+// TestProtocolVersionNegotiation pins the protocol 3 hello contract: a
+// hello succeeds iff its version is at most the server's and it lists
+// colbin; every other hello gets an explicit error frame naming colbin and
+// the server's ceiling; and a query or exec on a session with no
+// successful hello is refused while the connection stays usable.
+func TestProtocolVersionNegotiation(t *testing.T) {
+	_, addr := startServer(t, server.Config{Front: testFrontend(50)})
+	conn := rawSession(t, addr)
+	const q = "SELECT id FROM big WHERE v = 3 ORDER BY id"
+	colbin := []string{server.EncodingColBin}
+	ceiling := strconv.Itoa(server.ProtoVersion)
+
+	refused := func(what string, resp server.Response, id uint64) {
+		t.Helper()
+		if resp.OK || resp.ID != id || !strings.Contains(resp.Error, server.EncodingColBin) {
+			t.Fatalf("%s: want an error frame naming %q, got %+v", what, server.EncodingColBin, resp)
+		}
+	}
+	writeReq(t, conn, server.Request{ID: 1, Op: "query", SQL: q})
+	refused("query before hello", readResp(t, conn), 1)
+	writeReq(t, conn, server.Request{ID: 2, Op: "exec", Name: "q"})
+	refused("exec before hello", readResp(t, conn), 2)
+
+	for i, h := range []server.Request{
+		{Op: "hello", Proto: 99, Encodings: colbin},                            // future version
+		{Op: "hello", Proto: server.ProtoVersion},                              // no encodings
+		{Op: "hello", Proto: server.ProtoVersion, Encodings: []string{"json"}}, // JSON only
+		{Op: "hello"}, // a v1 hello
+	} {
+		h.ID = uint64(10 + i)
+		writeReq(t, conn, h)
+		resp := readResp(t, conn)
+		refused(fmt.Sprintf("hello %+v", h), resp, h.ID)
+		if resp.Proto != server.ProtoVersion || !strings.Contains(resp.Error, ceiling) {
+			t.Errorf("rejected hello %+v does not name the server ceiling %s: %+v", h, ceiling, resp)
+		}
+		if h.Proto == 99 && !strings.Contains(resp.Error, "99") {
+			t.Errorf("version error %q does not name the client's version", resp.Error)
+		}
+	}
+	// Rejected hellos leave the session closed to queries, and the
+	// connection still answers.
+	writeReq(t, conn, server.Request{ID: 20, Op: "query", SQL: q})
+	refused("query after rejected hellos", readResp(t, conn), 20)
+	writeReq(t, conn, server.Request{ID: 21, Op: "ping"})
+	if resp := readResp(t, conn); !resp.OK || resp.ID != 21 {
+		t.Fatalf("ping after rejected hellos: %+v", resp)
+	}
+
+	// A v2 colbin hello is wire-identical to v3: both open the session.
+	for i, proto := range []int{2, server.ProtoVersion} {
+		id := uint64(30 + 2*i)
+		writeReq(t, conn, server.Request{ID: id, Op: "hello", Proto: proto, Encodings: []string{"json", server.EncodingColBin}})
+		resp := readResp(t, conn)
+		if !resp.OK || resp.Encoding != server.EncodingColBin || resp.Proto != proto {
+			t.Fatalf("v%d colbin hello: %+v", proto, resp)
+		}
+		if resp.Stats == nil {
+			t.Error("hello response dropped the stats snapshot")
+		}
+		writeReq(t, conn, server.Request{ID: id + 1, Op: "query", SQL: q})
+		if _, rows := readStream(t, conn, id+1); len(rows) == 0 {
+			t.Fatalf("v%d session streamed no rows", proto)
+		}
+	}
+}
+
+// valuesBitEqual is the strict cross-session comparator: identical kind
 // and identical payload bits per cell. (rowsKey canonicalizes ints through
 // the float key encoder, so it alone cannot distinguish 2^53 from 2^53+1.)
 func valuesBitEqual(a, b types.Value) bool {
@@ -115,59 +170,65 @@ func valuesBitEqual(a, b types.Value) bool {
 	}
 }
 
-// TestProtocolCompatMatrix runs the new server against both client
-// generations: a JSON-only peer (no hello at all — the v1 wire exactly)
-// and a negotiating colbin peer, asserting both match the serial one-shot
-// reference and each other bit for bit.
+// TestProtocolCompatMatrix runs the server against each client
+// generation. A v3 client.Dial session and a raw v2 colbin session must
+// both match the serial one-shot reference and each other bit for bit. A
+// JSON-only v1 peer, which sends no hello, gets an explicit error frame
+// naming colbin for every query and keeps its connection.
 func TestProtocolCompatMatrix(t *testing.T) {
 	const rows = 5000
 	want := referenceResults(t, rows)
 	_, addr := startServer(t, server.Config{Front: testFrontend(rows)})
 
-	jsonC, err := client.DialJSON(addr)
+	v3, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jsonC.Close()
-	colC, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	defer v3.Close()
+	if enc := v3.Encoding(); enc != server.EncodingColBin {
+		t.Fatalf("v3 client reports encoding %q", enc)
 	}
-	defer colC.Close()
+	v2 := rawSession(t, addr)
+	writeReq(t, v2, server.Request{ID: 1, Op: "hello", Proto: 2, Encodings: []string{server.EncodingColBin}})
+	if resp := readResp(t, v2); !resp.OK || resp.Proto != 2 || resp.Encoding != server.EncodingColBin {
+		t.Fatalf("v2 hello: %+v", resp)
+	}
+	v1 := rawSession(t, addr)
 
-	if enc := jsonC.Encoding(); enc != server.EncodingJSON {
-		t.Fatalf("JSON-only client negotiated %q", enc)
-	}
-	if enc := colC.Encoding(); enc != server.EncodingColBin {
-		t.Fatalf("colbin client negotiated %q", enc)
-	}
-
-	for _, q := range testQueries {
-		jr, err := jsonC.Query(q)
+	for i, q := range testQueries {
+		id := uint64(10 + i)
+		r3, err := v3.Query(q)
 		if err != nil {
-			t.Fatalf("json %q: %v", q, err)
+			t.Fatalf("v3 %q: %v", q, err)
 		}
-		cr, err := colC.Query(q)
-		if err != nil {
-			t.Fatalf("colbin %q: %v", q, err)
+		writeReq(t, v2, server.Request{ID: id, Op: "query", SQL: q})
+		schema2, rows2 := readStream(t, v2, id)
+		if got := rowsKey(r3.Schema, r3.Rows()); got != want[q] {
+			t.Errorf("v3 result for %q differs from one-shot run", q)
 		}
-		if got := rowsKey(jr.Schema, jr.Rows()); got != want[q] {
-			t.Errorf("json result for %q differs from one-shot run", q)
+		if got := rowsKey(schema2, rows2); got != want[q] {
+			t.Errorf("v2 result for %q differs from one-shot run", q)
 		}
-		if got := rowsKey(cr.Schema, cr.Rows()); got != want[q] {
-			t.Errorf("colbin result for %q differs from one-shot run", q)
+		rows3 := r3.Rows()
+		if len(rows3) != len(rows2) {
+			t.Fatalf("%q: %d rows via v3, %d via v2", q, len(rows3), len(rows2))
 		}
-		jrows, crows := jr.Rows(), cr.Rows()
-		if len(jrows) != len(crows) {
-			t.Fatalf("%q: %d rows via json, %d via colbin", q, len(jrows), len(crows))
-		}
-		for i := range jrows {
-			for j := range jrows[i] {
-				if !valuesBitEqual(jrows[i][j], crows[i][j]) {
-					t.Fatalf("%q row %d col %d: json %v, colbin %v", q, i, j, jrows[i][j], crows[i][j])
+		for r := range rows3 {
+			for j := range rows3[r] {
+				if !valuesBitEqual(rows3[r][j], rows2[r][j]) {
+					t.Fatalf("%q row %d col %d: v3 %v, v2 %v", q, r, j, rows3[r][j], rows2[r][j])
 				}
 			}
 		}
+
+		writeReq(t, v1, server.Request{ID: id, Op: "query", SQL: q})
+		if resp := readResp(t, v1); resp.OK || resp.ID != id || !strings.Contains(resp.Error, server.EncodingColBin) {
+			t.Fatalf("JSON-only peer's query %q: want an error frame naming colbin, got %+v", q, resp)
+		}
+	}
+	writeReq(t, v1, server.Request{ID: 99, Op: "ping"})
+	if resp := readResp(t, v1); !resp.OK {
+		t.Fatalf("JSON-only peer's connection did not survive: %+v", resp)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,16 +190,16 @@ func (s *Server) Close() error {
 	return err
 }
 
-// session is one connection's mutable state: execution options, the
-// negotiated result encoding, and named statements. Options resolve lazily
-// so a set mid-session applies to the next query, not running ones.
+// session is one connection's state: execution options, whether hello
+// succeeded, and named statements. Only the connection's read loop touches
+// it, so session ops apply in the order they were sent, and each query
+// runs on a copy taken when its request was read.
 type session struct {
-	mu         sync.Mutex
 	dop        int
 	attrBounds bool
 	memBudget  int64 // per-query ask in bytes; 0 = server default
 	timeoutMS  int64
-	encoding   string            // negotiated result encoding; "" = json
+	helloDone  bool
 	prepared   map[string]string // name -> SQL
 }
 
@@ -206,7 +207,6 @@ func (s *Server) newSession() *session {
 	return &session{
 		dop:        s.front.Opts.DOP,
 		attrBounds: s.front.Opts.AttrBounds,
-		encoding:   EncodingJSON,
 		prepared:   map[string]string{},
 	}
 }
@@ -237,8 +237,6 @@ func (sess *session) apply(o *SessionOpts) error {
 	if o == nil {
 		return nil
 	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	if o.DOP != nil {
 		sess.dop = *o.DOP
 	}
@@ -258,11 +256,12 @@ func (sess *session) apply(o *SessionOpts) error {
 	return nil
 }
 
-// handleConn owns one connection: a read loop that dispatches each request
-// to its own goroutine, a shared write lock serializing response frames,
-// and a connection context whose cancellation — disconnect or server
-// shutdown — aborts every in-flight query so admission grants are never
-// leaked by a vanished client.
+// handleConn owns one connection: a read loop that answers session ops in
+// order and hands each query to its own goroutine, a shared write lock
+// serializing response frames, and a connection context whose cancellation
+// — disconnect or server shutdown — aborts every in-flight query so
+// admission grants are never leaked by a vanished client. A malformed or
+// oversized request frame ends the connection.
 func (s *Server) handleConn(conn net.Conn) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	sess := s.newSession()
@@ -272,18 +271,20 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	for {
 		var req Request
-		if err := ReadFrame(conn, &req); err != nil {
+		if err := ReadRequest(conn, &req); err != nil {
 			break
 		}
 		if req.Op == "close" {
 			fw.writeJSON(Response{ID: req.ID, OK: true})
 			break
 		}
-		inflight.Add(1)
-		go func(req Request) {
-			defer inflight.Done()
-			s.handle(ctx, sess, fw, req)
-		}(req)
+		if run := s.dispatch(sess, fw, req); run != nil {
+			inflight.Add(1)
+			go func() {
+				defer inflight.Done()
+				run(ctx)
+			}()
+		}
 	}
 
 	cancel() // abort in-flight queries; queued ones fall out of admission
@@ -296,111 +297,86 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.wg.Done()
 }
 
-// handle executes one request and writes its response frame(s).
-func (s *Server) handle(ctx context.Context, sess *session, fw *frameWriter, req Request) {
-	fail := func(err error) {
-		fw.writeJSON(Response{ID: req.ID, Error: err.Error()})
+// dispatch handles one request on the read loop. Session ops and request
+// errors are answered here, before the next request is read; query, exec,
+// stats and ping come back as a func the caller runs concurrently.
+func (s *Server) dispatch(sess *session, fw *frameWriter, req Request) func(context.Context) {
+	reply := func(err error) func(context.Context) {
+		if err != nil {
+			fw.writeJSON(Response{ID: req.ID, Error: err.Error()})
+		} else {
+			fw.writeJSON(Response{ID: req.ID, OK: true})
+		}
+		return nil
 	}
 	switch req.Op {
 	case "hello":
-		s.hello(sess, fw, req)
+		fw.writeJSON(s.hello(sess, req))
+		return nil
 	case "stats":
-		fw.writeJSON(Response{ID: req.ID, OK: true, Stats: s.stats()})
+		return func(context.Context) { fw.writeJSON(Response{ID: req.ID, OK: true, Stats: s.stats()}) }
 	case "ping":
-		fw.writeJSON(Response{ID: req.ID, OK: true})
+		return func(context.Context) { reply(nil) }
 	case "set":
-		if err := sess.apply(req.Opts); err != nil {
-			fail(err)
-			return
-		}
-		fw.writeJSON(Response{ID: req.ID, OK: true})
+		return reply(sess.apply(req.Opts))
 	case "prepare":
 		if req.Name == "" {
-			fail(errors.New("prepare: empty statement name"))
-			return
+			return reply(errors.New("prepare: empty statement name"))
 		}
 		// Validate now so exec cannot fail on syntax; the plan itself is
 		// cached by the shared normalized-SQL plan cache, not the session.
 		if _, err := s.front.PlanSQL(req.SQL); err != nil {
-			fail(err)
-			return
+			return reply(err)
 		}
-		sess.mu.Lock()
 		sess.prepared[req.Name] = req.SQL
-		sess.mu.Unlock()
-		fw.writeJSON(Response{ID: req.ID, OK: true})
-	case "exec":
-		sess.mu.Lock()
-		sqlText, ok := sess.prepared[req.Name]
-		sess.mu.Unlock()
-		if !ok {
-			fail(fmt.Errorf("exec: no prepared statement %q", req.Name))
-			return
+		return reply(nil)
+	case "query", "exec":
+		if !sess.helloDone {
+			return reply(fmt.Errorf("%s before hello: open the session with a hello listing %q", req.Op, EncodingColBin))
 		}
-		s.runQuery(ctx, sess, fw, req.ID, sqlText)
-	case "query":
-		s.runQuery(ctx, sess, fw, req.ID, req.SQL)
-	default:
-		fail(fmt.Errorf("unknown op %q", req.Op))
+		sqlText := req.SQL
+		if req.Op == "exec" {
+			var ok bool
+			if sqlText, ok = sess.prepared[req.Name]; !ok {
+				return reply(fmt.Errorf("exec: no prepared statement %q", req.Name))
+			}
+		}
+		opts := *sess
+		return func(ctx context.Context) { s.runQuery(ctx, &opts, fw, req.ID, sqlText) }
 	}
+	return reply(fmt.Errorf("unknown op %q", req.Op))
 }
 
-// hello negotiates the protocol version and result encoding. An absent
-// Proto is version 1 (every pre-versioning client); a version beyond what
-// the server speaks gets an explicit error naming the server's ceiling, so
-// a future peer fails at the handshake instead of obscurely mid-stream.
-// The encoding is the client's first listed one the server speaks under
-// the agreed version; unknown entries are skipped and no match means
-// "json", so negotiation only ever downgrades, never errors.
-func (s *Server) hello(sess *session, fw *frameWriter, req Request) {
+// hello opens the session for queries. It succeeds iff the client's
+// protocol version (absent = 1) is at most ProtoVersion and its encodings
+// list colbin, the only result encoding. Anything else gets an explicit
+// error naming what the server speaks, so a mismatched peer fails at the
+// handshake instead of obscurely mid-stream; the session's state is kept.
+func (s *Server) hello(sess *session, req Request) Response {
 	proto := req.Proto
 	if proto == 0 {
 		proto = 1
 	}
-	if proto > ProtoVersion {
-		fw.writeJSON(Response{
-			ID:    req.ID,
-			Proto: ProtoVersion,
-			Error: fmt.Sprintf("unsupported protocol version %d (server speaks up to %d)", proto, ProtoVersion),
-		})
-		return
+	if proto > ProtoVersion || !slices.Contains(req.Encodings, EncodingColBin) {
+		return Response{ID: req.ID, Proto: ProtoVersion, Error: fmt.Sprintf(
+			"unsupported hello (protocol %d, encodings %q): server speaks protocol up to %d with result encoding %q",
+			proto, req.Encodings, ProtoVersion, EncodingColBin)}
 	}
-	enc := EncodingJSON
-	if proto >= 2 {
-		for _, e := range req.Encodings {
-			if e == EncodingColBin {
-				enc = EncodingColBin
-				break
-			}
-			if e == EncodingJSON {
-				break
-			}
-		}
-	}
-	sess.mu.Lock()
-	sess.encoding = enc
-	sess.mu.Unlock()
-	fw.writeJSON(Response{ID: req.ID, OK: true, Stats: s.stats(), Proto: proto, Encoding: enc})
+	sess.helloDone = true
+	return Response{ID: req.ID, OK: true, Stats: s.stats(), Proto: proto, Encoding: EncodingColBin}
 }
 
 // runQuery executes one SQL statement under the session's options and the
-// server's admission control, and writes the result in the session's
-// negotiated encoding: one JSON response frame, or a chunked binary
-// column stream.
+// server's admission control, and streams the result.
 func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, id uint64, sqlText string) {
-	sess.mu.Lock()
-	dop, ask, timeoutMS := sess.dop, sess.memBudget, sess.timeoutMS
-	attrBounds := sess.attrBounds
-	encoding := sess.encoding
-	sess.mu.Unlock()
-
-	if timeoutMS > 0 {
+	if sess.timeoutMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, msDuration(timeoutMS))
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(sess.timeoutMS)*time.Millisecond)
 		defer cancel()
 	}
 
-	opt := rewrite.QueryOpts{DOP: dop, SpillDir: s.spillDir, AttrBounds: attrBounds}
+	opt := rewrite.QueryOpts{DOP: sess.dop, SpillDir: s.spillDir, AttrBounds: sess.attrBounds}
+	ask := sess.memBudget
 	if s.admission != nil {
 		if ask <= 0 {
 			ask = s.queryBudget
@@ -422,17 +398,7 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 		return
 	}
 	s.queries.Add(1)
-
-	if encoding == EncodingColBin {
-		s.streamResult(ctx, fw, id, res, cacheHit)
-		return
-	}
-	rows, err := EncodeRows(res.Rows())
-	if err != nil {
-		fw.writeJSON(Response{ID: id, Error: err.Error()})
-		return
-	}
-	fw.writeJSON(Response{ID: id, OK: true, Schema: res.Schema.Attrs, Rows: rows})
+	s.streamResult(ctx, fw, id, res, cacheHit)
 }
 
 // streamResult writes one query result as a chunked binary column stream:
@@ -440,10 +406,10 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 // binary chunk frames sliced zero-copy off the result vectors, and a JSON
 // trailer frame with the totals. Scans and probe-less fused chains hand
 // over columnar results at every DOP; plans whose root has no columnar
-// output (joins, sorts, aggregates, the unfused tree) arrive row-backed
-// and columnarize first — FromRows round-trips values exactly. The admission grant is held by the
-// caller until streaming finishes, so the result's memory is accounted for
-// as long as it is being read.
+// output (joins, sorts, aggregates) arrive row-backed and columnarize
+// first — FromRows round-trips values exactly. The admission grant is held
+// by the caller until streaming finishes, so the result's memory is
+// accounted for as long as it is being read.
 func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, res *physical.Result, cacheHit bool) {
 	var vecs []vector.Vector
 	n := res.NumRows()
@@ -484,8 +450,6 @@ func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, r
 	}
 	fw.writeJSON(Response{ID: id, OK: true, Final: true, RowCount: int64(n), Chunks: chunks})
 }
-
-func msDuration(ms int64) time.Duration { return time.Duration(ms) * time.Millisecond }
 
 // stats snapshots the server counters.
 func (s *Server) stats() *Stats {

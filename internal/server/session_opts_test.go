@@ -50,6 +50,10 @@ func TestSessionOptsOverrideServerDefaults(t *testing.T) {
 	}
 
 	conn := rawSession(t, addr)
+	writeReq(t, conn, server.Request{ID: 0, Op: "hello", Proto: server.ProtoVersion, Encodings: []string{server.EncodingColBin}})
+	if resp := readResp(t, conn); !resp.OK {
+		t.Fatalf("hello failed: %+v", resp)
+	}
 	if err := server.WriteFrame(conn, map[string]any{
 		"id": 1, "op": "set", "opts": map[string]any{"fuse": true},
 	}); err != nil {

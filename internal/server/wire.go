@@ -7,57 +7,45 @@
 //
 // # Wire format
 //
-// Every message — request and response — is one frame: a 4-byte big-endian
-// payload length followed by that many bytes of JSON. Requests carry a
-// client-chosen id; the matching response echoes it, so a client may keep
-// any number of requests in flight on one connection and match replies by
-// id (the server executes them concurrently and responds in completion
-// order).
+// Every message is one frame: a 4-byte big-endian payload length followed
+// by that many bytes. Requests and control responses are JSON. Requests
+// carry a client-chosen id; the matching response echoes it, so a client
+// may keep any number of requests in flight on one connection and match
+// replies by id. Session ops (hello, set, prepare) take effect in the order
+// they were sent; queries run concurrently and respond in completion order.
+// A request frame may claim at most MaxRequest bytes.
 //
-// Values in result rows use a tagged encoding so every engine value
-// round-trips exactly: null is JSON null, and the rest are one-key objects
-// {"I": int64}, {"F": float64 or "NaN"/"+Inf"/"-Inf"}, {"S": string},
-// {"B": bool}. Integers survive because the decoder reads numbers as
-// json.Number (no float64 detour); floats survive because Go's JSON
-// encoder emits shortest-round-trip forms and the three non-finite values
-// are spelled out as strings.
+// Query results have one encoding, binary columnar ("colbin", protocol 3):
+// a JSON header frame, CRC-checked column chunk frames (see wirecol.go),
+// and a JSON trailer frame. A session must open with a hello that lists
+// colbin before it may query.
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-
-	"repro/internal/types"
 )
 
 // MaxFrame caps a single frame's payload so a corrupt or hostile length
-// prefix cannot make the server allocate unbounded memory.
+// prefix cannot make a reader allocate unbounded memory.
 const MaxFrame = 64 << 20
 
-// ProtoVersion is the wire protocol version this package speaks. Version 1
-// is the original JSON-only protocol (clients that send no version at all
-// are treated as v1); version 2 adds the negotiated binary columnar result
-// encoding and chunked streaming. A hello carrying a higher version than
-// the server speaks gets an explicit error response naming both versions —
-// never an obscure mid-stream failure.
-const ProtoVersion = 2
+// MaxRequest caps a request frame's payload. Requests are SQL text and
+// session options, so the server closes a connection that claims more.
+const MaxRequest = 1 << 20
 
-// Result encodings a session can negotiate in hello.
-const (
-	// EncodingJSON is the v1 result shape: one response frame carrying
-	// tagged-JSON rows. Always available; the default when no hello is sent
-	// or no common encoding exists.
-	EncodingJSON = "json"
-	// EncodingColBin is the binary columnar encoding: a header frame, then
-	// chunked binary column frames (see wirecol.go), then a trailer frame.
-	// Requires proto >= 2.
-	EncodingColBin = "colbin"
-)
+// ProtoVersion is the wire protocol version this package speaks. Version 2
+// added the binary columnar result encoding; version 3 makes it the only
+// one. A v2 hello listing colbin is wire-identical to v3 and is accepted; a
+// hello with a higher version, or without colbin, gets an explicit error
+// response naming the server's ceiling.
+const ProtoVersion = 3
+
+// EncodingColBin is the result encoding a hello must list: a header frame,
+// then chunked binary column frames (see wirecol.go), then a trailer frame.
+const EncodingColBin = "colbin"
 
 // WriteFrame marshals v and writes it as one length-prefixed frame.
 func WriteFrame(w io.Writer, v any) error {
@@ -65,33 +53,29 @@ func WriteFrame(w io.Writer, v any) error {
 	if err != nil {
 		return err
 	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
+	return WriteRawFrame(w, payload)
 }
 
-// ReadFrame reads one length-prefixed frame and unmarshals it into v.
-func ReadFrame(r io.Reader, v any) error {
+// ReadRequest reads one request frame into req. A length claim beyond
+// MaxRequest is an error before anything is allocated, and the payload
+// buffer grows only as bytes arrive, so a bare length prefix costs nothing.
+func ReadRequest(r io.Reader, req *Request) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, MaxFrame)
+	if n > MaxRequest {
+		return fmt.Errorf("server: request of %d bytes exceeds limit %d", n, MaxRequest)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return err
 	}
-	return json.Unmarshal(payload, v)
+	if len(payload) < int(n) {
+		return io.ErrUnexpectedEOF
+	}
+	return json.Unmarshal(payload, req)
 }
 
 // WriteRawFrame writes pre-encoded payload bytes as one length-prefixed
@@ -141,12 +125,10 @@ type Request struct {
 	// Opts carries session-option updates (set); nil fields keep the
 	// session's current value.
 	Opts *SessionOpts `json:"opts,omitempty"`
-	// Proto is the client's protocol version (hello). 0 — the field absent,
-	// as every pre-versioning client sends — means version 1.
+	// Proto is the client's protocol version (hello); 0 means version 1.
 	Proto int `json:"proto,omitempty"`
-	// Encodings lists the result encodings the client can decode (hello),
-	// in preference order. The server picks the first one it speaks;
-	// absent or unrecognized entries fall back to "json".
+	// Encodings lists the result encodings the client can decode (hello).
+	// It must include EncodingColBin.
 	Encodings []string `json:"encodings,omitempty"`
 }
 
@@ -177,14 +159,13 @@ type Response struct {
 	ID    uint64 `json:"id"`
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
-	// Schema and Rows carry a query result (query, exec).
-	Schema []string            `json:"schema,omitempty"`
-	Rows   [][]json.RawMessage `json:"rows,omitempty"`
+	// Schema carries a result's column names (streaming header frames).
+	Schema []string `json:"schema,omitempty"`
 	// Stats carries the server counters (hello, stats).
 	Stats *Stats `json:"stats,omitempty"`
-	// Proto and Encoding report the negotiated protocol version and result
-	// encoding (hello response; Proto also rides the version-mismatch
-	// error so the client learns what the server speaks).
+	// Proto and Encoding report the agreed protocol version and result
+	// encoding (hello response; Proto also rides a rejected hello's error
+	// so the client learns what the server speaks).
 	Proto    int    `json:"proto,omitempty"`
 	Encoding string `json:"encoding,omitempty"`
 	// Chunked marks a streaming result's header frame: Schema is present,
@@ -222,126 +203,4 @@ type Stats struct {
 	Queued      int64 `json:"queued"`       // queries that had to wait
 	PlanHits    int64 `json:"plan_hits"`    // plan-cache hits
 	PlanMisses  int64 `json:"plan_misses"`  // plan-cache misses
-}
-
-// EncodeValue renders one engine value in the tagged wire form.
-func EncodeValue(v types.Value) (json.RawMessage, error) {
-	switch v.Kind() {
-	case types.KindNull:
-		return json.RawMessage("null"), nil
-	case types.KindInt:
-		return json.RawMessage(fmt.Sprintf(`{"I":%d}`, v.Int())), nil
-	case types.KindFloat:
-		f := v.Float()
-		switch {
-		case math.IsNaN(f):
-			return json.RawMessage(`{"F":"NaN"}`), nil
-		case math.IsInf(f, 1):
-			return json.RawMessage(`{"F":"+Inf"}`), nil
-		case math.IsInf(f, -1):
-			return json.RawMessage(`{"F":"-Inf"}`), nil
-		}
-		num, err := json.Marshal(f)
-		if err != nil {
-			return nil, err
-		}
-		return json.RawMessage(fmt.Sprintf(`{"F":%s}`, num)), nil
-	case types.KindString:
-		s, err := json.Marshal(v.Str())
-		if err != nil {
-			return nil, err
-		}
-		return json.RawMessage(fmt.Sprintf(`{"S":%s}`, s)), nil
-	case types.KindBool:
-		return json.RawMessage(fmt.Sprintf(`{"B":%t}`, v.Bool())), nil
-	}
-	return nil, fmt.Errorf("server: cannot encode value kind %v", v.Kind())
-}
-
-// DecodeValue parses one tagged wire value back into an engine value.
-func DecodeValue(raw json.RawMessage) (types.Value, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) == 0 || string(trimmed) == "null" {
-		return types.Null(), nil
-	}
-	var tag struct {
-		I *json.Number     `json:"I"`
-		F *json.RawMessage `json:"F"`
-		S *string          `json:"S"`
-		B *bool            `json:"B"`
-	}
-	dec := json.NewDecoder(bytes.NewReader(trimmed))
-	dec.UseNumber()
-	if err := dec.Decode(&tag); err != nil {
-		return types.Value{}, fmt.Errorf("server: bad wire value %q: %w", trimmed, err)
-	}
-	switch {
-	case tag.I != nil:
-		n, err := strconv.ParseInt(tag.I.String(), 10, 64)
-		if err != nil {
-			return types.Value{}, fmt.Errorf("server: bad int value %q: %w", tag.I.String(), err)
-		}
-		return types.NewInt(n), nil
-	case tag.F != nil:
-		fraw := bytes.TrimSpace(*tag.F)
-		if len(fraw) > 0 && fraw[0] == '"' {
-			var s string
-			if err := json.Unmarshal(fraw, &s); err != nil {
-				return types.Value{}, err
-			}
-			switch s {
-			case "NaN":
-				return types.NewFloat(math.NaN()), nil
-			case "+Inf":
-				return types.NewFloat(math.Inf(1)), nil
-			case "-Inf":
-				return types.NewFloat(math.Inf(-1)), nil
-			}
-			return types.Value{}, fmt.Errorf("server: bad float spelling %q", s)
-		}
-		var f float64
-		if err := json.Unmarshal(fraw, &f); err != nil {
-			return types.Value{}, fmt.Errorf("server: bad float value %q: %w", fraw, err)
-		}
-		return types.NewFloat(f), nil
-	case tag.S != nil:
-		return types.NewString(*tag.S), nil
-	case tag.B != nil:
-		return types.NewBool(*tag.B), nil
-	}
-	return types.Value{}, fmt.Errorf("server: wire value %q has no recognized tag", trimmed)
-}
-
-// EncodeRows renders result rows in the tagged wire form.
-func EncodeRows(rows [][]types.Value) ([][]json.RawMessage, error) {
-	out := make([][]json.RawMessage, len(rows))
-	for i, row := range rows {
-		enc := make([]json.RawMessage, len(row))
-		for j, v := range row {
-			ev, err := EncodeValue(v)
-			if err != nil {
-				return nil, err
-			}
-			enc[j] = ev
-		}
-		out[i] = enc
-	}
-	return out, nil
-}
-
-// DecodeRows parses wire rows back into engine values.
-func DecodeRows(rows [][]json.RawMessage) ([][]types.Value, error) {
-	out := make([][]types.Value, len(rows))
-	for i, row := range rows {
-		dec := make([]types.Value, len(row))
-		for j, raw := range row {
-			v, err := DecodeValue(raw)
-			if err != nil {
-				return nil, err
-			}
-			dec[j] = v
-		}
-		out[i] = dec
-	}
-	return out, nil
 }

@@ -9,16 +9,21 @@ import (
 	"repro/internal/vector"
 )
 
+// chunkFixture holds one column of every wire kind. Its cells are the
+// values a lossy codec would most plausibly break: int64 extremes and
+// 2^53, NaN, ±Inf, -0, the largest and smallest positive floats, and
+// strings with quotes, backslashes, commas and multi-byte UTF-8.
 func chunkFixture() []vector.Vector {
-	nb := vector.NewBitmap(5)
+	nb := vector.NewBitmap(8)
 	nb.Set(3)
 	return []vector.Vector{
-		vector.NewInt64Vector([]int64{1, -1, math.MaxInt64, 0, 1 << 53}, nil),
-		vector.NewFloat64Vector([]float64{0.5, math.NaN(), math.Inf(-1), 0, -0.0}, nb),
-		vector.NewStringVector([]string{"", "a", "chunk", "héllo", "z"}, nil),
-		vector.NewBoolVector([]bool{true, false, true, true, false}, nil),
+		vector.NewInt64Vector([]int64{1, -1, math.MaxInt64, 0, 1 << 53, math.MinInt64, 0, -2}, nil),
+		vector.NewFloat64Vector([]float64{0.5, math.NaN(), math.Inf(-1), 0, math.Copysign(0, -1), 1e300, 5e-324, math.Inf(1)}, nb),
+		vector.NewStringVector([]string{"", "a", "chunk", "héllo", "z", `with "quotes" and \ and ,`, "unicode: héllo ☃", "plain"}, nil),
+		vector.NewBoolVector([]bool{true, false, true, true, false, false, true, true}, nil),
 		vector.NewValueVector([]types.Value{
 			types.NewInt(9), types.Null(), types.NewString("mix"), types.NewFloat(2.5), types.NewBool(false),
+			types.NewInt(math.MinInt64), types.NewFloat(5e-324), types.NewString(`"q" \ ☃`),
 		}),
 	}
 }
@@ -30,8 +35,8 @@ func TestColChunkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 42 || seq != 7 || nrows != 5 {
-		t.Fatalf("id/seq/rows = %d/%d/%d, want 42/7/5", id, seq, nrows)
+	if id != 42 || seq != 7 || nrows != cols[0].Len() {
+		t.Fatalf("id/seq/rows = %d/%d/%d, want 42/7/%d", id, seq, nrows, cols[0].Len())
 	}
 	if len(got) != len(cols) {
 		t.Fatalf("columns = %d, want %d", len(got), len(cols))
