@@ -1,18 +1,19 @@
 // Attribute-level annotations: the paper's future-work extension
-// (Section 12), prototyped in internal/attrua. Tuple-level UA-DBs mark a
-// whole row uncertain as soon as any cell is imputed; attribute-level
-// labels track which cells are uncertain, so projections that discard the
-// noisy cells recover full certainty — removing the false negatives the
-// paper's Figure 15 measures.
+// (Section 12), served as AU-DB attribute ranges. Tuple-level UA-DBs mark a
+// whole row uncertain as soon as any cell is imputed; AU ranges track which
+// cells are uncertain, so projections that discard the noisy cells recover
+// full certainty — removing the false negatives the paper's Figure 15
+// measures. Both labelings run through the same Frontend.Query; the session
+// picks one with QueryOpts.AttrBounds.
 package main
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/attrua"
-	"repro/internal/kdb"
+	"repro/internal/engine"
 	"repro/internal/models"
-	"repro/internal/semiring"
+	"repro/internal/rewrite"
 	"repro/internal/types"
 	"repro/internal/uadb"
 )
@@ -34,48 +35,56 @@ func main() {
 		types.Tuple{i(3), s("flu"), i(44)},
 	)
 
-	// Tuple-level UA-DB: the query "which diagnoses occur?" marks rows 2
-	// and 3 uncertain even though their diagnoses are beyond doubt.
-	db := kdb.NewDatabase[semiring.Pair[int64]](semiring.UA[int64](semiring.Nat))
-	db.Put(uadb.FromXDB(x))
-	res, err := uadb.Eval(kdb.ProjectQ{Input: kdb.Table{Name: "patients"}, Attrs: []string{"id", "diagnosis"}}, db)
+	// One frontend holds both encodings of the table: the tuple-level one
+	// (a trailing certainty column) and the AU one (a [lo, bg, hi] range per
+	// attribute plus __ec/__ebg existence bounds).
+	front := rewrite.NewFrontend(engine.NewCatalog())
+	front.Enc.Put(rewrite.TableFromUA(uadb.FromXDB(x)))
+	at, err := rewrite.EncodeAttrX(x)
 	if err != nil {
 		panic(err)
 	}
+	front.PutAttrTable("patients", at)
+	query := func(q string, opt rewrite.QueryOpts) [][]types.Value {
+		res, err := front.Query(context.Background(), q, opt)
+		if err != nil {
+			panic(err)
+		}
+		return engine.ResultTable(res).Rows
+	}
+	au := rewrite.QueryOpts{AttrBounds: true}
+
+	// Tuple-level UA-DB: the query "which diagnoses occur?" marks rows 2
+	// and 3 uncertain even though their diagnoses are beyond doubt.
 	fmt.Println("Tuple-level labels on SELECT id, diagnosis:")
-	for _, t := range res.Tuples() {
+	for _, r := range query("SELECT id, diagnosis FROM patients", rewrite.QueryOpts{}) {
 		mark := "uncertain (false negative!)"
-		if res.Get(t).Cert > 0 {
+		if r[2].Int() > 0 {
 			mark = "CERTAIN"
 		}
-		fmt.Printf("  %-18s %s\n", t, mark)
+		fmt.Printf("  %-18s %s\n", types.Tuple(r[:2]), mark)
 	}
 
-	// Attribute-level labels know the uncertainty lives in the age column
-	// only: projecting it away restores certainty.
-	rel := attrua.FromXDB(x)
-	proj := attrua.Project(rel, []int{0, 1})
+	// AU ranges know the uncertainty lives in the age column only:
+	// projecting it away leaves collapsed ranges on certainly-existing rows.
 	fmt.Println("\nAttribute-level labels on the same projection:")
-	for _, row := range proj.Rows {
+	for _, r := range query("SELECT id, diagnosis FROM patients", au) {
 		mark := "uncertain"
-		if row.TupleCertain() {
+		if r[0].Equal(r[2]) && r[3].Equal(r[5]) && r[6].Int() > 0 {
 			mark = "CERTAIN"
 		}
-		fmt.Printf("  %-18s %s\n", row.Data, mark)
+		fmt.Printf("  %-18s %s\n", types.Tuple{r[1], r[4]}, mark)
 	}
 
 	// Selections show the flip side: filtering on the uncertain age makes
-	// survival uncertain even for rows whose other cells are clean.
-	adults := attrua.Select(rel, attrua.Pred{
-		Eval:  func(t types.Tuple) bool { return t[2].Int() >= 18 },
-		Reads: []int{2},
-	})
+	// survival uncertain where the age range straddles the cut — patient 2
+	// may be 15 — while patient 3 is an adult in every world.
 	fmt.Println("\nAfter WHERE age >= 18 (age was imputed):")
-	for _, row := range adults.Rows {
+	for _, r := range query("SELECT id, age FROM patients WHERE age >= 18", au) {
 		mark := "uncertain"
-		if row.ExistsCertain {
+		if r[6].Int() > 0 {
 			mark = "certainly present"
 		}
-		fmt.Printf("  %-22s %s\n", row.Data, mark)
+		fmt.Printf("  id %v, age in [%v, %v]   %s\n", r[1], r[3], r[5], mark)
 	}
 }

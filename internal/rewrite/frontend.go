@@ -56,10 +56,14 @@ func (o QueryOpts) physical() physical.Options {
 	}
 }
 
-// Frontend is the SQL middleware: it accepts queries over UA-encoded tables
-// (and over raw tables annotated with IS TI / IS X / IS CTABLE), compiles
-// them against the logical schemas, rewrites the plan with RewriteUA, and
-// executes against the encoded catalog.
+// Frontend is the SQL middleware, one pipeline for both labelings: it
+// parses a UA-SQL query, resolves its model annotations (raw tables
+// annotated IS TI / IS X / IS CTABLE), plans it against the logical
+// schemas, rewrites the plan, and executes it against the encoded catalog.
+// Tuple-level UA and AU-DB attribute ranges branch only where they really
+// differ: the catalog read (Enc or AEnc), the encoding of an annotated
+// table, the rewrite (RewriteUA or RewriteAttrBounds) and the plan-cache
+// namespace.
 type Frontend struct {
 	// Enc holds UA-encoded tables: user columns plus a trailing uadb.UAttr.
 	Enc *engine.Catalog
@@ -72,11 +76,11 @@ type Frontend struct {
 	// Opts are the frontend's default execution options: callers that
 	// configure the frontend once (the CLIs) pass them to Query, and the
 	// server seeds new sessions from them. Query never substitutes them for
-	// the options it is given; Explain follows their AttrBounds mode.
+	// the options it is given; Explain plans under them.
 	Opts QueryOpts
 
-	// plans, when enabled, caches rewritten logical plans keyed on
-	// normalized SQL. See EnablePlanCache.
+	// plans, when enabled, caches rewritten logical plans keyed on the
+	// statement's tokens. See EnablePlanCache.
 	plans *planCache
 
 	// aMask maps AEnc table names to their range-uncertainty masks.
@@ -108,142 +112,130 @@ func (f *Frontend) attrMask(name string) []bool {
 	return f.aMask[strings.ToLower(name)]
 }
 
-// Query is the frontend's one execution entrypoint: parse → resolve model
-// annotations → plan → UA-rewrite → execute, under ctx for cancellation and
-// opt for execution strategy, taken as given. The result
-// carries the user columns plus the trailing certainty column, columnar
-// when the plan's root produces vectors and row-backed otherwise, rows
-// materialized lazily — the *physical.Result contract shared with
-// engine.Session. When the plan cache is enabled, annotation-free queries
-// hit it keyed on their normalized SQL text and skip parse+plan+rewrite
-// entirely.
+// Query is the frontend's only execution entrypoint: PlanSQL, then execute
+// against the labeling's encoded catalog, under ctx for cancellation and
+// opt for labeling and execution strategy, taken as given. The result
+// carries the user columns plus the labeling's annotation columns (the
+// trailing certainty column, or the AU range spines with __ec/__ebg),
+// columnar when the plan's root produces vectors and row-backed otherwise,
+// rows materialized lazily — the *physical.Result contract shared with
+// engine.Session. Plan-cache hits and misses are counted only in
+// PlanCacheStats.
 func (f *Frontend) Query(ctx context.Context, query string, opt QueryOpts) (*physical.Result, error) {
-	res, _, err := f.QueryCached(ctx, query, opt)
-	return res, err
-}
-
-// QueryCached is Query with plan-cache observability: it also reports
-// whether the rewritten plan came from the shared plan cache — the
-// per-query bit the server's streaming result header carries. Annotated
-// or cache-disabled queries always report false.
-func (f *Frontend) QueryCached(ctx context.Context, query string, opt QueryOpts) (*physical.Result, bool, error) {
-	if opt.AttrBounds {
-		plan, hit, err := f.planAttrSQL(query)
-		if err != nil {
-			return nil, false, err
-		}
-		res, err := engine.NewSession(f.AEnc, opt.physical()).Execute(ctx, plan)
-		return res, hit, err
-	}
-	plan, hit, err := f.planSQL(query)
+	plan, err := f.PlanSQL(query, opt)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	res, err := engine.NewSession(f.Enc, opt.physical()).Execute(ctx, plan)
-	return res, hit, err
+	return engine.NewSession(f.catalog(opt.AttrBounds), opt.physical()).Execute(ctx, plan)
 }
 
-// PlanSQL compiles a UA-SQL string to its rewritten logical plan: parse,
-// model-annotation resolution, deterministic planning, UA rewrite — the
-// whole frontend except execution. With the plan cache enabled,
-// annotation-free statements are served from (and added to) the cache;
-// annotated statements always re-plan, because resolving an annotation
-// encodes a fresh table into the catalog as a side effect.
-func (f *Frontend) PlanSQL(query string) (algebraNode, error) {
-	plan, _, err := f.planSQL(query)
-	return plan, err
-}
-
-// planSQL is PlanSQL plus a cache-hit flag.
-func (f *Frontend) planSQL(query string) (algebraNode, bool, error) {
-	stmt, err := sql.Parse(query)
+// PlanSQL compiles a UA-SQL string to its rewritten logical plan under
+// opt's labeling: parse, model-annotation resolution, deterministic
+// planning, rewrite — all of Query but execution, so a statement prepared
+// here plans exactly as it will run. With the plan cache enabled,
+// annotation-free statements are served from (and added to) the cache,
+// keyed on the tokens sql.ParseKeyed reads; annotated statements always
+// re-plan, because resolving an annotation encodes a fresh table into the
+// catalog as a side effect.
+func (f *Frontend) PlanSQL(query string, opt QueryOpts) (algebraNode, error) {
+	stmt, key, err := sql.ParseKeyed(query)
 	if err != nil {
-		return nil, false, err
+		return nil, err
+	}
+	attr := opt.AttrBounds
+	if attr {
+		f.ensureAttrDerived()
 	}
 	if hasModelAnnotations(stmt) {
 		// Bypass the cache entirely — no lookup, no stats — so annotated
 		// traffic cannot masquerade as cache misses.
-		if err := f.resolveAnnotations(stmt); err != nil {
-			return nil, false, err
+		if err := f.resolveAnnotations(stmt, attr); err != nil {
+			return nil, err
 		}
-		plan, err := f.Plan(stmt)
-		return plan, false, err
+		return f.plan(stmt, attr)
 	}
-	var key string
-	if f.plans != nil {
-		key = NormalizeSQL(query)
-		if plan, ok := f.plans.get(key); ok {
-			return plan, true, nil
-		}
+	if f.plans == nil {
+		return f.plan(stmt, attr)
 	}
-	plan, err := f.Plan(stmt)
-	if err != nil {
-		return nil, false, err
+	if attr {
+		key = attrPlanKeyPrefix + key
 	}
-	if f.plans != nil {
+	if plan, ok := f.plans.get(key); ok {
+		return plan, nil
+	}
+	plan, err := f.plan(stmt, attr)
+	if err == nil {
 		f.plans.put(key, plan)
 	}
-	return plan, false, nil
+	return plan, err
 }
 
 // attrPlanKeyPrefix namespaces AttrBounds-mode entries in the shared plan
 // cache: the same SQL text compiles to a structurally different plan per
-// mode, so the two modes must never collide on a key. Normalized SQL can
-// never start with a NUL byte (the lexer rejects it), so the prefix is
-// collision-free against tuple-level keys.
-const attrPlanKeyPrefix = "\x00attrbounds\x00"
+// labeling, so the two must never collide on a key. A token key starts with
+// a nonzero token kind, so the NUL prefix is collision-free.
+const attrPlanKeyPrefix = "\x00"
 
-// planAttrSQL is planSQL for AttrBounds mode: parse → resolve annotations
-// into the AU catalog → deterministic plan → RewriteAttrBounds, cached
-// under a mode-prefixed key.
-func (f *Frontend) planAttrSQL(query string) (algebraNode, bool, error) {
-	stmt, err := sql.Parse(query)
+// Explain returns the textual form of the rewritten logical plan PlanSQL
+// builds under the frontend's default options, without executing it.
+func (f *Frontend) Explain(query string) (string, error) {
+	plan, err := f.PlanSQL(query, f.Opts)
 	if err != nil {
-		return nil, false, err
+		return "", err
 	}
-	if hasModelAnnotations(stmt) {
-		if err := f.resolveAttrAnnotations(stmt); err != nil {
-			return nil, false, err
-		}
-		plan, err := f.PlanAttr(stmt)
-		return plan, false, err
-	}
-	f.ensureAttrDerived()
-	var key string
-	if f.plans != nil {
-		key = attrPlanKeyPrefix + NormalizeSQL(query)
-		if plan, ok := f.plans.get(key); ok {
-			return plan, true, nil
-		}
-	}
-	plan, err := f.PlanAttr(stmt)
-	if err != nil {
-		return nil, false, err
-	}
-	if f.plans != nil {
-		f.plans.put(key, plan)
-	}
-	return plan, false, nil
+	return plan.String(), nil
 }
 
-// PlanAttr compiles and AU-rewrites a statement without executing it.
-func (f *Frontend) PlanAttr(stmt *sql.SelectStmt) (algebraNode, error) {
-	det, err := engine.NewPlanner(f.attrLogicalCatalog()).Plan(stmt)
+// Plan compiles and UA-rewrites an annotation-free statement without
+// executing it.
+func (f *Frontend) Plan(stmt *sql.SelectStmt) (algebraNode, error) { return f.plan(stmt, false) }
+
+// PlanAttr compiles and AU-rewrites an annotation-free statement without
+// executing it.
+func (f *Frontend) PlanAttr(stmt *sql.SelectStmt) (algebraNode, error) { return f.plan(stmt, true) }
+
+// plan plans stmt against the labeling's logical catalog and applies the
+// labeling's rewrite.
+func (f *Frontend) plan(stmt *sql.SelectStmt, attr bool) (algebraNode, error) {
+	det, err := engine.NewPlanner(f.logicalCatalog(attr)).Plan(stmt)
 	if err != nil {
 		return nil, err
 	}
-	return RewriteAttrBounds(det, f.attrMask)
+	if attr {
+		return RewriteAttrBounds(det, f.attrMask)
+	}
+	return RewriteUA(det)
 }
 
-// attrLogicalCatalog exposes the AU-encoded tables with their spine layout
-// collapsed back to the logical schemas, so deterministic planning sees the
-// user's columns.
-func (f *Frontend) attrLogicalCatalog() *engine.Catalog {
+type algebraNode = interface {
+	Schema() types.Schema
+	String() string
+}
+
+// catalog is the encoded catalog a labeling executes against.
+func (f *Frontend) catalog(attr bool) *engine.Catalog {
+	if attr {
+		return f.AEnc
+	}
+	return f.Enc
+}
+
+// logicalCatalog exposes a labeling's encoded tables with their annotation
+// columns stripped — the trailing certainty column, or the AU spine layout
+// collapsed to one column per attribute — so deterministic planning sees
+// the user's schemas.
+func (f *Frontend) logicalCatalog(attr bool) *engine.Catalog {
+	enc := f.catalog(attr)
 	out := engine.NewCatalog()
-	for _, name := range f.AEnc.Names() {
-		t := f.AEnc.Get(name)
-		stub := engine.NewTable(types.Schema{Name: name, Attrs: attrLogicalAttrs(t.Schema.Attrs)})
-		out.PutAs(name, stub)
+	for _, name := range enc.Names() {
+		t := enc.Get(name)
+		attrs := t.Schema.Attrs
+		if attr {
+			attrs = attrLogicalAttrs(attrs)
+		} else if n := len(attrs); n > 0 && strings.EqualFold(attrs[n-1], uadb.UAttr) {
+			attrs = attrs[:n-1]
+		}
+		out.Put(engine.NewTable(types.Schema{Name: t.Schema.Name, Attrs: attrs}))
 	}
 	return out
 }
@@ -257,62 +249,6 @@ func (f *Frontend) ensureAttrDerived() {
 			f.PutAttrTable(name, EncodeAttrDeterministic(f.Raw.Get(name)))
 		}
 	}
-}
-
-// resolveAttrAnnotations is resolveAnnotations for AttrBounds mode: IS TI
-// and IS X annotations encode into the AU catalog with range-preserving
-// labeling (phantom rows kept); C-tables have no range encoding.
-func (f *Frontend) resolveAttrAnnotations(stmt *sql.SelectStmt) error {
-	f.ensureAttrDerived()
-	for s := stmt; s != nil; s = s.Union {
-		for i := range s.From {
-			if err := f.resolveAttrPrimary(&s.From[i].Primary); err != nil {
-				return err
-			}
-			for j := range s.From[i].Joins {
-				if err := f.resolveAttrPrimary(&s.From[i].Joins[j].Right); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func (f *Frontend) resolveAttrPrimary(prim *sql.Primary) error {
-	if prim.Subquery != nil {
-		return f.resolveAttrAnnotations(prim.Subquery)
-	}
-	if prim.Model == nil {
-		return nil
-	}
-	raw := f.Raw.Get(prim.Table)
-	if raw == nil {
-		return fmt.Errorf("rewrite: annotated table %q not found in the raw catalog", prim.Table)
-	}
-	var enc *AttrTable
-	var err error
-	switch prim.Model.Kind {
-	case sql.ModelTI:
-		enc, err = EncodeAttrTI(raw, prim.Model.ProbAttr)
-	case sql.ModelX:
-		enc, err = EncodeAttrXTable(raw, prim.Model.XidAttr, prim.Model.AltAttr, prim.Model.ProbAttr)
-	case sql.ModelCTable:
-		err = fmt.Errorf("rewrite: C-table inputs have no attribute-range encoding (use tuple-level mode)")
-	default:
-		err = fmt.Errorf("rewrite: unknown model kind")
-	}
-	if err != nil {
-		return err
-	}
-	encName := "__au_" + prim.Table
-	f.PutAttrTable(encName, enc)
-	if prim.Alias == "" || strings.EqualFold(prim.Alias, prim.Table) {
-		prim.Alias = prim.Table
-	}
-	prim.Table = encName
-	prim.Model = nil
-	return nil
 }
 
 // EnablePlanCache turns on the frontend's rewritten-plan cache with space
@@ -332,99 +268,23 @@ func (f *Frontend) PlanCacheStats() (hits, misses int64) {
 	return f.plans.stats()
 }
 
-// hasModelAnnotations reports whether any primary in the statement (unions
-// and subqueries included) carries an IS TI / IS X / IS CTABLE annotation.
-func hasModelAnnotations(stmt *sql.SelectStmt) bool {
+// eachPrimary calls fn on every table primary of the statement — union
+// branches, joins and FROM subqueries included — stopping at the first
+// error.
+func eachPrimary(stmt *sql.SelectStmt, fn func(*sql.Primary) error) error {
+	visit := func(prim *sql.Primary) error {
+		if prim.Subquery != nil {
+			return eachPrimary(prim.Subquery, fn)
+		}
+		return fn(prim)
+	}
 	for s := stmt; s != nil; s = s.Union {
 		for i := range s.From {
-			if primaryAnnotated(&s.From[i].Primary) {
-				return true
-			}
-			for j := range s.From[i].Joins {
-				if primaryAnnotated(&s.From[i].Joins[j].Right) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func primaryAnnotated(prim *sql.Primary) bool {
-	if prim.Subquery != nil {
-		return hasModelAnnotations(prim.Subquery)
-	}
-	return prim.Model != nil
-}
-
-// Explain parses, resolves annotations, compiles and rewrites the query,
-// returning the rewritten logical plan's textual form without executing it.
-func (f *Frontend) Explain(query string) (string, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return "", err
-	}
-	if f.Opts.AttrBounds {
-		if err := f.resolveAttrAnnotations(stmt); err != nil {
-			return "", err
-		}
-		plan, err := f.PlanAttr(stmt)
-		if err != nil {
-			return "", err
-		}
-		return plan.String(), nil
-	}
-	if err := f.resolveAnnotations(stmt); err != nil {
-		return "", err
-	}
-	plan, err := f.Plan(stmt)
-	if err != nil {
-		return "", err
-	}
-	return plan.String(), nil
-}
-
-// Plan compiles and rewrites without executing.
-func (f *Frontend) Plan(stmt *sql.SelectStmt) (algebraNode, error) {
-	logical := f.logicalCatalog()
-	det, err := engine.NewPlanner(logical).Plan(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return RewriteUA(det)
-}
-
-type algebraNode = interface {
-	Schema() types.Schema
-	String() string
-}
-
-// logicalCatalog exposes the encoded tables with their certainty column
-// stripped, so deterministic planning sees the logical schemas.
-func (f *Frontend) logicalCatalog() *engine.Catalog {
-	out := engine.NewCatalog()
-	for _, name := range f.Enc.Names() {
-		t := f.Enc.Get(name)
-		attrs := t.Schema.Attrs
-		if n := len(attrs); n > 0 && strings.EqualFold(attrs[n-1], uadb.UAttr) {
-			attrs = attrs[:n-1]
-		}
-		stub := engine.NewTable(types.Schema{Name: t.Schema.Name, Attrs: attrs})
-		out.Put(stub)
-	}
-	return out
-}
-
-// resolveAnnotations replaces model-annotated primaries with scans of
-// freshly encoded tables derived from the raw catalog (Section 9.2).
-func (f *Frontend) resolveAnnotations(stmt *sql.SelectStmt) error {
-	for s := stmt; s != nil; s = s.Union {
-		for i := range s.From {
-			if err := f.resolvePrimary(&s.From[i].Primary); err != nil {
+			if err := visit(&s.From[i].Primary); err != nil {
 				return err
 			}
 			for j := range s.From[i].Joins {
-				if err := f.resolvePrimary(&s.From[i].Joins[j].Right); err != nil {
+				if err := visit(&s.From[i].Joins[j].Right); err != nil {
 					return err
 				}
 			}
@@ -433,40 +293,73 @@ func (f *Frontend) resolveAnnotations(stmt *sql.SelectStmt) error {
 	return nil
 }
 
-func (f *Frontend) resolvePrimary(prim *sql.Primary) error {
-	if prim.Subquery != nil {
-		return f.resolveAnnotations(prim.Subquery)
-	}
-	if prim.Model == nil {
+// hasModelAnnotations reports whether any primary in the statement carries
+// an IS TI / IS X / IS CTABLE annotation.
+func hasModelAnnotations(stmt *sql.SelectStmt) bool {
+	found := false
+	eachPrimary(stmt, func(prim *sql.Primary) error {
+		found = found || prim.Model != nil
 		return nil
-	}
-	raw := f.Raw.Get(prim.Table)
-	if raw == nil {
-		return fmt.Errorf("rewrite: annotated table %q not found in the raw catalog", prim.Table)
-	}
-	var enc *engine.Table
-	var err error
-	switch prim.Model.Kind {
-	case sql.ModelTI:
-		enc, err = EncodeTITable(raw, prim.Model.ProbAttr)
-	case sql.ModelX:
-		enc, err = EncodeXTable(raw, prim.Model.XidAttr, prim.Model.AltAttr, prim.Model.ProbAttr)
-	case sql.ModelCTable:
-		enc, err = EncodeCTableTable(raw, prim.Model.VarAttrs, prim.Model.CondAttr)
-	default:
-		err = fmt.Errorf("rewrite: unknown model kind")
-	}
-	if err != nil {
-		return err
-	}
-	encName := "__ua_" + prim.Table
-	f.Enc.PutAs(encName, enc)
-	if prim.Alias == "" || strings.EqualFold(prim.Alias, prim.Table) {
-		prim.Alias = prim.Table
-	}
-	prim.Table = encName
-	prim.Model = nil
-	return nil
+	})
+	return found
+}
+
+// resolveAnnotations replaces model-annotated primaries with scans of
+// tables freshly encoded from the raw catalog under the labeling's scheme:
+// Section 9.2's certainty labels into Enc, or range-preserving AU encodings
+// (phantom rows kept) into AEnc. C-tables have no range encoding.
+func (f *Frontend) resolveAnnotations(stmt *sql.SelectStmt, attr bool) error {
+	return eachPrimary(stmt, func(prim *sql.Primary) error {
+		m := prim.Model
+		if m == nil {
+			return nil
+		}
+		raw := f.Raw.Get(prim.Table)
+		if raw == nil {
+			return fmt.Errorf("rewrite: annotated table %q not found in the raw catalog", prim.Table)
+		}
+		var ua *engine.Table
+		var au *AttrTable
+		var err error
+		switch m.Kind {
+		case sql.ModelTI:
+			if attr {
+				au, err = EncodeAttrTI(raw, m.ProbAttr)
+			} else {
+				ua, err = EncodeTITable(raw, m.ProbAttr)
+			}
+		case sql.ModelX:
+			if attr {
+				au, err = EncodeAttrXTable(raw, m.XidAttr, m.AltAttr, m.ProbAttr)
+			} else {
+				ua, err = EncodeXTable(raw, m.XidAttr, m.AltAttr, m.ProbAttr)
+			}
+		case sql.ModelCTable:
+			if attr {
+				err = fmt.Errorf("rewrite: C-table inputs have no attribute-range encoding (use tuple-level mode)")
+			} else {
+				ua, err = EncodeCTableTable(raw, m.VarAttrs, m.CondAttr)
+			}
+		default:
+			err = fmt.Errorf("rewrite: unknown model kind")
+		}
+		if err != nil {
+			return err
+		}
+		encName := "__ua_" + prim.Table
+		if attr {
+			encName = "__au_" + prim.Table
+			f.PutAttrTable(encName, au)
+		} else {
+			f.Enc.PutAs(encName, ua)
+		}
+		if prim.Alias == "" || strings.EqualFold(prim.Alias, prim.Table) {
+			prim.Alias = prim.Table
+		}
+		prim.Table = encName
+		prim.Model = nil
+		return nil
+	})
 }
 
 // EncodeTITable implements the TI-DB labeling scheme of Section 9.2:

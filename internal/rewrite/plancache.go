@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 )
 
@@ -10,11 +9,12 @@ import (
 // n <= 0.
 const DefaultPlanCacheSize = 256
 
-// planCache is a bounded LRU of rewritten logical plans keyed on normalized
-// SQL. Plans are stored after the UA rewrite and before physical
-// optimization/lowering, the last point at which they are shared-safe: the
-// physical optimizer documents that it never mutates its input, so any
-// number of concurrent executions may lower one cached plan.
+// planCache is a bounded LRU of rewritten logical plans keyed on the token
+// key sql.ParseKeyed builds. Plans are stored after the labeling's rewrite
+// and before physical optimization/lowering, the last point at which they
+// are shared-safe: the physical optimizer documents that it never mutates
+// its input, so any number of concurrent executions may lower one cached
+// plan.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -70,84 +70,4 @@ func (c *planCache) stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
-}
-
-// NormalizeSQL is the plan-cache key function: it upper-cases and
-// whitespace-collapses everything outside quoted literals, strips line
-// comments and trailing semicolons, so the same statement written with
-// different spacing, line breaks, comments, or keyword case shares one
-// cache slot. Quoted string literals ('...' and "...", with doubled-quote
-// and backslash escapes) pass through byte-for-byte — value semantics are
-// case-sensitive even though identifier resolution is not. The escape and
-// comment rules must mirror the lexer's exactly: if the key scanner closes
-// a literal the lexer stays inside (or reads a comment the lexer drops),
-// bytes that distinguish two statements land in the case-folded region and
-// the statements collide on one cache slot — a wrong-result bug, not a
-// missed optimization. The function is deliberately syntax-blind: it never
-// fails, and two statements that normalize equal would parse and plan
-// identically.
-func NormalizeSQL(q string) string {
-	var sb strings.Builder
-	sb.Grow(len(q))
-	pendingSpace := false
-	i := 0
-	for i < len(q) {
-		c := q[i]
-		switch {
-		case c == '\'' || c == '"':
-			if pendingSpace && sb.Len() > 0 {
-				sb.WriteByte(' ')
-			}
-			pendingSpace = false
-			quote := c
-			sb.WriteByte(c)
-			i++
-			for i < len(q) {
-				// A backslash escaping a quote or a backslash stays inside
-				// the literal ('...' only — quoted identifiers have no
-				// backslash escapes in the lexer).
-				if quote == '\'' && q[i] == '\\' && i+1 < len(q) &&
-					(q[i+1] == '\'' || q[i+1] == '\\') {
-					sb.WriteByte(q[i])
-					sb.WriteByte(q[i+1])
-					i += 2
-					continue
-				}
-				sb.WriteByte(q[i])
-				if q[i] == quote {
-					// A doubled quote is an escaped quote: stay inside.
-					if i+1 < len(q) && q[i+1] == quote {
-						sb.WriteByte(q[i+1])
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				i++
-			}
-		case c == '-' && i+1 < len(q) && q[i+1] == '-':
-			// Line comment: the lexer drops it entirely, so the key must
-			// too — an apostrophe inside a comment would otherwise flip
-			// the literal tracking out of sync with the lexer.
-			for i < len(q) && q[i] != '\n' {
-				i++
-			}
-			pendingSpace = true
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			pendingSpace = true
-			i++
-		default:
-			if pendingSpace && sb.Len() > 0 {
-				sb.WriteByte(' ')
-			}
-			pendingSpace = false
-			if c >= 'a' && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			sb.WriteByte(c)
-			i++
-		}
-	}
-	return strings.TrimRight(sb.String(), "; ")
 }

@@ -28,9 +28,6 @@ import (
 // use until its rows are materialized.
 type Result struct {
 	Schema []string
-	// CacheHit reports whether the server served the plan from its shared
-	// plan cache.
-	CacheHit bool
 
 	cols *vector.Columns
 	rows [][]types.Value
@@ -60,7 +57,6 @@ type call struct {
 	streaming bool
 	schema    []string
 	kinds     []string
-	cacheHit  bool
 	chunks    [][]vector.Vector
 	rows      int
 	nextSeq   uint64
@@ -187,7 +183,6 @@ func (c *Client) handleResponse(resp server.Response) error {
 		p.streaming = true
 		p.schema = resp.Schema
 		p.kinds = resp.Kinds
-		p.cacheHit = resp.CacheHit
 		return nil
 	}
 	if p.streaming && resp.Final && resp.Error == "" {
@@ -233,11 +228,7 @@ func assemble(p *call, trailer server.Response) (*Result, error) {
 		}
 		vecs[j] = vector.Concat(parts)
 	}
-	return &Result{
-		Schema:   p.schema,
-		CacheHit: p.cacheHit,
-		cols:     &vector.Columns{N: p.rows, Vecs: vecs},
-	}, nil
+	return &Result{Schema: p.schema, cols: &vector.Columns{N: p.rows, Vecs: vecs}}, nil
 }
 
 // failAll fails every pending and future request. Corrupt streams (fatal)

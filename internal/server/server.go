@@ -61,7 +61,7 @@ type Server struct {
 }
 
 // New builds a server over cfg. The frontend's plan cache is enabled so
-// every session shares one prepared-plan cache keyed on normalized SQL.
+// every session shares one plan cache keyed on the statement's tokens.
 func New(cfg Config) *Server {
 	qb := cfg.QueryBudget
 	if cfg.GlobalBudget > 0 {
@@ -232,6 +232,11 @@ func (fw *frameWriter) writeRaw(payload []byte) error {
 	return WriteRawFrame(fw.w, payload)
 }
 
+// queryOpts is the session's labeling and parallelism as frontend options.
+func (sess *session) queryOpts() rewrite.QueryOpts {
+	return rewrite.QueryOpts{DOP: sess.dop, AttrBounds: sess.attrBounds}
+}
+
 // apply folds a set request into the session.
 func (sess *session) apply(o *SessionOpts) error {
 	if o == nil {
@@ -323,9 +328,10 @@ func (s *Server) dispatch(sess *session, fw *frameWriter, req Request) func(cont
 		if req.Name == "" {
 			return reply(errors.New("prepare: empty statement name"))
 		}
-		// Validate now so exec cannot fail on syntax; the plan itself is
-		// cached by the shared normalized-SQL plan cache, not the session.
-		if _, err := s.front.PlanSQL(req.SQL); err != nil {
+		// Validate now, under the labeling exec will run it with, so exec
+		// cannot fail on syntax or schema; the plan itself is cached by
+		// the shared plan cache, not the session.
+		if _, err := s.front.PlanSQL(req.SQL, sess.queryOpts()); err != nil {
 			return reply(err)
 		}
 		sess.prepared[req.Name] = req.SQL
@@ -375,7 +381,8 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 		defer cancel()
 	}
 
-	opt := rewrite.QueryOpts{DOP: sess.dop, SpillDir: s.spillDir, AttrBounds: sess.attrBounds}
+	opt := sess.queryOpts()
+	opt.SpillDir = s.spillDir
 	ask := sess.memBudget
 	if s.admission != nil {
 		if ask <= 0 {
@@ -392,13 +399,13 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 		opt.MemBudget = ask
 	}
 
-	res, cacheHit, err := s.front.QueryCached(ctx, sqlText, opt)
+	res, err := s.front.Query(ctx, sqlText, opt)
 	if err != nil {
 		fw.writeJSON(Response{ID: id, Error: err.Error()})
 		return
 	}
 	s.queries.Add(1)
-	s.streamResult(ctx, fw, id, res, cacheHit)
+	s.streamResult(ctx, fw, id, res)
 }
 
 // streamResult writes one query result as a chunked binary column stream:
@@ -410,7 +417,7 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 // first — FromRows round-trips values exactly. The admission grant is held
 // by the caller until streaming finishes, so the result's memory is
 // accounted for as long as it is being read.
-func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, res *physical.Result, cacheHit bool) {
+func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, res *physical.Result) {
 	var vecs []vector.Vector
 	n := res.NumRows()
 	if cols := res.Cols(); cols != nil {
@@ -424,7 +431,7 @@ func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, r
 	}
 	if err := fw.writeJSON(Response{
 		ID: id, OK: true, Chunked: true,
-		Schema: res.Schema.Attrs, Kinds: kinds, Encoding: EncodingColBin, CacheHit: cacheHit,
+		Schema: res.Schema.Attrs, Kinds: kinds, Encoding: EncodingColBin,
 	}); err != nil {
 		return
 	}

@@ -184,9 +184,6 @@ type Response struct {
 	Final    bool  `json:"final,omitempty"`
 	RowCount int64 `json:"row_count,omitempty"`
 	Chunks   int   `json:"chunks,omitempty"`
-	// CacheHit reports whether the query's rewritten plan came from the
-	// shared plan cache (streaming header frames).
-	CacheHit bool `json:"cache_hit,omitempty"`
 }
 
 // Stats is the server-wide counter snapshot.

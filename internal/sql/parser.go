@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -13,11 +14,36 @@ type Parser struct {
 	lex  *Lexer
 	tok  Token
 	peek *Token
+	// key accumulates the plan-cache key from the consumed tokens (nil:
+	// no key wanted); name marks the current token as read for its text
+	// (see keyTok).
+	key  []byte
+	name bool
 }
 
 // Parse parses a single SELECT statement (optionally ;-terminated).
 func Parse(input string) (*SelectStmt, error) {
-	p := &Parser{lex: NewLexer(input)}
+	return (&Parser{lex: NewLexer(input)}).parseStatement()
+}
+
+// ParseKeyed is Parse that also returns the statement's plan-cache key,
+// built in the same lexing pass from the tokens the parser consumes. Each
+// token contributes its kind and its exact text, length-delimited; only a
+// reserved word the parser reads as a keyword is case-folded, and the
+// trailing ';' contributes nothing. Two texts therefore share a key only if
+// the parser sees the same tokens: whitespace, line comments, keyword case
+// and a trailing ';' never split a cache slot, while the case of an
+// identifier, alias or literal — which can reach the answer — always does.
+func ParseKeyed(input string) (*SelectStmt, string, error) {
+	p := &Parser{lex: NewLexer(input), key: make([]byte, 0, 2*len(input))}
+	stmt, err := p.parseStatement()
+	if err != nil {
+		return nil, "", err
+	}
+	return stmt, string(p.key), nil
+}
+
+func (p *Parser) parseStatement() (*SelectStmt, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -46,6 +72,7 @@ func MustParse(input string) *SelectStmt {
 }
 
 func (p *Parser) advance() error {
+	p.keyTok()
 	if p.peek != nil {
 		p.tok = *p.peek
 		p.peek = nil
@@ -57,6 +84,34 @@ func (p *Parser) advance() error {
 	}
 	p.tok = t
 	return nil
+}
+
+// keyTok appends the token being consumed to the plan-cache key. An
+// identifier is case-folded only when it is a reserved word and the parser
+// is not reading it as a name (p.name, set where an identifier's text
+// becomes a table, column or alias: `AS End` keeps its case).
+func (p *Parser) keyTok() {
+	t, name := p.tok, p.name
+	p.name = false
+	if p.key == nil || t.Kind == TokEOF || t.Kind == TokSemi {
+		return
+	}
+	p.key = append(p.key, byte(t.Kind))
+	p.key = binary.AppendUvarint(p.key, uint64(len(t.Text)))
+	start := len(p.key)
+	p.key = append(p.key, t.Text...)
+	if t.Kind != TokIdent || name {
+		return
+	}
+	word := p.key[start:]
+	for i, c := range word {
+		if 'A' <= c && c <= 'Z' {
+			word[i] = c + 'a' - 'A'
+		}
+	}
+	if !reserved[string(word)] {
+		copy(word, t.Text)
+	}
 }
 
 func (p *Parser) peekTok() (Token, error) {
@@ -93,10 +148,12 @@ func (p *Parser) expect(kind TokenKind, what string) (Token, error) {
 		return Token{}, fmt.Errorf("sql: expected %s at offset %d, got %q", what, p.tok.Pos, p.tok.Text)
 	}
 	t := p.tok
+	p.name = kind == TokIdent
 	return t, p.advance()
 }
 
-// reservedAfterPrimary lists keywords that terminate an implicit alias.
+// reserved lists the keywords that terminate an implicit alias — the only
+// words the plan-cache key case-folds.
 var reserved = map[string]bool{
 	"select": true, "from": true, "where": true, "group": true, "having": true,
 	"order": true, "limit": true, "union": true, "join": true, "inner": true,
@@ -268,6 +325,7 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 		if pk.Kind == TokDot {
 			q := p.tok.Text
 			save := p.tok
+			p.name = true
 			if err := p.advance(); err != nil { // consume ident
 				return SelectItem{}, err
 			}
