@@ -39,7 +39,7 @@ func checkRangeParity(t *testing.T, e Expr, rows [][]types.Value) (ranged bool) 
 	if !ok {
 		return false
 	}
-	want, _ := prog.SelectTruthyVec(vecs, len(rows), nil)
+	want := prog.SelectTruthyVec(vecs, len(rows), nil)
 	if hi < lo {
 		hi = lo
 	}
@@ -199,12 +199,8 @@ func TestEvalVecStridedParity(t *testing.T) {
 		dense := make([]vector.Vector, len(progs))
 		selected := make([]vector.Vector, len(progs))
 		for j, prog := range progs {
-			var ok, okSel bool
-			dense[j], ok = prog.EvalVec(vecs, n)
-			selected[j], okSel = prog.EvalVecSel(vecs, n, sel)
-			if !ok || !okSel {
-				t.Fatalf("expr %s: no columnar kernel", exprs[j])
-			}
+			dense[j] = prog.EvalVec(vecs, n)
+			selected[j] = prog.EvalVecSel(vecs, n, sel)
 		}
 		for i, out := range vector.Materialize(dense, n) {
 			for j, e := range exprs {
@@ -253,9 +249,8 @@ func TestSelectRangeVecNotEngagedAfterDecode(t *testing.T) {
 	if _, _, ok := prog.SelectRangeVec([]vector.Vector{dec}, 4); ok {
 		t.Error("range kernel engaged on a wire-decoded column")
 	}
-	sel, ok := prog.SelectTruthyVec([]vector.Vector{dec}, 4, nil)
-	if !ok || len(sel) != 2 || sel[0] != 2 || sel[1] != 3 {
-		t.Errorf("scan selection over decoded column = %v (ok=%v), want [2 3]", sel, ok)
+	if sel := prog.SelectTruthyVec([]vector.Vector{dec}, 4, nil); len(sel) != 2 || sel[0] != 2 || sel[1] != 3 {
+		t.Errorf("scan selection over decoded column = %v, want [2 3]", sel)
 	}
 
 	// Force-set Asc on out-of-order decoded data: if decode ever preserved
@@ -278,7 +273,7 @@ func TestSelectRangeVecNotEngagedAfterDecode(t *testing.T) {
 			// data, selecting WRONG rows ([2,4) here — row 3 holds 3, which
 			// fails >= 4). This block documents exactly why decode and
 			// Concat must keep Asc false; the real assertions are above.
-			want, _ := prog.SelectTruthyVec([]vector.Vector{tv}, 4, nil)
+			want := prog.SelectTruthyVec([]vector.Vector{tv}, 4, nil)
 			agree := hi-lo == len(want)
 			for i := 0; agree && i < len(want); i++ {
 				agree = want[i] == lo+i

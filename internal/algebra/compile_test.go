@@ -7,10 +7,25 @@ import (
 	"repro/internal/types"
 )
 
+// betweenExpr is BETWEEN as the planner lowers it: lo <= e AND e <= hi
+// under three-valued logic, negated as a whole.
+func betweenExpr(e, lo, hi Expr, negated bool) Expr {
+	var b Expr = Bin{Op: OpAnd, L: Bin{Op: OpGe, L: e, R: lo}, R: Bin{Op: OpLe, L: e, R: hi}}
+	if negated {
+		b = Not{E: b}
+	}
+	return b
+}
+
+// likePatterns are the LIKE patterns the generators draw from: every
+// wildcard placement over the one-letter strings the value pools hold.
+var likePatterns = []string{"%", "_", "a%", "%b", "_c", "a", "%_%", ""}
+
 // randExpr generates a random expression over a row of the given arity,
-// biased toward the shapes the compiler specializes (column/constant
-// comparisons and arithmetic) but covering every node type Compile handles,
-// including the fallback ones.
+// biased toward the shapes with typed loops (column/constant comparisons
+// and arithmetic) but covering every Expr form: BETWEEN as planned, IN over
+// constants and over expressions, LIKE, searched and simple multi-branch
+// CASE, and all seven scalar functions.
 func randExpr(rng *rand.Rand, arity, depth int) Expr {
 	randConst := func() Expr {
 		switch rng.Intn(5) {
@@ -33,7 +48,7 @@ func randExpr(rng *rand.Rand, arity, depth int) Expr {
 		return randConst()
 	}
 	sub := func() Expr { return randExpr(rng, arity, depth-1) }
-	switch rng.Intn(10) {
+	switch rng.Intn(12) {
 	case 0, 1, 2:
 		ops := []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 		return Bin{Op: ops[rng.Intn(len(ops))], L: sub(), R: sub()}
@@ -53,9 +68,9 @@ func randExpr(rng *rand.Rand, arity, depth int) Expr {
 			return IsNullE{E: sub(), Negated: rng.Intn(2) == 0}
 		}
 	case 7:
-		return BetweenE{E: sub(), Lo: sub(), Hi: sub(), Negated: rng.Intn(2) == 0}
+		return betweenExpr(sub(), sub(), sub(), rng.Intn(2) == 0)
 	case 8:
-		names := []string{"least", "greatest", "coalesce", "abs", "length", "lower"}
+		names := []string{"least", "greatest", "coalesce", "abs", "length", "lower", "upper"}
 		name := names[rng.Intn(len(names))]
 		nArgs := 1
 		if name == "least" || name == "greatest" || name == "coalesce" {
@@ -66,16 +81,34 @@ func randExpr(rng *rand.Rand, arity, depth int) Expr {
 			args[i] = sub()
 		}
 		return ScalarFunc{Name: name, Args: args}
-	default:
-		// Fallback-path nodes: CASE and IN keep the uncompiled kernel
-		// honest.
-		if rng.Intn(2) == 0 {
-			return CaseExpr{
-				Whens: []CaseWhen{{Cond: sub(), Result: sub()}},
-				Else:  sub(),
+	case 9:
+		list := make([]Expr, 1+rng.Intn(3))
+		for i := range list {
+			if rng.Intn(3) == 0 {
+				list[i] = sub()
+			} else {
+				list[i] = randConst()
 			}
 		}
-		return InE{E: sub(), List: []Expr{sub(), sub()}, Negated: rng.Intn(2) == 0}
+		return InE{E: sub(), List: list, Negated: rng.Intn(2) == 0}
+	case 10:
+		var pat Expr = Const{V: types.NewString(likePatterns[rng.Intn(len(likePatterns))])}
+		if rng.Intn(3) == 0 {
+			pat = sub()
+		}
+		return LikeE{E: sub(), Pattern: pat, Negated: rng.Intn(2) == 0}
+	default:
+		c := CaseExpr{}
+		if rng.Intn(3) == 0 {
+			c.Operand = sub()
+		}
+		for i := 1 + rng.Intn(3); i > 0; i-- {
+			c.Whens = append(c.Whens, CaseWhen{Cond: sub(), Result: sub()})
+		}
+		if rng.Intn(2) == 0 {
+			c.Else = sub()
+		}
+		return c
 	}
 }
 
@@ -98,10 +131,11 @@ func randRow(rng *rand.Rand, arity int) []types.Value {
 	return row
 }
 
-// TestCompileMatchesEvalHugeInts pins the comparison fast paths to
+// TestCompileMatchesEvalHugeInts pins the column kernels' comparisons to
 // Value.Compare's float64-widening semantics at the 2^53 boundary, where
 // exact int64 comparison would diverge from Eval, Compare, and the hash-key
-// encoding (2^53 and 2^53+1 are equal once widened).
+// encoding (2^53 and 2^53+1 are equal once widened) — as selections, as
+// values, as BETWEEN bounds and as IN-list probes.
 func TestCompileMatchesEvalHugeInts(t *testing.T) {
 	const big = int64(1) << 53
 	vals := []types.Value{
@@ -109,85 +143,46 @@ func TestCompileMatchesEvalHugeInts(t *testing.T) {
 		types.NewFloat(float64(big)), types.NewInt(big - 1),
 	}
 	ops := []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	var rows [][]types.Value
+	for _, a := range vals {
+		for _, b := range vals {
+			rows = append(rows, []types.Value{a, b})
+		}
+	}
 	for _, op := range ops {
-		for _, a := range vals {
-			for _, b := range vals {
-				exprs := []Expr{
-					Bin{Op: op, L: Col{Idx: 0}, R: Col{Idx: 1}},         // col-col selector
-					Bin{Op: op, L: Col{Idx: 0}, R: Const{V: b}},         // col-const selector
-					Bin{Op: op, L: Const{V: a}, R: Col{Idx: 1}},         // const-col selector
-					Bin{Op: op, L: Neg{E: Col{Idx: 0}}, R: Col{Idx: 1}}, // generic kernel
-				}
-				row := []types.Value{a, b}
-				for _, e := range exprs {
-					prog := Compile(e)
-					want, got := e.Eval(row), prog.Eval(row)
-					if want.Compare(got) != 0 || want.Kind() != got.Kind() {
-						t.Fatalf("%s on (%v,%v): Eval=%v Compiled=%v", e, a, b, want, got)
-					}
-					sel := prog.SelectTruthy([][]types.Value{row}, nil)
-					if (len(sel) == 1) != Truthy(want) {
-						t.Fatalf("%s on (%v,%v): selector %v, Eval %v", e, a, b, sel, want)
-					}
-				}
+		for _, b := range vals {
+			for _, e := range []Expr{
+				Bin{Op: op, L: Col{Idx: 0}, R: Col{Idx: 1}},         // vector-vector selection
+				Bin{Op: op, L: Col{Idx: 0}, R: Const{V: b}},         // vector-constant selection
+				Bin{Op: op, L: Const{V: b}, R: Col{Idx: 1}},         // flipped constant
+				Bin{Op: op, L: Neg{E: Col{Idx: 0}}, R: Col{Idx: 1}}, // per-element operand
+				Bin{Op: OpOr, L: Bin{Op: op, L: Col{Idx: 0}, R: Const{V: b}}, R: Const{V: types.NewBool(false)}},
+				Not{E: Bin{Op: op, L: Col{Idx: 0}, R: Col{Idx: 1}}}, // comparison as a value
+			} {
+				checkVecParity(t, e, rows, 2)
 			}
 		}
 	}
+	for _, b := range vals {
+		checkVecParity(t, betweenExpr(Col{Idx: 0}, Const{V: b}, Col{Idx: 1}, false), rows, 2)
+		checkVecParity(t, InE{E: Col{Idx: 0}, List: []Expr{Const{V: b}}}, rows, 2)
+		checkVecParity(t, InE{E: Col{Idx: 0}, List: []Expr{Const{V: b}, Const{V: types.Null()}}, Negated: true}, rows, 2)
+	}
 }
 
-// TestCompileMatchesEval fuzzes the compiled kernels — per-row closure,
-// whole-batch selector, and strided projection — against the interpreted
-// Expr.Eval on random expressions and random mixed-kind rows with NULLs.
+// TestCompileMatchesEval fuzzes the column kernels — evaluation, selection
+// and evaluation at a selection — against the interpreted Expr.Eval on
+// random expressions of every form and random mixed-kind rows with NULLs
+// (every column boxed, so each form's per-element and generic loops run).
 func TestCompileMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const arity = 4
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		e := randExpr(rng, arity, 1+rng.Intn(3))
-		prog := Compile(e)
 		rows := make([][]types.Value, 1+rng.Intn(40))
 		for i := range rows {
 			rows[i] = randRow(rng, arity)
 		}
-
-		// Per-row kernel parity.
-		for _, row := range rows {
-			want, got := e.Eval(row), prog.Eval(row)
-			if want.Compare(got) != 0 || want.Kind() != got.Kind() {
-				t.Fatalf("expr %s on row %v: Eval=%v Compiled=%v", e, row, want, got)
-			}
-		}
-
-		// Selection-vector parity (exercises the specialized selector when
-		// the expression shape matches, the generic loop otherwise).
-		var wantSel []int
-		for i, row := range rows {
-			if Truthy(e.Eval(row)) {
-				wantSel = append(wantSel, i)
-			}
-		}
-		gotSel := prog.SelectTruthy(rows, nil)
-		if len(gotSel) != len(wantSel) {
-			t.Fatalf("expr %s: sel %v, want %v", e, gotSel, wantSel)
-		}
-		for i := range gotSel {
-			if gotSel[i] != wantSel[i] {
-				t.Fatalf("expr %s: sel %v, want %v", e, gotSel, wantSel)
-			}
-		}
-
-		// Strided and column evaluation parity.
-		const stride = 3
-		dst := make([]types.Value, len(rows)*stride)
-		prog.EvalStrided(rows, dst, stride)
-		col := prog.EvalColumn(rows, nil)
-		for i, row := range rows {
-			want := e.Eval(row)
-			if dst[i*stride].Compare(want) != 0 || dst[i*stride].Kind() != want.Kind() {
-				t.Fatalf("expr %s: strided[%d]=%v, want %v", e, i, dst[i*stride], want)
-			}
-			if col[i].Compare(want) != 0 || col[i].Kind() != want.Kind() {
-				t.Fatalf("expr %s: column[%d]=%v, want %v", e, i, col[i], want)
-			}
-		}
+		checkVecParity(t, e, rows, arity)
 	}
 }

@@ -9,23 +9,31 @@ import (
 	"repro/internal/vector"
 )
 
-// Typed columnar kernels. The closure kernels of compile.go still box every
-// cell in a types.Value; when the physical layer hands Compile a batch in
-// columnar form (internal/vector), the kernels in this file run the hot
-// loops — comparisons, arithmetic, least/greatest — directly over the
-// unboxed []int64/[]float64/[]string spines instead. Which loop runs is
-// decided per batch by a type switch on the operand vectors (one switch per
-// batch, not per row); when the runtime column types have no dedicated loop
-// a generic element-wise loop over boxed reads keeps the kernel total, and
-// when the *expression shape* has no columnar kernel at all the caller falls
-// back to the row kernels.
+// Column kernels: the engine's one expression evaluator. Compile turns an
+// expression into kernels that run over a columnar batch (internal/vector)
+// — every Expr form has one, so evaluation and selection always succeed.
+// The hot shapes run typed loops directly over the unboxed
+// []int64/[]float64/[]string spines: comparisons (as selections),
+// AND/OR over them, arithmetic, least/greatest, CASE, IN over constants (a
+// set probe), and NOT/IS NULL over bitmaps. Which loop runs is decided per
+// batch by a type switch on the operand vectors (one switch per batch, not
+// per row). Every other form — and the typed shapes when the runtime column
+// types have no dedicated loop — takes a per-element loop that evaluates
+// the node's children as vectors and then applies the node's own Eval to
+// each row of child values, so the form's semantics are written once, in
+// expr.go. A predicate without a dedicated selection loop selects the TRUE
+// positions of its evaluated vector.
 //
 // Semantics are bit-for-bit those of Expr.Eval: integer comparisons widen to
 // float64 exactly like Value.Compare, arithmetic mirrors
 // evalArithInt/evalArithFloat (division and modulo by zero yield NULL, for
 // floats too), NULL operands poison comparisons and arithmetic, and
 // least/greatest return the winning operand unchanged, kind and all. The
-// parity tests and the CI fuzzer pin every loop against Eval.
+// kernels are total — no expression the planner admits faults on any input
+// (it rejects wrong-arity scalar functions) — so a kernel may evaluate rows
+// a filter or a CASE branch will discard without changing the surviving
+// rows' results. The parity tests and the CI fuzzers pin every loop against
+// Eval.
 
 // vecSelFn appends the selected row indices for one columnar batch.
 type vecSelFn func(cols []vector.Vector, n int, sel []int) []int
@@ -33,51 +41,60 @@ type vecSelFn func(cols []vector.Vector, n int, sel []int) []int
 // vecEvalFn evaluates the expression over one columnar batch.
 type vecEvalFn func(cols []vector.Vector, n int) vector.Vector
 
-// SelectTruthyVec is SelectTruthy over a columnar batch: it appends to sel
-// (pass sel[:0]) the indices of rows where the expression is TRUE. ok
-// reports whether a columnar kernel exists for the expression's shape; when
-// false the caller must use the row path.
-func (c *Compiled) SelectTruthyVec(cols []vector.Vector, n int, sel []int) (_ []int, ok bool) {
-	if c.vecSel == nil {
-		return sel, false
+// Compiled is an expression compiled to its column kernels. The selection
+// and evaluation kernels are built on first use — a predicate never needs
+// its evaluation kernel, a projection never its selection kernel. A kernel
+// may keep scratch between calls, so one Compiled belongs to one goroutine,
+// and a vector it returns is valid until its next call.
+type Compiled struct {
+	e    Expr
+	sel  vecSelFn
+	eval vecEvalFn
+	rng  rangeSelFn
+}
+
+// Compile prepares the kernels for e.
+func Compile(e Expr) *Compiled {
+	return &Compiled{e: e, rng: compileVecRange(e)}
+}
+
+// CompileAll compiles a slice of expressions.
+func CompileAll(es []Expr) []*Compiled {
+	cs := make([]*Compiled, len(es))
+	for i, e := range es {
+		cs[i] = Compile(e)
 	}
-	return c.vecSel(cols, n, sel), true
+	return cs
+}
+
+// SelectTruthyVec appends to sel (reusing its capacity; pass sel[:0]) the
+// ascending indices of the rows of a columnar batch where the expression is
+// TRUE under SQL three-valued logic — FALSE and NULL rows stay out.
+func (c *Compiled) SelectTruthyVec(cols []vector.Vector, n int, sel []int) []int {
+	if c.sel == nil {
+		c.sel = compileVecSelector(c.e)
+	}
+	return c.sel(cols, n, sel)
 }
 
 // EvalVec evaluates the expression once per row of a columnar batch,
 // returning the results as a vector (possibly a zero-copy passthrough of an
-// input column). ok reports whether a columnar kernel exists for the
-// expression's shape.
-func (c *Compiled) EvalVec(cols []vector.Vector, n int) (_ vector.Vector, ok bool) {
-	if c.vecEval == nil {
-		return nil, false
+// input column).
+func (c *Compiled) EvalVec(cols []vector.Vector, n int) vector.Vector {
+	if c.eval == nil {
+		c.eval = compileVecEval(c.e)
 	}
-	return c.vecEval(cols, n), true
+	return c.eval(cols, n)
 }
 
 // EvalVecSel is EvalVec restricted to a selection: the expression is
-// evaluated through the unboxed columnar kernel over the whole window (the
-// kernels are element-wise and total, so evaluating rows a filter discarded
-// cannot change the surviving rows' results) and the selected rows are
-// gathered into a fresh unboxed vector — no cell is ever boxed. This is the
-// projection half of a fused chain draining to a columnar result sink under
-// a scattered selection. Returns false when the expression has no columnar
-// kernel.
-func (c *Compiled) EvalVecSel(cols []vector.Vector, n int, sel []int) (_ vector.Vector, ok bool) {
-	if c.vecEval == nil {
-		return nil, false
-	}
-	return c.vecEval(cols, n).Gather(sel), true
+// evaluated over the whole window (the kernels are total, so evaluating rows
+// a filter discarded cannot change the surviving rows' results) and the
+// selected rows are gathered into a fresh vector — the projection half of a
+// fused chain under a scattered selection.
+func (c *Compiled) EvalVecSel(cols []vector.Vector, n int, sel []int) vector.Vector {
+	return c.EvalVec(cols, n).Gather(sel)
 }
-
-// CanEvalVec reports whether the expression has a columnar kernel (EvalVec
-// and EvalVecSel will succeed).
-func (c *Compiled) CanEvalVec() bool { return c.vecEval != nil }
-
-// CanSelectVec reports whether the expression has a columnar selection
-// kernel (SelectTruthyVec will succeed). The fused-pipeline lowering asks
-// before committing a plan to the single-loop executor.
-func (c *Compiled) CanSelectVec() bool { return c.vecSel != nil }
 
 // vecOperand is a compiled operand of a columnar kernel: a constant bound at
 // compile time, or a sub-kernel producing a vector per batch (a bare column
@@ -88,38 +105,35 @@ type vecOperand struct {
 	eval    vecEvalFn
 }
 
-func compileVecOperand(e Expr) (vecOperand, bool) {
+func compileVecOperand(e Expr) vecOperand {
 	if c, isC := e.(Const); isC {
-		return vecOperand{isConst: true, c: c.V}, true
+		return vecOperand{isConst: true, c: c.V}
 	}
-	if fn := compileVecEval(e); fn != nil {
-		return vecOperand{eval: fn}, true
-	}
-	return vecOperand{}, false
+	return vecOperand{eval: compileVecEval(e)}
 }
 
-// compileVecSelector builds the columnar selection kernel for comparison
-// predicates whose operands are themselves columnar-evaluable (bare columns,
-// constants, or arithmetic over them — e.g. the UA overhead pipelines'
-// "v < 9000" and the expression-heavy "v % 2 = 0"). Returns nil when the
-// shape doesn't match.
+// compileVecSelector builds the selection kernel. Comparisons run the typed
+// selection loops over their operands' vectors (bare columns, constants, or
+// any expression — e.g. the UA overhead pipelines' "v < 9000" and the
+// expression-heavy "v % 2 = 0"), AND/OR compose their sides' selections,
+// and every other predicate selects the TRUE positions of its evaluated
+// vector.
 func compileVecSelector(e Expr) vecSelFn {
 	b, isBin := e.(Bin)
 	if !isBin {
-		return nil
+		return trueSelector(compileVecEval(e))
 	}
 	switch b.Op {
 	case OpAnd, OpOr:
-		return compileVecBoolSelector(b)
+		if boolValued(b.L) && boolValued(b.R) {
+			return compileVecBoolSelector(b)
+		}
+		return trueSelector(compileVecEval(e))
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 	default:
-		return nil
+		return trueSelector(compileVecEval(e))
 	}
-	l, lok := compileVecOperand(b.L)
-	r, rok := compileVecOperand(b.R)
-	if !lok || !rok {
-		return nil
-	}
+	l, r := compileVecOperand(b.L), compileVecOperand(b.R)
 	onLt, onEq, onGt := cmpFlags(b.Op)
 	switch {
 	case l.isConst && r.isConst:
@@ -151,19 +165,73 @@ func compileVecSelector(e Expr) vecSelFn {
 	}
 }
 
+// trueSelector selects the rows where an evaluated predicate is TRUE:
+// exactly the non-NULL true cells of a BoolVector, and for any other vector
+// the cells Truthy accepts.
+func trueSelector(eval vecEvalFn) vecSelFn {
+	return func(cols []vector.Vector, n int, sel []int) []int {
+		v := eval(cols, n)
+		if bv, ok := v.(*vector.BoolVector); ok {
+			for i, x := range bv.Vals {
+				if x && !bv.Null(i) {
+					sel = append(sel, i)
+				}
+			}
+			return sel
+		}
+		for i := 0; i < n; i++ {
+			if Truthy(v.Value(i)) {
+				sel = append(sel, i)
+			}
+		}
+		return sel
+	}
+}
+
+// cmpFlags reports which Compare signs satisfy a comparison operator.
+func cmpFlags(op BinOp) (onLt, onEq, onGt bool) {
+	switch op {
+	case OpEq:
+		onEq = true
+	case OpNe:
+		onLt, onGt = true, true
+	case OpLt:
+		onLt = true
+	case OpLe:
+		onLt, onEq = true, true
+	case OpGt:
+		onGt = true
+	case OpGe:
+		onGt, onEq = true, true
+	}
+	return
+}
+
+// boolValued reports a form whose every value is TRUE, FALSE or NULL. (AND
+// and OR over other values do not reduce to their sides' TRUE sets: Eval
+// makes 2 AND 3 TRUE but 2 OR 3 FALSE.)
+func boolValued(e Expr) bool {
+	switch ex := e.(type) {
+	case Bin:
+		switch ex.Op {
+		case OpAnd, OpOr, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+			return true
+		}
+	case Not, IsNullE, LikeE, InE:
+		return true
+	}
+	return false
+}
+
 // compileVecBoolSelector composes the selection kernels of an AND/OR over
-// selector-compilable predicates. Each sub-selector emits the ascending index
-// list of rows where its predicate is TRUE; under three-valued logic the rows
-// where the conjunction (disjunction) is TRUE are exactly the intersection
+// boolean-valued sides. Each sub-selector emits the ascending index list of
+// rows where its predicate is TRUE; under three-valued logic the rows where
+// the conjunction (disjunction) is TRUE are exactly the intersection
 // (union) of those lists — FALSE and NULL rows alike stay out, matching
-// SelectTruthy. NOT has no such form (the complement of the TRUE set includes
-// NULL rows) and stays on the row path.
+// Truthy.
 func compileVecBoolSelector(b Bin) vecSelFn {
 	ls := compileVecSelector(b.L)
 	rs := compileVecSelector(b.R)
-	if ls == nil || rs == nil {
-		return nil
-	}
 	// Sub-results live in per-kernel scratch reused batch to batch, under the
 	// arithmetic kernels' lifetime rule (kernels are compiled per Open per
 	// operator, so the scratch is single-goroutine by construction).
@@ -237,10 +305,10 @@ type rangeSelFn func(cols []vector.Vector, n int) (lo, hi int, ok bool)
 // expression shape, or none for this batch — means nothing; callers fall
 // back to SelectTruthyVec, which is always semantically identical.
 func (c *Compiled) SelectRangeVec(cols []vector.Vector, n int) (lo, hi int, ok bool) {
-	if c.vecRange == nil {
+	if c.rng == nil {
 		return 0, 0, false
 	}
-	return c.vecRange(cols, n)
+	return c.rng(cols, n)
 }
 
 // compileVecRange builds the range-selection kernel for col cmp const (and
@@ -543,11 +611,12 @@ func floatReader(v vector.Vector) (func(i int) float64, bool) {
 	}
 }
 
-// compileVecEval builds the columnar projection kernel: bare columns pass
-// through zero-copy, constants broadcast, arithmetic runs unboxed when the
-// operand columns are numeric, and least/greatest — the UA rewrite's
-// certainty combination — loops unboxed over same-typed operands. Returns
-// nil when the shape doesn't match.
+// compileVecEval builds the evaluation kernel: bare columns pass through
+// zero-copy, constants broadcast, and arithmetic, least/greatest, CASE, IN
+// over constants, NOT and IS NULL run their typed loops. Every other form —
+// comparisons and AND/OR as values, LIKE, ||, unary minus, IN over
+// expressions and the remaining scalar functions — runs the per-element
+// loop.
 func compileVecEval(e Expr) vecEvalFn {
 	switch ex := e.(type) {
 	case Col:
@@ -569,169 +638,357 @@ func compileVecEval(e Expr) vecEvalFn {
 	case Bin:
 		switch ex.Op {
 		case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-		default:
-			return nil
-		}
-		l, lok := compileVecOperand(ex.L)
-		r, rok := compileVecOperand(ex.R)
-		if !lok || !rok {
-			return nil
-		}
-		op := ex.Op
-		// Per-kernel output scratch, reused batch to batch: the result
-		// vector is valid until the kernel's next invocation, exactly the
-		// batch lifetime rule. Kernels are compiled per Open per operator
-		// (parallel workers each compile their own), so the scratch is
-		// single-goroutine by construction.
-		scratch := &arithScratch{}
-		return func(cols []vector.Vector, n int) vector.Vector {
-			return vecArith(op, l, r, cols, n, scratch)
-		}
-	case ScalarFunc:
-		if (ex.Name != "least" && ex.Name != "greatest") || len(ex.Args) == 0 {
-			return nil
-		}
-		args := make([]vecOperand, len(ex.Args))
-		for i, a := range ex.Args {
-			var ok bool
-			if args[i], ok = compileVecOperand(a); !ok {
-				return nil
+			l, r := compileVecOperand(ex.L), compileVecOperand(ex.R)
+			op := ex.Op
+			// Per-kernel output scratch, reused batch to batch: the result
+			// vector is valid until the kernel's next invocation, exactly the
+			// batch lifetime rule. Kernels are compiled per Open per operator
+			// (parallel workers each compile their own), so the scratch is
+			// single-goroutine by construction.
+			scratch := &arithScratch{}
+			return func(cols []vector.Vector, n int) vector.Vector {
+				return vecArith(op, l, r, cols, n, scratch)
 			}
 		}
-		wantLess := ex.Name == "least"
-		return func(cols []vector.Vector, n int) vector.Vector {
-			return vecLeastGreatest(wantLess, args, cols, n)
+	case ScalarFunc:
+		if (ex.Name == "least" || ex.Name == "greatest") && len(ex.Args) > 0 {
+			args := make([]vecOperand, len(ex.Args))
+			for i, a := range ex.Args {
+				args[i] = compileVecOperand(a)
+			}
+			wantLess := ex.Name == "least"
+			return func(cols []vector.Vector, n int) vector.Vector {
+				return vecLeastGreatest(wantLess, args, cols, n)
+			}
 		}
 	case CaseExpr:
 		return compileVecCase(ex)
-	default:
-		return nil
+	case InE:
+		if fn := compileVecIn(ex); fn != nil {
+			return fn
+		}
+	case Not:
+		return compileVecNot(ex)
+	case IsNullE:
+		in, neg := compileVecEval(ex.E), ex.Negated
+		return func(cols []vector.Vector, n int) vector.Vector {
+			v := in(cols, n)
+			out := make([]bool, n)
+			for i := range out {
+				out[i] = v.Null(i) != neg
+			}
+			return vector.NewBoolVector(out, nil)
+		}
+	}
+	return compileVecRows(e)
+}
+
+// compileVecRows is the per-element kernel: the node's non-constant
+// children evaluate as column kernels, and the node's own Eval runs once per
+// row over a row of their values, each child read back through a Col slot
+// (constant children stay in place). The form thus keeps exactly Eval's
+// semantics; its result is a boxed ValueVector.
+func compileVecRows(e Expr) vecEvalFn {
+	var kids []vecEvalFn
+	shell := mapChildren(e, func(c Expr) Expr {
+		if _, isConst := c.(Const); isConst {
+			return c
+		}
+		kids = append(kids, compileVecEval(c))
+		return Col{Idx: len(kids) - 1}
+	})
+	return func(cols []vector.Vector, n int) vector.Vector {
+		vecs := make([]vector.Vector, len(kids))
+		for j, kid := range kids {
+			vecs[j] = kid(cols, n)
+		}
+		row := make([]types.Value, len(kids))
+		out := make([]types.Value, n)
+		for i := range out {
+			for j, v := range vecs {
+				row[j] = v.Value(i)
+			}
+			out[i] = shell.Eval(row)
+		}
+		return vector.NewValueVector(out)
 	}
 }
 
-// compileVecCase builds the columnar kernel for a searched single-branch
-// CASE — the shape the attribute-bounds rewrite leans on for its annotation
-// gates (CASE WHEN __ec = 1 THEN e END, CASE WHEN p THEN 1 ELSE 0 END). The
-// condition runs through the selection kernels; both branches evaluate over
-// the whole window (the vector kernels are total — element-wise, NULL on
-// division by zero — so evaluating rows the condition rejects cannot fault or
-// change the taken rows' results) and the output merges them row-wise. A
-// missing ELSE is an all-NULL branch, exactly Eval's fallthrough.
-func compileVecCase(e CaseExpr) vecEvalFn {
-	if e.Operand != nil || len(e.Whens) != 1 {
-		return nil
+// setNull marks row i of an n-row result NULL, allocating the bitmap on the
+// first NULL.
+func setNull(nb *vector.Bitmap, n, i int) *vector.Bitmap {
+	if nb == nil {
+		nb = vector.NewBitmap(n)
 	}
-	cond := compileVecSelector(e.Whens[0].Cond)
-	if cond == nil {
-		return nil
+	nb.Set(i)
+	return nb
+}
+
+// compileVecNot builds the NOT kernel: a BoolVector operand negates
+// element-wise and keeps its NULLs; any other cell that is not a boolean is
+// NULL, as in Not.Eval.
+func compileVecNot(e Not) vecEvalFn {
+	in := compileVecEval(e.E)
+	return func(cols []vector.Vector, n int) vector.Vector {
+		v := in(cols, n)
+		bv, isBool := v.(*vector.BoolVector)
+		out := make([]bool, n)
+		var nulls *vector.Bitmap
+		for i := range out {
+			switch {
+			case isBool && !bv.Null(i):
+				out[i] = !bv.Vals[i]
+			case !isBool && v.Value(i).Kind() == types.KindBool:
+				out[i] = !v.Value(i).Bool()
+			default:
+				nulls = setNull(nulls, n, i)
+			}
+		}
+		return vector.NewBoolVector(out, nulls)
 	}
-	thenOp, ok := compileVecOperand(e.Whens[0].Result)
-	if !ok {
-		return nil
+}
+
+// inSet is an IN list of constants as a hash probe that answers exactly
+// "Value.Compare(x, element) == 0 for some element": numbers compare
+// widened to float64 (so 1 IN (1.0) holds, and ±0 are one key), a NaN
+// compares equal to every number, and values of different kind classes
+// never match.
+type inSet struct {
+	nums   map[float64]bool
+	strs   map[string]bool
+	bools  [2]bool
+	anyNum bool // some element is a number
+	nanNum bool // some element is a NaN
+	null   bool // some element is NULL
+}
+
+func (s *inSet) add(v types.Value) {
+	switch v.Kind() {
+	case types.KindNull:
+		s.null = true
+	case types.KindInt, types.KindFloat:
+		s.anyNum = true
+		if f := v.Float(); f != f {
+			s.nanNum = true
+		} else {
+			s.nums[f] = true
+		}
+	case types.KindString:
+		s.strs[v.Str()] = true
+	case types.KindBool:
+		s.bools[boolIdx(v.Bool())] = true
 	}
-	var elseOp vecOperand
-	hasElse := e.Else != nil
-	if hasElse {
-		if elseOp, ok = compileVecOperand(e.Else); !ok {
+}
+
+func boolIdx(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (s *inSet) hasNum(f float64) bool {
+	if f != f || s.nanNum {
+		return s.anyNum
+	}
+	return s.nums[f]
+}
+
+// has probes a non-NULL value.
+func (s *inSet) has(v types.Value) bool {
+	switch v.Kind() {
+	case types.KindInt, types.KindFloat:
+		return s.hasNum(v.Float())
+	case types.KindString:
+		return s.strs[v.Str()]
+	default:
+		return s.bools[boolIdx(v.Bool())]
+	}
+}
+
+// compileVecIn builds the set-probe kernel of an IN list of constants (the
+// lookup shape "did IN (3, 20, 37)"), with InE.Eval's three-valued result:
+// a NULL probe is NULL, a hit is TRUE, a miss is FALSE unless the list holds
+// a NULL, which makes it NULL (negation flips TRUE and FALSE). nil when a
+// list element is not a constant.
+func compileVecIn(e InE) vecEvalFn {
+	set := &inSet{nums: map[float64]bool{}, strs: map[string]bool{}}
+	for _, x := range e.List {
+		c, isConst := x.(Const)
+		if !isConst {
 			return nil
 		}
+		set.add(c.V)
 	}
-	var selBuf []int
+	in, neg := compileVecEval(e.E), e.Negated
 	return func(cols []vector.Vector, n int) vector.Vector {
-		selBuf = cond(cols, n, selBuf[:0])
-		var tv, ev vector.Vector
-		if !thenOp.isConst {
-			tv = thenOp.eval(cols, n)
+		v := in(cols, n)
+		iv, isInt := v.(*vector.Int64Vector)
+		out := make([]bool, n)
+		var nulls *vector.Bitmap
+		for i := range out {
+			if v.Null(i) {
+				nulls = setNull(nulls, n, i)
+				continue
+			}
+			var hit bool
+			if isInt {
+				hit = set.hasNum(float64(iv.Vals[i]))
+			} else {
+				hit = set.has(v.Value(i))
+			}
+			switch {
+			case hit:
+				out[i] = !neg
+			case set.null:
+				nulls = setNull(nulls, n, i)
+			default:
+				out[i] = neg
+			}
 		}
-		if hasElse && !elseOp.isConst {
-			ev = elseOp.eval(cols, n)
-		}
-		return vecCaseMerge(thenOp, tv, elseOp, ev, hasElse, selBuf, n)
+		return vector.NewBoolVector(out, nulls)
 	}
 }
 
-// allNullSide is the missing-ELSE branch: NULL at every row.
-func allNullSide() arithSide { return arithSide{nullAt: func(int) bool { return true }} }
-
-// vecCaseMerge assembles the CASE output from the taken-row list and the two
-// branch results. Both-int sides merge into an Int64Vector and both-float
-// sides (strictly float — an int branch must keep its kind) into a
-// Float64Vector; any other combination takes the generic boxed loop, which
-// preserves each branch value's kind exactly as Eval does.
-func vecCaseMerge(thenOp vecOperand, tv vector.Vector, elseOp vecOperand, ev vector.Vector, hasElse bool, sel []int, n int) vector.Vector {
-	if ts, ok := resolveNumericSide(thenOp, tv, true); ok {
-		es, eok := allNullSide(), true
-		if hasElse {
-			es, eok = resolveNumericSide(elseOp, ev, true)
+// compileVecCase builds the CASE kernel — the shape the attribute-bounds
+// rewrite leans on for its annotation gates (CASE WHEN __ec = 1 THEN e END,
+// CASE WHEN p THEN 1 ELSE 0 END). A simple CASE is the searched one over
+// "operand = value" conditions: Eval's match rule (both sides non-NULL and
+// Compare-equal) is exactly an equality that is TRUE. Every condition runs
+// its selection kernel and every branch evaluates over the whole window
+// (the kernels are total, so evaluating rows a branch does not take cannot
+// fault or change the taken rows' results); each row then takes the first
+// branch whose condition selects it, else the ELSE branch — NULL when
+// missing, exactly Eval's fallthrough.
+func compileVecCase(e CaseExpr) vecEvalFn {
+	conds := make([]vecSelFn, len(e.Whens))
+	branches := make([]vecOperand, len(e.Whens)+1)
+	for b, w := range e.Whens {
+		cond := w.Cond
+		if e.Operand != nil {
+			cond = Bin{Op: OpEq, L: e.Operand, R: w.Cond}
 		}
-		if eok {
-			out := make([]int64, n)
-			var nulls *vector.Bitmap
-			k := 0
-			for i := 0; i < n; i++ {
-				s := &es
-				if k < len(sel) && sel[k] == i {
-					s = &ts
-					k++
+		conds[b] = compileVecSelector(cond)
+		branches[b] = compileVecOperand(w.Result)
+	}
+	els := Expr(Const{V: types.Null()})
+	if e.Else != nil {
+		els = e.Else
+	}
+	branches[len(e.Whens)] = compileVecOperand(els)
+	sels := make([][]int, len(conds)) // per-branch selections; kernel scratch
+	return func(cols []vector.Vector, n int) vector.Vector {
+		for b, cond := range conds {
+			sels[b] = cond(cols, n, sels[b][:0])
+		}
+		vecs := make([]vector.Vector, len(branches))
+		for b, o := range branches {
+			if !o.isConst {
+				vecs[b] = o.eval(cols, n)
+			}
+		}
+		return vecCaseMerge(branches, vecs, sels, n)
+	}
+}
+
+// vecCaseMerge assembles the CASE output: every row first takes the ELSE
+// branch, then each WHEN branch, last to first, overwrites the rows its
+// condition selected, so a row ends holding the first branch that selected
+// it. When every branch is integer-typed the output is an Int64Vector, when
+// every branch is strictly float-typed (an int branch must keep its kind) a
+// Float64Vector; a NULL constant branch fits either. Any other combination
+// takes the generic boxed loop, which preserves each branch value's kind
+// exactly as Eval does. In each loop, branch index els (the ELSE branch)
+// covers rows 0..n-1 and a WHEN branch b the rows of sels[b].
+func vecCaseMerge(branches []vecOperand, vecs []vector.Vector, sels [][]int, n int) vector.Vector {
+	els := len(sels)
+	intSide := func(o vecOperand, v vector.Vector) (arithSide, bool) { return resolveNumericSide(o, v, true) }
+	if sides, ok := caseSides(branches, vecs, intSide); ok {
+		out := make([]int64, n)
+		var nulls *vector.Bitmap
+		for b := els; b >= 0; b-- {
+			s := &sides[b]
+			for k := 0; k < n; k++ {
+				i := k
+				if b < els {
+					if k >= len(sels[b]) {
+						break
+					}
+					i = sels[b][k]
 				}
 				if s.null(i) {
-					if nulls == nil {
-						nulls = vector.NewBitmap(n)
-					}
-					nulls.Set(i)
+					nulls = setNull(nulls, n, i)
 					continue
 				}
 				out[i] = s.int(i)
+				if nulls != nil {
+					nulls.Clear(i)
+				}
 			}
-			return vector.NewInt64Vector(out, nulls)
 		}
+		return vector.NewInt64Vector(out, nulls)
 	}
-	if ts, ok := resolveFloatStrict(thenOp, tv); ok {
-		es, eok := allNullSide(), true
-		if hasElse {
-			es, eok = resolveFloatStrict(elseOp, ev)
-		}
-		if eok {
-			out := make([]float64, n)
-			var nulls *vector.Bitmap
-			k := 0
-			for i := 0; i < n; i++ {
-				s := &es
-				if k < len(sel) && sel[k] == i {
-					s = &ts
-					k++
+	if sides, ok := caseSides(branches, vecs, resolveFloatStrict); ok {
+		out := make([]float64, n)
+		var nulls *vector.Bitmap
+		for b := els; b >= 0; b-- {
+			s := &sides[b]
+			for k := 0; k < n; k++ {
+				i := k
+				if b < els {
+					if k >= len(sels[b]) {
+						break
+					}
+					i = sels[b][k]
 				}
 				if s.null(i) {
-					if nulls == nil {
-						nulls = vector.NewBitmap(n)
-					}
-					nulls.Set(i)
+					nulls = setNull(nulls, n, i)
 					continue
 				}
 				out[i] = s.float(i)
+				if nulls != nil {
+					nulls.Clear(i)
+				}
 			}
-			return vector.NewFloat64Vector(out, nulls)
 		}
-	}
-	// Generic: boxed row-wise pick, preserving each branch value's kind.
-	read := func(o vecOperand, v vector.Vector, i int) types.Value {
-		if o.isConst {
-			return o.c
-		}
-		return v.Value(i)
+		return vector.NewFloat64Vector(out, nulls)
 	}
 	out := make([]types.Value, n)
-	k := 0
-	for i := 0; i < n; i++ {
-		taken := k < len(sel) && sel[k] == i
-		if taken {
-			k++
-			out[i] = read(thenOp, tv, i)
-		} else if hasElse {
-			out[i] = read(elseOp, ev, i)
-		} // else: stays NULL
+	for b := els; b >= 0; b-- {
+		for k := 0; k < n; k++ {
+			i := k
+			if b < els {
+				if k >= len(sels[b]) {
+					break
+				}
+				i = sels[b][k]
+			}
+			if branches[b].isConst {
+				out[i] = branches[b].c
+			} else {
+				out[i] = vecs[b].Value(i)
+			}
+		}
 	}
 	return vector.NewValueVector(out)
+}
+
+// caseSides binds every CASE branch through resolve, a NULL constant as an
+// all-NULL side; ok is false when some branch does not resolve.
+func caseSides(branches []vecOperand, vecs []vector.Vector, resolve func(vecOperand, vector.Vector) (arithSide, bool)) ([]arithSide, bool) {
+	sides := make([]arithSide, len(branches))
+	for b, o := range branches {
+		if o.isConst && o.c.IsNull() {
+			sides[b] = arithSide{nullAt: func(int) bool { return true }}
+			continue
+		}
+		s, ok := resolve(o, vecs[b])
+		if !ok {
+			return nil, false
+		}
+		sides[b] = s
+	}
+	return sides, true
 }
 
 // resolveFloatStrict binds a branch side that is float64-typed outright — a
@@ -977,15 +1234,9 @@ func vecNonNumeric(v vector.Vector) bool {
 func vecArithInt(op BinOp, l, r arithSide, n int, scratch *arithScratch) vector.Vector {
 	out := scratch.ints(n)
 	var nulls *vector.Bitmap
-	setNull := func(i int) {
-		if nulls == nil {
-			nulls = vector.NewBitmap(n)
-		}
-		nulls.Set(i)
-	}
 	for i := 0; i < n; i++ {
 		if l.null(i) || r.null(i) {
-			setNull(i)
+			nulls = setNull(nulls, n, i)
 			continue
 		}
 		a, b := l.int(i), r.int(i)
@@ -998,13 +1249,13 @@ func vecArithInt(op BinOp, l, r arithSide, n int, scratch *arithScratch) vector.
 			out[i] = a * b
 		case OpDiv:
 			if b == 0 {
-				setNull(i)
+				nulls = setNull(nulls, n, i)
 				continue
 			}
 			out[i] = a / b
 		default: // OpMod
 			if b == 0 {
-				setNull(i)
+				nulls = setNull(nulls, n, i)
 				continue
 			}
 			out[i] = a % b
@@ -1017,15 +1268,9 @@ func vecArithInt(op BinOp, l, r arithSide, n int, scratch *arithScratch) vector.
 func vecArithFloat(op BinOp, l, r arithSide, n int, scratch *arithScratch) vector.Vector {
 	out := scratch.floats(n)
 	var nulls *vector.Bitmap
-	setNull := func(i int) {
-		if nulls == nil {
-			nulls = vector.NewBitmap(n)
-		}
-		nulls.Set(i)
-	}
 	for i := 0; i < n; i++ {
 		if l.null(i) || r.null(i) {
-			setNull(i)
+			nulls = setNull(nulls, n, i)
 			continue
 		}
 		a, b := l.float(i), r.float(i)
@@ -1038,13 +1283,13 @@ func vecArithFloat(op BinOp, l, r arithSide, n int, scratch *arithScratch) vecto
 			out[i] = a * b
 		case OpDiv:
 			if b == 0 {
-				setNull(i)
+				nulls = setNull(nulls, n, i)
 				continue
 			}
 			out[i] = a / b
 		default: // OpMod
 			if b == 0 {
-				setNull(i)
+				nulls = setNull(nulls, n, i)
 				continue
 			}
 			out[i] = math.Mod(a, b)
@@ -1073,10 +1318,7 @@ func vecLeastGreatest(wantLess bool, args []vecOperand, cols []vector.Vector, n 
 		for i := 0; i < n; i++ {
 			for j := range sides {
 				if sides[j].null(i) {
-					if nulls == nil {
-						nulls = vector.NewBitmap(n)
-					}
-					nulls.Set(i)
+					nulls = setNull(nulls, n, i)
 					continue intRows
 				}
 			}
@@ -1102,10 +1344,7 @@ func vecLeastGreatest(wantLess bool, args []vecOperand, cols []vector.Vector, n 
 		for i := 0; i < n; i++ {
 			for j := range sides {
 				if sides[j].null(i) {
-					if nulls == nil {
-						nulls = vector.NewBitmap(n)
-					}
-					nulls.Set(i)
+					nulls = setNull(nulls, n, i)
 					continue floatRows
 				}
 			}

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,42 +49,45 @@ func randTypedRows(rng *rand.Rand, arity, n int) [][]types.Value {
 	return rows
 }
 
-// checkVecParity pins the columnar kernels of one compiled expression
-// against the interpreted Eval over one batch of rows.
+// checkVecParity pins the column kernels of one compiled expression against
+// the interpreted Eval over one batch of rows: the selection, the evaluated
+// vector and the evaluation gathered at every other row must all agree,
+// kind and canonical key bytes included.
 func checkVecParity(t *testing.T, e Expr, rows [][]types.Value, arity int) {
 	t.Helper()
 	prog := Compile(e)
-	cols := vector.FromRows(rows, arity)
-	vecs := cols.Slice(0, len(rows))
+	n := len(rows)
+	vecs := vector.FromRows(rows, arity).Slice(0, n)
 
-	if sel, ok := prog.SelectTruthyVec(vecs, len(rows), nil); ok {
-		var want []int
-		for i, row := range rows {
-			if Truthy(e.Eval(row)) {
-				want = append(want, i)
-			}
+	var want []int
+	for i, row := range rows {
+		if Truthy(e.Eval(row)) {
+			want = append(want, i)
 		}
-		if len(sel) != len(want) {
-			t.Fatalf("expr %s: vec sel %v, want %v", e, sel, want)
-		}
-		for i := range sel {
-			if sel[i] != want[i] {
-				t.Fatalf("expr %s: vec sel %v, want %v", e, sel, want)
-			}
+	}
+	if sel := prog.SelectTruthyVec(vecs, n, nil); !equalSel(sel, want) {
+		t.Fatalf("expr %s: vec sel %v, want %v", e, sel, want)
+	}
+
+	out := prog.EvalVec(vecs, n)
+	if out.Len() != n {
+		t.Fatalf("expr %s: EvalVec len %d, want %d", e, out.Len(), n)
+	}
+	for i, row := range rows {
+		if want, got := e.Eval(row), out.Value(i); !sameValueFuzz(want, got) {
+			t.Fatalf("expr %s row %d (%v): Eval=%v (%s) EvalVec=%v (%s)",
+				e, i, row, want, want.Kind(), got, got.Kind())
 		}
 	}
 
-	if out, ok := prog.EvalVec(vecs, len(rows)); ok {
-		if out.Len() != len(rows) {
-			t.Fatalf("expr %s: EvalVec len %d, want %d", e, out.Len(), len(rows))
-		}
-		for i, row := range rows {
-			want, got := e.Eval(row), out.Value(i)
-			if want.Kind() != got.Kind() ||
-				string(want.AppendKey(nil)) != string(got.AppendKey(nil)) {
-				t.Fatalf("expr %s row %d (%v): Eval=%v (%s) EvalVec=%v (%s)",
-					e, i, row, want, want.Kind(), got, got.Kind())
-			}
+	var every2 []int
+	for i := 0; i < n; i += 2 {
+		every2 = append(every2, i)
+	}
+	gathered := prog.EvalVecSel(vecs, n, every2)
+	for r, i := range every2 {
+		if want, got := e.Eval(rows[i]), gathered.Value(r); !sameValueFuzz(want, got) {
+			t.Fatalf("expr %s row %d: Eval=%v EvalVecSel=%v", e, i, want, got)
 		}
 	}
 }
@@ -100,56 +104,41 @@ func TestVecKernelsMatchEvalRandomized(t *testing.T) {
 	}
 }
 
-// TestVecKernelShapes asserts which expression shapes get columnar kernels:
-// the hot paths must not silently lose their typed loops.
+// TestVecKernelShapes asserts which expression shapes run typed loops with
+// unboxed outputs: the hot paths must not silently fall back to the boxed
+// per-element loop.
 func TestVecKernelShapes(t *testing.T) {
 	col := func(i int) Expr { return Col{Idx: i, Name: "c"} }
 	ci := func(v int64) Expr { return Const{V: types.NewInt(v)} }
-	hasSel := func(e Expr) bool { return Compile(e).vecSel != nil }
-	hasEval := func(e Expr) bool { return Compile(e).vecEval != nil }
-
-	if !hasSel(Bin{Op: OpLt, L: col(0), R: ci(3)}) {
-		t.Error("col < const lost its columnar selector")
+	batch := []vector.Vector{
+		vector.NewInt64Vector([]int64{1, 0, 3}, nil),
+		vector.NewInt64Vector([]int64{4, 5, 6}, nil),
 	}
-	if !hasSel(Bin{Op: OpEq, L: Bin{Op: OpMod, L: col(1), R: ci(2)}, R: ci(0)}) {
-		t.Error("(col % const) = const lost its columnar selector")
+	outType := func(e Expr) string {
+		return fmt.Sprintf("%T", Compile(e).EvalVec(batch, 3))
 	}
-	if !hasSel(Bin{Op: OpGe, L: col(0), R: col(1)}) {
-		t.Error("col >= col lost its columnar selector")
-	}
-	if !hasSel(Bin{Op: OpAnd, L: Bin{Op: OpLt, L: col(0), R: ci(1)}, R: Bin{Op: OpLt, L: col(1), R: ci(1)}}) {
-		t.Error("AND of columnar comparisons lost its composed selector")
-	}
-	if !hasSel(Bin{Op: OpOr, L: Bin{Op: OpLt, L: col(0), R: ci(1)}, R: Bin{Op: OpGe, L: col(1), R: ci(5)}}) {
-		t.Error("OR of columnar comparisons lost its composed selector")
-	}
-	if hasSel(Bin{Op: OpAnd, L: Bin{Op: OpLt, L: col(0), R: ci(1)}, R: IsNullE{E: col(1)}}) {
-		t.Error("AND over a non-columnar side unexpectedly grew a selector; update this test")
-	}
-	if hasSel(Not{E: Bin{Op: OpLt, L: col(0), R: ci(1)}}) {
-		t.Error("NOT unexpectedly grew a columnar selector (its TRUE set includes rows the operand left NULL); update this test")
-	}
-	if !hasEval(Bin{Op: OpAdd, L: col(0), R: col(1)}) {
-		t.Error("col + col lost its columnar kernel")
-	}
-	if !hasEval(ScalarFunc{Name: "least", Args: []Expr{col(0), col(1)}}) {
-		t.Error("least(col, col) — the UA certainty combination — lost its columnar kernel")
-	}
-	if !hasEval(col(2)) || !hasEval(ci(7)) {
-		t.Error("bare column / constant lost their columnar kernels")
-	}
-	if hasEval(ScalarFunc{Name: "coalesce", Args: []Expr{col(0), col(1)}}) {
-		t.Error("coalesce unexpectedly grew a columnar kernel; update this test")
-	}
-	gate := CaseExpr{Whens: []CaseWhen{{Cond: Bin{Op: OpEq, L: col(0), R: ci(1)}, Result: col(1)}}}
-	if !hasEval(gate) {
-		t.Error("single-branch searched CASE — the attribute-bounds gate — lost its columnar kernel")
-	}
-	if !hasEval(CaseExpr{Whens: gate.Whens, Else: ci(0)}) {
-		t.Error("CASE ... ELSE const lost its columnar kernel")
-	}
-	if hasEval(CaseExpr{Operand: col(0), Whens: gate.Whens}) {
-		t.Error("simple CASE (with operand) unexpectedly grew a columnar kernel; update this test")
+	gate := []CaseWhen{{Cond: Bin{Op: OpEq, L: col(0), R: ci(1)}, Result: col(1)}}
+	for _, c := range []struct {
+		e    Expr
+		want string
+	}{
+		{col(1), "*vector.Int64Vector"},
+		{Bin{Op: OpAdd, L: col(0), R: col(1)}, "*vector.Int64Vector"},
+		{ScalarFunc{Name: "least", Args: []Expr{col(0), col(1)}}, "*vector.Int64Vector"},
+		{CaseExpr{Whens: gate}, "*vector.Int64Vector"},
+		{CaseExpr{Whens: gate, Else: ci(0)}, "*vector.Int64Vector"},
+		{CaseExpr{Whens: append(gate, CaseWhen{Cond: Bin{Op: OpGt, L: col(1), R: ci(4)}, Result: ci(7)}), Else: ci(0)}, "*vector.Int64Vector"},
+		{CaseExpr{Operand: col(0), Whens: []CaseWhen{{Cond: ci(3), Result: col(1)}}}, "*vector.Int64Vector"},
+		{InE{E: col(0), List: []Expr{ci(1), ci(3)}}, "*vector.BoolVector"},
+		{Not{E: InE{E: col(0), List: []Expr{ci(1)}}}, "*vector.BoolVector"},
+		{IsNullE{E: col(0)}, "*vector.BoolVector"},
+		// The per-element loop: update this line when coalesce grows a
+		// typed loop.
+		{ScalarFunc{Name: "coalesce", Args: []Expr{col(0), col(1)}}, "*vector.ValueVector"},
+	} {
+		if got := outType(c.e); got != c.want {
+			t.Errorf("%s evaluates to %s, want %s", c.e, got, c.want)
+		}
 	}
 }
 
@@ -244,10 +233,7 @@ func TestVecCaseAndBoolSelector(t *testing.T) {
 			vector.NewInt64Vector(v, nil),
 		}
 	}
-	out, ok := gate.EvalVec(batch([]int64{1, 0, 1}, []int64{10, 20, 30}), 3)
-	if !ok {
-		t.Fatal("gate CASE has no columnar kernel")
-	}
+	out := gate.EvalVec(batch([]int64{1, 0, 1}, []int64{10, 20, 30}), 3)
 	iv, isInt := out.(*vector.Int64Vector)
 	if !isInt {
 		t.Fatalf("gate CASE output is %T, want unboxed *vector.Int64Vector", out)
@@ -256,7 +242,7 @@ func TestVecCaseAndBoolSelector(t *testing.T) {
 		t.Fatalf("gate CASE = %v, want [10 0 30]", iv.Vals)
 	}
 	// Second batch through the same kernel: the condition scratch must reset.
-	out, _ = gate.EvalVec(batch([]int64{0, 1}, []int64{7, 8}), 2)
+	out = gate.EvalVec(batch([]int64{0, 1}, []int64{7, 8}), 2)
 	iv = out.(*vector.Int64Vector)
 	if iv.Vals[0] != 0 || iv.Vals[1] != 8 {
 		t.Fatalf("gate CASE batch 2 = %v, want [0 8]", iv.Vals)
@@ -266,10 +252,7 @@ func TestVecCaseAndBoolSelector(t *testing.T) {
 	ifEC := Compile(CaseExpr{
 		Whens: []CaseWhen{{Cond: Bin{Op: OpEq, L: col(0), R: ci(1)}, Result: col(1)}},
 	})
-	out, ok = ifEC.EvalVec(batch([]int64{1, 0}, []int64{5, 6}), 2)
-	if !ok {
-		t.Fatal("ELSE-less CASE has no columnar kernel")
-	}
+	out = ifEC.EvalVec(batch([]int64{1, 0}, []int64{5, 6}), 2)
 	iv = out.(*vector.Int64Vector)
 	if iv.Vals[0] != 5 || !out.Null(1) || out.Null(0) {
 		t.Fatalf("ELSE-less CASE = %v (null1=%v), want [5 NULL]", iv.Vals, out.Null(1))
@@ -280,14 +263,11 @@ func TestVecCaseAndBoolSelector(t *testing.T) {
 		L: Bin{Op: OpOr, L: Bin{Op: OpLt, L: col(0), R: ci(3)}, R: Bin{Op: OpGt, L: col(0), R: ci(7)}},
 		R: Bin{Op: OpGe, L: col(1), R: ci(10)},
 	})
-	sel, ok := pred.SelectTruthyVec(batch([]int64{1, 5, 9, 2}, []int64{10, 10, 3, 50}), 4, nil)
-	if !ok {
-		t.Fatal("composed AND/OR has no columnar selector")
-	}
+	sel := pred.SelectTruthyVec(batch([]int64{1, 5, 9, 2}, []int64{10, 10, 3, 50}), 4, nil)
 	if len(sel) != 2 || sel[0] != 0 || sel[1] != 3 {
 		t.Fatalf("composed selection = %v, want [0 3]", sel)
 	}
-	sel, _ = pred.SelectTruthyVec(batch([]int64{8}, []int64{11}), 1, sel[:0])
+	sel = pred.SelectTruthyVec(batch([]int64{8}, []int64{11}), 1, sel[:0])
 	if len(sel) != 1 || sel[0] != 0 {
 		t.Fatalf("composed selection batch 2 = %v, want [0]", sel)
 	}

@@ -392,30 +392,6 @@ func (e InE) String() string {
 	return fmt.Sprintf("(%s IN (%s))", e.E, strings.Join(parts, ", "))
 }
 
-// BetweenE is lo <= e AND e <= hi with 3VL.
-type BetweenE struct {
-	E, Lo, Hi Expr
-	Negated   bool
-}
-
-// Eval implements Expr.
-func (e BetweenE) Eval(row []types.Value) types.Value {
-	inner := Bin{Op: OpAnd,
-		L: Bin{Op: OpGe, L: e.E, R: e.Lo},
-		R: Bin{Op: OpLe, L: e.E, R: e.Hi},
-	}
-	v := inner.Eval(row)
-	if e.Negated && !v.IsNull() {
-		return types.NewBool(!v.Bool())
-	}
-	return v
-}
-
-// String renders the predicate.
-func (e BetweenE) String() string {
-	return fmt.Sprintf("(%s BETWEEN %s AND %s)", e.E, e.Lo, e.Hi)
-}
-
 // ScalarFunc applies a builtin scalar function: abs, least, greatest,
 // coalesce, length, lower, upper.
 type ScalarFunc struct {

@@ -155,14 +155,26 @@ func TestInWithNulls(t *testing.T) {
 	}
 }
 
+// TestBetweenNull checks BETWEEN in the form the planner lowers it to
+// (betweenExpr): a NULL operand or a NULL bound that decides nothing makes
+// it NULL, NOT BETWEEN flips a decided result and keeps NULL NULL.
 func TestBetweenNull(t *testing.T) {
-	e := BetweenE{E: nullv(), Lo: iv(1), Hi: iv(2)}
-	if !e.Eval(nil).IsNull() {
+	if !betweenExpr(nullv(), iv(1), iv(2), false).Eval(nil).IsNull() {
 		t.Error("NULL BETWEEN -> NULL")
 	}
-	e = BetweenE{E: iv(3), Lo: iv(1), Hi: iv(2), Negated: true}
-	if !e.Eval(nil).Bool() {
+	if !betweenExpr(nullv(), iv(1), iv(2), true).Eval(nil).IsNull() {
+		t.Error("NULL NOT BETWEEN -> NULL")
+	}
+	if !betweenExpr(iv(3), iv(1), iv(2), true).Eval(nil).Bool() {
 		t.Error("NOT BETWEEN")
+	}
+	// 5 NOT BETWEEN NULL AND 2: the upper bound already fails, so the
+	// conjunction is FALSE and its negation TRUE; within bounds it is NULL.
+	if v := betweenExpr(iv(5), nullv(), iv(2), true).Eval(nil); !Truthy(v) {
+		t.Errorf("5 NOT BETWEEN NULL AND 2 = %v, want TRUE", v)
+	}
+	if v := betweenExpr(iv(1), nullv(), iv(2), true).Eval(nil); !v.IsNull() {
+		t.Errorf("1 NOT BETWEEN NULL AND 2 = %v, want NULL", v)
 	}
 }
 
@@ -216,7 +228,7 @@ func TestExprStrings(t *testing.T) {
 	nodes := []Expr{
 		Not{E: bv(true)}, Neg{E: iv(1)}, CaseExpr{Whens: []CaseWhen{{Cond: bv(true), Result: iv(1)}}, Else: iv(2)},
 		LikeE{E: svv("a"), Pattern: svv("%")}, InE{E: iv(1), List: []Expr{iv(2)}},
-		BetweenE{E: iv(1), Lo: iv(0), Hi: iv(2)}, ScalarFunc{Name: "abs", Args: []Expr{iv(-1)}},
+		ScalarFunc{Name: "abs", Args: []Expr{iv(-1)}},
 	}
 	for _, n := range nodes {
 		if n.String() == "" {

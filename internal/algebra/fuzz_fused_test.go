@@ -3,7 +3,6 @@ package algebra
 import (
 	"testing"
 
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
@@ -13,50 +12,36 @@ import (
 // a contiguous survivor run or EvalVecSel at scattered survivors, boxed into
 // rows by vector.Materialize — and requires byte-identical results (kind plus
 // canonical key encoding) to interpreted row-at-a-time filtering and
-// evaluation. NULL propagation through 3VL predicates, div/mod-by-zero,
-// NaN comparison arms, and int→float widening past 2^53 all flow through
-// the same decoded value pool the kernel fuzzer uses.
+// evaluation. Predicates and projections are decoded from every Expr form,
+// each of which fuses. NULL propagation through 3VL predicates,
+// div/mod-by-zero, NaN comparison arms, and int→float widening past 2^53
+// all flow through the same decoded value pool the kernel fuzzer uses.
 func FuzzFusedVsUnfused(f *testing.F) {
 	f.Add([]byte{0x01, 0x22, 0x13, 0x05, 0x40, 0x41, 0x42})
 	f.Add([]byte{0x02, 0x30, 0x00, 0xff, 0x7f, 0x12, 0x99, 0x01, 0x02, 0x03})
 	f.Add([]byte("fused-window-agreement"))
+	// One form seed as the predicate and one as the projection.
+	seeds := formSeeds()
+	for i, e := range seeds {
+		f.Add(cat([]byte{1}, e, []byte{0}, seeds[(i+3)%len(seeds)], seedRows))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := decoder{data: data}
 		const arity = 3
 		nPreds := int(d.byte()) % 3
 		preds := make([]Expr, nPreds)
 		for i := range preds {
-			preds[i] = d.expr(arity, 2)
+			preds[i] = d.expr(arity, 3)
 		}
 		nProjs := 1 + int(d.byte())%3
 		projs := make([]Expr, nProjs)
 		for i := range projs {
 			projs[i] = d.expr(arity, 3)
 		}
-		nRows := 1 + int(d.byte())%24
-		rows := make([][]types.Value, nRows)
-		for i := range rows {
-			row := make([]types.Value, arity)
-			for j := range row {
-				row[j] = d.value()
-			}
-			rows[i] = row
-		}
-
-		predProgs := make([]*Compiled, nPreds)
-		for i, p := range preds {
-			predProgs[i] = Compile(p)
-			if !predProgs[i].CanSelectVec() {
-				return // fused lowering would decline this chain
-			}
-		}
-		projProgs := make([]*Compiled, nProjs)
-		for i, p := range projs {
-			projProgs[i] = Compile(p)
-			if !projProgs[i].CanEvalVec() {
-				return
-			}
-		}
+		rows := d.rows(arity)
+		nRows := len(rows)
+		predProgs := CompileAll(preds)
+		projProgs := CompileAll(projs)
 
 		// Row-at-a-time reference: sequential filters, interpreted Eval.
 		var wantSel []int
@@ -77,10 +62,7 @@ func FuzzFusedVsUnfused(f *testing.F) {
 		cols := vector.FromRows(rows, arity).Slice(0, nRows)
 		var sel []int
 		for i, prog := range predProgs {
-			s, ok := prog.SelectTruthyVec(cols, nRows, nil)
-			if !ok {
-				t.Fatalf("pred %s: CanSelectVec true but SelectTruthyVec declined", preds[i])
-			}
+			s := prog.SelectTruthyVec(cols, nRows, nil)
 			if i == 0 {
 				sel = s
 			} else {
@@ -113,14 +95,10 @@ func FuzzFusedVsUnfused(f *testing.F) {
 		}
 		out := make([]vector.Vector, nProjs)
 		for j, prog := range projProgs {
-			var ok bool
 			if dense {
-				out[j], ok = prog.EvalVec(win, m)
+				out[j] = prog.EvalVec(win, m)
 			} else {
-				out[j], ok = prog.EvalVecSel(cols, nRows, sel)
-			}
-			if !ok {
-				t.Fatalf("proj %s: CanEvalVec true but columnar eval declined", projs[j])
+				out[j] = prog.EvalVecSel(cols, nRows, sel)
 			}
 		}
 		got := vector.Materialize(out, m)

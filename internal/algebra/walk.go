@@ -2,49 +2,61 @@ package algebra
 
 import "sort"
 
-// WalkCols visits every column reference in e, in evaluation order.
-func WalkCols(e Expr, f func(Col)) {
+// mapChildren returns a copy of e with each direct child expression replaced
+// by f's result, visiting children in evaluation order. Leaves (and unknown
+// expression types) are returned unchanged.
+func mapChildren(e Expr, f func(Expr) Expr) Expr {
 	switch n := e.(type) {
-	case Col:
-		f(n)
-	case Const:
 	case Bin:
-		WalkCols(n.L, f)
-		WalkCols(n.R, f)
+		return Bin{Op: n.Op, L: f(n.L), R: f(n.R)}
 	case Not:
-		WalkCols(n.E, f)
+		return Not{E: f(n.E)}
 	case Neg:
-		WalkCols(n.E, f)
+		return Neg{E: f(n.E)}
 	case IsNullE:
-		WalkCols(n.E, f)
+		return IsNullE{E: f(n.E), Negated: n.Negated}
 	case CaseExpr:
+		out := CaseExpr{}
 		if n.Operand != nil {
-			WalkCols(n.Operand, f)
+			out.Operand = f(n.Operand)
 		}
 		for _, w := range n.Whens {
-			WalkCols(w.Cond, f)
-			WalkCols(w.Result, f)
+			cond := f(w.Cond)
+			out.Whens = append(out.Whens, CaseWhen{Cond: cond, Result: f(w.Result)})
 		}
 		if n.Else != nil {
-			WalkCols(n.Else, f)
+			out.Else = f(n.Else)
 		}
+		return out
 	case LikeE:
-		WalkCols(n.E, f)
-		WalkCols(n.Pattern, f)
+		return LikeE{E: f(n.E), Pattern: f(n.Pattern), Negated: n.Negated}
 	case InE:
-		WalkCols(n.E, f)
+		out := InE{E: f(n.E), Negated: n.Negated}
 		for _, x := range n.List {
-			WalkCols(x, f)
+			out.List = append(out.List, f(x))
 		}
-	case BetweenE:
-		WalkCols(n.E, f)
-		WalkCols(n.Lo, f)
-		WalkCols(n.Hi, f)
+		return out
 	case ScalarFunc:
+		out := ScalarFunc{Name: n.Name}
 		for _, a := range n.Args {
-			WalkCols(a, f)
+			out.Args = append(out.Args, f(a))
 		}
+		return out
+	default:
+		return e
 	}
+}
+
+// WalkCols visits every column reference in e, in evaluation order.
+func WalkCols(e Expr, f func(Col)) {
+	if c, isCol := e.(Col); isCol {
+		f(c)
+		return
+	}
+	mapChildren(e, func(child Expr) Expr {
+		WalkCols(child, f)
+		return child
+	})
 }
 
 // ColsUsed returns the sorted, deduplicated column positions referenced by e.
@@ -63,57 +75,10 @@ func ColsUsed(e Expr) []int {
 // result. Non-column leaves are preserved; unknown expression types are
 // returned unchanged.
 func MapCols(e Expr, f func(Col) Expr) Expr {
-	switch n := e.(type) {
-	case Col:
-		return f(n)
-	case Const:
-		return n
-	case Bin:
-		return Bin{Op: n.Op, L: MapCols(n.L, f), R: MapCols(n.R, f)}
-	case Not:
-		return Not{E: MapCols(n.E, f)}
-	case Neg:
-		return Neg{E: MapCols(n.E, f)}
-	case IsNullE:
-		return IsNullE{E: MapCols(n.E, f), Negated: n.Negated}
-	case CaseExpr:
-		out := CaseExpr{}
-		if n.Operand != nil {
-			out.Operand = MapCols(n.Operand, f)
-		}
-		for _, w := range n.Whens {
-			out.Whens = append(out.Whens, CaseWhen{
-				Cond:   MapCols(w.Cond, f),
-				Result: MapCols(w.Result, f),
-			})
-		}
-		if n.Else != nil {
-			out.Else = MapCols(n.Else, f)
-		}
-		return out
-	case LikeE:
-		return LikeE{E: MapCols(n.E, f), Pattern: MapCols(n.Pattern, f), Negated: n.Negated}
-	case InE:
-		out := InE{E: MapCols(n.E, f), Negated: n.Negated}
-		for _, x := range n.List {
-			out.List = append(out.List, MapCols(x, f))
-		}
-		return out
-	case BetweenE:
-		return BetweenE{
-			E:  MapCols(n.E, f),
-			Lo: MapCols(n.Lo, f),
-			Hi: MapCols(n.Hi, f), Negated: n.Negated,
-		}
-	case ScalarFunc:
-		out := ScalarFunc{Name: n.Name}
-		for _, a := range n.Args {
-			out.Args = append(out.Args, MapCols(a, f))
-		}
-		return out
-	default:
-		return e
+	if c, isCol := e.(Col); isCol {
+		return f(c)
 	}
+	return mapChildren(e, func(child Expr) Expr { return MapCols(child, f) })
 }
 
 // ShiftCols returns a copy of e with every column index ≥ threshold shifted

@@ -133,6 +133,28 @@ func TestBetweenInLike(t *testing.T) {
 	}
 }
 
+// TestScalarFuncArity: a scalar function called with the wrong number of
+// arguments is a plan-time error, never an evaluation-time panic.
+func TestScalarFuncArity(t *testing.T) {
+	cat := fixtureCatalog()
+	for _, q := range []string{
+		"SELECT abs() FROM users", "SELECT length() FROM users", "SELECT lower(name, city) FROM users",
+		"SELECT upper() FROM users", "SELECT least() FROM users", "SELECT coalesce() FROM users",
+	} {
+		if _, err := NewPlanner(cat).PlanSQL(q); err == nil || !strings.Contains(err.Error(), "argument") {
+			t.Errorf("%s: err = %v, want an arity error", q, err)
+		}
+	}
+	for _, q := range []string{
+		"SELECT abs(age), length(name), lower(city), upper(city) FROM users",
+		"SELECT least(age), greatest(age, id, 3), coalesce(age, 0) FROM users",
+	} {
+		if res := run(t, cat, q); res.NumRows() != 4 {
+			t.Errorf("%s: %d rows", q, res.NumRows())
+		}
+	}
+}
+
 func TestJoinHashAndResidual(t *testing.T) {
 	cat := fixtureCatalog()
 	// Comma join with WHERE equality: the planner must extract a hash key.

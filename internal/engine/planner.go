@@ -458,7 +458,16 @@ func compileExpr(e sql.Expr, sc *scope) (algebra.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return algebra.BetweenE{E: ex, Lo: lo, Hi: hi, Negated: n.Negated}, nil
+		// BETWEEN is sugar: lo <= e AND e <= hi under three-valued logic,
+		// negated as a whole.
+		var between algebra.Expr = algebra.Bin{Op: algebra.OpAnd,
+			L: algebra.Bin{Op: algebra.OpGe, L: ex, R: lo},
+			R: algebra.Bin{Op: algebra.OpLe, L: ex, R: hi},
+		}
+		if n.Negated {
+			between = algebra.Not{E: between}
+		}
+		return between, nil
 	case sql.InList:
 		ex, err := compileExpr(n.E, sc)
 		if err != nil {
@@ -529,6 +538,16 @@ func compileExpr(e sql.Expr, sc *scope) (algebra.Expr, error) {
 			}
 		}
 		if algebra.ScalarFuncs[name] {
+			switch name {
+			case "least", "greatest", "coalesce":
+				if len(n.Args) == 0 {
+					return nil, fmt.Errorf("engine: %s needs at least 1 argument", name)
+				}
+			default:
+				if len(n.Args) != 1 {
+					return nil, fmt.Errorf("engine: %s takes exactly 1 argument, got %d", name, len(n.Args))
+				}
+			}
 			args := make([]algebra.Expr, len(n.Args))
 			for i, a := range n.Args {
 				var err error

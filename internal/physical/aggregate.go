@@ -10,14 +10,15 @@ import (
 )
 
 // HashAggregate groups the input by the key expressions and computes the
-// aggregate functions. Open consumes the input batch by batch — group-by
-// keys are evaluated expression-at-a-time into reused key columns
-// (algebra.EvalColumn), and groups are keyed with the shared canonical
-// binary encoding (key.go) — then Next streams one row per group in
-// first-seen order (a global aggregate over an empty input still emits one
-// row). Output rows are freshly allocated, group-by columns first,
-// aggregate columns after, and emitted in shared-spine batches slicing the
-// materialized result.
+// aggregate functions. Open consumes the input batch by batch, each batch's
+// columns one window of FusedAggregate's fold (fusedAggFolder.foldWindow,
+// with no predicates): group-by keys and arguments evaluate through their
+// column kernels, groups are keyed by the per-vector canonical key encoding
+// (key.go), and one absorption rule accumulates the states. Next then
+// streams one row per group in first-seen order (a global aggregate over an
+// empty input still emits one row). Output rows are freshly allocated,
+// group-by columns first, aggregate columns after, and emitted in
+// shared-spine batches slicing the materialized result.
 //
 // With a memory governor (Mem non-nil), the group table is bounded: each
 // new group Forces its estimated state bytes, and whenever a folded batch
@@ -187,119 +188,19 @@ func (st *aggState) result(aggs []algebra.AggSpec, nGroupCols int) []types.Value
 	return row
 }
 
-// aggFolder is HashAggregate's batch-folding core, in-memory and governed:
-// compiled group-key and argument kernels, reused evaluation columns, and
-// the canonical-key group lookup. One folder belongs to one goroutine — the
-// kernels it compiles are closures with private scratch.
-//
-// When every group-by expression is a bare column and the batch is columnar,
-// group keys are encoded straight from the vectors (the per-vector-type
-// AppendElemKey fast paths) instead of boxing each key cell through
-// EvalColumn; the group's representative row is still boxed, but only once
-// per distinct group.
-type aggFolder struct {
-	aggs       []algebra.AggSpec
-	groupProgs []*algebra.Compiled
-	argProgs   []*algebra.Compiled
-	groupIdx   []int // column index per group expr when all are bare Cols
-	keyCols    [][]types.Value
-	argCols    [][]types.Value
-	keyBuf     []byte
-}
-
-// newAggFolder compiles the group and argument expressions.
-func newAggFolder(groupBy []algebra.Expr, aggs []algebra.AggSpec) *aggFolder {
-	f := &aggFolder{
-		aggs:       aggs,
-		groupProgs: algebra.CompileAll(groupBy),
-		argProgs:   make([]*algebra.Compiled, len(aggs)),
-		keyCols:    make([][]types.Value, len(groupBy)),
-		argCols:    make([][]types.Value, len(aggs)),
-	}
-	f.groupIdx = make([]int, 0, len(groupBy))
-	for _, e := range groupBy {
-		c, isCol := e.(algebra.Col)
-		if !isCol {
-			f.groupIdx = nil
-			break
-		}
-		f.groupIdx = append(f.groupIdx, c.Idx)
-	}
-	for i, a := range aggs {
+// newFolder compiles the aggregate's group-by keys and arguments into the
+// fold FusedAggregate runs — the same kernels and absorption arms, with no
+// predicates — and marks the input columns they read. Each input batch is
+// one window of that fold.
+func (h *HashAggregate) newFolder() (*fusedAggFolder, []bool) {
+	args := make([]algebra.Expr, len(h.Aggs))
+	for i, a := range h.Aggs {
 		if !a.Star {
-			f.argProgs[i] = algebra.Compile(a.Arg)
+			args[i] = a.Arg
 		}
 	}
-	return f
-}
-
-// fold absorbs one batch into groups, calling add (in first-seen order) for
-// every group created along the way.
-func (f *aggFolder) fold(b *Batch, groups map[string]*aggState, add func(key string, st *aggState)) {
-	n := b.Len()
-	cols := b.Cols()
-	useVec := cols != nil && f.groupIdx != nil && len(f.groupIdx) > 0
-
-	// The aggregate arguments still evaluate through the row kernels; only
-	// batches that need them (any non-COUNT(*) aggregate, or a non-columnar
-	// key path) materialize a row view — a COUNT(*)-only aggregate over a
-	// column-only batch never boxes a cell.
-	var rows [][]types.Value
-	needRows := !useVec
-	for _, prog := range f.argProgs {
-		if prog != nil {
-			needRows = true
-		}
-	}
-	if needRows {
-		rows = b.Rows()
-	}
-
-	if !useVec {
-		for g, prog := range f.groupProgs {
-			f.keyCols[g] = prog.EvalColumn(rows, f.keyCols[g][:0])
-		}
-	}
-	for i, prog := range f.argProgs {
-		if prog != nil {
-			f.argCols[i] = prog.EvalColumn(rows, f.argCols[i][:0])
-		}
-	}
-	for i := 0; i < n; i++ {
-		f.keyBuf = f.keyBuf[:0]
-		if useVec {
-			f.keyBuf = appendVecColsKey(f.keyBuf, cols, i, f.groupIdx)
-		} else {
-			for g := range f.keyCols {
-				f.keyBuf = f.keyCols[g][i].AppendKey(f.keyBuf)
-				f.keyBuf = append(f.keyBuf, '|')
-			}
-		}
-		st, ok := groups[string(f.keyBuf)]
-		if !ok {
-			groupRow := make([]types.Value, len(f.groupProgs))
-			if useVec {
-				for g, idx := range f.groupIdx {
-					groupRow[g] = cols[idx].Value(i)
-				}
-			} else {
-				for g := range f.keyCols {
-					groupRow[g] = f.keyCols[g][i]
-				}
-			}
-			st = newAggState(groupRow, len(f.aggs))
-			key := string(f.keyBuf)
-			groups[key] = st
-			add(key, st)
-		}
-		for a := range f.argProgs {
-			if f.argProgs[a] == nil {
-				st.count[a]++ // COUNT(*) counts rows unconditionally
-			} else {
-				st.absorbValue(a, f.argCols[a][i])
-			}
-		}
-	}
+	used := usedCols(h.Input.Schema().Arity(), append(args, h.GroupBy...)...)
+	return newFusedAggFolder(nil, h.GroupBy, args, h.Aggs), used
 }
 
 // Open implements Operator: it consumes the input and builds all groups.
@@ -313,7 +214,7 @@ func (h *HashAggregate) Open() error {
 	}
 	groups := make(map[string]*aggState)
 	var states []*aggState // first-seen order
-	folder := newAggFolder(h.GroupBy, h.Aggs)
+	folder, used := h.newFolder()
 	for {
 		b, err := h.Input.Next()
 		if err != nil {
@@ -322,7 +223,7 @@ func (h *HashAggregate) Open() error {
 		if b == nil {
 			break
 		}
-		folder.fold(b, groups, func(_ string, st *aggState) {
+		folder.foldWindow(b.colsFor(used), b.Len(), groups, func(_ string, st *aggState) {
 			states = append(states, st)
 		})
 	}
@@ -475,7 +376,7 @@ func (h *HashAggregate) openGoverned() error {
 		return nil
 	}
 
-	folder := newAggFolder(h.GroupBy, h.Aggs)
+	folder, used := h.newFolder()
 	add := func(key string, st *aggState) {
 		// The group exists either way; Force tracks it and the post-batch
 		// pressure check below spills the generation if this batch pushed
@@ -495,7 +396,7 @@ func (h *HashAggregate) openGoverned() error {
 		if b == nil {
 			break
 		}
-		folder.fold(b, groups, add)
+		folder.foldWindow(b.colsFor(used), b.Len(), groups, add)
 		if h.Mem.Over() {
 			if err := spillGen(); err != nil {
 				return err

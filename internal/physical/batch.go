@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"repro/internal/algebra"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -31,12 +32,14 @@ const DefaultBatchSize = 1024
 // A batch may additionally (or exclusively) carry a columnar view: one
 // typed vector per column (internal/vector). Scans emit both views —
 // zero-copy row-spine and zero-copy vector windows of the table's cached
-// columnar form — so boxed consumers pay nothing; typed Filter/Project
-// outputs may carry only columns, and Rows materializes the row view on
-// first demand. The columnar view follows the spine's lifetime rule (valid
-// only until the producer's next Next or Close), while materialized rows
-// follow the row-stability rule: freshly allocated, immortal once handed
-// out. The two views of one batch always describe identical values.
+// columnar form — so boxed consumers pay nothing; Filter/Project outputs
+// may carry only columns, and Rows materializes the row view on first
+// demand. Symmetrically, a row-only batch (join, aggregate or sort output)
+// builds its columnar view from its rows on first Cols call. The columnar
+// view follows the spine's lifetime rule (valid only until the producer's
+// next Next or Close), while materialized rows follow the row-stability
+// rule: freshly allocated, immortal once handed out. The two views of one
+// batch always describe identical values.
 type Batch struct {
 	rows     [][]types.Value
 	shared   bool
@@ -73,15 +76,50 @@ func (b *Batch) Rows() [][]types.Value {
 // Row returns the i-th row (materializing the row view if needed).
 func (b *Batch) Row(i int) []types.Value { return b.Rows()[i] }
 
-// Cols exposes the columnar view, or nil when the batch is row-only. A
-// deferred view (a typed filter's gather) is built on first call — a
-// consumer that only ever reads rows never pays for it.
+// Cols exposes the columnar view (nil only for an empty row-only batch).
+// A deferred view (a filter's gather) is built on first call, and a
+// row-only batch converts its rows (vector.FromRows, the mirror of Rows) —
+// a consumer that only ever reads rows never pays for either.
 func (b *Batch) Cols() []vector.Vector {
-	if b.cols == nil && b.lazyCols != nil {
-		b.cols, b.lazyCols = b.lazyCols(), nil
+	if b.cols == nil {
+		switch {
+		case b.lazyCols != nil:
+			b.cols, b.lazyCols = b.lazyCols(), nil
+		case len(b.rows) > 0:
+			b.cols = vector.FromRows(b.rows, len(b.rows[0])).Vecs
+		}
 		b.colsN = len(b.rows)
 	}
 	return b.cols
+}
+
+// colsFor is Cols for a consumer whose kernels read only the columns marked
+// in used (one mark per column): a row-only batch converts just those,
+// leaving nil vectors at the rest, and does not keep the partial view. A
+// batch that has or defers a full view returns it.
+func (b *Batch) colsFor(used []bool) []vector.Vector {
+	if b.cols != nil || b.lazyCols != nil || len(b.rows) == 0 {
+		return b.Cols()
+	}
+	cols := make([]vector.Vector, len(used))
+	for j, u := range used {
+		if u {
+			cols[j] = vector.ColumnFromRows(b.rows, j)
+		}
+	}
+	return cols
+}
+
+// usedCols marks the columns of an arity-wide input that the expressions
+// read (nil expressions read none).
+func usedCols(arity int, es ...algebra.Expr) []bool {
+	used := make([]bool, arity)
+	for _, e := range es {
+		if e != nil {
+			algebra.WalkCols(e, func(c algebra.Col) { used[c.Idx] = true })
+		}
+	}
+	return used
 }
 
 // KeyCols returns the columnar view only when the batch has no row view yet:

@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/algebra"
@@ -20,15 +19,17 @@ import (
 // output vectors. Nothing between the scan and the output is materialized:
 // no compacted row spines, no boxed cells, no per-operator Next dispatch.
 //
-// Fusion is an execution strategy, never a semantics change: the composed
-// kernels are the same compile_vec.go kernels the unfused typed operators
-// run (selection parity, NULL propagation, division-by-zero, float widening
-// and all), rows survive a fused multi-filter chain exactly when every
-// composed predicate selects them (ascending selection-vector intersection),
-// and the probe stage encodes keys and orders matches exactly like the
-// serial HashJoin. The randomized agreement harnesses pin fused output
-// byte-identical to the boxed operator tree — the same plans over a source
-// without columns, where nothing fuses — at every DOP and memory budget.
+// Fusion is an execution strategy, never a semantics change: every
+// expression has a column kernel, and the composed kernels are the same
+// compile_vec.go kernels the unfused Filter and Project run (selection
+// parity, NULL propagation, division-by-zero, float widening and all), so
+// whether a chain fuses depends on its shape and source alone. Rows survive
+// a fused multi-filter chain exactly when every composed predicate selects
+// them (ascending selection-vector intersection), and the probe stage
+// encodes keys and orders matches exactly like the serial HashJoin. The
+// randomized agreement harnesses pin fused output byte-identical to the
+// operator tree — the same plans over a source without columns, where
+// nothing fuses — at every DOP and memory budget.
 
 // FusedProbe is the optional hash-join probe stage of a fused pipeline: the
 // chain's output columns are probed against the build table without ever
@@ -83,7 +84,6 @@ type FusedPipeline struct {
 
 	// Probe-stage state, resumable across Next calls.
 	table   *hashTable
-	res     *algebra.Compiled
 	sl      *slab
 	keyBuf  []byte
 	probed  *vector.Columns // the chain's output
@@ -102,25 +102,11 @@ func (f *FusedPipeline) Open() error {
 	if !f.compiled {
 		f.predProgs = algebra.CompileAll(f.Preds)
 		f.projProgs = algebra.CompileAll(f.Projs)
-		for _, p := range f.predProgs {
-			if !p.CanSelectVec() {
-				return fmt.Errorf("physical: fused predicate lost its columnar kernel")
-			}
-		}
-		for _, p := range f.projProgs {
-			if !p.CanEvalVec() {
-				return fmt.Errorf("physical: fused projection lost its columnar kernel")
-			}
-		}
 		f.compiled = true
 	}
 	f.done, f.probed, f.matches, f.pi, f.mi = false, nil, nil, 0, 0
 	if f.Probe == nil {
 		return nil
-	}
-	f.res = nil
-	if f.Probe.Residual != nil {
-		f.res = algebra.Compile(f.Probe.Residual)
 	}
 	f.sl = newSlab(f.schema.Arity())
 	f.table = newHashTable(f.Probe.EquiR)
@@ -204,7 +190,7 @@ func (f *FusedPipeline) columns() *vector.Columns {
 	vecs := make([]vector.Vector, len(f.projProgs))
 	if !ranged {
 		for j, prog := range f.projProgs {
-			vecs[j], _ = prog.EvalVecSel(cols, n, sel)
+			vecs[j] = prog.EvalVecSel(cols, n, sel)
 		}
 		return &vector.Columns{N: len(sel), Vecs: vecs}
 	}
@@ -214,7 +200,7 @@ func (f *FusedPipeline) columns() *vector.Columns {
 		win = f.window(lo, hi)
 	}
 	for j, prog := range f.projProgs {
-		vecs[j], _ = prog.EvalVec(win, hi-lo)
+		vecs[j] = prog.EvalVec(win, hi-lo)
 	}
 	return &vector.Columns{N: hi - lo, Vecs: vecs}
 }
@@ -251,12 +237,12 @@ func (f *FusedPipeline) drainColumns() (*vector.Columns, bool) {
 // no faults, division by zero is NULL — so the extra evaluations cannot
 // change which rows the intersection keeps.)
 func (f *FusedPipeline) selectWindow(cols []vector.Vector, n int) []int {
-	sel, _ := f.predProgs[0].SelectTruthyVec(cols, n, f.sel[:0])
+	sel := f.predProgs[0].SelectTruthyVec(cols, n, f.sel[:0])
 	for _, prog := range f.predProgs[1:] {
 		if len(sel) == 0 {
 			break
 		}
-		s2, _ := prog.SelectTruthyVec(cols, n, f.sel2[:0])
+		s2 := prog.SelectTruthyVec(cols, n, f.sel2[:0])
 		f.sel2 = s2
 		sel = intersectAsc(sel, s2)
 	}
@@ -341,7 +327,7 @@ func (f *FusedPipeline) emitProbe(i int, match []types.Value) {
 		row[c] = v.Value(i)
 	}
 	copy(row[len(f.probed.Vecs):], match)
-	if f.res != nil && !algebra.Truthy(f.res.Eval(row)) {
+	if res := f.Probe.Residual; res != nil && !algebra.Truthy(res.Eval(row)) {
 		return
 	}
 	f.sl.commit()
@@ -378,8 +364,7 @@ func substCols(e algebra.Expr, mapping []algebra.Expr) algebra.Expr {
 // over a base-table scan with columnar storage. ok is false — with no error
 // — when the subtree has the wrong shape or the table has no columns;
 // validation errors are the same ones serial lowering would report. The
-// caller still gates on kernel availability and on the chain being worth
-// fusing.
+// caller still gates on the chain being worth fusing.
 func fuseChainFor(n algebra.Node, src Source) (*fusedChain, bool, error) {
 	switch node := n.(type) {
 	case *algebra.Scan:
@@ -441,24 +426,6 @@ func fuseChainFor(n algebra.Node, src Source) (*fusedChain, bool, error) {
 	return nil, false, nil
 }
 
-// kernelsOK reports whether every composed predicate has a columnar
-// selection kernel and every composed projection a columnar evaluation
-// kernel — the condition for the fused loop to exist at all. Compilation is
-// deterministic, so a positive answer here guarantees Open succeeds.
-func (fc *fusedChain) kernelsOK() bool {
-	for _, p := range fc.preds {
-		if !algebra.Compile(p).CanSelectVec() {
-			return false
-		}
-	}
-	for _, e := range fc.projs {
-		if !algebra.Compile(e).CanEvalVec() {
-			return false
-		}
-	}
-	return true
-}
-
 // worthFusing gates standalone (probe-less) fusion on chains where the fused
 // pass strictly saves work: the chain must end in a projection and must
 // either filter or compute. A filter-only chain stays unfused — the typed
@@ -486,7 +453,7 @@ func lowerFusedPipeline(n algebra.Node, src Source) (Operator, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if !fc.worthFusing() || !fc.kernelsOK() {
+	if !fc.worthFusing() {
 		return nil, false, nil
 	}
 	return &FusedPipeline{
@@ -511,7 +478,7 @@ func lowerFusedProbe(node *algebra.Join, src Source, opt Options) (Operator, boo
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if !fc.worthProbeFusing() || !fc.kernelsOK() {
+	if !fc.worthProbeFusing() {
 		return nil, false, nil
 	}
 	right, err := lowerNode(node.Right, src, opt)

@@ -19,10 +19,11 @@ import (
 // boxed argument cell, and only one boxed representative row per distinct
 // group.
 //
-// Fusion remains an execution strategy, never a semantics change. The folder
-// reproduces aggState absorption rule for rule: NULL arguments are skipped,
-// COUNT counts every non-null argument (strings and booleans included —
-// those fall back to the boxed absorbValue arm), SUM/AVG keep the serial
+// Fusion remains an execution strategy, never a semantics change: the
+// folder is also HashAggregate's, and its typed arms reproduce aggState's
+// one absorption rule (absorbValue) case for case: NULL arguments are
+// skipped, COUNT counts every non-null argument (strings and booleans
+// included — those take absorbValue itself), SUM/AVG keep the serial
 // per-group addition order (rows ascending within each aggregate, and
 // per-aggregate accumulators are independent, so float sums land on the
 // identical last ulp), and MIN/MAX replicate types.Value.Compare — integer
@@ -50,12 +51,11 @@ type fusedAggChain struct {
 }
 
 // fusedAggFor recognizes a fusable aggregate rooted at node: a fusable
-// Scan→Filter→Project chain below, columnar kernels for every composed
-// predicate, group key, and aggregate argument. ok is false — with no error
-// — when the shape or kernels don't allow fusion; validation errors are the
-// ones serial lowering would report. There is no worth gate: even a bare
-// scan-aggregate saves the boxed batch stream and the per-row argument
-// boxing, so a recognized chain always fuses.
+// Scan→Filter→Project chain below, with the group keys and aggregate
+// arguments composed through it. ok is false — with no error — when the
+// shape doesn't allow fusion; validation errors are the ones serial
+// lowering would report. There is no worth gate: even a bare scan-aggregate
+// saves the batch stream, so a recognized chain always fuses.
 func fusedAggFor(node *algebra.Aggregate, src Source) (*fusedAggChain, bool, error) {
 	fc, ok, err := fuseChainFor(node.Input, src)
 	if err != nil || !ok {
@@ -64,17 +64,9 @@ func fusedAggFor(node *algebra.Aggregate, src Source) (*fusedAggChain, bool, err
 	if err := checkAggregate(node, len(fc.projs)); err != nil {
 		return nil, false, err
 	}
-	for _, p := range fc.preds {
-		if !algebra.Compile(p).CanSelectVec() {
-			return nil, false, nil
-		}
-	}
 	groupBy := make([]algebra.Expr, len(node.GroupBy))
 	for i, e := range node.GroupBy {
 		groupBy[i] = substCols(e, fc.projs)
-		if !algebra.Compile(groupBy[i]).CanEvalVec() {
-			return nil, false, nil
-		}
 	}
 	args := make([]algebra.Expr, len(node.Aggs))
 	for i, a := range node.Aggs {
@@ -82,9 +74,6 @@ func fusedAggFor(node *algebra.Aggregate, src Source) (*fusedAggChain, bool, err
 			continue
 		}
 		args[i] = substCols(a.Arg, fc.projs)
-		if !algebra.Compile(args[i]).CanEvalVec() {
-			return nil, false, nil
-		}
 	}
 	attrs := append([]string{}, node.GroupNames...)
 	for _, a := range node.Aggs {
@@ -100,10 +89,11 @@ func fusedAggFor(node *algebra.Aggregate, src Source) (*fusedAggChain, bool, err
 }
 
 // fusedAggFolder folds column windows into group states without boxing:
-// FusedAggregate's core, run over one whole-table window at DOP 1 and over
-// one window per morsel by each worker at DOP > 1. One folder belongs to one
-// goroutine — its kernels are closures with private scratch, so parallel
-// workers each build their own.
+// the engine's one aggregate fold. FusedAggregate runs it over one
+// whole-table window at DOP 1 and over one window per morsel by each worker
+// at DOP > 1; HashAggregate runs it, with no predicates, over each input
+// batch. One folder belongs to one goroutine — its kernels keep private
+// scratch, so parallel workers each build their own.
 type fusedAggFolder struct {
 	predProgs  []*algebra.Compiled
 	groupProgs []*algebra.Compiled
@@ -114,6 +104,9 @@ type fusedAggFolder struct {
 	keyVecs   []vector.Vector
 	keyBuf    []byte
 	slots     []*aggState // selected row → its group, in selection order
+	// nonNumeric marks the aggregates that have absorbed a non-numeric
+	// value: their typed arms are off (see absorbCol).
+	nonNumeric []bool
 }
 
 func newFusedAggFolder(preds, groupBy, args []algebra.Expr, aggs []algebra.AggSpec) *fusedAggFolder {
@@ -123,6 +116,7 @@ func newFusedAggFolder(preds, groupBy, args []algebra.Expr, aggs []algebra.AggSp
 		argProgs:   make([]*algebra.Compiled, len(args)),
 		aggs:       aggs,
 		keyVecs:    make([]vector.Vector, len(groupBy)),
+		nonNumeric: make([]bool, len(args)),
 	}
 	for i, e := range args {
 		if e != nil {
@@ -135,12 +129,12 @@ func newFusedAggFolder(preds, groupBy, args []algebra.Expr, aggs []algebra.AggSp
 // selectWindow mirrors FusedPipeline.selectWindow over the folder's own
 // scratch: per-predicate unboxed selection, ascending intersection.
 func (f *fusedAggFolder) selectWindow(cols []vector.Vector, n int) []int {
-	sel, _ := f.predProgs[0].SelectTruthyVec(cols, n, f.sel[:0])
+	sel := f.predProgs[0].SelectTruthyVec(cols, n, f.sel[:0])
 	for _, prog := range f.predProgs[1:] {
 		if len(sel) == 0 {
 			break
 		}
-		s2, _ := prog.SelectTruthyVec(cols, n, f.sel2[:0])
+		s2 := prog.SelectTruthyVec(cols, n, f.sel2[:0])
 		f.sel2 = s2
 		sel = intersectAsc(sel, s2)
 	}
@@ -207,7 +201,7 @@ func (f *fusedAggFolder) foldWindow(cols []vector.Vector, n int, groups map[stri
 	// index it directly (sel == nil); in selection form they evaluate over
 	// the whole window and rows index through sel.
 	for g, prog := range f.groupProgs {
-		f.keyVecs[g], _ = prog.EvalVec(win, m)
+		f.keyVecs[g] = prog.EvalVec(win, m)
 	}
 	if cap(f.slots) < count {
 		f.slots = make([]*aggState, count)
@@ -218,20 +212,15 @@ func (f *fusedAggFolder) foldWindow(cols []vector.Vector, n int, groups map[stri
 		if sel != nil {
 			pos = sel[i]
 		}
-		buf := f.keyBuf[:0]
-		for _, kv := range f.keyVecs {
-			buf = kv.AppendElemKey(buf, pos)
-			buf = append(buf, '|')
-		}
-		f.keyBuf = buf
-		st, ok := groups[string(buf)]
+		f.keyBuf = appendVecRowKey(f.keyBuf[:0], f.keyVecs, pos)
+		st, ok := groups[string(f.keyBuf)]
 		if !ok {
 			groupRow := make([]types.Value, len(f.keyVecs))
 			for g, kv := range f.keyVecs {
 				groupRow[g] = kv.Value(pos)
 			}
 			st = newAggState(groupRow, len(f.aggs))
-			key := string(buf)
+			key := string(f.keyBuf)
 			groups[key] = st
 			add(key, st)
 		}
@@ -244,8 +233,7 @@ func (f *fusedAggFolder) foldWindow(cols []vector.Vector, n int, groups map[stri
 			}
 			continue
 		}
-		av, _ := prog.EvalVec(win, m)
-		f.absorbCol(a, av, slots, sel)
+		f.absorbCol(a, prog.EvalVec(win, m), slots, sel)
 	}
 }
 
@@ -256,10 +244,16 @@ func (f *fusedAggFolder) foldWindow(cols []vector.Vector, n int, groups map[stri
 // integers compare widened through float64 (ties keep the incumbent, which
 // is also what Compare's 0 does), floats compare IEEE so NaN neither
 // replaces nor is replaced. Strings, booleans, and mixed-kind columns take
-// the boxed arm, which is absorbValue itself.
+// the boxed arm, which is absorbValue itself — and so do all later columns
+// of an aggregate that has absorbed a non-numeric value (a HashAggregate
+// input may switch kinds between batches), whose extrema the unboxed
+// comparisons cannot read.
 func (f *fusedAggFolder) absorbCol(a int, vec vector.Vector, slots []*aggState, sel []int) {
 	switch tv := vec.(type) {
 	case *vector.Int64Vector:
+		if f.nonNumeric[a] {
+			break
+		}
 		for i, st := range slots {
 			pos := i
 			if sel != nil {
@@ -285,7 +279,11 @@ func (f *fusedAggFolder) absorbCol(a int, vec vector.Vector, slots []*aggState, 
 				st.max[a] = types.NewInt(x)
 			}
 		}
+		return
 	case *vector.Float64Vector:
+		if f.nonNumeric[a] {
+			break
+		}
 		for i, st := range slots {
 			pos := i
 			if sel != nil {
@@ -311,14 +309,18 @@ func (f *fusedAggFolder) absorbCol(a int, vec vector.Vector, slots []*aggState, 
 				st.max[a] = types.NewFloat(x)
 			}
 		}
-	default:
-		for i, st := range slots {
-			pos := i
-			if sel != nil {
-				pos = sel[i]
-			}
-			st.absorbValue(a, vec.Value(pos))
+		return
+	}
+	for i, st := range slots {
+		pos := i
+		if sel != nil {
+			pos = sel[i]
 		}
+		v := vec.Value(pos)
+		if !v.IsNull() && !v.IsNumeric() {
+			f.nonNumeric[a] = true
+		}
+		st.absorbValue(a, v)
 	}
 }
 

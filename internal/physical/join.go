@@ -43,8 +43,7 @@ type HashJoin struct {
 	SpillDir     string       // temp dir for spill files; "" means os.TempDir()
 	schema       types.Schema
 
-	table  *hashTable        // the in-memory build table
-	res    *algebra.Compiled // compiled Residual, nil when absent
+	table  *hashTable // the in-memory build table
 	keyBuf []byte
 	probe  *Batch // current probe batch, nil when a new one is needed
 	pi     int    // next probe row index
@@ -93,11 +92,7 @@ func (j *HashJoin) Schema() types.Schema { return j.schema }
 func (j *HashJoin) Open() error {
 	j.probe, j.matches, j.pi, j.mi = nil, nil, 0, 0
 	j.sl = newSlab(j.schema.Arity())
-	j.res = nil
 	j.held, j.sp, j.graceHeap = 0, nil, nil
-	if j.Residual != nil {
-		j.res = algebra.Compile(j.Residual)
-	}
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
@@ -347,7 +342,7 @@ func (j *HashJoin) emitTagged(w *spill.Writer, seq int64, l, r []types.Value) er
 	tag[0] = types.NewInt(seq)
 	copy(tag[1:], l)
 	copy(tag[1+len(l):], r)
-	if j.res != nil && !algebra.Truthy(j.res.Eval(tag[1:])) {
+	if j.Residual != nil && !algebra.Truthy(j.Residual.Eval(tag[1:])) {
 		return nil
 	}
 	return w.Append(tag)
@@ -662,7 +657,7 @@ func (j *HashJoin) emit(l, r []types.Value) {
 	row := j.sl.peek()
 	copy(row, l)
 	copy(row[len(l):], r)
-	if j.res != nil && !algebra.Truthy(j.res.Eval(row)) {
+	if j.Residual != nil && !algebra.Truthy(j.Residual.Eval(row)) {
 		return
 	}
 	j.sl.commit()
@@ -781,7 +776,6 @@ type NestedLoopJoin struct {
 	schema      types.Schema
 
 	inner     [][]types.Value
-	pred      *algebra.Compiled // compiled Pred, nil when absent
 	probe     *Batch
 	probeRows [][]types.Value // cached row view of the current probe batch
 	pi        int             // probe row index currently being expanded
@@ -803,10 +797,6 @@ func (j *NestedLoopJoin) Schema() types.Schema { return j.schema }
 func (j *NestedLoopJoin) Open() error {
 	j.inner, j.probe, j.pi, j.ii = nil, nil, 0, 0
 	j.sl = newSlab(j.schema.Arity())
-	j.pred = nil
-	if j.Pred != nil {
-		j.pred = algebra.Compile(j.Pred)
-	}
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
@@ -838,7 +828,7 @@ func (j *NestedLoopJoin) Next() (*Batch, error) {
 					copy(row, l)
 					copy(row[len(l):], j.inner[j.ii])
 					j.ii++
-					if j.pred != nil && !algebra.Truthy(j.pred.Eval(row)) {
+					if j.Pred != nil && !algebra.Truthy(j.Pred.Eval(row)) {
 						continue
 					}
 					j.sl.commit()

@@ -52,7 +52,7 @@ func appendJoinKey(buf []byte, row []types.Value, idx []int) ([]byte, bool) {
 	return buf, true
 }
 
-// The appendVec* builders are the columnar twins of the three row builders:
+// The appendVec* builders are the columnar twins of the row builders:
 // the same canonical encoding produced element-at-a-time by the vectors'
 // per-type AppendElemKey fast paths (types.Append*Key over the unboxed
 // payloads), so a columnar batch and its materialized row view always build
@@ -62,15 +62,6 @@ func appendJoinKey(buf []byte, row []types.Value, idx []int) ([]byte, bool) {
 func appendVecRowKey(buf []byte, cols []vector.Vector, i int) []byte {
 	for _, v := range cols {
 		buf = v.AppendElemKey(buf, i)
-		buf = append(buf, '|')
-	}
-	return buf
-}
-
-// appendVecColsKey is appendColsKey over row i of a columnar batch.
-func appendVecColsKey(buf []byte, cols []vector.Vector, i int, idx []int) []byte {
-	for _, j := range idx {
-		buf = cols[j].AppendElemKey(buf, i)
 		buf = append(buf, '|')
 	}
 	return buf

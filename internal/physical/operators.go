@@ -18,8 +18,9 @@ import (
 //
 // When the source also provides columnar table storage (ColumnSource), each
 // batch additionally carries zero-copy vector windows of the table's
-// columns, and the typed operators above run their unboxed loops instead of
-// boxed row kernels; boxed consumers keep reading the row view for free.
+// columns, which the column kernels above read directly (without it they
+// convert the rows they read); row consumers keep reading the row view for
+// free.
 type Scan struct {
 	Table     string
 	BatchSize int // rows per batch; 0 means DefaultBatchSize
@@ -94,22 +95,21 @@ func (s *Scan) drainColumns() (*vector.Columns, bool) {
 
 // Filter keeps the input rows whose predicate evaluates to TRUE (SQL
 // three-valued logic: UNKNOWN rows are dropped). The predicate is compiled
-// to a closure kernel at Open; each input batch is then narrowed through a
-// reused selection vector: owned batches are compacted in place, shared
-// (scan-aliased) batches are compacted into the filter's own spine — either
-// way no row data moves, only row pointers.
-//
-// Columnar batches take the typed path when the predicate has an unboxed
-// selection kernel: the selection vector is computed straight off the
-// vectors, and the surviving rows' columns are gathered into fresh packed
-// vectors so downstream typed operators (Project's arithmetic, join key
-// encoding) keep their unboxed loops. When the batch also carries a row
-// view it is narrowed as before, so boxed consumers lose nothing.
+// to its column kernels at Open and selects straight off each batch's
+// columns — a row-only input converts just the columns the predicate reads
+// — into a reused selection vector. A column-only batch stays column-only:
+// the survivors' columns are sliced (one contiguous run) or gathered into
+// packed vectors. A batch with rows is narrowed through its spine — owned
+// spines compacted in place, shared (scan-aliased) ones into the filter's
+// own spine, moving only row pointers — and, when the input had a full
+// columnar view, carries a deferred view of the survivors' columns, built
+// only if a consumer reads Cols.
 type Filter struct {
 	Input Operator
 	Pred  algebra.Expr
 
 	prog     *algebra.Compiled
+	used     []bool
 	sel      []int
 	scratch  Batch
 	colsOut  []vector.Vector
@@ -123,6 +123,7 @@ func (f *Filter) Schema() types.Schema { return f.Input.Schema() }
 // Open implements Operator.
 func (f *Filter) Open() error {
 	f.prog = algebra.Compile(f.Pred)
+	f.used = usedCols(f.Input.Schema().Arity(), f.Pred)
 	return f.Input.Open()
 }
 
@@ -164,46 +165,46 @@ func (f *Filter) Next() (*Batch, error) {
 		if b == nil || err != nil {
 			return nil, err
 		}
-		if cols := b.Cols(); cols != nil {
-			sel, ok := f.prog.SelectTruthyVec(cols, b.Len(), f.sel[:0])
-			if ok {
-				f.sel = sel
-				if len(sel) == 0 {
-					continue
-				}
-				if len(sel) == b.Len() {
-					return b, nil
-				}
-				// A selection that landed on one contiguous run degenerates to
-				// zero-copy slicing: no gather, and Asc survives.
-				dense := sel[len(sel)-1]-sel[0] == len(sel)-1
-				if b.rows == nil {
-					// Column-only input: stay column-only, materialize never.
-					if dense {
-						f.colsOnly.SetCols(f.sliceWin(cols, sel[0], sel[0]+len(sel)), len(sel))
-					} else {
-						f.colsOnly.SetCols(f.gather(cols, sel), len(sel))
-					}
-					return &f.colsOnly, nil
-				}
-				out := applySel(b, sel, &f.scratch)
-				// The gather (or slice) runs only if a typed consumer reads
-				// Cols before our next Next; row-only consumers (joins keying
-				// off the spine, sorts, Drain) never pay for it.
-				if dense {
-					lo, hi := sel[0], sel[0]+len(sel)
-					out.setLazyColsView(func() []vector.Vector { return f.sliceWin(cols, lo, hi) })
-				} else {
-					out.setLazyColsView(func() []vector.Vector { return f.gather(cols, sel) })
-				}
-				return out, nil
-			}
-		}
-		f.sel = f.prog.SelectTruthy(b.Rows(), f.sel[:0])
-		if len(f.sel) == 0 {
+		n := b.Len()
+		if n == 0 {
 			continue
 		}
-		return applySel(b, f.sel, &f.scratch), nil
+		cols := b.colsFor(f.used)
+		full := b.cols != nil // cols is the batch's own view, not a partial one
+		sel := f.prog.SelectTruthyVec(cols, n, f.sel[:0])
+		f.sel = sel
+		if len(sel) == 0 {
+			continue
+		}
+		if len(sel) == n {
+			return b, nil
+		}
+		// A selection that landed on one contiguous run degenerates to
+		// zero-copy slicing: no gather, and Asc survives.
+		dense := sel[len(sel)-1]-sel[0] == len(sel)-1
+		if b.rows == nil {
+			// Column-only input: stay column-only, materialize never.
+			if dense {
+				f.colsOnly.SetCols(f.sliceWin(cols, sel[0], sel[0]+len(sel)), len(sel))
+			} else {
+				f.colsOnly.SetCols(f.gather(cols, sel), len(sel))
+			}
+			return &f.colsOnly, nil
+		}
+		out := applySel(b, sel, &f.scratch)
+		if !full {
+			return out, nil
+		}
+		// The gather (or slice) runs only if a consumer reads Cols before
+		// our next Next; row consumers (joins keying off the spine, sorts,
+		// Drain) never pay for it.
+		if dense {
+			lo, hi := sel[0], sel[0]+len(sel)
+			out.setLazyColsView(func() []vector.Vector { return f.sliceWin(cols, lo, hi) })
+		} else {
+			out.setLazyColsView(func() []vector.Vector { return f.gather(cols, sel) })
+		}
+		return out, nil
 	}
 }
 
@@ -211,20 +212,13 @@ func (f *Filter) Next() (*Batch, error) {
 func (f *Filter) Close() error { return f.Input.Close() }
 
 // Project computes one output column per expression. The expressions are
-// compiled to closure kernels at Open; output rows for a batch are carved
-// out of a single freshly allocated value slab — one allocation per batch
-// instead of one per row — filled expression-at-a-time with strided batch
-// evaluation. The slab is not reused, so emitted rows stay valid until
-// Close, as the engine-wide row-stability rule requires.
-//
-// Columnar batches take a typed path when every output expression has an
-// unboxed columnar kernel: the expressions evaluate over the input vectors
-// and the batch goes out column-only — bare columns as zero-copy
-// passthroughs, computed ones in kernel scratch — so typed consumers
-// (Distinct's dedup keying, join probes) keep their vectors, and a consumer
-// that wants rows boxes them once, through vector.Materialize. If any
-// expression lacks a columnar kernel the whole batch falls back to the boxed
-// row kernels, so a batch is never evaluated twice.
+// compiled to their column kernels at Open and evaluate over each input
+// batch's columns — a row-only input (join, aggregate or sort output)
+// converts just the columns they read — and the batch goes out column-only:
+// bare columns as zero-copy passthroughs, computed ones in kernel scratch.
+// Column consumers (a stacked Project, Distinct's dedup keying, join
+// probes, the root drain) keep the vectors, and a consumer that wants rows
+// boxes them once, through vector.Materialize.
 type Project struct {
 	Input  Operator
 	Exprs  []algebra.Expr
@@ -232,9 +226,9 @@ type Project struct {
 	schema types.Schema
 
 	progs   []*algebra.Compiled
+	used    []bool
 	out     Batch
 	colsOut []vector.Vector
-	allVec  bool // every expr has a columnar kernel
 }
 
 // NewProject builds a projection operator.
@@ -249,10 +243,7 @@ func (p *Project) Schema() types.Schema { return p.schema }
 // Open implements Operator.
 func (p *Project) Open() error {
 	p.progs = algebra.CompileAll(p.Exprs)
-	p.allVec = true
-	for _, prog := range p.progs {
-		p.allVec = p.allVec && prog.CanEvalVec()
-	}
+	p.used = usedCols(p.Input.Schema().Arity(), p.Exprs...)
 	return p.Input.Open()
 }
 
@@ -266,31 +257,26 @@ func (p *Project) RowCountHint() (int, bool) {
 
 // Next implements Operator.
 func (p *Project) Next() (*Batch, error) {
-	b, err := p.Input.Next()
-	if b == nil || err != nil {
-		return nil, err
-	}
-	n, k := b.Len(), len(p.Exprs)
-	if cols := b.Cols(); cols != nil && p.allVec {
+	for {
+		b, err := p.Input.Next()
+		if b == nil || err != nil {
+			return nil, err
+		}
+		n, k := b.Len(), len(p.Exprs)
+		if n == 0 {
+			continue
+		}
+		cols := b.colsFor(p.used)
 		if cap(p.colsOut) < k {
 			p.colsOut = make([]vector.Vector, k)
 		}
 		outCols := p.colsOut[:k]
 		for j, prog := range p.progs {
-			outCols[j], _ = prog.EvalVec(cols, n)
+			outCols[j] = prog.EvalVec(cols, n)
 		}
 		p.out.SetCols(outCols, n)
 		return &p.out, nil
 	}
-	buf := make([]types.Value, n*k)
-	for j, prog := range p.progs {
-		prog.EvalStrided(b.Rows(), buf[j:], k)
-	}
-	p.out.Reset()
-	for i := 0; i < n; i++ {
-		p.out.Append(buf[i*k : (i+1)*k : (i+1)*k])
-	}
-	return &p.out, nil
 }
 
 // Close implements Operator.

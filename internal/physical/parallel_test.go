@@ -114,37 +114,43 @@ func sfpPlan(src parSource) algebra.Node {
 	}
 }
 
-// TestNonFusableChainLowersSerially: a chain that does not fuse — a BETWEEN
-// filter has no columnar kernel, and a source without columns fuses nothing
-// — lowers to the serial operator tree at DOP 2 and still answers like it.
+// TestNonFusableChainLowersSerially: a chain over a source without columns
+// fuses nothing and lowers to the serial operator tree at DOP 2, answering
+// like it. Every expression has a column kernel, so the same chain over the
+// columnar source — a BETWEEN filter as the planner lowers it included —
+// fuses and answers identically.
 func TestNonFusableChainLowersSerially(t *testing.T) {
 	src := parSource{}
 	src.put("t", []string{"k", "v", "c"}, intTable(1000, 7))
+	v := algebra.Col{Idx: 1}
 	between := &algebra.Project{
 		Input: &algebra.Filter{Input: scanNode("t", src["t"].schema),
-			Pred: algebra.BetweenE{E: algebra.Col{Idx: 1},
-				Lo: algebra.Const{V: types.NewInt(100)}, Hi: algebra.Const{V: types.NewInt(700)}}},
-		Exprs: []algebra.Expr{algebra.Bin{Op: algebra.OpAdd, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 1}}},
+			Pred: algebra.Bin{Op: algebra.OpAnd,
+				L: algebra.Bin{Op: algebra.OpGe, L: v, R: algebra.Const{V: types.NewInt(100)}},
+				R: algebra.Bin{Op: algebra.OpLe, L: v, R: algebra.Const{V: types.NewInt(700)}}}},
+		Exprs: []algebra.Expr{algebra.Bin{Op: algebra.OpAdd, L: algebra.Col{Idx: 0}, R: v}},
 		Names: []string{"kv"},
 	}
-	for name, c := range map[string]struct {
-		plan algebra.Node
-		src  Source
-	}{
-		"between":  {between, src},
-		"row-only": {sfpPlan(src), struct{ Source }{src}},
-	} {
-		op, err := LowerOpts(c.plan, c.src, parOpts(2))
+	for name, plan := range map[string]algebra.Node{"between": between, "sfp": sfpPlan(src)} {
+		rowOnly := struct{ Source }{src}
+		op, err := LowerOpts(plan, rowOnly, parOpts(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := Explain(op)
 		if !strings.HasPrefix(s, "Project[") || !strings.Contains(s, "Filter[") ||
 			strings.Contains(s, "Fused") {
-			t.Errorf("%s: non-fusable chain must lower to the serial tree:\n%s", name, s)
+			t.Errorf("%s: a row-only chain must lower to the serial tree:\n%s", name, s)
 		}
-		mustIdentical(t, mustRows(t, c.plan, c.src, parOpts(2)),
-			mustRows(t, c.plan, struct{ Source }{src}, Options{DOP: 1}), name)
+		if op, err = LowerOpts(plan, src, parOpts(2)); err != nil {
+			t.Fatal(err)
+		}
+		if _, fused := op.(*FusedPipeline); !fused {
+			t.Errorf("%s: a columnar chain must fuse:\n%s", name, Explain(op))
+		}
+		want := mustRows(t, plan, rowOnly, Options{DOP: 1})
+		mustIdentical(t, mustRows(t, plan, rowOnly, parOpts(2)), want, name+" row-only")
+		mustIdentical(t, mustRows(t, plan, src, parOpts(2)), want, name+" fused")
 	}
 }
 

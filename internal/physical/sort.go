@@ -41,13 +41,12 @@ type Sort struct {
 	Mem      *MemGovernor // nil: never spill (today's in-memory behavior)
 	SpillDir string       // temp dir for spilled runs; "" means os.TempDir()
 
-	keyProgs []*algebra.Compiled
-	runs     []sortRun
-	total    int
-	held     int64 // bytes currently reserved with Mem
-	h        *mergeHeap
-	sp       *spillSet
-	out      Batch
+	runs  []sortRun
+	total int
+	held  int64 // bytes currently reserved with Mem
+	h     *mergeHeap
+	sp    *spillSet
+	out   Batch
 }
 
 // sortRun is one sorted run: resident rows, or a spill file once evicted.
@@ -60,12 +59,11 @@ type sortRun struct {
 // Schema implements Operator.
 func (s *Sort) Schema() types.Schema { return s.Input.Schema() }
 
-// less orders rows by the compiled sort keys, under sortCompare's total
-// order rather than raw Value.Compare.
+// less orders rows by the sort keys, each evaluated per row by Expr.Eval,
+// under sortCompare's total order rather than raw Value.Compare.
 func (s *Sort) less(a, b []types.Value) bool {
-	for i, k := range s.Keys {
-		prog := s.keyProgs[i]
-		c := sortCompare(prog.Eval(a), prog.Eval(b))
+	for _, k := range s.Keys {
+		c := sortCompare(k.Expr.Eval(a), k.Expr.Eval(b))
 		if c != 0 {
 			if k.Desc {
 				return c > 0
@@ -133,10 +131,6 @@ func (s *Sort) spillRun(r *sortRun) error {
 func (s *Sort) Open() error {
 	s.runs, s.h, s.total, s.held = nil, nil, 0, 0
 	s.sp = nil
-	s.keyProgs = s.keyProgs[:0]
-	for _, k := range s.Keys {
-		s.keyProgs = append(s.keyProgs, algebra.Compile(k.Expr))
-	}
 	if err := s.Input.Open(); err != nil {
 		return err
 	}

@@ -274,16 +274,6 @@ func attrExprBounds(e algebra.Expr, cm attrColMap) (exprBounds, error) {
 		}
 		return certainBounds(algebra.IsNullE{E: in.bg, Negated: ex.Negated}), nil
 
-	case algebra.BetweenE:
-		inner := algebra.Expr(algebra.Bin{Op: algebra.OpAnd,
-			L: algebra.Bin{Op: algebra.OpGe, L: ex.E, R: ex.Lo},
-			R: algebra.Bin{Op: algebra.OpLe, L: ex.E, R: ex.Hi},
-		})
-		if ex.Negated {
-			inner = algebra.Not{E: inner}
-		}
-		return attrExprBounds(inner, cm)
-
 	case algebra.ScalarFunc:
 		switch ex.Name {
 		case "least", "greatest":

@@ -28,7 +28,6 @@ func TestShiftColsAllNodes(t *testing.T) {
 		{algebra.IsNullE{E: col(2)}, "(c#3 IS NULL)"},
 		{algebra.LikeE{E: col(2), Pattern: algebra.Const{V: types.NewString("%")}}, "(c#3 LIKE '%')"},
 		{algebra.InE{E: col(2), List: []algebra.Expr{col(0), col(5)}}, "(c#3 IN (c#0, c#6))"},
-		{algebra.BetweenE{E: col(2), Lo: col(0), Hi: col(9)}, "(c#3 BETWEEN c#0 AND c#10)"},
 		{algebra.ScalarFunc{Name: "least", Args: []algebra.Expr{col(1), col(2)}}, "least(c#1, c#3)"},
 		{algebra.CaseExpr{
 			Operand: col(2),

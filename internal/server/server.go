@@ -373,7 +373,10 @@ func (s *Server) hello(sess *session, req Request) Response {
 }
 
 // runQuery executes one SQL statement under the session's options and the
-// server's admission control, and streams the result.
+// server's admission control, and streams the result. The admission grant
+// goes back before the request's terminal frame — the error response or
+// the stream trailer — is written, so a client that has read that frame
+// finds the grant released.
 func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, id uint64, sqlText string) {
 	if sess.timeoutMS > 0 {
 		var cancel context.CancelFunc
@@ -384,16 +387,17 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 	opt := sess.queryOpts()
 	opt.SpillDir = s.spillDir
 	ask := sess.memBudget
+	var grant *physical.Grant // nil without admission; Release is nil-safe and idempotent
 	if s.admission != nil {
 		if ask <= 0 {
 			ask = s.queryBudget
 		}
-		grant, err := s.admission.Acquire(ctx, ask)
-		if err != nil {
+		var err error
+		if grant, err = s.admission.Acquire(ctx, ask); err != nil {
 			fw.writeJSON(Response{ID: id, Error: err.Error()})
 			return
 		}
-		defer grant.Release()
+		defer grant.Release() // a failed header write returns before any terminal frame
 		opt.Gov = grant.Gov()
 	} else {
 		opt.MemBudget = ask
@@ -401,11 +405,12 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 
 	res, err := s.front.Query(ctx, sqlText, opt)
 	if err != nil {
+		grant.Release()
 		fw.writeJSON(Response{ID: id, Error: err.Error()})
 		return
 	}
 	s.queries.Add(1)
-	s.streamResult(ctx, fw, id, res)
+	s.streamResult(ctx, fw, id, res, grant)
 }
 
 // streamResult writes one query result as a chunked binary column stream:
@@ -414,10 +419,11 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 // trailer frame with the totals. Scans and probe-less fused chains hand
 // over columnar results at every DOP; plans whose root has no columnar
 // output (joins, sorts, aggregates) arrive row-backed and columnarize
-// first — FromRows round-trips values exactly. The admission grant is held
-// by the caller until streaming finishes, so the result's memory is
-// accounted for as long as it is being read.
-func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, res *physical.Result) {
+// first — FromRows round-trips values exactly. The query's admission grant
+// stays held while chunks are written, so the result's memory is accounted
+// for as long as it is being read, and is released after the last chunk and
+// before the trailer, on every arm.
+func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, res *physical.Result, grant *physical.Grant) {
 	var vecs []vector.Vector
 	n := res.NumRows()
 	if cols := res.Cols(); cols != nil {
@@ -438,6 +444,7 @@ func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, r
 	chunks := 0
 	for lo := 0; lo < n; {
 		if err := ctx.Err(); err != nil {
+			grant.Release()
 			fw.writeJSON(Response{ID: id, Final: true, Error: err.Error()})
 			return
 		}
@@ -449,12 +456,14 @@ func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, r
 		if err := fw.writeRaw(EncodeColChunk(id, uint64(chunks), window)); err != nil {
 			// A frame-size error (one row beyond MaxFrame) leaves the conn
 			// alive: tell the client. A dead conn fails this write too.
+			grant.Release()
 			fw.writeJSON(Response{ID: id, Final: true, Error: err.Error()})
 			return
 		}
 		chunks++
 		lo += rows
 	}
+	grant.Release()
 	fw.writeJSON(Response{ID: id, OK: true, Final: true, RowCount: int64(n), Chunks: chunks})
 }
 

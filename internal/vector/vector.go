@@ -57,6 +57,9 @@ func NewBitmap(n int) *Bitmap {
 // Set marks element i NULL.
 func (m *Bitmap) Set(i int) { m.bits[i/64] |= 1 << (uint(i) % 64) }
 
+// Clear marks element i non-null.
+func (m *Bitmap) Clear(i int) { m.bits[i/64] &^= 1 << (uint(i) % 64) }
+
 // Get reports whether element i is NULL. A nil bitmap has no nulls.
 func (m *Bitmap) Get(i int) bool {
 	if m == nil {

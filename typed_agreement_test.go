@@ -1,15 +1,18 @@
 package repro_test
 
-// Randomized typed/boxed agreement: the typed columnar engine (scans over a
-// ColumnSource, unboxed kernels, per-vector key encoding, and the fused
-// pipelines, probes, and aggregates that chains over columns always lower
-// to) must produce byte-identical results, in identical first-seen order, to
-// the boxed batch engine running the same plans against the same catalog
-// stripped of its columnar storage, where nothing fuses. Serially and at
+// Randomized typed/boxed agreement: the columnar engine (scans over a
+// ColumnSource, per-vector key encoding, and the fused pipelines, probes,
+// and aggregates that chains over columns always lower to) must produce
+// byte-identical results, in identical first-seen order, to the unfused
+// operator tree running the same plans against the same catalog stripped
+// of its columnar storage — row-backed scans, joins and breakers, whose
+// Filters, Projects and aggregates convert batch by batch to columns for
+// the same expression kernels (there is one evaluator). Serially and at
 // every DOP, under unlimited and tight memory budgets, on plain and
-// UA-rewritten plans. This is the acceptance gate for the columnar and fused
-// layers: typed and fused execution are optimizations, never a semantics
-// change.
+// UA-rewritten plans. This is the acceptance gate for the columnar and
+// fused layers: columnar storage and fusion are optimizations, never a
+// semantics change; the batch agreement suite's row-at-a-time reference
+// engine is the oracle that shares no evaluator.
 
 import (
 	"math"
@@ -26,8 +29,8 @@ import (
 )
 
 // rowSource strips the columnar half of a catalog: same tables, same rows,
-// but no ResolveColumns, so lowering produces the boxed, unfused reference
-// engine.
+// but no ResolveColumns, so lowering produces the row-backed, unfused
+// reference tree.
 type rowSource struct{ cat *engine.Catalog }
 
 func (s rowSource) Resolve(table string) (types.Schema, [][]types.Value, error) {
