@@ -13,11 +13,10 @@ import (
 // expression into kernels that run over a columnar batch (internal/vector)
 // — every Expr form has one, so evaluation and selection always succeed.
 // The hot shapes run typed loops directly over the unboxed
-// []int64/[]float64/[]string spines: comparisons (as selections),
-// AND/OR over them, arithmetic, least/greatest, CASE, IN over constants (a
-// set probe), and NOT/IS NULL over bitmaps. Which loop runs is decided per
-// batch by a type switch on the operand vectors (one switch per batch, not
-// per row). Every other form — and the typed shapes when the runtime column
+// []int64/[]float64/[]string spines: comparisons (as selections), AND/OR
+// over them, arithmetic, least/greatest, CASE and IN over constants (a set
+// probe). Which loop runs is decided per batch by a type switch on the
+// operand vectors (one switch per batch, not per row). Every other form — and the typed shapes when the runtime column
 // types have no dedicated loop — takes a per-element loop that evaluates
 // the node's children as vectors and then applies the node's own Eval to
 // each row of child values, so the form's semantics are written once, in
@@ -612,9 +611,9 @@ func floatReader(v vector.Vector) (func(i int) float64, bool) {
 }
 
 // compileVecEval builds the evaluation kernel: bare columns pass through
-// zero-copy, constants broadcast, and arithmetic, least/greatest, CASE, IN
-// over constants, NOT and IS NULL run their typed loops. Every other form —
-// comparisons and AND/OR as values, LIKE, ||, unary minus, IN over
+// zero-copy, constants broadcast, and arithmetic, least/greatest, CASE and
+// IN over constants run their typed loops. Every other form — comparisons
+// and AND/OR as values, NOT, IS NULL, LIKE, ||, unary minus, IN over
 // expressions and the remaining scalar functions — runs the per-element
 // loop.
 func compileVecEval(e Expr) vecEvalFn {
@@ -667,18 +666,6 @@ func compileVecEval(e Expr) vecEvalFn {
 		if fn := compileVecIn(ex); fn != nil {
 			return fn
 		}
-	case Not:
-		return compileVecNot(ex)
-	case IsNullE:
-		in, neg := compileVecEval(ex.E), ex.Negated
-		return func(cols []vector.Vector, n int) vector.Vector {
-			v := in(cols, n)
-			out := make([]bool, n)
-			for i := range out {
-				out[i] = v.Null(i) != neg
-			}
-			return vector.NewBoolVector(out, nil)
-		}
 	}
 	return compileVecRows(e)
 }
@@ -722,30 +709,6 @@ func setNull(nb *vector.Bitmap, n, i int) *vector.Bitmap {
 	}
 	nb.Set(i)
 	return nb
-}
-
-// compileVecNot builds the NOT kernel: a BoolVector operand negates
-// element-wise and keeps its NULLs; any other cell that is not a boolean is
-// NULL, as in Not.Eval.
-func compileVecNot(e Not) vecEvalFn {
-	in := compileVecEval(e.E)
-	return func(cols []vector.Vector, n int) vector.Vector {
-		v := in(cols, n)
-		bv, isBool := v.(*vector.BoolVector)
-		out := make([]bool, n)
-		var nulls *vector.Bitmap
-		for i := range out {
-			switch {
-			case isBool && !bv.Null(i):
-				out[i] = !bv.Vals[i]
-			case !isBool && v.Value(i).Kind() == types.KindBool:
-				out[i] = !v.Value(i).Bool()
-			default:
-				nulls = setNull(nulls, n, i)
-			}
-		}
-		return vector.NewBoolVector(out, nulls)
-	}
 }
 
 // inSet is an IN list of constants as a hash probe that answers exactly

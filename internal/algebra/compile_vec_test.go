@@ -130,10 +130,10 @@ func TestVecKernelShapes(t *testing.T) {
 		{CaseExpr{Whens: append(gate, CaseWhen{Cond: Bin{Op: OpGt, L: col(1), R: ci(4)}, Result: ci(7)}), Else: ci(0)}, "*vector.Int64Vector"},
 		{CaseExpr{Operand: col(0), Whens: []CaseWhen{{Cond: ci(3), Result: col(1)}}}, "*vector.Int64Vector"},
 		{InE{E: col(0), List: []Expr{ci(1), ci(3)}}, "*vector.BoolVector"},
-		{Not{E: InE{E: col(0), List: []Expr{ci(1)}}}, "*vector.BoolVector"},
-		{IsNullE{E: col(0)}, "*vector.BoolVector"},
-		// The per-element loop: update this line when coalesce grows a
+		// The per-element loop: update these lines when a form grows a
 		// typed loop.
+		{Not{E: InE{E: col(0), List: []Expr{ci(1)}}}, "*vector.ValueVector"},
+		{IsNullE{E: col(0)}, "*vector.ValueVector"},
 		{ScalarFunc{Name: "coalesce", Args: []Expr{col(0), col(1)}}, "*vector.ValueVector"},
 	} {
 		if got := outType(c.e); got != c.want {

@@ -34,9 +34,9 @@ const DefaultBatchSize = 1024
 // zero-copy row-spine and zero-copy vector windows of the table's cached
 // columnar form — so boxed consumers pay nothing; Filter/Project outputs
 // may carry only columns, and Rows materializes the row view on first
-// demand. Symmetrically, a row-only batch (join, aggregate or sort output)
-// builds its columnar view from its rows on first Cols call. The columnar
-// view follows the spine's lifetime rule (valid only until the producer's
+// demand. A row-only batch (join, aggregate or sort output) has no columnar
+// view; a consumer with column kernels converts the columns it reads
+// (colsFor). The columnar view follows the spine's lifetime rule (valid only until the producer's
 // next Next or Close), while materialized rows follow the row-stability
 // rule: freshly allocated, immortal once handed out. The two views of one
 // batch always describe identical values.
@@ -76,30 +76,25 @@ func (b *Batch) Rows() [][]types.Value {
 // Row returns the i-th row (materializing the row view if needed).
 func (b *Batch) Row(i int) []types.Value { return b.Rows()[i] }
 
-// Cols exposes the columnar view (nil only for an empty row-only batch).
-// A deferred view (a filter's gather) is built on first call, and a
-// row-only batch converts its rows (vector.FromRows, the mirror of Rows) —
-// a consumer that only ever reads rows never pays for either.
+// Cols exposes the columnar view, or nil when the batch is row-only. A
+// deferred view (a filter's gather) is built on first call — a consumer
+// that only ever reads rows never pays for it.
 func (b *Batch) Cols() []vector.Vector {
-	if b.cols == nil {
-		switch {
-		case b.lazyCols != nil:
-			b.cols, b.lazyCols = b.lazyCols(), nil
-		case len(b.rows) > 0:
-			b.cols = vector.FromRows(b.rows, len(b.rows[0])).Vecs
-		}
+	if b.cols == nil && b.lazyCols != nil {
+		b.cols, b.lazyCols = b.lazyCols(), nil
 		b.colsN = len(b.rows)
 	}
 	return b.cols
 }
 
-// colsFor is Cols for a consumer whose kernels read only the columns marked
-// in used (one mark per column): a row-only batch converts just those,
-// leaving nil vectors at the rest, and does not keep the partial view. A
-// batch that has or defers a full view returns it.
+// colsFor is the columnar input of a consumer whose kernels read only the
+// columns marked in used (one mark per column): the batch's own view when
+// it has or defers one, else just those columns converted from the rows
+// (vector.ColumnFromRows), nil vectors at the rest. The conversion is not
+// kept on the batch.
 func (b *Batch) colsFor(used []bool) []vector.Vector {
-	if b.cols != nil || b.lazyCols != nil || len(b.rows) == 0 {
-		return b.Cols()
+	if cols := b.Cols(); cols != nil || len(b.rows) == 0 {
+		return cols
 	}
 	cols := make([]vector.Vector, len(used))
 	for j, u := range used {
