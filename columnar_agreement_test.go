@@ -8,14 +8,19 @@ package repro_test
 // is a representation change, never a semantics change.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/engine"
+	"repro/internal/kdb"
+	"repro/internal/pdbench"
 	"repro/internal/physical"
 	"repro/internal/rewrite"
+	"repro/internal/semiring"
 	"repro/internal/types"
+	"repro/internal/uadb"
 )
 
 // columnarBudgets are the memory regimes the sink suite runs under:
@@ -125,5 +130,55 @@ func TestColumnarSinkEngages(t *testing.T) {
 	}
 	if res.NumRows() != 100 {
 		t.Fatalf("fused chain result has %d rows, want 100", res.NumRows())
+	}
+}
+
+// TestJoinRootedPlansDrainColumnar: PDBench Q1 and Q3 are rooted in
+// projections over hash joins, and hash joins emit column-only batches, so
+// both drain into a columnar Result — UA-rewritten and deterministic, at
+// DOP 0 and 1 — with the rows, in order, of the boxed Drain of the same
+// plan over row-only tables.
+func TestJoinRootedPlansDrainColumnar(t *testing.T) {
+	w := pdbench.Generate(pdbench.Config{SF: 0.05, Seed: 3})
+	uaDB := kdb.NewDatabase[semiring.Pair[int64]](semiring.UA[int64](semiring.Nat))
+	for _, x := range w.Tables {
+		uaDB.Put(uadb.FromXDB(x))
+	}
+	front := rewrite.NewFrontend(rewrite.EncodeUADatabase(uaDB))
+	det := rewrite.DetCatalog(uaDB)
+	mirrorAll(front.Enc)
+	mirrorAll(det)
+	for _, q := range pdbench.Queries() {
+		if q.Name == "Q2" { // a fused scan, no join
+			continue
+		}
+		uaPlan, err := front.PlanSQL(q.SQL, rewrite.QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		detPlan, err := engine.NewPlanner(det).PlanSQL(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			plan algebra.Node
+			cat  *engine.Catalog
+		}{{q.Name + " UA", uaPlan, front.Enc}, {q.Name + " det", detPlan, det}} {
+			want := drainOpts(t, physical.Optimize(c.plan), rowSource{c.cat}, physical.Options{DOP: 1}, c.name+" boxed")
+			if len(want) == 0 {
+				t.Fatalf("%s: empty answer proves nothing", c.name)
+			}
+			for _, dop := range []int{0, 1} {
+				res, err := engine.NewSession(c.cat, physical.Options{DOP: dop}).Execute(context.Background(), c.plan)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if res.Cols() == nil {
+					t.Fatalf("%s at DOP %d drained row-backed; want columns", c.name, dop)
+				}
+				mustMatchRows(t, res.Rows(), want, c.name+" columnar vs boxed")
+			}
+		}
 	}
 }

@@ -32,14 +32,16 @@ const DefaultBatchSize = 1024
 // A batch may additionally (or exclusively) carry a columnar view: one
 // typed vector per column (internal/vector). Scans emit both views —
 // zero-copy row-spine and zero-copy vector windows of the table's cached
-// columnar form — so boxed consumers pay nothing; Filter/Project outputs
-// may carry only columns, and Rows materializes the row view on first
-// demand. A row-only batch (join, aggregate or sort output) has no columnar
-// view; a consumer with column kernels converts the columns it reads
-// (colsFor). The columnar view follows the spine's lifetime rule (valid only until the producer's
-// next Next or Close), while materialized rows follow the row-stability
-// rule: freshly allocated, immortal once handed out. The two views of one
-// batch always describe identical values.
+// columnar form — so boxed consumers pay nothing; Filter, Project and
+// in-memory hash-join outputs may carry only columns, and Rows materializes
+// the row view on first demand. A row-only batch (the output of an
+// aggregate, a sort, a nested-loop or spilled hash join, a distinct or a
+// limit) has no columnar view; a consumer with column kernels converts the
+// columns it reads (colsFor). The columnar view follows the spine's
+// lifetime rule (valid only until the producer's next Next or Close), while
+// materialized rows follow the row-stability rule: freshly allocated,
+// immortal once handed out. The two views of one batch always describe
+// identical values.
 type Batch struct {
 	rows     [][]types.Value
 	shared   bool
@@ -88,13 +90,16 @@ func (b *Batch) Cols() []vector.Vector {
 }
 
 // colsFor is the columnar input of a consumer whose kernels read only the
-// columns marked in used (one mark per column): the batch's own view when
-// it has or defers one, else just those columns converted from the rows
-// (vector.ColumnFromRows), nil vectors at the rest. The conversion is not
-// kept on the batch.
+// columns marked in used (one mark per column; nil marks them all): the
+// batch's own view when it has or defers one, else just those columns
+// converted from the rows (vector.ColumnFromRows), nil vectors at the rest.
+// The conversion is not kept on the batch.
 func (b *Batch) colsFor(used []bool) []vector.Vector {
 	if cols := b.Cols(); cols != nil || len(b.rows) == 0 {
 		return cols
+	}
+	if used == nil {
+		return vector.FromRows(b.rows, len(b.rows[0])).Vecs
 	}
 	cols := make([]vector.Vector, len(used))
 	for j, u := range used {
@@ -241,11 +246,3 @@ func (s *slab) peek() []types.Value {
 // commit finalizes the most recently peeked row; its storage will not be
 // handed out again.
 func (s *slab) commit() { s.buf = s.buf[s.width:] }
-
-// row fills a fresh committed row with the values of src.
-func (s *slab) row(src []types.Value) []types.Value {
-	r := s.peek()
-	copy(r, src)
-	s.commit()
-	return r
-}

@@ -25,18 +25,18 @@ import (
 // parity, NULL propagation, division-by-zero, float widening and all), so
 // whether a chain fuses depends on its shape and source alone. Rows survive
 // a fused multi-filter chain exactly when every composed predicate selects
-// them (ascending selection-vector intersection), and the probe stage
-// encodes keys and orders matches exactly like the serial HashJoin. The
+// them (ascending selection-vector intersection), and the probe stage is
+// the serial HashJoin's own probe (joinProbe), so it keys and orders
+// matches exactly as the HashJoin does. The
 // randomized agreement harnesses pin fused output byte-identical to the
 // operator tree — the same plans over a source without columns, where
 // nothing fuses — at every DOP and memory budget.
 
 // FusedProbe is the optional hash-join probe stage of a fused pipeline: the
-// chain's output columns are probed against the build table without ever
-// materializing the probe-side rows — the join key is encoded straight from
-// the output vectors at each position, and the probe payload is boxed only
-// for positions that actually match (late materialization, which is what
-// makes sparse probes cheap).
+// chain's output columns are probed against the build table as they are —
+// keys read straight from the output vectors, and both sides' columns
+// gathered only at the matching positions — so no row of either side is
+// ever boxed.
 type FusedProbe struct {
 	Build    Operator // build-side plan, drained into the hash table at Open
 	EquiL    []int    // key positions in the chain's projected schema
@@ -57,10 +57,9 @@ type FusedProbe struct {
 // over the whole table gathered at the survivors. Its output vectors serve
 // all three consumers: the root drain hands them over as a columnar Result,
 // Next emits them as one column-only batch (rows are boxed only if the
-// parent asks, by vector.Materialize), and a Probe stage probes them row by
-// row, building each match into a slab row — probe columns first, build row
-// appended, residual-checked — the serial HashJoin's emit, minus the
-// probe-side row materialization.
+// parent asks, by vector.Materialize), and a Probe stage expands them
+// against its build table exactly as the serial HashJoin expands a probe
+// batch (joinProbe), emitting column-only batches of joined rows.
 type FusedPipeline struct {
 	Preds []algebra.Expr
 	Projs []algebra.Expr
@@ -82,14 +81,7 @@ type FusedPipeline struct {
 	colsWin              []vector.Vector
 	colsWinLo, colsWinHi int
 
-	// Probe-stage state, resumable across Next calls.
-	table   *hashTable
-	sl      *slab
-	keyBuf  []byte
-	probed  *vector.Columns // the chain's output
-	pi      int             // next output position to probe
-	matches [][]types.Value
-	mi      int
+	probe joinProbe // the probe stage, resumable across Next calls
 }
 
 // Schema implements Operator.
@@ -104,19 +96,21 @@ func (f *FusedPipeline) Open() error {
 		f.projProgs = algebra.CompileAll(f.Projs)
 		f.compiled = true
 	}
-	f.done, f.probed, f.matches, f.pi, f.mi = false, nil, nil, 0, 0
+	f.done, f.probe = false, joinProbe{}
 	if f.Probe == nil {
 		return nil
 	}
-	f.sl = newSlab(f.schema.Arity())
-	f.table = newHashTable(f.Probe.EquiR)
 	build := f.Probe.Build
+	var table *hashTable
 	err := build.Open()
 	if err == nil {
-		err = f.table.addFrom(build)
+		table, err = buildHashTable(build, f.Probe.EquiR)
 	}
 	if cerr := build.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil {
+		f.probe = newJoinProbe(table, f.Probe.EquiL, f.Probe.Residual)
 	}
 	return err
 }
@@ -270,74 +264,29 @@ func intersectAsc(a, b []int) []int {
 }
 
 // Next implements Operator: a probe-less chain emits its output vectors as
-// one column-only batch; a probe stage emits slab rows batch by batch.
+// one column-only batch; a probe stage expands them against its build table
+// batch by batch.
 func (f *FusedPipeline) Next() (*Batch, error) {
-	if f.Probe != nil {
-		return f.nextProbe(), nil
-	}
-	if f.done {
-		return nil, nil
-	}
-	f.done = true
-	c := f.columns()
-	if c.N == 0 {
-		return nil, nil
-	}
-	f.out.SetCols(c.Vecs, c.N)
-	return &f.out, nil
-}
-
-// nextProbe is Next for a probe-capped pipeline: the serial HashJoin's
-// resumable probe loop, run directly over the chain's output vectors.
-func (f *FusedPipeline) nextProbe() *Batch {
 	if !f.done {
 		f.done = true
-		f.probed = f.columns()
-	}
-	f.out.Reset()
-	for f.out.Len() < DefaultBatchSize {
-		if f.mi < len(f.matches) {
-			f.emitProbe(f.pi-1, f.matches[f.mi])
-			f.mi++
-			continue
-		}
-		if f.pi >= f.probed.N {
-			break
-		}
-		key, ok := appendVecJoinKey(f.keyBuf[:0], f.probed.Vecs, f.pi, f.Probe.EquiL)
-		f.keyBuf = key
-		f.pi++
-		f.matches, f.mi = nil, 0
-		if ok {
-			f.matches = f.table.lookup(key)
+		c := f.columns()
+		if f.Probe != nil {
+			f.probe.start(c.Vecs, c.N)
+		} else if c.N > 0 {
+			f.out.SetCols(c.Vecs, c.N)
+			return &f.out, nil
 		}
 	}
-	if f.out.Len() == 0 {
-		return nil
+	if f.Probe != nil {
+		return f.probe.next(), nil
 	}
-	return &f.out
-}
-
-// emitProbe boxes the probe row at output position i and one build match
-// into one slab row, residual-checked — the payload is materialized here,
-// per match, and nowhere else.
-func (f *FusedPipeline) emitProbe(i int, match []types.Value) {
-	row := f.sl.peek()
-	for c, v := range f.probed.Vecs {
-		row[c] = v.Value(i)
-	}
-	copy(row[len(f.probed.Vecs):], match)
-	if res := f.Probe.Residual; res != nil && !algebra.Truthy(res.Eval(row)) {
-		return
-	}
-	f.sl.commit()
-	f.out.Append(row)
+	return nil, nil
 }
 
 // Close implements Operator. The build side was already closed when Open
 // drained it.
 func (f *FusedPipeline) Close() error {
-	f.probed, f.matches, f.table, f.sl = nil, nil, nil, nil
+	f.probe = joinProbe{}
 	return nil
 }
 
@@ -437,10 +386,10 @@ func (fc *fusedChain) worthFusing() bool {
 }
 
 // worthProbeFusing is the probe-capped variant: the chain need not end in a
-// projection (the probe materializes rows itself, late), but it must filter
-// or compute — a bare passthrough chain under a join gains nothing, because
-// the typed HashJoin already probes straight off the scan's vectors and
-// materializes only matches. Fusing it would just re-dispatch the same work.
+// projection (the probe gathers its output columns itself), but it must
+// filter or compute — a bare passthrough chain under a join gains nothing,
+// because the HashJoin already probes straight off the scan's vectors with
+// the same joinProbe. Fusing it would just re-dispatch the same work.
 func (fc *fusedChain) worthProbeFusing() bool {
 	return len(fc.preds) > 0 || fc.computing
 }

@@ -8,15 +8,15 @@ import (
 )
 
 // HashJoin executes an equi-join in O(|build| + |probe| + |output|): Open
-// drains the right (build) input into a hash table keyed on EquiR with the
-// shared canonical key encoding (key.go), then Next streams the left
-// (probe) input batch by batch, emitting concatenated rows that satisfy the
-// residual predicate (evaluated over the concatenated row). Output rows are
-// carved from slabs, so one probe batch costs O(1) allocations however many
-// matches it produces. NULL join keys never match, per SQL semantics.
-//
-// One probe batch can fan out into many output batches; Next keeps its
-// probe cursor (batch, row, match index) across calls and resumes mid-row.
+// drains the right (build) input into a columnar hash table keyed on EquiR
+// (hashTable), then Next streams the left (probe) input batch by batch. Each
+// probe batch is read as columns and matched against the table, and the
+// joined rows go out as column-only batches, both sides' columns gathered
+// at the matching positions; a residual predicate selects among them with
+// its column kernel. One probe batch can fan out into many output batches,
+// so the probe (joinProbe) resumes mid-row across Next calls. Output comes
+// in probe order, and in build order within one probe row. NULL join keys
+// never match, per SQL semantics.
 //
 // With a memory governor (Mem non-nil), the build side is reserved as it
 // is drained; while it fits, execution is exactly the in-memory operator.
@@ -32,9 +32,9 @@ import (
 // budget), each producing its own sequence-ordered output run, and Next
 // streams the k-way merge of the runs by sequence number — which is exactly
 // the in-memory operator's probe order, so spilled and in-memory execution
-// emit byte-identical rows in identical order. Bucket contents keep global
-// build order within each partition (one key routes to one partition), so
-// per-probe-row match order is preserved too.
+// emit byte-identical rows in identical order. A partition's table keeps
+// global build order (one key routes to one partition), so per-probe-row
+// match order is preserved too.
 type HashJoin struct {
 	Left, Right  Operator // Right is the build side
 	EquiL, EquiR []int
@@ -43,25 +43,15 @@ type HashJoin struct {
 	SpillDir     string       // temp dir for spill files; "" means os.TempDir()
 	schema       types.Schema
 
-	table  *hashTable // the in-memory build table
-	keyBuf []byte
-	probe  *Batch // current probe batch, nil when a new one is needed
-	pi     int    // next probe row index
-	// Per-probe-batch cached views: probeKeyCols keys off the vectors when
-	// the batch has no row view yet (typed fast path); probeRows is the row
-	// view, resolved lazily in that case — a batch probing with no matches
-	// never materializes it.
-	probeKeyCols []vector.Vector
-	probeRows    [][]types.Value
-	matches      [][]types.Value
-	mi           int
-	out          Batch
-	sl           *slab
+	probe   joinProbe // the in-memory probe; its table is the build side
+	probing bool      // probe holds a batch not yet fully expanded
+	keyBuf  []byte
 
 	held      int64
 	sp        *spillSet
 	graceHeap *mergeHeap    // non-nil: Next streams the grace output merge
 	graceTag  []types.Value // scratch: [seq | concatenated output row]
+	out       Batch         // grace output
 }
 
 // gracePart is one hash partition of a grace join's build side: resident
@@ -85,13 +75,10 @@ func NewHashJoin(l, r Operator, equiL, equiR []int, residual algebra.Expr) *Hash
 // Schema implements Operator.
 func (j *HashJoin) Schema() types.Schema { return j.schema }
 
-// Open implements Operator: it materializes the build side's hash table
-// (or, under memory pressure, the grace partitioning — see the type
-// comment). Build rows are retained directly — row slices are stable until
-// Close — only the batch spines are ephemeral.
+// Open implements Operator: it builds the build side's hash table (or,
+// under memory pressure, the grace partitioning — see the type comment).
 func (j *HashJoin) Open() error {
-	j.probe, j.matches, j.pi, j.mi = nil, nil, 0, 0
-	j.sl = newSlab(j.schema.Arity())
+	j.probe, j.probing = joinProbe{}, false
 	j.held, j.sp, j.graceHeap = 0, nil, nil
 	if err := j.Left.Open(); err != nil {
 		return err
@@ -102,73 +89,281 @@ func (j *HashJoin) Open() error {
 	if j.Mem != nil {
 		return j.openGoverned()
 	}
-	j.table = newHashTable(j.EquiR)
-	return j.table.addFrom(j.Right)
+	table, err := buildHashTable(j.Right, j.EquiR)
+	if err != nil {
+		return err
+	}
+	j.probe = newJoinProbe(table, j.EquiL, j.Residual)
+	return nil
 }
 
-// hashTable is the build table of every hash join: build rows grouped by
-// canonical join key (key.go) into buckets that keep build order, so a
-// probe row's matches come out in the order the build saw them. NULL-keyed
-// rows are dropped on add — NULL join keys never match. The ungoverned
-// HashJoin, the governed join's whole-build replay and resident grace
-// partitions, each spilled partition join, and the fused probe all build
-// this one structure.
+// hashTable is the build table of every hash join: the build side kept as
+// columns, its rows linked in build order into one chain per distinct join
+// key — heads[slot] is a key's first build row, next[r] the row after r
+// with the same key, -1 the end — so a probe row's matches come out in the
+// order the build saw them. NULL-keyed rows are left out of every chain.
+// A single numeric key column keys on its joinWord, any other key on its
+// byte key (appendVecJoinKey); both encodings agree on which keys are
+// equal, so the choice never changes a result. The ungoverned HashJoin, the
+// governed join's whole-build table and resident grace partitions, each
+// spilled partition join, and the fused probe all build this one
+// structure.
 type hashTable struct {
-	keys    []int             // key positions in the build rows
-	idx     map[string]int    // canonical key -> index into buckets
-	buckets [][][]types.Value // build rows per distinct key
-	keyBuf  []byte
+	cols   *vector.Columns
+	words  map[uint64]int32 // single numeric key column: join word -> slot
+	bytes  map[string]int32 // any other key: byte key -> slot
+	heads  []int32
+	next   []int32
+	keyBuf []byte
 }
 
-func newHashTable(keys []int) *hashTable {
-	return &hashTable{keys: keys, idx: make(map[string]int)}
-}
-
-// add files row in its key's bucket. The m[string(b)] lookup is
-// allocation-free; the key string is materialized once per distinct key, not
-// once per build row.
-func (t *hashTable) add(row []types.Value) {
-	key, ok := appendJoinKey(t.keyBuf[:0], row, t.keys)
-	t.keyBuf = key
-	if !ok {
-		return
+// buildHashTable drains an opened operator into a hash table on the key
+// columns keys. Batch columns are copied as they arrive (vector.Append): a
+// columnar view lives only until its producer's next Next.
+func buildHashTable(op Operator, keys []int) (*hashTable, error) {
+	vecs := make([]vector.Vector, op.Schema().Arity())
+	n := 0
+	for {
+		b, err := op.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		for c, v := range b.colsFor(nil) {
+			vecs[c] = vector.Append(vecs[c], v)
+		}
+		n += b.Len()
 	}
-	bi, seen := t.idx[string(key)]
-	if !seen {
-		bi = len(t.buckets)
-		t.idx[string(key)] = bi
-		t.buckets = append(t.buckets, nil)
+	if n == 0 {
+		return newHashTable(vector.FromRows(nil, len(vecs)), keys), nil
 	}
-	t.buckets[bi] = append(t.buckets[bi], row)
+	return newHashTable(&vector.Columns{N: n, Vecs: vecs}, keys), nil
 }
 
-// addRows adds every row of a slice and returns the table.
-func (t *hashTable) addRows(rows [][]types.Value) *hashTable {
-	for _, row := range rows {
-		t.add(row)
+// newHashTable indexes cols on the key columns keys. Rows are chained from
+// the last to the first, so every chain runs in build order.
+func newHashTable(cols *vector.Columns, keys []int) *hashTable {
+	t := &hashTable{cols: cols, next: make([]int32, cols.N), heads: make([]int32, 0, cols.N)}
+	if len(keys) == 1 {
+		switch v := cols.Vecs[keys[0]].(type) {
+		case *vector.Int64Vector:
+			t.words = make(map[uint64]int32, cols.N)
+			for r := cols.N - 1; r >= 0; r-- {
+				if !v.Null(r) {
+					t.chain(r, t.wordSlot(joinWord(float64(v.Vals[r]))))
+				}
+			}
+			return t
+		case *vector.Float64Vector:
+			t.words = make(map[uint64]int32, cols.N)
+			for r := cols.N - 1; r >= 0; r-- {
+				if !v.Null(r) {
+					t.chain(r, t.wordSlot(joinWord(v.Vals[r])))
+				}
+			}
+			return t
+		}
+	}
+	t.bytes = make(map[string]int32)
+	for r := cols.N - 1; r >= 0; r-- {
+		key, ok := appendVecJoinKey(t.keyBuf[:0], cols.Vecs, r, keys)
+		t.keyBuf = key
+		if !ok {
+			continue
+		}
+		slot, seen := t.bytes[string(key)]
+		if !seen {
+			slot = int32(len(t.heads))
+			t.bytes[string(key)] = slot
+		}
+		t.chain(r, slot)
 	}
 	return t
 }
 
-// addFrom adds every row an opened operator emits. Buckets retain row
-// slices, so the build side always reads the row view and keys come off the
-// spine directly.
-func (t *hashTable) addFrom(op Operator) error {
-	for {
-		b, err := op.Next()
-		if b == nil || err != nil {
-			return err
-		}
-		t.addRows(b.Rows())
+// wordSlot returns the slot of key word w, opening a new one (the next
+// index of heads) for a word not seen yet.
+func (t *hashTable) wordSlot(w uint64) int32 {
+	slot, seen := t.words[w]
+	if !seen {
+		slot = int32(len(t.heads))
+		t.words[w] = slot
 	}
+	return slot
 }
 
-// lookup returns the build rows matching an encoded key, in build order.
-func (t *hashTable) lookup(key []byte) [][]types.Value {
-	if bi, ok := t.idx[string(key)]; ok {
-		return t.buckets[bi]
+// chain puts build row r at the head of slot's chain; a slot index equal to
+// len(heads) opens the slot.
+func (t *hashTable) chain(r int, slot int32) {
+	if int(slot) == len(t.heads) {
+		t.heads = append(t.heads, -1)
 	}
-	return nil
+	t.next[r] = t.heads[slot]
+	t.heads[slot] = int32(r)
+}
+
+// wordHead returns the first build row keyed by w, -1 for none.
+func (t *hashTable) wordHead(w uint64) int32 {
+	if slot, ok := t.words[w]; ok {
+		return t.heads[slot]
+	}
+	return -1
+}
+
+// byteHead returns the first build row keyed by the byte key, -1 for none.
+func (t *hashTable) byteHead(key []byte) int32 {
+	if slot, ok := t.bytes[string(key)]; ok {
+		return t.heads[slot]
+	}
+	return -1
+}
+
+// lookupVec appends to heads, for each of the n rows of a columnar probe
+// batch, the first build row its key columns keys match (-1 for none: no
+// match, or a NULL key).
+func (t *hashTable) lookupVec(cols []vector.Vector, n int, keys []int, heads []int32) []int32 {
+	if t.words == nil {
+		for i := 0; i < n; i++ {
+			key, ok := appendVecJoinKey(t.keyBuf[:0], cols, i, keys)
+			t.keyBuf = key
+			h := int32(-1)
+			if ok {
+				h = t.byteHead(key)
+			}
+			heads = append(heads, h)
+		}
+		return heads
+	}
+	switch v := cols[keys[0]].(type) {
+	case *vector.Int64Vector:
+		for i, x := range v.Vals[:n] {
+			h := int32(-1)
+			if !v.Null(i) {
+				h = t.wordHead(joinWord(float64(x)))
+			}
+			heads = append(heads, h)
+		}
+	case *vector.Float64Vector:
+		for i, x := range v.Vals[:n] {
+			h := int32(-1)
+			if !v.Null(i) {
+				h = t.wordHead(joinWord(x))
+			}
+			heads = append(heads, h)
+		}
+	default: // a boxed column, or one that cannot hold numbers
+		for i := 0; i < n; i++ {
+			h := int32(-1)
+			if x := v.Value(i); x.IsNumeric() {
+				h = t.wordHead(joinWord(x.Float()))
+			}
+			heads = append(heads, h)
+		}
+	}
+	return heads
+}
+
+// lookupRow returns the first build row matching a boxed row's key columns
+// keys, -1 for none — the grace join's probe of a resident or loaded
+// partition.
+func (t *hashTable) lookupRow(row []types.Value, keys []int) int32 {
+	if t.words != nil {
+		if x := row[keys[0]]; x.IsNumeric() {
+			return t.wordHead(joinWord(x.Float()))
+		}
+		return -1
+	}
+	key, ok := appendJoinKey(t.keyBuf[:0], row, keys)
+	t.keyBuf = key
+	if !ok {
+		return -1
+	}
+	return t.byteHead(key)
+}
+
+// joinProbe expands columnar probe batches against a hash table into
+// column-only output batches: the (probe row, build row) pairs of up to
+// DefaultBatchSize matches, both sides' columns gathered at them, the
+// residual's selection kernel narrowing them. HashJoin and the fused probe
+// share it.
+type joinProbe struct {
+	table    *hashTable
+	keys     []int             // key positions in the probe columns
+	residual *algebra.Compiled // nil: every match is emitted
+
+	cols       []vector.Vector // the probe batch being expanded
+	heads      []int32         // per probe row, its first match (-1 none)
+	pi         int             // next probe row to expand
+	bi         int32           // next match of probe row pi-1, -1 none
+	psel, bsel []int           // pairs of the batch being built
+	sel        []int
+	out        Batch
+}
+
+// newJoinProbe prepares a probe of table keyed on the probe columns keys.
+func newJoinProbe(table *hashTable, keys []int, residual algebra.Expr) joinProbe {
+	p := joinProbe{table: table, keys: keys, bi: -1}
+	if residual != nil {
+		p.residual = algebra.Compile(residual)
+	}
+	return p
+}
+
+// start begins expanding a probe batch of n rows. The columns must stay
+// valid until next has returned nil.
+func (p *joinProbe) start(cols []vector.Vector, n int) {
+	p.cols = cols
+	p.heads = p.table.lookupVec(cols, n, p.keys, p.heads[:0])
+	p.pi, p.bi = 0, -1
+}
+
+// next returns the next output batch of the current probe batch, or nil
+// once that batch is fully expanded.
+func (p *joinProbe) next() *Batch {
+	for {
+		p.psel, p.bsel = p.psel[:0], p.bsel[:0]
+		for len(p.psel) < DefaultBatchSize {
+			if p.bi < 0 {
+				if p.pi >= len(p.heads) {
+					break
+				}
+				p.bi = p.heads[p.pi]
+				p.pi++
+				continue
+			}
+			p.psel = append(p.psel, p.pi-1)
+			p.bsel = append(p.bsel, int(p.bi))
+			p.bi = p.table.next[p.bi]
+		}
+		n := len(p.psel)
+		if n == 0 {
+			return nil
+		}
+		build := p.table.cols.Vecs
+		out := make([]vector.Vector, len(p.cols)+len(build))
+		for c, v := range p.cols {
+			out[c] = v.Gather(p.psel)
+		}
+		for c, v := range build {
+			out[len(p.cols)+c] = v.Gather(p.bsel)
+		}
+		if p.residual != nil {
+			p.sel = p.residual.SelectTruthyVec(out, n, p.sel[:0])
+			if len(p.sel) == 0 {
+				continue
+			}
+			if len(p.sel) < n {
+				for c, v := range out {
+					out[c] = v.Gather(p.sel)
+				}
+				n = len(p.sel)
+			}
+		}
+		p.out.SetCols(out, n)
+		return &p.out
+	}
 }
 
 // graceFlushRows is how many rows a spilled partition buffers before the
@@ -303,9 +498,10 @@ func (j *HashJoin) openGoverned() error {
 		}
 	}
 
+	arity := j.Right.Schema().Arity()
 	if !grace {
 		// The build fit: identical table, identical streaming probe.
-		j.table = newHashTable(j.EquiR).addRows(buffer)
+		j.probe = newJoinProbe(newHashTable(vector.FromRows(buffer, arity), j.EquiR), j.EquiL, j.Residual)
 		return nil
 	}
 
@@ -326,14 +522,15 @@ func (j *HashJoin) openGoverned() error {
 			p.brun, p.bw = run, nil
 			continue
 		}
-		p.table = newHashTable(j.EquiR).addRows(p.rows)
+		p.table, p.rows = newHashTable(vector.FromRows(p.rows, arity), j.EquiR), nil
 	}
 	return j.graceProbe(parts)
 }
 
-// emitTagged writes one joined output row, tagged with its probe sequence
-// number, to w — unless the residual rejects the concatenation.
-func (j *HashJoin) emitTagged(w *spill.Writer, seq int64, l, r []types.Value) error {
+// emitMatches writes the joined output rows of probe row l against its
+// matches in t, each tagged with the probe sequence number, to w — all but
+// those the residual rejects.
+func (j *HashJoin) emitMatches(w *spill.Writer, seq int64, l []types.Value, t *hashTable) error {
 	width := j.schema.Arity()
 	if cap(j.graceTag) < width+1 {
 		j.graceTag = make([]types.Value, width+1)
@@ -341,11 +538,18 @@ func (j *HashJoin) emitTagged(w *spill.Writer, seq int64, l, r []types.Value) er
 	tag := j.graceTag[:width+1]
 	tag[0] = types.NewInt(seq)
 	copy(tag[1:], l)
-	copy(tag[1+len(l):], r)
-	if j.Residual != nil && !algebra.Truthy(j.Residual.Eval(tag[1:])) {
-		return nil
+	for r := t.lookupRow(l, j.EquiL); r >= 0; r = t.next[r] {
+		for c, v := range t.cols.Vecs {
+			tag[1+len(l)+c] = v.Value(int(r))
+		}
+		if j.Residual != nil && !algebra.Truthy(j.Residual.Eval(tag[1:])) {
+			continue
+		}
+		if err := w.Append(tag); err != nil {
+			return err
+		}
 	}
-	return w.Append(tag)
+	return nil
 }
 
 // graceProbe consumes the probe input: resident-partition rows join
@@ -391,10 +595,8 @@ func (j *HashJoin) graceProbe(parts []gracePart) error {
 				}
 				continue
 			}
-			for _, r := range p.table.lookup(key) {
-				if err := j.emitTagged(memOut, s, row, r); err != nil {
-					return err
-				}
+			if err := j.emitMatches(memOut, s, row, p.table); err != nil {
+				return err
 			}
 		}
 	}
@@ -412,7 +614,7 @@ func (j *HashJoin) graceProbe(parts []gracePart) error {
 		}
 		j.Mem.Release(p.bytes)
 		j.held -= p.bytes
-		p.rows, p.bytes, p.table = nil, 0, nil
+		p.bytes, p.table = 0, nil
 	}
 	for i := range parts {
 		p := &parts[i]
@@ -505,7 +707,7 @@ loadLoop:
 	}
 	rd.Close()
 
-	table := newHashTable(j.EquiR).addRows(rows)
+	table := newHashTable(vector.FromRows(rows, j.Right.Schema().Arity()), j.EquiR)
 	out, err := j.sp.newWriter()
 	if err != nil {
 		return err
@@ -523,16 +725,8 @@ loadLoop:
 			break
 		}
 		for _, pr := range frame {
-			cells := pr[1:]
-			key, ok := appendJoinKey(j.keyBuf[:0], cells, j.EquiL)
-			j.keyBuf = key
-			if !ok {
-				continue
-			}
-			for _, r := range table.lookup(key) {
-				if err := j.emitTagged(out, pr[0].Int(), cells, r); err != nil {
-					return err
-				}
+			if err := j.emitMatches(out, pr[0].Int(), pr[1:], table); err != nil {
+				return err
 			}
 		}
 	}
@@ -650,77 +844,24 @@ func (j *HashJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spill
 	return nil
 }
 
-// emit concatenates l and r into a slab row and appends it to the output
-// batch when the residual accepts it; slab storage is only committed for
-// emitted rows.
-func (j *HashJoin) emit(l, r []types.Value) {
-	row := j.sl.peek()
-	copy(row, l)
-	copy(row[len(l):], r)
-	if j.Residual != nil && !algebra.Truthy(j.Residual.Eval(row)) {
-		return
-	}
-	j.sl.commit()
-	j.out.Append(row)
-}
-
 // Next implements Operator.
 func (j *HashJoin) Next() (*Batch, error) {
 	if j.graceHeap != nil {
 		return j.graceNext()
 	}
-	j.out.Reset()
 	for {
-		if j.probe != nil {
-			for {
-				for j.mi < len(j.matches) {
-					if j.probeRows == nil {
-						// First match of a column-only probe batch: now the
-						// row view is needed for output construction.
-						j.probeRows = j.probe.Rows()
-					}
-					j.emit(j.probeRows[j.pi-1], j.matches[j.mi])
-					j.mi++
-					if j.out.Len() >= DefaultBatchSize {
-						return &j.out, nil
-					}
-				}
-				if j.pi >= j.probe.Len() {
-					j.probe = nil
-					break
-				}
-				pi := j.pi
-				j.pi++
-				j.matches, j.mi = nil, 0
-				var key []byte
-				var ok bool
-				if j.probeKeyCols != nil {
-					key, ok = appendVecJoinKey(j.keyBuf[:0], j.probeKeyCols, pi, j.EquiL)
-				} else {
-					key, ok = appendJoinKey(j.keyBuf[:0], j.probeRows[pi], j.EquiL)
-				}
-				j.keyBuf = key
-				if ok {
-					j.matches = j.table.lookup(key)
-				}
+		if j.probing {
+			if b := j.probe.next(); b != nil {
+				return b, nil
 			}
+			j.probing = false
 		}
 		b, err := j.Left.Next()
-		if err != nil {
+		if b == nil || err != nil {
 			return nil, err
 		}
-		if b == nil {
-			if j.out.Len() > 0 {
-				return &j.out, nil
-			}
-			return nil, nil
-		}
-		j.probe, j.pi, j.matches, j.mi = b, 0, nil, 0
-		j.probeKeyCols = b.KeyCols()
-		j.probeRows = nil
-		if j.probeKeyCols == nil {
-			j.probeRows = b.Rows()
-		}
+		j.probe.start(b.colsFor(nil), b.Len())
+		j.probing = true
 	}
 }
 
@@ -748,8 +889,7 @@ func (j *HashJoin) graceNext() (*Batch, error) {
 // reservation still held and remove every spill file — including on early
 // Close mid-merge.
 func (j *HashJoin) Close() error {
-	j.table, j.matches, j.probe, j.sl = nil, nil, nil, nil
-	j.probeRows, j.probeKeyCols, j.graceHeap = nil, nil, nil
+	j.probe, j.probing, j.graceHeap = joinProbe{}, false, nil
 	j.Mem.Release(j.held)
 	j.held = 0
 	serr := j.sp.cleanup()
@@ -767,8 +907,8 @@ func (j *HashJoin) Close() error {
 
 // NestedLoopJoin is the theta-join fallback: the right input is materialized
 // once on Open, and every (left, right) pair satisfying the predicate is
-// emitted, batch by batch with the same slab discipline as HashJoin.
-// O(n·m); the optimizer extracts equi-join keys precisely so this operator
+// emitted, batch by batch, as a slab row (one allocation per batch of
+// rows; storage is committed only for pairs the predicate accepts). O(n·m); the optimizer extracts equi-join keys precisely so this operator
 // only runs for genuinely non-equi predicates.
 type NestedLoopJoin struct {
 	Left, Right Operator

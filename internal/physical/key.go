@@ -1,20 +1,30 @@
 package physical
 
 import (
+	"math"
+
 	"repro/internal/types"
 	"repro/internal/vector"
 )
 
 // This file is the one place hash keys are built in the physical layer.
-// HashJoin, HashAggregate, and Distinct all key their tables with the
-// canonical binary encoding of types.Value (Value.AppendKey) joined by '|'
-// separators — the same format as types.Tuple.Key — so a value pair
-// collides iff the values compare equal, and the three operators agree with
-// each other and with every annotation-lookup map elsewhere in the repo.
+// HashAggregate and Distinct key their tables with the canonical binary
+// encoding of types.Value (Value.AppendKey) joined by '|' separators — the
+// same format as types.Tuple.Key — so the two operators agree with each
+// other and with every annotation-lookup map elsewhere in the repo. Two
+// values share that encoding iff they are the same number (an int and the
+// float it widens to included), string, boolean or NULL; it is not
+// Value.Compare's equality, which also calls -0.0 equal to 0 and NaN equal
+// to every number.
 //
-// The builders append into a caller-owned scratch buffer; looking a key up
-// as m[string(buf)] does not allocate (the compiler elides the conversion
-// for map access), so steady-state probing is allocation-free.
+// Hash joins key on the same encoding with -0.0 folded into 0 (joinWord,
+// appendJoinKey, appendVecJoinKey), so an extracted equi-join matches
+// exactly the pairs its "x = y" predicate accepts — NaN aside, which keys
+// by its own bits.
+//
+// The byte builders append into a caller-owned scratch buffer; looking a
+// key up as m[string(buf)] does not allocate (the compiler elides the
+// conversion for map access), so steady-state probing is allocation-free.
 
 // appendRowKey appends the canonical key of the whole row to buf and
 // returns it. NULLs participate (encoded distinctly from every non-NULL
@@ -46,10 +56,30 @@ func appendJoinKey(buf []byte, row []types.Value, idx []int) ([]byte, bool) {
 		if row[j].IsNull() {
 			return buf, false
 		}
-		buf = row[j].AppendKey(buf)
+		buf = appendJoinValueKey(buf, row[j])
 		buf = append(buf, '|')
 	}
 	return buf, true
+}
+
+// appendJoinValueKey appends one join key value's canonical encoding, -0.0
+// encoded as 0.
+func appendJoinValueKey(buf []byte, v types.Value) []byte {
+	if v.Kind() == types.KindFloat && v.Float() == 0 {
+		return types.AppendFloatKey(buf, 0)
+	}
+	return v.AppendKey(buf)
+}
+
+// joinWord is the join key of a single numeric key column as one word: the
+// float64 bits of the value, -0.0 folded into 0. Integers widen to float64
+// first, so two words are equal exactly when the values' byte join keys
+// are.
+func joinWord(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
 }
 
 // The appendVec* builders are the columnar twins of the row builders:
@@ -70,10 +100,16 @@ func appendVecRowKey(buf []byte, cols []vector.Vector, i int) []byte {
 // appendVecJoinKey is appendJoinKey over row i of a columnar batch.
 func appendVecJoinKey(buf []byte, cols []vector.Vector, i int, idx []int) ([]byte, bool) {
 	for _, j := range idx {
-		if cols[j].Null(i) {
+		col := cols[j]
+		if col.Null(i) {
 			return buf, false
 		}
-		buf = cols[j].AppendElemKey(buf, i)
+		switch col.Kind() {
+		case types.KindFloat, types.KindNull: // a float column, or a boxed one
+			buf = appendJoinValueKey(buf, col.Value(i))
+		default:
+			buf = col.AppendElemKey(buf, i)
+		}
 		buf = append(buf, '|')
 	}
 	return buf, true

@@ -19,8 +19,7 @@ func Lower(n algebra.Node, src Source) (Operator, error) {
 // LowerOpts is Lower with execution options. Fusion always applies: a
 // maximal Scan→Filter→Project chain over a columnar table, optionally capped
 // by an equi-join probe or an aggregate, lowers to one fused operator when
-// its composed expressions all have columnar kernels and fusing saves work
-// (see fused.go and fused_agg.go). Parallelism is a property of one
+// fusing saves work (see fused.go and fused_agg.go). Parallelism is a property of one
 // operator: with DOP > 1 and a table of at least MinParallelRows rows, a
 // fused aggregate folds morsels on DOP workers and merges the partials in
 // morsel order. Fused pipelines, fused probes, and everything else run

@@ -2,7 +2,7 @@
 // that normalizes logical algebra plans (predicate pushdown, equi-join
 // extraction, projection pruning) and a family of batch-at-a-time physical
 // operators (Open/Next/Close over Batch) they lower to — zero-copy scan,
-// selection-vector filter, slab-allocating project, hash join with a
+// selection-vector filter, column-kernel project, columnar hash join with a
 // nested-loop fallback, hash aggregate, run-merging sort, early-terminating
 // limit, union-all, and distinct.
 //

@@ -74,11 +74,14 @@ type colsDrainer interface {
 // root operator can emit its output as vectors, no output row is ever
 // boxed — the boxed [][]types.Value sink (and its alloc-zeroing + GC-marking
 // cost, the structural floor of row draining at scale) disappears, and
-// boxed Values exist only if the caller materializes via Result.Rows.
-// Operators without a columnar output path drain through the batch loop and
-// return a row-backed Result, so the call is total: every plan drains, only
-// the representation differs. The Close error is reported only when
-// iteration itself succeeded.
+// boxed Values exist only if the caller materializes via Result.Rows. A
+// root that hands over its whole output at once (a columnar scan, a
+// probe-less fused chain) does so directly; otherwise the batch loop
+// concatenates column-only batches (a projection's, an in-memory hash
+// join's) into a columnar Result, and a root that emits batches with a row
+// view (a sort, an aggregate) drains into a row-backed one. The call is
+// total: every plan drains, only the representation differs. The Close
+// error is reported only when iteration itself succeeded.
 func DrainColumns(op Operator) (*Result, error) {
 	return DrainColumnsContext(context.Background(), op)
 }
@@ -109,10 +112,18 @@ func DrainColumnsContext(ctx context.Context, op Operator) (*Result, error) {
 			return NewColumnarResult(op.Schema(), cols), nil
 		}
 	}
+	// Column-only batches are folded into columns of the result's own
+	// (vector.Append) while every batch is column-only; the first batch with
+	// a row view turns the drain to rows, boxing the columns gathered so
+	// far and every later column-only batch.
+	var vecs []vector.Vector
+	n := 0
 	var rows [][]types.Value
+	byRows := false
+	hint := 0
 	if h, ok := op.(RowCountHinter); ok {
-		if n, known := h.RowCountHint(); known {
-			rows = make([][]types.Value, 0, n)
+		if c, known := h.RowCountHint(); known {
+			hint = c
 		}
 	}
 	for {
@@ -128,10 +139,30 @@ func DrainColumnsContext(ctx context.Context, op Operator) (*Result, error) {
 		if b == nil {
 			break
 		}
+		if !byRows && b.rows == nil && b.cols != nil {
+			if vecs == nil {
+				vecs = make([]vector.Vector, len(b.cols))
+			}
+			for c, v := range b.cols {
+				vecs[c] = vector.Append(vecs[c], v)
+			}
+			n += b.Len()
+			continue
+		}
+		if !byRows {
+			byRows = true
+			rows = make([][]types.Value, 0, max(hint, n))
+			if n > 0 {
+				rows = append(rows, vector.Materialize(vecs, n)...)
+			}
+		}
 		rows = append(rows, b.Rows()...)
 	}
 	if err := op.Close(); err != nil {
 		return nil, err
+	}
+	if !byRows && vecs != nil {
+		return NewColumnarResult(op.Schema(), &vector.Columns{N: n, Vecs: vecs}), nil
 	}
 	return NewRowResult(op.Schema(), rows), nil
 }

@@ -184,3 +184,86 @@ func Materialize(cols []Vector, n int) [][]types.Value {
 	}
 	return rows
 }
+
+// Append appends src's elements to dst and returns the result, reusing dst's
+// storage where it can. dst is nil, to start a new vector, or a vector an
+// earlier Append returned, which the caller owns and must not read again.
+// The result shares no storage with src, so it outlives src's producer: a
+// sink that keeps a stream of batches (the root drain, a hash join's build
+// side) folds each batch's expiring columns into vectors of its own.
+// Vectors of one typed kind append unboxed; a mix of concrete types
+// continues as a boxed ValueVector, which still reproduces every value
+// exactly.
+func Append(dst, src Vector) Vector {
+	switch s := src.(type) {
+	case *Int64Vector:
+		if d, ok := dst.(*Int64Vector); ok || dst == nil {
+			if d == nil {
+				d = &Int64Vector{}
+			}
+			d.Vals, d.nulls = appendVals(d.Vals, d.nulls, s.Vals, s.nulls)
+			return d
+		}
+	case *Float64Vector:
+		if d, ok := dst.(*Float64Vector); ok || dst == nil {
+			if d == nil {
+				d = &Float64Vector{}
+			}
+			d.Vals, d.nulls = appendVals(d.Vals, d.nulls, s.Vals, s.nulls)
+			return d
+		}
+	case *StringVector:
+		if d, ok := dst.(*StringVector); ok || dst == nil {
+			if d == nil {
+				d = &StringVector{}
+			}
+			d.Vals, d.nulls = appendVals(d.Vals, d.nulls, s.Vals, s.nulls)
+			return d
+		}
+	case *BoolVector:
+		if d, ok := dst.(*BoolVector); ok || dst == nil {
+			if d == nil {
+				d = &BoolVector{}
+			}
+			d.Vals, d.nulls = appendVals(d.Vals, d.nulls, s.Vals, s.nulls)
+			return d
+		}
+	}
+	boxed, ok := dst.(*ValueVector)
+	if !ok {
+		boxed = &ValueVector{}
+		if dst != nil {
+			boxed.Vals = make([]types.Value, dst.Len())
+			for i := range boxed.Vals {
+				boxed.Vals[i] = dst.Value(i)
+			}
+		}
+	}
+	for i, n := 0, src.Len(); i < n; i++ {
+		boxed.Vals = append(boxed.Vals, src.Value(i))
+	}
+	return boxed
+}
+
+// appendVals appends one typed vector's payload and NULLs to an owned one
+// (a bitmap with no slice offset), growing the bitmap with the payload.
+func appendVals[T any](vals []T, nb nulls, src []T, sn nulls) ([]T, nulls) {
+	at := len(vals)
+	vals = append(vals, src...)
+	if nb.bm != nil {
+		for len(nb.bm.bits) < (len(vals)+63)/64 {
+			nb.bm.bits = append(nb.bm.bits, 0)
+		}
+	}
+	if sn.anyNull(len(src)) {
+		for i := range src {
+			if sn.null(i) {
+				if nb.bm == nil {
+					nb.bm = NewBitmap(len(vals))
+				}
+				nb.bm.Set(at + i)
+			}
+		}
+	}
+	return vals, nb
+}

@@ -240,3 +240,72 @@ func TestBitmapAnyInRange(t *testing.T) {
 		t.Error("nil bitmap reported a null")
 	}
 }
+
+// TestAppend folds random windows of typed and boxed columns — NULLs
+// crossing bitmap words, slice offsets — into one vector: every element
+// must survive bit for bit, a run of one typed kind must stay typed, and
+// the result must not alias the windows it copied.
+func TestAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindBool}
+	for trial := 0; trial < 200; trial++ {
+		uniform := trial%2 == 0
+		kind := kinds[rng.Intn(len(kinds))]
+		var got Vector
+		var want []types.Value
+		var srcs []Vector
+		for part := rng.Intn(5); part >= 0; part-- {
+			n := 1 + rng.Intn(150)
+			col := make([]types.Value, n)
+			if uniform {
+				col = singleKindColumn(rng, kind, n)
+			} else {
+				for i := range col {
+					col[i] = randValue(rng)
+				}
+			}
+			rows := make([][]types.Value, n)
+			for i, v := range col {
+				rows[i] = []types.Value{v}
+			}
+			lo := rng.Intn(n)
+			src := ColumnFromRows(rows, 0).Slice(lo, n)
+			got = Append(got, src)
+			want = append(want, col[lo:]...)
+			srcs = append(srcs, src)
+		}
+		sameType := true
+		for _, src := range srcs {
+			sameType = sameType && concreteKind(src) == concreteKind(srcs[0])
+		}
+		if sameType && concreteKind(got) != concreteKind(srcs[0]) {
+			t.Fatalf("trial %d: parts of one type %T appended as %T", trial, srcs[0], got)
+		}
+		check := func(when string) {
+			if got.Len() != len(want) {
+				t.Fatalf("trial %d %s: len %d, want %d", trial, when, got.Len(), len(want))
+			}
+			for i, w := range want {
+				if !bytes.Equal(got.AppendElemKey(nil, i), w.AppendKey(nil)) || got.Null(i) != w.IsNull() {
+					t.Fatalf("trial %d %s: element %d = %v, want %v", trial, when, i, got.Value(i), w)
+				}
+			}
+		}
+		check("after append")
+		for _, src := range srcs {
+			switch v := src.(type) {
+			case *Int64Vector:
+				clear(v.Vals)
+			case *Float64Vector:
+				clear(v.Vals)
+			case *StringVector:
+				clear(v.Vals)
+			case *BoolVector:
+				clear(v.Vals)
+			case *ValueVector:
+				clear(v.Vals)
+			}
+		}
+		check("after clearing the sources")
+	}
+}
