@@ -253,11 +253,11 @@ func TestFusedAggDirectedParity(t *testing.T) {
 	}
 }
 
-// TestFusedFilterOnlyStaysUnfused pins the worthFusing gate: a bare
-// scan→filter chain keeps the typed Filter (which moves row pointers and
-// boxes nothing — fusing it would only add boxing), and a passthrough
-// projection with no predicate likewise stays on the column-only path.
-func TestFusedFilterOnlyStaysUnfused(t *testing.T) {
+// TestFilterOnlyAndPassthroughChainsFuse: every Filter/Project chain is a
+// pipeline, so a bare scan→filter chain and a passthrough projection with
+// no predicate each lower to one FusedPipeline over the table, and answer
+// like the row-at-a-time reference.
+func TestFilterOnlyAndPassthroughChainsFuse(t *testing.T) {
 	cat := fusedTestCatalog()
 	sch := cat.Get("t").Schema
 	v := algebra.Col{Idx: 1, Name: "v"}
@@ -265,24 +265,27 @@ func TestFusedFilterOnlyStaysUnfused(t *testing.T) {
 		Input: &algebra.Scan{Table: "t", TblSchema: sch},
 		Pred:  algebra.Bin{Op: algebra.OpLt, L: v, R: algebra.Const{V: types.NewInt(100)}},
 	}
-	op, err := physical.LowerOpts(filter, cat, physical.Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*physical.Filter); !ok {
-		t.Fatalf("filter-only chain lowered to %T, want *Filter", op)
-	}
-
 	passthrough := &algebra.Project{
 		Input: &algebra.Scan{Table: "t", TblSchema: sch},
 		Exprs: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}},
 		Names: []string{"k"},
 	}
-	op, err = physical.LowerOpts(passthrough, cat, physical.Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*physical.Project); !ok {
-		t.Fatalf("passthrough project lowered to %T, want *Project", op)
+	for name, c := range map[string]struct {
+		plan algebra.Node
+		ops  string
+	}{
+		"filter-only": {filter, "FusedPipeline[scan t → filter]\n"},
+		"passthrough": {passthrough, "FusedPipeline[scan t → project]\n"},
+	} {
+		op, err := physical.LowerOpts(c.plan, cat, physical.Options{DOP: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := physical.Explain(op); s != c.ops {
+			t.Fatalf("%s chain lowered to:\n%swant %s", name, s, c.ops)
+		}
+		want := drainOpts(t, c.plan, rowSource{cat}, physical.Options{DOP: 1}, "row-only source")
+		got := drainOpts(t, c.plan, cat, physical.Options{DOP: 1}, name)
+		mustMatchRows(t, got, want, name+": table source vs operator input")
 	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,8 +14,9 @@ import (
 )
 
 // TestPlanShapeHashJoinForEquiJoins pins the acceptance criterion: SQL
-// equi-joins must execute via the hash-join physical operator, theta joins
-// via the nested-loop fallback.
+// equi-joins must execute as hash joins — a pipeline's probe stage, or the
+// governed HashJoin under a memory budget — and theta joins via the
+// nested-loop fallback.
 func TestPlanShapeHashJoinForEquiJoins(t *testing.T) {
 	cat := fixtureCatalog()
 	p := NewPlanner(cat)
@@ -27,16 +30,23 @@ func TestPlanShapeHashJoinForEquiJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(s, "HashJoin") {
-		t.Errorf("equi-join must lower to HashJoin:\n%s", s)
+	if !strings.Contains(s, "probe]") {
+		t.Errorf("equi-join must lower to a probe stage:\n%s", s)
 	}
 	if strings.Contains(s, "NestedLoopJoin") {
 		t.Errorf("equi-join must not nested-loop:\n%s", s)
 	}
 	// The amount filter must sit below the join, on the orders side: here
-	// inside the orders chain's fused pipeline.
+	// inside the orders chain's pipeline.
 	if !strings.Contains(s, "FusedPipeline[scan orders → project → filter]") {
 		t.Errorf("pushed filter missing from physical plan:\n%s", s)
+	}
+	s, err = ExplainPhysicalOpts(plan, cat, physical.Options{MemBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(s, "HashJoin[") {
+		t.Errorf("governed equi-join must lower to HashJoin:\n%s", s)
 	}
 
 	plan, err = p.Plan(sql.MustParse(
@@ -138,7 +148,7 @@ func TestHashAndNestedLoopAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(s, "HashJoin") {
+		if !strings.Contains(s, "probe]") {
 			t.Fatalf("optimizer did not extract the equi key:\n%s", s)
 		}
 
@@ -307,5 +317,39 @@ func TestExecuteOptsParallelAgreement(t *testing.T) {
 	}
 	if s := physical.Explain(op); !strings.HasPrefix(s, "FusedAggregate[dop=4") {
 		t.Errorf("parallel compile must produce a 4-worker fused aggregate:\n%s", s)
+	}
+}
+
+// TestGroupByAndDistinctFoldNegativeZero: GROUP BY and DISTINCT treat -0.0
+// and 0 as one value, as Value.Compare (and so WHERE x = 0, and every join)
+// does — with no budget (the fused aggregate) and under a 1 MiB budget (the
+// governed HashAggregate).
+func TestGroupByAndDistinctFoldNegativeZero(t *testing.T) {
+	cat := NewCatalog()
+	a := NewTable(types.NewSchema("a", "x"))
+	a.AppendVals(types.NewFloat(math.Copysign(0, -1)))
+	a.AppendVals(types.NewFloat(0))
+	cat.Put(a)
+	for _, budget := range []int64{0, 1 << 20} {
+		for _, q := range []string{
+			"SELECT x, COUNT(*) AS n FROM a GROUP BY x",
+			"SELECT DISTINCT x FROM a",
+		} {
+			plan, err := NewPlanner(cat).PlanSQL(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := NewSession(cat, physical.Options{MemBudget: budget}).Execute(context.Background(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := res.Rows()
+			if len(rows) != 1 {
+				t.Fatalf("budget %d: %s returned %d rows, want 1: %v", budget, q, len(rows), rows)
+			}
+			if len(rows[0]) == 2 && rows[0][1].Int() != 2 {
+				t.Errorf("budget %d: %s counted %v, want 2", budget, q, rows[0][1])
+			}
+		}
 	}
 }

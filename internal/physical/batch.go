@@ -26,28 +26,27 @@ const DefaultBatchSize = 1024
 // A batch whose spine aliases storage owned elsewhere (a Scan slicing its
 // table's row array) is marked shared; consumers must not reorder or
 // truncate a shared spine in place. Owned spines may be compacted in place
-// by the immediate consumer (selection-vector filtering), which is why
-// Filter and Distinct can often avoid even the pointer copy.
+// by the immediate consumer (selection-vector narrowing), which is why
+// Distinct can often avoid even the pointer copy.
 //
 // A batch may additionally (or exclusively) carry a columnar view: one
 // typed vector per column (internal/vector). Scans emit both views —
 // zero-copy row-spine and zero-copy vector windows of the table's cached
-// columnar form — so boxed consumers pay nothing; Filter, Project and
-// in-memory hash-join outputs may carry only columns, and Rows materializes
-// the row view on first demand. A row-only batch (the output of an
-// aggregate, a sort, a nested-loop or spilled hash join, a distinct or a
-// limit) has no columnar view; a consumer with column kernels converts the
-// columns it reads (colsFor). The columnar view follows the spine's
-// lifetime rule (valid only until the producer's next Next or Close), while
-// materialized rows follow the row-stability rule: freshly allocated,
-// immortal once handed out. The two views of one batch always describe
-// identical values.
+// columnar form — so boxed consumers pay nothing; pipelines (FusedPipeline,
+// probe stages included) and the governed hash join's in-memory probe emit
+// only columns, and Rows materializes the row view on first demand. A
+// row-only batch (the output of an aggregate, a sort, a nested-loop join, a
+// grace hash join, a distinct or a limit) has no columnar view; a consumer
+// with column kernels converts the columns it reads (colsFor). The columnar
+// view follows the spine's lifetime rule (valid only until the producer's
+// next Next or Close), while materialized rows follow the row-stability
+// rule: freshly allocated, immortal once handed out. The two views of one
+// batch always describe identical values.
 type Batch struct {
-	rows     [][]types.Value
-	shared   bool
-	cols     []vector.Vector
-	colsN    int                    // row count of the columnar view when rows is nil
-	lazyCols func() []vector.Vector // deferred columnar view; built on first Cols
+	rows   [][]types.Value
+	shared bool
+	cols   []vector.Vector
+	colsN  int // row count of the columnar view when rows is nil
 }
 
 // NewBatch returns an owned, empty batch with the given row capacity.
@@ -78,20 +77,12 @@ func (b *Batch) Rows() [][]types.Value {
 // Row returns the i-th row (materializing the row view if needed).
 func (b *Batch) Row(i int) []types.Value { return b.Rows()[i] }
 
-// Cols exposes the columnar view, or nil when the batch is row-only. A
-// deferred view (a filter's gather) is built on first call — a consumer
-// that only ever reads rows never pays for it.
-func (b *Batch) Cols() []vector.Vector {
-	if b.cols == nil && b.lazyCols != nil {
-		b.cols, b.lazyCols = b.lazyCols(), nil
-		b.colsN = len(b.rows)
-	}
-	return b.cols
-}
+// Cols exposes the columnar view, or nil when the batch is row-only.
+func (b *Batch) Cols() []vector.Vector { return b.cols }
 
 // colsFor is the columnar input of a consumer whose kernels read only the
 // columns marked in used (one mark per column; nil marks them all): the
-// batch's own view when it has or defers one, else just those columns
+// batch's own view when it has one, else just those columns
 // converted from the rows (vector.ColumnFromRows), nil vectors at the rest.
 // The conversion is not kept on the batch.
 func (b *Batch) colsFor(used []bool) []vector.Vector {
@@ -124,9 +115,9 @@ func usedCols(arity int, es ...algebra.Expr) []bool {
 
 // KeyCols returns the columnar view only when the batch has no row view yet:
 // the cases where keying off the vectors saves the boxed reads. A batch that
-// already carries rows (a dual-view scan batch, a compacted filter output)
-// keys off the spine directly — those reads are plain struct loads and
-// beat per-element vector dispatch.
+// already carries rows (a dual-view scan batch) keys off the spine
+// directly — those reads are plain struct loads and beat per-element
+// vector dispatch.
 func (b *Batch) KeyCols() []vector.Vector {
 	if b.rows != nil {
 		return nil
@@ -142,7 +133,7 @@ func (b *Batch) Shared() bool { return b.shared }
 // the spine was shared it is dropped rather than truncated, so the aliased
 // storage is never written through. Any columnar view is dropped.
 func (b *Batch) Reset() {
-	b.cols, b.colsN, b.lazyCols = nil, 0, nil
+	b.cols, b.colsN = nil, 0
 	if b.shared {
 		b.rows, b.shared = nil, false
 		return
@@ -154,7 +145,7 @@ func (b *Batch) Reset() {
 // shared. Used by leaf operators to emit zero-copy slices of table storage.
 func (b *Batch) SetShared(rows [][]types.Value) {
 	b.rows, b.shared = rows, true
-	b.cols, b.colsN, b.lazyCols = nil, 0, nil
+	b.cols, b.colsN = nil, 0
 }
 
 // SetSharedWithCols is SetShared plus a columnar view of the same rows:
@@ -162,7 +153,7 @@ func (b *Batch) SetShared(rows [][]types.Value) {
 // alias storage owned elsewhere.
 func (b *Batch) SetSharedWithCols(rows [][]types.Value, cols []vector.Vector) {
 	b.rows, b.shared = rows, true
-	b.cols, b.colsN, b.lazyCols = cols, len(rows), nil
+	b.cols, b.colsN = cols, len(rows)
 }
 
 // SetCols makes the batch column-only: n rows described by cols, with the
@@ -170,15 +161,7 @@ func (b *Batch) SetSharedWithCols(rows [][]types.Value, cols []vector.Vector) {
 // outputs this way.
 func (b *Batch) SetCols(cols []vector.Vector, n int) {
 	b.rows, b.shared = nil, false
-	b.cols, b.colsN, b.lazyCols = cols, n, nil
-}
-
-// setLazyColsView attaches a deferred columnar view describing the batch's
-// current rows (a typed filter's gather): built only if a consumer reads
-// Cols before the producer's next Next, skipped entirely for row-only
-// consumers like joins, sorts, and Drain.
-func (b *Batch) setLazyColsView(fn func() []vector.Vector) {
-	b.cols, b.colsN, b.lazyCols = nil, 0, fn
+	b.cols, b.colsN = cols, n
 }
 
 // Append adds a row to an owned batch.
@@ -194,8 +177,7 @@ func (b *Batch) Truncate(n int) { b.rows = b.rows[:n] }
 // while shared spines are copied into scratch, which the caller must own
 // and reuse across calls. The returned batch holds the selected rows. A
 // columnar view on the input is dropped unless every row was selected (it
-// would describe the pre-selection rows); callers with a freshly gathered
-// view reattach it with setColsView.
+// would describe the pre-selection rows).
 func applySel(in *Batch, sel []int, scratch *Batch) *Batch {
 	if len(sel) == in.Len() {
 		return in
@@ -212,7 +194,7 @@ func applySel(in *Batch, sel []int, scratch *Batch) *Batch {
 		rows[out] = rows[i]
 	}
 	in.Truncate(len(sel))
-	in.cols, in.colsN, in.lazyCols = nil, 0, nil
+	in.cols, in.colsN = nil, 0
 	return in
 }
 

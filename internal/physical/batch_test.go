@@ -44,17 +44,31 @@ func TestScanBatchesAreSharedAndZeroCopy(t *testing.T) {
 	}
 }
 
-// TestFilterDoesNotCorruptSharedSpines: in-place compaction must never be
-// applied to a scan's shared spine — the base table's row order has to
-// survive a selective filter.
+// pipelineOver builds the pipeline the lowering makes of a filter (pred;
+// nil for none) and a projection (exprs and names; nil for the identity)
+// over an operator input.
+func pipelineOver(in Operator, pred algebra.Expr, exprs []algebra.Expr, names []string) *FusedPipeline {
+	if exprs == nil {
+		names = in.Schema().Attrs
+		for i, a := range names {
+			exprs = append(exprs, algebra.Col{Idx: i, Name: a})
+		}
+	}
+	f := &FusedPipeline{Input: in, Projs: exprs, Ops: []string{"input"}, schema: types.Schema{Attrs: names}}
+	if pred != nil {
+		f.Preds = []algebra.Expr{pred}
+	}
+	return f
+}
+
+// TestFilterDoesNotCorruptSharedSpines: a filtering pipeline over a scan's
+// shared spine must never write through it — the base table's row order
+// has to survive a selective filter.
 func TestFilterDoesNotCorruptSharedSpines(t *testing.T) {
 	rows := [][]types.Value{{iv(1)}, {iv(2)}, {iv(3)}, {iv(4)}, {iv(5)}, {iv(6)}}
-	f := &Filter{
-		Input: scanOf(rows, "a"),
-		Pred: algebra.Bin{Op: algebra.OpEq,
-			L: algebra.Bin{Op: algebra.OpMod, L: algebra.Col{Idx: 0}, R: algebra.Const{V: iv(2)}},
-			R: algebra.Const{V: iv(0)}},
-	}
+	f := pipelineOver(scanOf(rows, "a"), algebra.Bin{Op: algebra.OpEq,
+		L: algebra.Bin{Op: algebra.OpMod, L: algebra.Col{Idx: 0}, R: algebra.Const{V: iv(2)}},
+		R: algebra.Const{V: iv(0)}}, nil, nil)
 	out, err := Drain(f)
 	if err != nil || len(out) != 3 {
 		t.Fatalf("filter: rows=%d err=%v", len(out), err)
@@ -128,7 +142,7 @@ func TestRowCountHints(t *testing.T) {
 	}
 
 	check("scan", newScan(), 3)
-	check("project", NewProject(newScan(),
+	check("project", pipelineOver(newScan(), nil,
 		[]algebra.Expr{algebra.Col{Idx: 0}}, []string{"k"}), 3)
 	check("limit", &Limit{Input: newScan(), N: 2}, 2)
 	check("limit-loose", &Limit{Input: newScan(), N: 99}, 3)
@@ -139,10 +153,15 @@ func TestRowCountHints(t *testing.T) {
 		[]algebra.Expr{algebra.Col{Idx: 0}}, []string{"k"},
 		[]algebra.AggSpec{{Func: algebra.AggCount, Star: true, Name: "n"}}), 3)
 
-	// Data-dependent operators must not implement the hint.
-	if _, ok := any(&Filter{Input: newScan(), Pred: algebra.Const{V: types.NewBool(true)}}).(RowCountHinter); ok {
-		t.Error("filter should not hint")
+	// Data-dependent operators must not know (or implement) the hint.
+	f := pipelineOver(newScan(), algebra.Const{V: types.NewBool(true)}, nil, nil)
+	if err := f.Open(); err != nil {
+		t.Fatal(err)
 	}
+	if _, known := f.RowCountHint(); known {
+		t.Error("filtering pipeline should not hint")
+	}
+	f.Close()
 	if _, ok := any(&Distinct{Input: newScan()}).(RowCountHinter); ok {
 		t.Error("distinct should not hint")
 	}
@@ -193,7 +212,7 @@ func TestBatchBoundaryAgreement(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 7, 23, 100, 0} {
 		s := scanOf(rows, "k", "v")
 		s.BatchSize = size
-		got, err := Drain(NewProject(&Filter{Input: s, Pred: pred}, exprs, []string{"k", "v2"}))
+		got, err := Drain(pipelineOver(s, pred, exprs, []string{"k", "v2"}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,15 +119,13 @@ func TestApplySelDropsStaleColumnarView(t *testing.T) {
 	}
 }
 
-// TestFilterTypedPathKeepsColumns: a typed filter over a dual-view batch
-// emits gathered columns consistent with its narrowed rows, and a
-// column-only input stays column-only.
+// TestFilterTypedPathKeepsColumns: a filtering pipeline over dual-view scan
+// batches emits column-only batches holding exactly the selected rows.
 func TestFilterTypedPathKeepsColumns(t *testing.T) {
 	schema, rows, cols := colIntTable(3000)
 	pred := algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1, Name: "v"},
 		R: algebra.Const{V: types.NewInt(1500)}}
-	f := &Filter{Input: NewColumnarScan("t", schema, rows, cols), Pred: pred}
-	got, err := Drain(f)
+	got, err := Drain(pipelineOver(NewColumnarScan("t", schema, rows, cols), pred, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +133,7 @@ func TestFilterTypedPathKeepsColumns(t *testing.T) {
 		t.Fatalf("filter kept %d rows, want 1500", len(got))
 	}
 
-	f = &Filter{Input: NewColumnarScan("t", schema, rows, cols), Pred: pred}
+	f := pipelineOver(NewColumnarScan("t", schema, rows, cols), pred, nil, nil)
 	if err := f.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +142,15 @@ func TestFilterTypedPathKeepsColumns(t *testing.T) {
 	if err != nil || b == nil {
 		t.Fatalf("Next: %v %v", b, err)
 	}
-	bc := b.Cols()
-	if bc == nil {
-		t.Fatal("typed filter dropped the columnar view")
+	if b.KeyCols() == nil {
+		t.Fatal("filtering pipeline emitted a batch with a row view")
 	}
+	bc := b.Cols()
 	for i := 0; i < b.Len(); i++ {
-		if !bc[1].Value(i).Equal(b.Row(i)[1]) {
-			t.Fatalf("gathered column disagrees with narrowed rows at %d", i)
+		for j, v := range bc {
+			if !v.Value(i).Equal(rows[i][j]) {
+				t.Fatalf("row %d col %d: %v, table %v", i, j, v.Value(i), rows[i][j])
+			}
 		}
 	}
 }

@@ -20,16 +20,6 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 	switch o := op.(type) {
 	case *Scan:
 		fmt.Fprintf(sb, "Scan(%s)\n", o.Table)
-	case *Filter:
-		fmt.Fprintf(sb, "Filter[%s]\n", o.Pred)
-		explain(sb, o.Input, depth+1)
-	case *Project:
-		parts := make([]string, len(o.Exprs))
-		for i, e := range o.Exprs {
-			parts[i] = fmt.Sprintf("%s AS %s", e, o.Names[i])
-		}
-		fmt.Fprintf(sb, "Project[%s]\n", strings.Join(parts, ", "))
-		explain(sb, o.Input, depth+1)
 	case *HashJoin:
 		res := ""
 		if o.Residual != nil {
@@ -71,9 +61,14 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 		sb.WriteString("Distinct\n")
 		explain(sb, o.Input, depth+1)
 	case *FusedPipeline:
-		// One node for the whole collapsed chain; a probe stage also shows
-		// the join's build subtree.
+		// One node for the whole collapsed chain; an operator source shows
+		// its input subtree, and a probe stage the join's build subtree.
 		fmt.Fprintf(sb, "FusedPipeline[%s]\n", strings.Join(o.Ops, " → "))
+		if o.Input != nil {
+			sb.WriteString(strings.Repeat("  ", depth+1))
+			sb.WriteString("input:\n")
+			explain(sb, o.Input, depth+2)
+		}
 		if o.Probe != nil {
 			sb.WriteString(strings.Repeat("  ", depth+1))
 			sb.WriteString("build:\n")

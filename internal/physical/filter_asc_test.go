@@ -8,13 +8,14 @@ import (
 	"repro/internal/vector"
 )
 
-// TestFilterDenseSelectionKeepsAsc pins the typed Filter's zero-copy window
-// path: a selection that lands on one contiguous run of a batch degenerates
-// to a slice of the source vectors instead of a gather, so sortedness
-// metadata (Asc) survives the filter — which is what lets range-form fused
-// predicates downstream keep binary-searching filtered data. The gathered
-// (non-contiguous) path necessarily drops Asc; both are pinned, as is the
-// source table staying intact (the windows are views, never gather targets).
+// TestFilterDenseSelectionKeepsAsc pins a filtering pipeline's zero-copy
+// window path over an operator input: a selection that lands on one
+// contiguous run of a batch degenerates to a slice of the batch's vectors
+// instead of a gather, so sortedness metadata (Asc) survives the filter —
+// which is what lets range-form predicates downstream keep binary-searching
+// filtered data. The gathered (non-contiguous) path necessarily drops Asc;
+// both are pinned, as is the source table staying intact (the windows are
+// views, never gather targets).
 func TestFilterDenseSelectionKeepsAsc(t *testing.T) {
 	schema, rows, cols := colIntTable(2500)
 	src := cols.Vecs[1].(*vector.Int64Vector)
@@ -25,10 +26,8 @@ func TestFilterDenseSelectionKeepsAsc(t *testing.T) {
 
 	// v < 1500 selects a contiguous prefix of every batch it touches: the
 	// second scan batch (rows 1024..2047) keeps a strict dense prefix.
-	f := &Filter{
-		Input: NewColumnarScan("t", schema, rows, cols),
-		Pred:  algebra.Bin{Op: algebra.OpLt, L: v, R: algebra.Const{V: types.NewInt(1500)}},
-	}
+	f := pipelineOver(NewColumnarScan("t", schema, rows, cols),
+		algebra.Bin{Op: algebra.OpLt, L: v, R: algebra.Const{V: types.NewInt(1500)}}, nil, nil)
 	if err := f.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func TestFilterDenseSelectionKeepsAsc(t *testing.T) {
 		}
 		bc := b.Cols()
 		if bc == nil {
-			t.Fatal("typed filter dropped its columnar view")
+			t.Fatal("filtering pipeline emitted no columnar view")
 		}
 		vv, ok := bc[1].(*vector.Int64Vector)
 		if !ok {
@@ -66,7 +65,7 @@ func TestFilterDenseSelectionKeepsAsc(t *testing.T) {
 	if !sawPartial {
 		t.Fatal("no batch exercised the strict dense-subset window path")
 	}
-	// The windows alias table storage; the filter must never have written
+	// The windows alias table storage; the pipeline must never have written
 	// through them.
 	for i, x := range src.Vals {
 		if x != int64(i) {
@@ -76,11 +75,9 @@ func TestFilterDenseSelectionKeepsAsc(t *testing.T) {
 
 	// A scattered selection (k == 2 picks every 5th row) gathers into fresh
 	// storage and correctly drops Asc on the still-ascending v column.
-	f = &Filter{
-		Input: NewColumnarScan("t", schema, rows, cols),
-		Pred: algebra.Bin{Op: algebra.OpEq, L: algebra.Col{Idx: 0, Name: "k"},
-			R: algebra.Const{V: types.NewInt(2)}},
-	}
+	f = pipelineOver(NewColumnarScan("t", schema, rows, cols),
+		algebra.Bin{Op: algebra.OpEq, L: algebra.Col{Idx: 0, Name: "k"},
+			R: algebra.Const{V: types.NewInt(2)}}, nil, nil)
 	if err := f.Open(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,31 +8,30 @@ import (
 	"repro/internal/vector"
 )
 
-// Fused pipeline compilation: the lowering collapses a maximal
-// Scan→Filter→Project chain (optionally capped by the probe side of an
-// equi-join) into one FusedPipeline operator that runs the whole chain as a
-// single pass over the table's column vectors. The operator chain is
-// composed at lowering time by expression substitution — each Filter
-// predicate and each final Project expression is rewritten in terms of the
-// scan's columns — so execution reads the source vectors once, selects with
-// the unboxed columnar kernels, and evaluates the projections unboxed into
-// output vectors. Nothing between the scan and the output is materialized:
-// no compacted row spines, no boxed cells, no per-operator Next dispatch.
+// Pipelines: the lowering collapses every maximal chain of Filter and
+// Project nodes — capped, when it sits on the probe side of an equi-join
+// lowered without a memory governor, by that join's probe — into one
+// FusedPipeline operator. The chain is composed at lowering time by
+// expression substitution: each Filter predicate and each final Project
+// expression is rewritten in terms of the columns of the chain's source, so
+// adjacent projections (a rename over a least(), the identities the pruner
+// leaves) collapse into one. The source is either a columnar table, which
+// the pipeline reads in one whole-table pass, or any other operator, whose
+// batches each run through the same pass. Execution selects with the
+// unboxed column kernels and evaluates the projections unboxed into output
+// vectors: no compacted row spines, no boxed cells, no per-operator Next
+// dispatch within the chain.
 //
-// Fusion is an execution strategy, never a semantics change: every
-// expression has a column kernel, and the composed kernels are the same
-// compile_vec.go kernels the unfused Filter and Project run (selection
-// parity, NULL propagation, division-by-zero, float widening and all), so
-// whether a chain fuses depends on its shape and source alone. Rows survive
-// a fused multi-filter chain exactly when every composed predicate selects
-// them (ascending selection-vector intersection), and the probe stage is
-// the serial HashJoin's own probe (joinProbe), so it keys and orders
-// matches exactly as the HashJoin does. The
-// randomized agreement harnesses pin fused output byte-identical to the
-// operator tree — the same plans over a source without columns, where
-// nothing fuses — at every DOP and memory budget.
+// A pipeline is the engine's one operator for non-breaking work, so its
+// kernels are the semantics: rows survive a multi-filter chain exactly when
+// every composed predicate selects them (ascending selection-vector
+// intersection), and the probe stage is the hash join's own probe
+// (joinProbe), so it keys and orders matches exactly as the governed
+// HashJoin does while its build fits. The randomized agreement harnesses pin
+// pipeline output byte-identical to the row-at-a-time reference and to the
+// nested-loop join at every DOP and memory budget.
 
-// FusedProbe is the optional hash-join probe stage of a fused pipeline: the
+// FusedProbe is the optional hash-join probe stage of a pipeline: the
 // chain's output columns are probed against the build table as they are —
 // keys read straight from the output vectors, and both sides' columns
 // gathered only at the matching positions — so no row of either side is
@@ -44,30 +43,32 @@ type FusedProbe struct {
 	Residual algebra.Expr
 }
 
-// FusedPipeline executes a composed Scan→Filter→Project(→probe) chain as one
-// serial pass over its resolved table's column vectors. Everything above the
-// scan in the original chain has been folded into Preds and Projs, which are
-// expressions over the scan schema.
+// FusedPipeline executes a composed Filter/Project(→probe) chain. Everything
+// in the original chain has been folded into Preds and Projs, which are
+// expressions over the source's schema: the resolved table's columns, or the
+// batches of Input.
 //
-// The pass (columns) is the pipeline's one output routine. Every predicate
-// resolves to a contiguous row range where it can (ascending columns, binary
-// search) and otherwise runs its unboxed selection kernel, the ascending
-// selection vectors intersected; the projections then evaluate unboxed,
-// densely over a zero-copy sub-window when the survivors form one run, or
-// over the whole table gathered at the survivors. Its output vectors serve
-// all three consumers: the root drain hands them over as a columnar Result,
-// Next emits them as one column-only batch (rows are boxed only if the
-// parent asks, by vector.Materialize), and a Probe stage expands them
-// against its build table exactly as the serial HashJoin expands a probe
-// batch (joinProbe), emitting column-only batches of joined rows.
+// The pass (columns) is the pipeline's one output routine, run once over the
+// whole table or once per input batch. Every predicate resolves to a
+// contiguous row range where it can (ascending columns, binary search) and
+// otherwise runs its unboxed selection kernel, the ascending selection
+// vectors intersected; the projections then evaluate unboxed, densely over a
+// zero-copy sub-window when the survivors form one run, or over the whole
+// window gathered at the survivors. Its output vectors serve every consumer:
+// the root drain of a table pass hands them over as a columnar Result, Next
+// emits them as column-only batches (rows are boxed only if the parent asks,
+// by vector.Materialize), and a Probe stage expands them against its build
+// table, emitting column-only batches of joined rows.
 type FusedPipeline struct {
 	Preds []algebra.Expr
 	Projs []algebra.Expr
-	Ops   []string // collapsed chain, scan first — Explain renders this
+	Ops   []string // collapsed chain, source first — Explain renders this
+	Input Operator // the source operator; nil when the source is a table
 	Probe *FusedProbe
 
-	src       *vector.Columns // the resolved table
-	done      bool            // the pass has run since Open
+	src       *vector.Columns // the resolved table, when Input is nil
+	used      []bool          // the Input columns the chain reads
+	done      bool            // the table pass has run since Open
 	schema    types.Schema
 	compiled  bool
 	predProgs []*algebra.Compiled
@@ -75,13 +76,14 @@ type FusedPipeline struct {
 	sel, sel2 []int
 	out       Batch
 
-	// Cached zero-copy sub-window: slice headers are immutable views of src,
-	// so a re-drained plan (bench loops, cached prepared plans) whose range
-	// repeats allocates no new headers.
+	// Cached zero-copy sub-window of the table: slice headers are immutable
+	// views of src, so a re-drained plan (bench loops, cached prepared
+	// plans) whose range repeats allocates no new headers.
 	colsWin              []vector.Vector
 	colsWinLo, colsWinHi int
 
-	probe joinProbe // the probe stage, resumable across Next calls
+	probe   joinProbe // the probe stage, resumable across Next calls
+	probing bool      // probe holds a pass not yet fully expanded
 }
 
 // Schema implements Operator.
@@ -89,14 +91,23 @@ func (f *FusedPipeline) Schema() types.Schema { return f.schema }
 
 // Open implements Operator: kernels compile on the first Open and are
 // memoized across re-Opens of the same instance, and a probe stage drains
-// its build side into the hash table before the pass.
+// its build side into the hash table before the first pass.
 func (f *FusedPipeline) Open() error {
 	if !f.compiled {
 		f.predProgs = algebra.CompileAll(f.Preds)
 		f.projProgs = algebra.CompileAll(f.Projs)
+		if f.Input != nil {
+			exprs := append(f.Preds[:len(f.Preds):len(f.Preds)], f.Projs...)
+			f.used = usedCols(f.Input.Schema().Arity(), exprs...)
+		}
 		f.compiled = true
 	}
-	f.done, f.probe = false, joinProbe{}
+	f.done, f.probe, f.probing = false, joinProbe{}, false
+	if f.Input != nil {
+		if err := f.Input.Open(); err != nil {
+			return err
+		}
+	}
 	if f.Probe == nil {
 		return nil
 	}
@@ -116,12 +127,18 @@ func (f *FusedPipeline) Open() error {
 }
 
 // RowCountHint implements RowCountHinter: a predicate-free, probe-less
-// fused chain preserves its table's cardinality exactly.
+// chain preserves its source's cardinality exactly.
 func (f *FusedPipeline) RowCountHint() (int, bool) {
 	if f.Probe != nil || len(f.Preds) > 0 {
 		return 0, false
 	}
-	return f.src.N, true
+	if f.Input == nil {
+		return f.src.N, true
+	}
+	if h, ok := f.Input.(RowCountHinter); ok {
+		return h.RowCountHint()
+	}
+	return 0, false
 }
 
 // selScratchPool recycles whole-table selection vectors across passes. A
@@ -139,15 +156,15 @@ func selScratchGet(n int) *[]int {
 	return s
 }
 
-// columns runs the chain over the whole table and returns its output
-// vectors. Bare column projections pass through as zero-copy windows of
-// the table and computed ones land in kernel scratch, so the vectors are
-// valid until the next Open; a scattered selection gathers fresh vectors.
+// columns runs the chain over n rows of source columns — the whole table,
+// or one input batch's columns — and returns its output vectors. Bare column
+// projections pass through as zero-copy windows of the source and computed
+// ones land in kernel scratch, so the vectors are valid until the next pass
+// (for a table, the next Open); a scattered selection gathers fresh vectors.
 // A filtered-to-nothing result still evaluates the projection kernels, over
 // a zero-width window, so its (empty) vectors carry the column kinds that
 // the wire protocol's header tags and columnar consumers rely on.
-func (f *FusedPipeline) columns() *vector.Columns {
-	n, cols := f.src.N, f.src.Vecs
+func (f *FusedPipeline) columns(cols []vector.Vector, n int) *vector.Columns {
 	// Range form first: if every predicate resolves to a contiguous row
 	// range, their conjunction is the ranges' intersection and no selection
 	// vector is needed at all.
@@ -191,7 +208,7 @@ func (f *FusedPipeline) columns() *vector.Columns {
 	hi = max(lo, hi)
 	win := cols
 	if lo != 0 || hi != n {
-		win = f.window(lo, hi)
+		win = f.window(cols, lo, hi)
 	}
 	for j, prog := range f.projProgs {
 		vecs[j] = prog.EvalVec(win, hi-lo)
@@ -199,34 +216,64 @@ func (f *FusedPipeline) columns() *vector.Columns {
 	return &vector.Columns{N: hi - lo, Vecs: vecs}
 }
 
-// window returns f.src.Slice(lo, hi), caching the slice headers: they are
-// immutable views of the table's vectors, so sharing them across passes
-// (and across the Results of a re-drained plan) is safe, and a repeated
-// range — the steady state of a benchmark loop or a cached prepared plan —
-// allocates nothing.
-func (f *FusedPipeline) window(lo, hi int) []vector.Vector {
+// window returns zero-copy [lo, hi) windows of the source columns. A
+// table's windows are cached: the headers are immutable views of the
+// table's vectors, so sharing them across passes (and across the Results of
+// a re-drained plan) is safe, and a repeated range — the steady state of a
+// benchmark loop or a cached prepared plan — allocates nothing. An input
+// batch's windows cover only the columns the chain reads.
+func (f *FusedPipeline) window(cols []vector.Vector, lo, hi int) []vector.Vector {
+	if f.Input != nil {
+		win := make([]vector.Vector, len(cols))
+		for j, v := range cols {
+			if f.used[j] {
+				win[j] = v.Slice(lo, hi)
+			}
+		}
+		return win
+	}
 	if f.colsWin == nil || f.colsWinLo != lo || f.colsWinHi != hi {
 		f.colsWin, f.colsWinLo, f.colsWinHi = f.src.Slice(lo, hi), lo, hi
 	}
 	return f.colsWin
 }
 
-// drainColumns implements colsDrainer for probe-less fused chains: the
-// pass's output vectors are the result, and no output row is ever boxed.
+// pass runs the chain over the next stretch of the source: the whole table,
+// once per Open, or the input's next batch (through colsFor, so a row-only
+// batch converts just the columns the chain reads). nil means the source is
+// exhausted.
+func (f *FusedPipeline) pass() (*vector.Columns, error) {
+	if f.Input == nil {
+		if f.done {
+			return nil, nil
+		}
+		f.done = true
+		return f.columns(f.src.Vecs, f.src.N), nil
+	}
+	b, err := f.Input.Next()
+	if b == nil || err != nil {
+		return nil, err
+	}
+	return f.columns(b.colsFor(f.used), b.Len()), nil
+}
+
+// drainColumns implements colsDrainer for a probe-less chain over a table:
+// the pass's output vectors are the result, and no output row is ever
+// boxed. A chain over an input drains through the batch loop.
 func (f *FusedPipeline) drainColumns() (*vector.Columns, bool) {
-	if f.Probe != nil || f.done {
+	if f.Input != nil || f.Probe != nil || f.done {
 		return nil, false
 	}
 	f.done = true
-	return f.columns(), true
+	return f.columns(f.src.Vecs, f.src.N), true
 }
 
 // selectWindow runs the composed predicate chain (at least one predicate)
-// over the table and returns the surviving positions (ascending,
+// over the window and returns the surviving positions (ascending,
 // scratch-backed). Sequential filters are logical conjunction on the kept
-// set: a row survives the unfused chain iff every predicate evaluates to
+// set: a row survives the chain of filters iff every predicate evaluates to
 // TRUE on it, so intersecting the per-predicate selection vectors reproduces
-// the chain exactly. (Predicates past the first run over the full table,
+// the chain exactly. (Predicates past the first run over the full window,
 // including rows an earlier filter dropped; the columnar kernels are total —
 // no faults, division by zero is NULL — so the extra evaluations cannot
 // change which rows the intersection keeps.)
@@ -263,44 +310,62 @@ func intersectAsc(a, b []int) []int {
 	return out
 }
 
-// Next implements Operator: a probe-less chain emits its output vectors as
-// one column-only batch; a probe stage expands them against its build table
-// batch by batch.
+// Next implements Operator: a probe-less chain emits each pass's output
+// vectors as one column-only batch; a probe stage expands each pass against
+// its build table batch by batch.
 func (f *FusedPipeline) Next() (*Batch, error) {
-	if !f.done {
-		f.done = true
-		c := f.columns()
+	for {
+		if f.probing {
+			if b := f.probe.next(); b != nil {
+				return b, nil
+			}
+			f.probing = false
+		}
+		c, err := f.pass()
+		if c == nil || err != nil {
+			return nil, err
+		}
 		if f.Probe != nil {
 			f.probe.start(c.Vecs, c.N)
+			f.probing = true
 		} else if c.N > 0 {
 			f.out.SetCols(c.Vecs, c.N)
 			return &f.out, nil
 		}
 	}
-	if f.Probe != nil {
-		return f.probe.next(), nil
-	}
-	return nil, nil
 }
 
 // Close implements Operator. The build side was already closed when Open
 // drained it.
 func (f *FusedPipeline) Close() error {
-	f.probe = joinProbe{}
+	f.probe, f.probing = joinProbe{}, false
+	if f.Input != nil {
+		return f.Input.Close()
+	}
 	return nil
 }
 
-// fusedChain is a recognized Scan→Filter→Project chain, composed down to
-// expressions over the scan schema.
+// fusedChain is a recognized Filter/Project chain, composed down to
+// expressions over its source: a columnar table (cols) or an operator
+// (input).
 type fusedChain struct {
-	table     string
-	cols      *vector.Columns
-	preds     []algebra.Expr
-	projs     []algebra.Expr
-	names     []string
-	ops       []string
-	hasProj   bool // the chain contains a Project node
-	computing bool // some composed projection is not a bare column/constant
+	table string
+	cols  *vector.Columns
+	input Operator
+	preds []algebra.Expr
+	projs []algebra.Expr
+	names []string
+	ops   []string
+}
+
+// sourceChain is the empty chain over a source with the given columns: one
+// identity projection per column.
+func sourceChain(attrs []string, op string) *fusedChain {
+	projs := make([]algebra.Expr, len(attrs))
+	for i := range projs {
+		projs[i] = algebra.Col{Idx: i, Name: attrs[i]}
+	}
+	return &fusedChain{projs: projs, names: attrs, ops: []string{op}}
 }
 
 // substCols rewrites e's column references through the chain's current
@@ -309,140 +374,101 @@ func substCols(e algebra.Expr, mapping []algebra.Expr) algebra.Expr {
 	return algebra.MapCols(e, func(c algebra.Col) algebra.Expr { return mapping[c.Idx] })
 }
 
-// fuseChainFor recognizes a fusable chain rooted at n: Filter/Project nodes
-// over a base-table scan with columnar storage. ok is false — with no error
-// — when the subtree has the wrong shape or the table has no columns;
-// validation errors are the same ones serial lowering would report. The
-// caller still gates on the chain being worth fusing.
-func fuseChainFor(n algebra.Node, src Source) (*fusedChain, bool, error) {
+// fuseChain composes the Filter/Project chain rooted at n — possibly empty —
+// down to the node beneath it. A Scan of a columnar table becomes the
+// table source; any other node is lowered and becomes the chain's input,
+// unless tableOnly, when the chain is declined (nil, with no error) before
+// anything is lowered. Validation errors are the ones an operator-at-a-time
+// lowering would report.
+func fuseChain(n algebra.Node, src Source, opt Options, tableOnly bool) (*fusedChain, error) {
 	switch node := n.(type) {
-	case *algebra.Scan:
-		schema, rows, err := resolveScan(node, src)
-		if err != nil {
-			return nil, false, err
-		}
-		cols := columnsFor(src, node.Table, len(rows))
-		if cols == nil {
-			return nil, false, nil
-		}
-		projs := make([]algebra.Expr, schema.Arity())
-		for i := range projs {
-			projs[i] = algebra.Col{Idx: i, Name: schema.Attrs[i]}
-		}
-		return &fusedChain{
-			table: node.Table, cols: cols,
-			projs: projs, names: schema.Attrs,
-			ops: []string{"scan " + node.Table},
-		}, true, nil
-
 	case *algebra.Filter:
-		in, ok, err := fuseChainFor(node.Input, src)
-		if !ok || err != nil {
-			return nil, ok, err
+		in, err := fuseChain(node.Input, src, opt, tableOnly)
+		if in == nil || err != nil {
+			return nil, err
 		}
 		if err := checkCols(node.Pred, len(in.projs), "filter predicate"); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		out := *in
 		out.preds = append(in.preds[:len(in.preds):len(in.preds)], substCols(node.Pred, in.projs))
 		out.ops = append(in.ops[:len(in.ops):len(in.ops)], "filter")
-		return &out, true, nil
+		return &out, nil
 
 	case *algebra.Project:
-		in, ok, err := fuseChainFor(node.Input, src)
-		if !ok || err != nil {
-			return nil, ok, err
+		in, err := fuseChain(node.Input, src, opt, tableOnly)
+		if in == nil || err != nil {
+			return nil, err
 		}
 		if err := checkProject(node, len(in.projs)); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		out := *in
 		out.projs = make([]algebra.Expr, len(node.Exprs))
-		out.computing = false
 		for i, e := range node.Exprs {
 			out.projs[i] = substCols(e, in.projs)
-			switch out.projs[i].(type) {
-			case algebra.Col, algebra.Const:
-			default:
-				out.computing = true
-			}
 		}
 		out.names = node.Names
-		out.hasProj = true
 		out.ops = append(in.ops[:len(in.ops):len(in.ops)], "project")
-		return &out, true, nil
+		return &out, nil
+
+	case *algebra.Scan:
+		schema, rows, err := resolveScan(node, src)
+		if err != nil {
+			return nil, err
+		}
+		if cols := columnsFor(src, node.Table, len(rows)); cols != nil {
+			fc := sourceChain(schema.Attrs, "scan "+node.Table)
+			fc.table, fc.cols = node.Table, cols
+			return fc, nil
+		}
 	}
-	return nil, false, nil
+	if tableOnly {
+		return nil, nil
+	}
+	in, err := lowerNode(n, src, opt)
+	if err != nil {
+		return nil, err
+	}
+	fc := sourceChain(in.Schema().Attrs, "input")
+	fc.input = in
+	return fc, nil
 }
 
-// worthFusing gates standalone (probe-less) fusion on chains where the fused
-// pass strictly saves work: the chain must end in a projection and must
-// either filter or compute. A filter-only chain stays unfused — the typed
-// Filter narrows the scan's shared row spine, so row consumers read it for
-// free, and builds its columnar view only on demand — as does a bare
-// passthrough projection, whose unfused form is a zero-cost column window.
-func (fc *fusedChain) worthFusing() bool {
-	return fc.hasProj && (len(fc.preds) > 0 || fc.computing)
-}
-
-// worthProbeFusing is the probe-capped variant: the chain need not end in a
-// projection (the probe gathers its output columns itself), but it must
-// filter or compute — a bare passthrough chain under a join gains nothing,
-// because the HashJoin already probes straight off the scan's vectors with
-// the same joinProbe. Fusing it would just re-dispatch the same work.
-func (fc *fusedChain) worthProbeFusing() bool {
-	return len(fc.preds) > 0 || fc.computing
-}
-
-// lowerFusedPipeline lowers a standalone fusable chain rooted at n to a
-// FusedPipeline over the resolved table. ok is false when the chain doesn't
-// fuse; the caller falls back to the operator tree.
-func lowerFusedPipeline(n algebra.Node, src Source) (Operator, bool, error) {
-	fc, ok, err := fuseChainFor(n, src)
-	if err != nil || !ok {
-		return nil, false, err
+// lowerPipeline lowers n to one FusedPipeline: a Filter/Project chain, or
+// an equi-join lowered without a governor, whose probe side's chain the
+// pipeline runs and whose build side becomes the probe stage's table at
+// Open. Whatever sits beneath the chain — a join, an aggregate, a sort, a
+// scan of a table without columns — is lowered as the pipeline's input.
+func lowerPipeline(n algebra.Node, src Source, opt Options) (Operator, error) {
+	join, isJoin := n.(*algebra.Join)
+	if isJoin {
+		n = join.Left
 	}
-	if !fc.worthFusing() {
-		return nil, false, nil
+	fc, err := fuseChain(n, src, opt, false)
+	if err != nil {
+		return nil, err
 	}
-	return &FusedPipeline{
-		src:    fc.cols,
+	fp := &FusedPipeline{
 		Preds:  fc.preds,
 		Projs:  fc.projs,
 		Ops:    fc.ops,
-		schema: types.Schema{Attrs: fc.names},
-	}, true, nil
-}
-
-// lowerFusedProbe lowers an ungoverned equi-join whose probe (left) side is
-// a fusable chain to a FusedPipeline with a probe stage over a build table
-// it constructs at Open. Under a memory budget the join must stay the
-// governed (grace-spilling) HashJoin, which consumes fused inputs unchanged;
-// fused pipelines are not pipeline breakers.
-func lowerFusedProbe(node *algebra.Join, src Source, opt Options) (Operator, bool, error) {
-	if len(node.EquiL) == 0 || opt.Gov != nil {
-		return nil, false, nil
-	}
-	fc, ok, err := fuseChainFor(node.Left, src)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if !fc.worthProbeFusing() {
-		return nil, false, nil
-	}
-	right, err := lowerNode(node.Right, src, opt)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := checkJoin(node, len(fc.projs), right.Schema().Arity()); err != nil {
-		return nil, false, err
-	}
-	return &FusedPipeline{
+		Input:  fc.input,
 		src:    fc.cols,
-		Preds:  fc.preds,
-		Projs:  fc.projs,
-		Ops:    append(fc.ops[:len(fc.ops):len(fc.ops)], "probe"),
-		Probe:  &FusedProbe{Build: right, EquiL: node.EquiL, EquiR: node.EquiR, Residual: node.Residual},
-		schema: types.Schema{Attrs: fc.names}.Concat(right.Schema()),
-	}, true, nil
+		schema: types.Schema{Attrs: fc.names},
+	}
+	if !isJoin {
+		return fp, nil
+	}
+	right, err := lowerNode(join.Right, src, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkJoin(join, len(fc.projs), right.Schema().Arity()); err != nil {
+		return nil, err
+	}
+	fp.Ops = append(fc.ops[:len(fc.ops):len(fc.ops)], "probe")
+	fp.Probe = &FusedProbe{Build: right, EquiL: join.EquiL, EquiR: join.EquiR, Residual: join.Residual}
+	fp.schema = fp.schema.Concat(right.Schema())
+	return fp, nil
 }

@@ -33,7 +33,7 @@ import (
 // folds one whole-table window; at DOP > 1 it merges per-morsel partials in
 // morsel sequence order via mergeSeqPartials. Under a memory governor fused
 // aggregation declines and the governed (spilling) HashAggregate runs
-// instead, exactly like the fused probe.
+// instead, exactly as an equi-join stays the governed HashJoin.
 
 // fusedAggChain is a recognized Scan→Filter→Project→Aggregate chain: the
 // underlying fusedChain with the aggregate's group-by keys and arguments
@@ -50,15 +50,16 @@ type fusedAggChain struct {
 	nGroup  int
 }
 
-// fusedAggFor recognizes a fusable aggregate rooted at node: a fusable
-// Scan→Filter→Project chain below, with the group keys and aggregate
-// arguments composed through it. ok is false — with no error — when the
-// shape doesn't allow fusion; validation errors are the ones serial
-// lowering would report. There is no worth gate: even a bare scan-aggregate
-// saves the batch stream, so a recognized chain always fuses.
-func fusedAggFor(node *algebra.Aggregate, src Source) (*fusedAggChain, bool, error) {
-	fc, ok, err := fuseChainFor(node.Input, src)
-	if err != nil || !ok {
+// fusedAggFor recognizes a fusable aggregate rooted at node: a
+// Filter/Project chain over a columnar table below, with the group keys and
+// aggregate arguments composed through it. ok is false — with no error and
+// nothing lowered — when the chain sits over anything else; validation
+// errors are the ones serial lowering would report. Even a bare
+// scan-aggregate saves the batch stream, so a recognized chain always
+// fuses.
+func fusedAggFor(node *algebra.Aggregate, src Source, opt Options) (*fusedAggChain, bool, error) {
+	fc, err := fuseChain(node.Input, src, opt, true)
+	if fc == nil || err != nil {
 		return nil, false, err
 	}
 	if err := checkAggregate(node, len(fc.projs)); err != nil {
@@ -485,12 +486,12 @@ func (h *FusedAggregate) Close() error {
 // FusedAggregate, parallel when the table is big enough to split. ok is
 // false when the chain doesn't fuse or a memory governor is set; the caller
 // falls back to the HashAggregate over whatever its input lowers to — under
-// a budget that is the governed (spilling) form, like the fused probe.
+// a budget that is the governed (spilling) form, like the governed join.
 func lowerFusedAggregate(node *algebra.Aggregate, src Source, opt Options) (Operator, bool, error) {
 	if opt.Gov != nil {
 		return nil, false, nil
 	}
-	fa, ok, err := fusedAggFor(node, src)
+	fa, ok, err := fusedAggFor(node, src, opt)
 	if err != nil || !ok {
 		return nil, false, err
 	}

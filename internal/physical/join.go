@@ -7,19 +7,21 @@ import (
 	"repro/internal/vector"
 )
 
-// HashJoin executes an equi-join in O(|build| + |probe| + |output|): Open
-// drains the right (build) input into a columnar hash table keyed on EquiR
-// (hashTable), then Next streams the left (probe) input batch by batch. Each
-// probe batch is read as columns and matched against the table, and the
-// joined rows go out as column-only batches, both sides' columns gathered
-// at the matching positions; a residual predicate selects among them with
-// its column kernel. One probe batch can fan out into many output batches,
-// so the probe (joinProbe) resumes mid-row across Next calls. Output comes
-// in probe order, and in build order within one probe row. NULL join keys
-// never match, per SQL semantics.
+// HashJoin is the governed equi-join: the lowering picks it only under a
+// memory budget, and every equi-join lowered without one is a pipeline's
+// probe stage (FusedPipeline), which shares its hash table and probe. It
+// runs in O(|build| + |probe| + |output|): Open drains the right (build)
+// input, reserving each row with the governor (Mem; a nil governor grants
+// every reservation, so the join never spills), into a columnar hash table
+// keyed on EquiR (hashTable), then Next streams the left (probe) input batch
+// by batch. Each probe batch is read as columns and matched against the
+// table, and the joined rows go out as column-only batches, both sides'
+// columns gathered at the matching positions; a residual predicate selects
+// among them with its column kernel. One probe batch can fan out into many
+// output batches, so the probe (joinProbe) resumes mid-row across Next
+// calls. Output comes in probe order, and in build order within one probe
+// row. NULL join keys never match, per SQL semantics.
 //
-// With a memory governor (Mem non-nil), the build side is reserved as it
-// is drained; while it fits, execution is exactly the in-memory operator.
 // The first failed reservation switches Open to a hybrid Grace hash join:
 // build rows are hash-partitioned, resident partitions are evicted to temp
 // files fattest-first under pressure, and the survivors become in-memory
@@ -39,7 +41,7 @@ type HashJoin struct {
 	Left, Right  Operator // Right is the build side
 	EquiL, EquiR []int
 	Residual     algebra.Expr
-	Mem          *MemGovernor // nil: never spill (today's in-memory behavior)
+	Mem          *MemGovernor // nil: never spill
 	SpillDir     string       // temp dir for spill files; "" means os.TempDir()
 	schema       types.Schema
 
@@ -86,15 +88,7 @@ func (j *HashJoin) Open() error {
 	if err := j.Right.Open(); err != nil {
 		return err
 	}
-	if j.Mem != nil {
-		return j.openGoverned()
-	}
-	table, err := buildHashTable(j.Right, j.EquiR)
-	if err != nil {
-		return err
-	}
-	j.probe = newJoinProbe(table, j.EquiL, j.Residual)
-	return nil
+	return j.openGoverned()
 }
 
 // hashTable is the build table of every hash join: the build side kept as
@@ -104,10 +98,9 @@ func (j *HashJoin) Open() error {
 // order the build saw them. NULL-keyed rows are left out of every chain.
 // A single numeric key column keys on its joinWord, any other key on its
 // byte key (appendVecJoinKey); both encodings agree on which keys are
-// equal, so the choice never changes a result. The ungoverned HashJoin, the
-// governed join's whole-build table and resident grace partitions, each
-// spilled partition join, and the fused probe all build this one
-// structure.
+// equal, so the choice never changes a result. The governed join's
+// whole-build table and resident grace partitions, each spilled partition
+// join, and the pipeline probe stage all build this one structure.
 type hashTable struct {
 	cols   *vector.Columns
 	words  map[uint64]int32 // single numeric key column: join word -> slot
@@ -286,8 +279,8 @@ func (t *hashTable) lookupRow(row []types.Value, keys []int) int32 {
 // joinProbe expands columnar probe batches against a hash table into
 // column-only output batches: the (probe row, build row) pairs of up to
 // DefaultBatchSize matches, both sides' columns gathered at them, the
-// residual's selection kernel narrowing them. HashJoin and the fused probe
-// share it.
+// residual's selection kernel narrowing them. HashJoin and the pipeline
+// probe stage share it.
 type joinProbe struct {
 	table    *hashTable
 	keys     []int             // key positions in the probe columns
@@ -370,8 +363,8 @@ func (p *joinProbe) next() *Batch {
 // buffer is appended to its file.
 const graceFlushRows = 1024
 
-// openGoverned drains the build side under reservation; if it fits, probing
-// proceeds exactly like the ungoverned operator. Otherwise it runs the full
+// openGoverned drains the build side under reservation; if it fits, the
+// probe streams against one in-memory table. Otherwise it runs the full
 // hybrid grace join (partitioned build, routed probe, per-partition joins)
 // and leaves Next a sequence-ordered merge of the output runs.
 func (j *HashJoin) openGoverned() error {
@@ -907,9 +900,10 @@ func (j *HashJoin) Close() error {
 
 // NestedLoopJoin is the theta-join fallback: the right input is materialized
 // once on Open, and every (left, right) pair satisfying the predicate is
-// emitted, batch by batch, as a slab row (one allocation per batch of
-// rows; storage is committed only for pairs the predicate accepts). O(n·m); the optimizer extracts equi-join keys precisely so this operator
-// only runs for genuinely non-equi predicates.
+// emitted, batch by batch, as a slab row (one allocation per batch of rows;
+// storage is committed only for pairs the predicate accepts). It runs in
+// O(n·m), so the optimizer extracts equi-join keys precisely to keep this
+// operator for genuinely non-equi predicates.
 type NestedLoopJoin struct {
 	Left, Right Operator
 	Pred        algebra.Expr // nil accepts all pairs

@@ -3,6 +3,7 @@ package physical
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -17,10 +18,11 @@ import (
 // a byte or word key from Value.Compare — -0.0 and 0, 1 and 1.0, integers
 // past 2^53 that collapse to one float64, strings and booleans beside
 // numbers, NULLs — and runs every hash-join form against the nested loop:
-// row-only and columnar inputs, the fused probe, and the governed join
-// both fitting in memory and forced onto its grace path. NaN is left out:
-// Value.Compare makes it equal to every number, which no hash key can
-// reproduce.
+// the HashJoin over row-only and columnar inputs, in memory and forced onto
+// its grace path, and the pipeline probe stage over a filtered table, over
+// a bare table, over a row-only source (an operator input), and stacked on
+// another probe. NaN is left out: Value.Compare makes it equal to every
+// number, which no hash key can reproduce.
 
 // joinDec decodes fuzz bytes into a join trial, running out of data
 // gracefully (zero bytes forever).
@@ -78,8 +80,8 @@ func (d *joinDec) table() [][]types.Value {
 	return rows
 }
 
-// joinTrialSource serves the trial's two tables with columnar storage, the
-// shape the fused probe lowering requires.
+// joinTrialSource serves the trial's two tables with columnar storage, so
+// the lowered probe stages read them as table sources.
 type joinTrialSource map[string][][]types.Value
 
 func (s joinTrialSource) Resolve(name string) (types.Schema, [][]types.Value, error) {
@@ -103,28 +105,46 @@ func hashJoinTrial(t *testing.T, data []byte) {
 	case 2:
 		equiL, equiR = []int{1}, []int{0}
 	}
-	var residual algebra.Expr
-	if d.byte()%2 == 0 {
-		residual = algebra.Bin{Op: algebra.OpLe, L: algebra.Col{Idx: 2}, R: algebra.Col{Idx: 5}}
-	}
-	pred := residual
-	for i := range equiL {
-		eq := algebra.Bin{Op: algebra.OpEq, L: algebra.Col{Idx: equiL[i]}, R: algebra.Col{Idx: 3 + equiR[i]}}
-		if pred == nil {
-			pred = eq
-		} else {
-			pred = algebra.Bin{Op: algebra.OpAnd, L: eq, R: pred}
+	// The residual compares the probe row's position with the build row's;
+	// residualAt places it over a probe side of the given arity.
+	withResidual := d.byte()%2 == 0
+	residualAt := func(arity int) algebra.Expr {
+		if !withResidual {
+			return nil
 		}
+		return algebra.Bin{Op: algebra.OpLe, L: algebra.Col{Idx: 2}, R: algebra.Col{Idx: arity + 2}}
 	}
+	// predAt is the join predicate the nested loop runs: the key equalities
+	// and the residual.
+	predAt := func(arity int) algebra.Expr {
+		pred := residualAt(arity)
+		for i := range equiL {
+			eq := algebra.Bin{Op: algebra.OpEq, L: algebra.Col{Idx: equiL[i]}, R: algebra.Col{Idx: arity + equiR[i]}}
+			if pred == nil {
+				pred = eq
+			} else {
+				pred = algebra.Bin{Op: algebra.OpAnd, L: eq, R: pred}
+			}
+		}
+		return pred
+	}
+	residual := residualAt(3)
 	schema := types.Schema{Attrs: []string{"k1", "k2", "p"}}
 	rowScan := func(rows [][]types.Value) Operator { return NewScan("t", schema, rows) }
 	colScan := func(rows [][]types.Value) Operator {
 		return NewColumnarScan("t", schema, rows, vector.FromRows(rows, 3))
 	}
-	want, err := Drain(NewNestedLoopJoin(rowScan(l), rowScan(r), pred))
+	nested, err := Drain(NewNestedLoopJoin(rowScan(l), rowScan(r), predAt(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// (l ⋈ r) ⋈ r, the outer join keyed and filtered on the l columns.
+	stacked, err := Drain(NewNestedLoopJoin(
+		NewNestedLoopJoin(rowScan(l), rowScan(r), predAt(3)), rowScan(r), predAt(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := nested
 	check := func(what string, op Operator) {
 		t.Helper()
 		got, err := Drain(op)
@@ -149,25 +169,35 @@ func hashJoinTrial(t *testing.T, data []byte) {
 		check("governed", j)
 	}
 
-	// The fused probe: a filter that keeps every row makes the probe side a
-	// fusable chain.
+	// The pipeline probe stages, as the lowering builds them.
 	src := joinTrialSource{"l": l, "r": r}
 	scan := func(name string) algebra.Node {
 		return &algebra.Scan{Table: name, TblSchema: types.Schema{Name: name, Attrs: schema.Attrs}}
 	}
-	plan := &algebra.Join{
-		Left: &algebra.Filter{Input: scan("l"),
-			Pred: algebra.Bin{Op: algebra.OpGe, L: algebra.Col{Idx: 2}, R: algebra.Const{V: types.NewInt(0)}}},
-		Right: scan("r"), EquiL: equiL, EquiR: equiR, Residual: residual,
+	join := func(left algebra.Node, residual algebra.Expr) *algebra.Join {
+		return &algebra.Join{Left: left, Right: scan("r"), EquiL: equiL, EquiR: equiR, Residual: residual}
 	}
-	op, err := Lower(plan, src)
-	if err != nil {
-		t.Fatal(err)
+	probe := func(what string, plan algebra.Node, src Source, wantOps string, input bool) {
+		t.Helper()
+		op, err := Lower(plan, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, ok := op.(*FusedPipeline)
+		if !ok || strings.Join(fp.Ops, " → ") != wantOps || (fp.Input != nil) != input {
+			t.Fatalf("%s lowered to:\n%swant FusedPipeline[%s], input %v", what, Explain(op), wantOps, input)
+		}
+		check(what, op)
 	}
-	if _, fused := op.(*FusedPipeline); !fused {
-		t.Fatalf("join over a filtered columnar scan lowered to %T, want a fused probe", op)
-	}
-	check("fused probe", op)
+	// A filter that keeps every row makes the probe side a composed chain.
+	keepAll := &algebra.Filter{Input: scan("l"),
+		Pred: algebra.Bin{Op: algebra.OpGe, L: algebra.Col{Idx: 2}, R: algebra.Const{V: types.NewInt(0)}}}
+	probe("filtered probe", join(keepAll, residual), src, "scan l → filter → probe", false)
+	probe("bare-scan probe", join(scan("l"), residual), src, "scan l → probe", false)
+	rowOnly := struct{ Source }{src}
+	probe("row-only probe", join(keepAll, residual), rowOnly, "input → filter → probe", true)
+	want = stacked
+	probe("stacked probes", join(join(scan("l"), residual), residualAt(6)), src, "input → probe", true)
 }
 
 func TestHashJoinMatchesNestedLoop(t *testing.T) {

@@ -8,19 +8,16 @@ import (
 )
 
 // This file is the one place hash keys are built in the physical layer.
-// HashAggregate and Distinct key their tables with the canonical binary
-// encoding of types.Value (Value.AppendKey) joined by '|' separators — the
-// same format as types.Tuple.Key — so the two operators agree with each
-// other and with every annotation-lookup map elsewhere in the repo. Two
-// values share that encoding iff they are the same number (an int and the
-// float it widens to included), string, boolean or NULL; it is not
-// Value.Compare's equality, which also calls -0.0 equal to 0 and NaN equal
-// to every number.
-//
-// Hash joins key on the same encoding with -0.0 folded into 0 (joinWord,
-// appendJoinKey, appendVecJoinKey), so an extracted equi-join matches
-// exactly the pairs its "x = y" predicate accepts — NaN aside, which keys
-// by its own bits.
+// Every hash table — GROUP BY and DISTINCT as well as the hash joins — keys
+// on the canonical binary encoding of types.Value (Value.AppendKey) joined
+// by '|' separators, with one change: -0.0 is encoded as 0 (appendValueKey,
+// joinWord). Two values then share a key iff Value.Compare calls them equal,
+// NaN aside: Compare makes NaN equal to every number, while a key encodes
+// NaN by its own bits. So a GROUP BY or DISTINCT over {-0.0, 0} sees one
+// value, and an extracted equi-join matches exactly the pairs its "x = y"
+// predicate accepts. The fold is local to these tables: Value.AppendKey and
+// types.Tuple.Key, which the annotation-lookup maps elsewhere in the repo
+// use, keep -0.0 and 0 apart.
 //
 // The byte builders append into a caller-owned scratch buffer; looking a
 // key up as m[string(buf)] does not allocate (the compiler elides the
@@ -32,7 +29,7 @@ import (
 // group.
 func appendRowKey(buf []byte, row []types.Value) []byte {
 	for _, v := range row {
-		buf = v.AppendKey(buf)
+		buf = appendValueKey(buf, v)
 		buf = append(buf, '|')
 	}
 	return buf
@@ -42,7 +39,7 @@ func appendRowKey(buf []byte, row []types.Value) []byte {
 // columns idx, as appendRowKey does for the whole row.
 func appendColsKey(buf []byte, row []types.Value, idx []int) []byte {
 	for _, j := range idx {
-		buf = row[j].AppendKey(buf)
+		buf = appendValueKey(buf, row[j])
 		buf = append(buf, '|')
 	}
 	return buf
@@ -56,15 +53,14 @@ func appendJoinKey(buf []byte, row []types.Value, idx []int) ([]byte, bool) {
 		if row[j].IsNull() {
 			return buf, false
 		}
-		buf = appendJoinValueKey(buf, row[j])
+		buf = appendValueKey(buf, row[j])
 		buf = append(buf, '|')
 	}
 	return buf, true
 }
 
-// appendJoinValueKey appends one join key value's canonical encoding, -0.0
-// encoded as 0.
-func appendJoinValueKey(buf []byte, v types.Value) []byte {
+// appendValueKey appends one value's canonical encoding, -0.0 encoded as 0.
+func appendValueKey(buf []byte, v types.Value) []byte {
 	if v.Kind() == types.KindFloat && v.Float() == 0 {
 		return types.AppendFloatKey(buf, 0)
 	}
@@ -88,10 +84,23 @@ func joinWord(f float64) uint64 {
 // payloads), so a columnar batch and its materialized row view always build
 // byte-identical keys.
 
+// appendElemKey is appendValueKey over element i of a column.
+func appendElemKey(buf []byte, col vector.Vector, i int) []byte {
+	switch v := col.(type) {
+	case *vector.Float64Vector:
+		if !v.Null(i) && v.Vals[i] == 0 {
+			return types.AppendFloatKey(buf, 0)
+		}
+	case *vector.ValueVector:
+		return appendValueKey(buf, v.Vals[i])
+	}
+	return col.AppendElemKey(buf, i)
+}
+
 // appendVecRowKey is appendRowKey over row i of a columnar batch.
 func appendVecRowKey(buf []byte, cols []vector.Vector, i int) []byte {
 	for _, v := range cols {
-		buf = v.AppendElemKey(buf, i)
+		buf = appendElemKey(buf, v, i)
 		buf = append(buf, '|')
 	}
 	return buf
@@ -104,12 +113,7 @@ func appendVecJoinKey(buf []byte, cols []vector.Vector, i int, idx []int) ([]byt
 		if col.Null(i) {
 			return buf, false
 		}
-		switch col.Kind() {
-		case types.KindFloat, types.KindNull: // a float column, or a boxed one
-			buf = appendJoinValueKey(buf, col.Value(i))
-		default:
-			buf = col.AppendElemKey(buf, i)
-		}
+		buf = appendElemKey(buf, col, i)
 		buf = append(buf, '|')
 	}
 	return buf, true

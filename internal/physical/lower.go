@@ -16,15 +16,16 @@ func Lower(n algebra.Node, src Source) (Operator, error) {
 	return LowerOpts(n, src, Options{DOP: 1})
 }
 
-// LowerOpts is Lower with execution options. Fusion always applies: a
-// maximal Scan→Filter→Project chain over a columnar table, optionally capped
-// by an equi-join probe or an aggregate, lowers to one fused operator when
-// fusing saves work (see fused.go and fused_agg.go). Parallelism is a property of one
+// LowerOpts is Lower with execution options. Every maximal Filter/Project
+// chain lowers to one FusedPipeline over whatever sits beneath it — a
+// columnar table, or any other lowered operator — and every equi-join
+// lowered without a memory governor becomes a pipeline's probe stage (see
+// fused.go); a chain capped by an aggregate over a columnar table lowers to
+// a FusedAggregate (fused_agg.go). Parallelism is a property of one
 // operator: with DOP > 1 and a table of at least MinParallelRows rows, a
 // fused aggregate folds morsels on DOP workers and merges the partials in
-// morsel order. Fused pipelines, fused probes, and everything else run
-// serially, so the plan shape is the same at every DOP except for the
-// aggregate's worker count.
+// morsel order. Pipelines and everything else run serially, so the plan
+// shape is the same at every DOP except for the aggregate's worker count.
 func LowerOpts(n algebra.Node, src Source, opt Options) (Operator, error) {
 	return lowerNode(n, src, opt.normalized())
 }
@@ -38,41 +39,12 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		}
 		return NewColumnarScan(node.Table, schema, rows, columnsFor(src, node.Table, len(rows))), nil
 
-	case *algebra.Filter:
-		if fp, ok, err := lowerFusedPipeline(n, src); err != nil {
-			return nil, err
-		} else if ok {
-			return fp, nil
-		}
-		in, err := lowerNode(node.Input, src, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkCols(node.Pred, in.Schema().Arity(), "filter predicate"); err != nil {
-			return nil, err
-		}
-		return &Filter{Input: in, Pred: node.Pred}, nil
-
-	case *algebra.Project:
-		if fp, ok, err := lowerFusedPipeline(n, src); err != nil {
-			return nil, err
-		} else if ok {
-			return fp, nil
-		}
-		in, err := lowerNode(node.Input, src, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkProject(node, in.Schema().Arity()); err != nil {
-			return nil, err
-		}
-		return NewProject(in, node.Exprs, node.Names), nil
+	case *algebra.Filter, *algebra.Project:
+		return lowerPipeline(n, src, opt)
 
 	case *algebra.Join:
-		if fp, ok, err := lowerFusedProbe(node, src, opt); err != nil {
-			return nil, err
-		} else if ok {
-			return fp, nil
+		if len(node.EquiL) > 0 && opt.Gov == nil {
+			return lowerPipeline(n, src, opt)
 		}
 		l, err := lowerNode(node.Left, src, opt)
 		if err != nil {
@@ -86,6 +58,8 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 			return nil, err
 		}
 		if len(node.EquiL) > 0 {
+			// Only a memory budget keeps an equi-join out of a pipeline:
+			// the governed join can spill its build side.
 			hj := NewHashJoin(l, r, node.EquiL, node.EquiR, node.Residual)
 			hj.Mem, hj.SpillDir = opt.Gov, opt.SpillDir
 			return hj, nil
@@ -156,7 +130,7 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 }
 
 // resolveScan resolves a logical scan against the source and cross-checks
-// the compiled arity, shared by the operator-tree and fused lowerings.
+// the compiled arity, shared by the scan and pipeline lowerings.
 func resolveScan(node *algebra.Scan, src Source) (types.Schema, [][]types.Value, error) {
 	schema, rows, err := src.Resolve(node.Table)
 	if err != nil {

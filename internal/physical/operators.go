@@ -1,7 +1,6 @@
 package physical
 
 import (
-	"repro/internal/algebra"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
@@ -9,9 +8,9 @@ import (
 // Scan emits the rows of a resolved base table in batches whose spines are
 // zero-copy slices of the table's row array (marked shared — consumers must
 // not compact them in place). The row slices alias table storage; operators
-// above that construct rows (Project, joins, HashAggregate) emit fresh
-// slices and never mutate inputs, while row-preserving operators (Filter,
-// Sort, Distinct, UnionAll) pass the aliased slices through. Callers
+// above that construct rows (joins, HashAggregate) emit fresh slices and
+// never mutate inputs, while row-preserving operators (Sort, Distinct,
+// UnionAll) pass the aliased slices through. Callers
 // therefore must not mutate result rows of row-preserving plans in place;
 // Limit is the exception and copies, so that LIMIT results are always safe
 // to mutate.
@@ -92,195 +91,6 @@ func (s *Scan) drainColumns() (*vector.Columns, bool) {
 	s.pos = len(s.rows)
 	return s.cols, true
 }
-
-// Filter keeps the input rows whose predicate evaluates to TRUE (SQL
-// three-valued logic: UNKNOWN rows are dropped). The predicate is compiled
-// to its column kernels at Open and selects straight off each batch's
-// columns — a row-only input converts just the columns the predicate reads
-// — into a reused selection vector. A column-only batch stays column-only:
-// the survivors' columns are sliced (one contiguous run) or gathered into
-// packed vectors. A batch with rows is narrowed through its spine — owned
-// spines compacted in place, shared (scan-aliased) ones into the filter's
-// own spine, moving only row pointers — and, when the input had a full
-// columnar view, carries a deferred view of the survivors' columns, built
-// only if a consumer reads Cols.
-type Filter struct {
-	Input Operator
-	Pred  algebra.Expr
-
-	prog     *algebra.Compiled
-	used     []bool
-	sel      []int
-	scratch  Batch
-	colsOut  []vector.Vector
-	colsWin  []vector.Vector // zero-copy window headers; never gathered into
-	colsOnly Batch
-}
-
-// Schema implements Operator.
-func (f *Filter) Schema() types.Schema { return f.Input.Schema() }
-
-// Open implements Operator.
-func (f *Filter) Open() error {
-	f.prog = algebra.Compile(f.Pred)
-	f.used = usedCols(f.Input.Schema().Arity(), f.Pred)
-	return f.Input.Open()
-}
-
-// gather packs the selected rows' columns into the filter's scratch-reused
-// vectors (the previous batch's storage, whose lifetime has expired).
-func (f *Filter) gather(cols []vector.Vector, sel []int) []vector.Vector {
-	if cap(f.colsOut) < len(cols) {
-		f.colsOut = make([]vector.Vector, len(cols))
-	}
-	gathered := f.colsOut[:len(cols)]
-	for j, v := range cols {
-		gathered[j] = vector.GatherInto(gathered[j], v, sel)
-	}
-	return gathered
-}
-
-// sliceWin builds zero-copy [lo, hi) windows of the input columns — the
-// dense-selection fast path. The headers live in their own scratch slice,
-// separate from colsOut: GatherInto reuses whatever storage sits in colsOut
-// as its destination, and a zero-copy slice there would alias table storage
-// and be written through. Slicing also preserves Asc sortedness (Gather
-// drops it), so range predicates downstream of a dense filter keep their
-// binary-search form.
-func (f *Filter) sliceWin(cols []vector.Vector, lo, hi int) []vector.Vector {
-	if cap(f.colsWin) < len(cols) {
-		f.colsWin = make([]vector.Vector, len(cols))
-	}
-	win := f.colsWin[:len(cols)]
-	for j, v := range cols {
-		win[j] = v.Slice(lo, hi)
-	}
-	return win
-}
-
-// Next implements Operator.
-func (f *Filter) Next() (*Batch, error) {
-	for {
-		b, err := f.Input.Next()
-		if b == nil || err != nil {
-			return nil, err
-		}
-		n := b.Len()
-		if n == 0 {
-			continue
-		}
-		cols := b.colsFor(f.used)
-		full := b.cols != nil // cols is the batch's own view, not a partial one
-		sel := f.prog.SelectTruthyVec(cols, n, f.sel[:0])
-		f.sel = sel
-		if len(sel) == 0 {
-			continue
-		}
-		if len(sel) == n {
-			return b, nil
-		}
-		// A selection that landed on one contiguous run degenerates to
-		// zero-copy slicing: no gather, and Asc survives.
-		dense := sel[len(sel)-1]-sel[0] == len(sel)-1
-		if b.rows == nil {
-			// Column-only input: stay column-only, materialize never.
-			if dense {
-				f.colsOnly.SetCols(f.sliceWin(cols, sel[0], sel[0]+len(sel)), len(sel))
-			} else {
-				f.colsOnly.SetCols(f.gather(cols, sel), len(sel))
-			}
-			return &f.colsOnly, nil
-		}
-		out := applySel(b, sel, &f.scratch)
-		if !full {
-			return out, nil
-		}
-		// The gather (or slice) runs only if a consumer reads Cols before
-		// our next Next; row consumers (joins keying off the spine, sorts,
-		// Drain) never pay for it.
-		if dense {
-			lo, hi := sel[0], sel[0]+len(sel)
-			out.setLazyColsView(func() []vector.Vector { return f.sliceWin(cols, lo, hi) })
-		} else {
-			out.setLazyColsView(func() []vector.Vector { return f.gather(cols, sel) })
-		}
-		return out, nil
-	}
-}
-
-// Close implements Operator.
-func (f *Filter) Close() error { return f.Input.Close() }
-
-// Project computes one output column per expression. The expressions are
-// compiled to their column kernels at Open and evaluate over each input
-// batch's columns — a row-only input (join, aggregate or sort output)
-// converts just the columns they read — and the batch goes out column-only:
-// bare columns as zero-copy passthroughs, computed ones in kernel scratch.
-// Column consumers (a stacked Project, Distinct's dedup keying, join
-// probes, the root drain) keep the vectors, and a consumer that wants rows
-// boxes them once, through vector.Materialize.
-type Project struct {
-	Input  Operator
-	Exprs  []algebra.Expr
-	Names  []string
-	schema types.Schema
-
-	progs   []*algebra.Compiled
-	used    []bool
-	out     Batch
-	colsOut []vector.Vector
-}
-
-// NewProject builds a projection operator.
-func NewProject(in Operator, exprs []algebra.Expr, names []string) *Project {
-	return &Project{Input: in, Exprs: exprs, Names: names,
-		schema: types.Schema{Attrs: names}}
-}
-
-// Schema implements Operator.
-func (p *Project) Schema() types.Schema { return p.schema }
-
-// Open implements Operator.
-func (p *Project) Open() error {
-	p.progs = algebra.CompileAll(p.Exprs)
-	p.used = usedCols(p.Input.Schema().Arity(), p.Exprs...)
-	return p.Input.Open()
-}
-
-// RowCountHint implements RowCountHinter: projection preserves cardinality.
-func (p *Project) RowCountHint() (int, bool) {
-	if h, ok := p.Input.(RowCountHinter); ok {
-		return h.RowCountHint()
-	}
-	return 0, false
-}
-
-// Next implements Operator.
-func (p *Project) Next() (*Batch, error) {
-	for {
-		b, err := p.Input.Next()
-		if b == nil || err != nil {
-			return nil, err
-		}
-		n, k := b.Len(), len(p.Exprs)
-		if n == 0 {
-			continue
-		}
-		cols := b.colsFor(p.used)
-		if cap(p.colsOut) < k {
-			p.colsOut = make([]vector.Vector, k)
-		}
-		outCols := p.colsOut[:k]
-		for j, prog := range p.progs {
-			outCols[j] = prog.EvalVec(cols, n)
-		}
-		p.out.SetCols(outCols, n)
-		return &p.out, nil
-	}
-}
-
-// Close implements Operator.
-func (p *Project) Close() error { return p.Input.Close() }
 
 // Limit emits the first N input rows and then stops pulling from its input —
 // early termination that streaming producers below benefit from. Emitted
@@ -404,8 +214,8 @@ func (u *UnionAll) Close() error {
 }
 
 // Distinct keeps the first occurrence of each row, keyed by the shared
-// canonical binary encoding (see key.go). Like Filter it narrows each batch
-// through a selection vector — in place for owned spines, into its own
+// canonical binary encoding (see key.go). It narrows each batch through a
+// selection vector — in place for owned spines, into its own
 // spine for shared ones — so dedup moves row pointers, never row data. On
 // columnar batches the keys are encoded straight from the vectors (the
 // per-vector-type AppendElemKey fast paths), skipping the boxed reads.

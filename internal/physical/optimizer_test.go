@@ -72,7 +72,7 @@ func TestEquiExtractionFromResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := Explain(opt); !strings.Contains(s, "HashJoin") {
+	if s := Explain(opt); !strings.Contains(s, "probe]") {
 		t.Fatalf("optimized plan should hash-join:\n%s", s)
 	}
 

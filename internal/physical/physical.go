@@ -1,10 +1,14 @@
 // Package physical is the execution layer of the engine: a small optimizer
 // that normalizes logical algebra plans (predicate pushdown, equi-join
 // extraction, projection pruning) and a family of batch-at-a-time physical
-// operators (Open/Next/Close over Batch) they lower to — zero-copy scan,
-// selection-vector filter, column-kernel project, columnar hash join with a
-// nested-loop fallback, hash aggregate, run-merging sort, early-terminating
-// limit, union-all, and distinct.
+// operators (Open/Next/Close over Batch) they lower to. Non-breaking work
+// has one operator: the pipeline (FusedPipeline), which runs every
+// Filter/Project chain over a columnar table or any other operator's
+// batches and carries every equi-join lowered without a memory budget as
+// its probe stage. The rest are the zero-copy scan of a bare table, the
+// fused and hash aggregates, the governed (grace-spilling) hash join, the
+// nested-loop join, the run-merging sort, the early-terminating limit,
+// union-all, and distinct.
 //
 // The layer is deliberately independent of the engine's catalog: plans are
 // lowered against a Source, so the same operators run the deterministic

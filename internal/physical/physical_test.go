@@ -287,8 +287,14 @@ func TestExplainShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := Explain(op); !strings.Contains(s, "HashJoin") {
-		t.Errorf("explain missing HashJoin:\n%s", s)
+	if s := Explain(op); s != "FusedPipeline[input → probe]\n  input:\n    Scan(r)\n  build:\n    Scan(s)\n" {
+		t.Errorf("explain missing the probe stage:\n%s", s)
+	}
+	if op, err = LowerOpts(hash, src, Options{MemBudget: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	if s := Explain(op); !strings.HasPrefix(s, "HashJoin[") {
+		t.Errorf("explain missing the governed HashJoin:\n%s", s)
 	}
 
 	theta := &algebra.Join{Left: scanR, Right: scanS,

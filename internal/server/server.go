@@ -416,11 +416,12 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 // streamResult writes one query result as a chunked binary column stream:
 // a JSON header frame carrying the schema and plan metadata, windowed
 // binary chunk frames sliced zero-copy off the result vectors, and a JSON
-// trailer frame with the totals. Scans, fused chains, projections and
-// in-memory hash joins hand over columnar results at every DOP; plans whose
-// root has no columnar output (sorts, aggregates, nested-loop and spilled
-// joins) arrive row-backed and columnarize first — FromRows round-trips
-// values exactly. The query's admission grant
+// trailer frame with the totals. Scans, pipelines (probe stages included)
+// and the governed hash join's in-memory probe hand over columnar results
+// at every DOP; plans whose root has no columnar output (sorts, aggregates,
+// distincts, limits, nested-loop and spilled joins) arrive row-backed and
+// columnarize first — FromRows round-trips values exactly. The query's
+// admission grant
 // stays held while chunks are written, so the result's memory is accounted
 // for as long as it is being read, and is released after the last chunk and
 // before the trailer, on every arm.

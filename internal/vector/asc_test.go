@@ -186,55 +186,6 @@ func TestVectorKindAndAnyNull(t *testing.T) {
 	}
 }
 
-// TestGatherInto covers the reuse path (same concrete type, enough
-// capacity), the fallback allocation, and null propagation through gathers,
-// for each typed vector.
-func TestGatherInto(t *testing.T) {
-	nb := NewBitmap(4)
-	nb.Set(2)
-	sel := []int{3, 2, 0}
-
-	check := func(name string, src Vector, prev Vector) {
-		t.Helper()
-		out := GatherInto(prev, src, sel)
-		if out.Len() != len(sel) {
-			t.Fatalf("%s: gathered %d, want %d", name, out.Len(), len(sel))
-		}
-		for di, si := range sel {
-			w, g := src.Value(si), out.Value(di)
-			if w.Kind() != g.Kind() || string(w.AppendKey(nil)) != string(g.AppendKey(nil)) {
-				t.Fatalf("%s: out[%d] = %v, want %v", name, di, g, w)
-			}
-		}
-	}
-
-	iv := NewInt64Vector([]int64{10, 11, 12, 13}, nb)
-	check("int fresh", iv, nil)
-	check("int reuse", iv, NewInt64Vector(make([]int64, 8), nil))
-	check("int type-mismatch", iv, NewFloat64Vector(make([]float64, 8), nil))
-
-	fv := NewFloat64Vector([]float64{0.5, 1.5, 2.5, 3.5}, nb)
-	check("float fresh", fv, nil)
-	check("float reuse", fv, NewFloat64Vector(make([]float64, 8), nil))
-
-	sv := NewStringVector([]string{"a", "b", "c", "d"}, nb)
-	check("string fresh", sv, nil)
-	check("string reuse", sv, NewStringVector(make([]string, 8), nil))
-
-	bv := NewBoolVector([]bool{true, false, true, false}, nb)
-	check("bool fresh", bv, nil)
-	check("bool reuse", bv, NewBoolVector(make([]bool, 8), nil))
-
-	vv := NewValueVector([]types.Value{types.NewInt(1), types.NewString("x"), types.Null(), types.NewBool(true)})
-	check("boxed fresh", vv, nil)
-	check("boxed reuse", vv, NewValueVector(make([]types.Value, 8)))
-
-	// Empty selection: every path must return a zero-length vector.
-	if out := GatherInto(nil, iv, nil); out.Len() != 0 {
-		t.Errorf("empty selection gathered %d elements", out.Len())
-	}
-}
-
 // TestMaterializeEdges: all-NULL columns (boxed fallback), empty tables,
 // and row stability after the source vectors are overwritten.
 func TestMaterializeEdges(t *testing.T) {

@@ -343,73 +343,6 @@ func (v *BoolVector) Gather(sel []int) Vector {
 	return &BoolVector{Vals: out, nulls: v.gatherNulls(sel)}
 }
 
-// GatherInto is Gather with storage reuse: when prev is a vector of the
-// same concrete type with enough capacity, its backing array is overwritten
-// instead of allocating a fresh one. Callers own prev and must be done
-// reading it — the selection-vector operators use their previous batch's
-// gather output, which the batch lifetime rule has already expired.
-func GatherInto(prev, src Vector, sel []int) Vector {
-	switch s := src.(type) {
-	case *Int64Vector:
-		var out []int64
-		if p, ok := prev.(*Int64Vector); ok && cap(p.Vals) >= len(sel) {
-			out = p.Vals[:len(sel)]
-		} else {
-			out = make([]int64, len(sel))
-		}
-		for di, si := range sel {
-			out[di] = s.Vals[si]
-		}
-		return &Int64Vector{Vals: out, nulls: s.gatherNulls(sel)}
-	case *Float64Vector:
-		var out []float64
-		if p, ok := prev.(*Float64Vector); ok && cap(p.Vals) >= len(sel) {
-			out = p.Vals[:len(sel)]
-		} else {
-			out = make([]float64, len(sel))
-		}
-		for di, si := range sel {
-			out[di] = s.Vals[si]
-		}
-		return &Float64Vector{Vals: out, nulls: s.gatherNulls(sel)}
-	case *StringVector:
-		var out []string
-		if p, ok := prev.(*StringVector); ok && cap(p.Vals) >= len(sel) {
-			out = p.Vals[:len(sel)]
-		} else {
-			out = make([]string, len(sel))
-		}
-		for di, si := range sel {
-			out[di] = s.Vals[si]
-		}
-		return &StringVector{Vals: out, nulls: s.gatherNulls(sel)}
-	case *BoolVector:
-		var out []bool
-		if p, ok := prev.(*BoolVector); ok && cap(p.Vals) >= len(sel) {
-			out = p.Vals[:len(sel)]
-		} else {
-			out = make([]bool, len(sel))
-		}
-		for di, si := range sel {
-			out[di] = s.Vals[si]
-		}
-		return &BoolVector{Vals: out, nulls: s.gatherNulls(sel)}
-	case *ValueVector:
-		var out []types.Value
-		if p, ok := prev.(*ValueVector); ok && cap(p.Vals) >= len(sel) {
-			out = p.Vals[:len(sel)]
-		} else {
-			out = make([]types.Value, len(sel))
-		}
-		for di, si := range sel {
-			out[di] = s.Vals[si]
-		}
-		return &ValueVector{Vals: out}
-	default:
-		return src.Gather(sel)
-	}
-}
-
 // ValueVector is the boxed fallback for columns whose rows mix kinds (or
 // hold only NULLs): elements are stored as they came. It satisfies Vector so
 // mixed columns flow through the same columnar plumbing, just without the

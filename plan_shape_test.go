@@ -1,11 +1,12 @@
 package repro_test
 
-// Plan shapes of the benchmark's filtered scans. Every expression has a
-// column kernel, so a Scan→Filter(→Project) chain over a columnar table
-// always lowers to a FusedPipeline: a BETWEEN range (PDBench Q2/Q3) or an
-// IN list (the lookup IN template) must not leave a standalone Filter over
-// a Scan in the lowered tree, under the UA rewrite or its deterministic
-// twin.
+// Plan shapes of the benchmark's queries. Every Filter/Project chain lowers
+// to a FusedPipeline over whatever sits beneath it, and every equi-join
+// lowered without a memory budget is a pipeline's probe stage: PDBench
+// Q1–Q3, the lookup IN and join templates and both AU-DB aggregate queries,
+// under their UA rewrite and as deterministic twins, must leave no
+// standalone Filter, Project or HashJoin in the lowered tree. Under a
+// budget an equi-join stays the governed HashJoin.
 
 import (
 	"fmt"
@@ -22,29 +23,21 @@ import (
 	"repro/internal/uadb"
 )
 
-// assertNoFilterOverScan fails when the rendered physical tree holds a
-// Filter whose single-child chain of Filters and Projects ends in a Scan,
-// or holds no FusedPipeline at all.
-func assertNoFilterOverScan(t *testing.T, name, explain string) {
+// assertOnePath fails when the rendered physical tree holds a standalone
+// Filter, Project or HashJoin, or no fused operator at all.
+func assertOnePath(t *testing.T, name, explain string) {
 	t.Helper()
-	lines := strings.Split(explain, "\n")
-	for i, l := range lines {
-		if !strings.HasPrefix(strings.TrimSpace(l), "Filter[") {
-			continue
-		}
-		for _, below := range lines[i+1:] {
-			node := strings.TrimSpace(below)
-			if strings.HasPrefix(node, "Scan(") {
-				t.Errorf("%s: standalone Filter over a Scan:\n%s", name, explain)
+	for _, l := range strings.Split(explain, "\n") {
+		node := strings.TrimSpace(l)
+		for _, op := range []string{"Filter[", "Project[", "HashJoin["} {
+			if strings.HasPrefix(node, op) {
+				t.Errorf("%s: standalone %s:\n%s", name, strings.TrimSuffix(op, "["), explain)
 				return
-			}
-			if !strings.HasPrefix(node, "Filter[") && !strings.HasPrefix(node, "Project[") {
-				break
 			}
 		}
 	}
-	if !strings.Contains(explain, "FusedPipeline[") {
-		t.Errorf("%s: no FusedPipeline:\n%s", name, explain)
+	if !strings.Contains(explain, "Fused") {
+		t.Errorf("%s: no fused operator:\n%s", name, explain)
 	}
 }
 
@@ -52,6 +45,34 @@ func mirrorAll(cat *engine.Catalog) {
 	for _, name := range cat.Names() {
 		cat.Get(name).Columns()
 	}
+}
+
+// explainUA lowers a UA-SQL query through the frontend.
+func explainUA(t *testing.T, front *rewrite.Frontend, cat *engine.Catalog, q string, qo rewrite.QueryOpts, opt physical.Options) string {
+	t.Helper()
+	plan, err := front.PlanSQL(q, qo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := engine.ExplainPhysicalOpts(plan, cat, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// explainDet lowers a plain SQL query over a deterministic catalog.
+func explainDet(t *testing.T, cat *engine.Catalog, q string, opt physical.Options) string {
+	t.Helper()
+	plan, err := engine.NewPlanner(cat).PlanSQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := engine.ExplainPhysicalOpts(plan, cat, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestBenchmarkFiltersLowerFused(t *testing.T) {
@@ -65,45 +86,71 @@ func TestBenchmarkFiltersLowerFused(t *testing.T) {
 	mirrorAll(front.Enc)
 	mirrorAll(det)
 	opt := physical.Options{DOP: 2}
+	governed := physical.Options{DOP: 2, MemBudget: 1 << 20}
 	for _, q := range pdbench.Queries() {
-		if q.Name == "Q1" {
+		assertOnePath(t, q.Name+" UA", explainUA(t, front, front.Enc, q.SQL, rewrite.QueryOpts{}, opt))
+		assertOnePath(t, q.Name+" deterministic", explainDet(t, det, q.SQL, opt))
+		if q.Name != "Q1" {
 			continue
 		}
-		plan, err := front.PlanSQL(q.SQL, rewrite.QueryOpts{})
-		if err != nil {
-			t.Fatal(err)
+		if out := explainUA(t, front, front.Enc, q.SQL, rewrite.QueryOpts{}, governed); !strings.Contains(out, "HashJoin[") {
+			t.Errorf("Q1 UA under a budget: no governed HashJoin:\n%s", out)
 		}
-		out, err := engine.ExplainPhysicalOpts(plan, front.Enc, opt)
-		if err != nil {
-			t.Fatal(err)
+		if out := explainDet(t, det, q.SQL, governed); !strings.Contains(out, "HashJoin[") {
+			t.Errorf("Q1 deterministic under a budget: no governed HashJoin:\n%s", out)
 		}
-		assertNoFilterOverScan(t, q.Name+" UA", out)
-		dplan, err := engine.NewPlanner(det).PlanSQL(q.SQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out, err = engine.ExplainPhysicalOpts(dplan, det, opt); err != nil {
-			t.Fatal(err)
-		}
-		assertNoFilterOverScan(t, q.Name+" deterministic", out)
 	}
 
-	// The lookup IN template over the UA-encoded 100-row dimension table.
+	// The lookup templates over the UA-encoded events and 100-row dimension
+	// tables, and over their deterministic twins.
+	events := engine.NewTable(types.NewSchema("events", "id", "uid", "kind", "dim", "amount", uadb.UAttr))
+	detEvents := engine.NewTable(types.NewSchema("events", "id", "uid", "kind", "dim", "amount"))
+	for i := 0; i < 200; i++ {
+		vals := []types.Value{types.NewInt(int64(i)), types.NewInt(int64(i % 20)),
+			types.NewString("click"), types.NewInt(int64(i % 100)), types.NewFloat(float64(i) / 4)}
+		detEvents.AppendVals(vals...)
+		events.AppendVals(append(vals, types.NewInt(int64(min(1, i%20))))...)
+	}
 	dims := engine.NewTable(types.NewSchema("dims", "did", "name", uadb.UAttr))
+	detDims := engine.NewTable(types.NewSchema("dims", "did", "name"))
 	for i := 0; i < 100; i++ {
-		dims.AppendVals(types.NewInt(int64(i)), types.NewString(fmt.Sprintf("dim-%03d", i)), types.NewInt(1))
+		name := types.NewString(fmt.Sprintf("dim-%03d", i))
+		dims.AppendVals(types.NewInt(int64(i)), name, types.NewInt(1))
+		detDims.AppendVals(types.NewInt(int64(i)), name)
 	}
-	cat := engine.NewCatalog()
+	cat, detCat := engine.NewCatalog(), engine.NewCatalog()
+	cat.Put(events)
 	cat.Put(dims)
+	detCat.Put(detEvents)
+	detCat.Put(detDims)
 	mirrorAll(cat)
+	mirrorAll(detCat)
 	lookup := rewrite.NewFrontend(cat)
-	plan, err := lookup.PlanSQL("SELECT did, name FROM dims WHERE did IN (3, 20, 37, 54, 71)", rewrite.QueryOpts{})
+	one := physical.Options{DOP: 1}
+	for name, q := range map[string]string{
+		"lookup IN":   "SELECT did, name FROM dims WHERE did IN (3, 20, 37, 54, 71)",
+		"lookup join": "SELECT e.id, d.name FROM events e, dims d WHERE e.dim = d.did AND e.uid = 7",
+	} {
+		assertOnePath(t, name+" UA", explainUA(t, lookup, cat, q, rewrite.QueryOpts{}, one))
+		assertOnePath(t, name+" deterministic", explainDet(t, detCat, q, one))
+	}
+
+	// Both AU-DB aggregate queries over AU-encoded lineitem, and over the
+	// deterministic lineitem.
+	at, err := rewrite.EncodeAttrX(w.Tables["lineitem"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := engine.ExplainPhysicalOpts(plan, cat, physical.Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
+	audb := rewrite.NewFrontend(engine.NewCatalog())
+	audb.PutAttrTable("lineitem", at)
+	mirrorAll(audb.AEnc)
+	for i, q := range []string{
+		`SELECT l_linenumber, SUM(l_extendedprice) AS revenue, COUNT(*) AS n, MAX(l_quantity) AS maxq
+			FROM lineitem WHERE l_shipdate < 1200 GROUP BY l_linenumber`,
+		`SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem WHERE l_quantity < 24`,
+	} {
+		name := fmt.Sprintf("audb-aggregate %d", i)
+		assertOnePath(t, name+" AU", explainUA(t, audb, audb.AEnc, q, rewrite.QueryOpts{AttrBounds: true}, opt))
+		assertOnePath(t, name+" deterministic", explainDet(t, det, q, opt))
 	}
-	assertNoFilterOverScan(t, "lookup IN", out)
 }

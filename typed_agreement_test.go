@@ -1,13 +1,13 @@
 package repro_test
 
 // Randomized typed/boxed agreement: the columnar engine (scans over a
-// ColumnSource, per-vector key encoding, and the fused pipelines, probes,
-// and aggregates that chains over columns always lower to) must produce
-// byte-identical results, in identical first-seen order, to the unfused
-// operator tree running the same plans against the same catalog stripped
-// of its columnar storage — row-backed scans, joins and breakers, whose
-// Filters, Projects and aggregates convert batch by batch to columns for
-// the same expression kernels (there is one evaluator). Serially and at
+// ColumnSource, per-vector key encoding, and the table pipelines, probe
+// stages and fused aggregates that chains over columns lower to) must
+// produce byte-identical results, in identical first-seen order, to the
+// same plans run against the same catalog stripped of its columnar storage
+// — row-backed scans under pipelines that read them as operator inputs,
+// and breakers, converting batch by batch to columns for the same
+// expression kernels (there is one evaluator). Serially and at
 // every DOP, under unlimited and tight memory budgets, on plain and
 // UA-rewritten plans. This is the acceptance gate for the columnar and
 // fused layers: columnar storage and fusion are optimizations, never a
@@ -49,9 +49,9 @@ func typedDOPs() []int {
 
 // typedBudgets are the memory regimes the suite runs under: unlimited, and a
 // budget tight enough to force the governor on for these tables. Under a
-// governor the fused probe and fused aggregate decline (governed breakers
-// need the spilling HashJoin and HashAggregate) — agreement pins that the
-// fallback actually composes.
+// governor equi-joins stay the spilling HashJoin instead of a probe stage
+// and the fused aggregate declines to the spilling HashAggregate —
+// agreement pins that the governed forms actually compose.
 func typedBudgets() []int64 { return []int64{0, 8 << 10} }
 
 // typedOpts is the option set of one agreement run: small morsels so every
