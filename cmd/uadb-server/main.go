@@ -18,9 +18,10 @@
 // -dop and -attr-bounds set the session defaults a client inherits until it
 // sends its own (per-session set requests override per query run).
 // -query-budget is the default admission ask per query (default: a quarter
-// of the global budget). SIGINT/SIGTERM trigger a graceful shutdown: the
-// listener closes, running queries drain (10s grace), then stragglers are
-// cancelled and their spill files cleaned.
+// of the global budget); a plan of only scans, filters and projections
+// takes no grant and never queues. SIGINT/SIGTERM trigger a graceful
+// shutdown: the listener closes, running queries drain (10s grace), then
+// stragglers are cancelled and their spill files cleaned.
 //
 // The Go client for this protocol is repro/internal/server/client.
 package main

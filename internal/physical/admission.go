@@ -6,16 +6,19 @@ import (
 )
 
 // Admission is the server-wide generalization of MemGovernor: one global
-// byte budget shared by every concurrent query. Each query asks for a slice
-// of the budget before it executes (Acquire); the controller grants slices
-// FIFO so the sum of outstanding grants never exceeds the global budget, and
-// queries that do not fit yet block — in arrival order — until running
-// queries release their grants. A granted query gets a child MemGovernor
-// whose budget is its grant, so it degrades to spilling under its slice
-// exactly as a one-shot -mem-budget query would, while the shared parent
-// ledger tracks the true aggregate so the server's peak governed memory is
-// observable (and bounded by budget + the per-query forced slack the
-// spilling operators already document: at most one batch per spill stream).
+// byte budget shared by every concurrent query that can use memory. Each
+// such query asks for a slice of the budget once it is planned and before
+// it executes (Acquire); a plan that never reserves (PipelineOnly) does not
+// ask, and so never queues behind the ones that do. The controller grants
+// slices FIFO so the sum of outstanding grants never exceeds the global
+// budget, and queries that do not fit yet block — in arrival order — until
+// running queries release their grants. A granted query gets a child
+// MemGovernor whose budget is its grant, so it degrades to spilling under
+// its slice exactly as a one-shot -mem-budget query would, while the shared
+// parent ledger tracks the true aggregate so the server's peak governed
+// memory is observable (and bounded by budget + the per-query forced slack
+// the spilling operators already document: at most one batch per spill
+// stream).
 //
 // The controller queues rather than rejects: admission pressure converts
 // into latency, spilling converts grant pressure into disk, and the only

@@ -129,6 +129,24 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 	}
 }
 
+// PipelineOnly reports whether n is made only of Scan, Filter and Project
+// nodes. Such a plan lowers to one FusedPipeline over a table and never
+// calls its governor's Reserve, so it runs without an admission grant. The
+// test is a whitelist: every other node type, including any added later,
+// counts as one that may reserve memory.
+func PipelineOnly(n algebra.Node) bool {
+	switch node := n.(type) {
+	case *algebra.Scan:
+		return true
+	case *algebra.Filter:
+		return PipelineOnly(node.Input)
+	case *algebra.Project:
+		return PipelineOnly(node.Input)
+	default:
+		return false
+	}
+}
+
 // resolveScan resolves a logical scan against the source and cross-checks
 // the compiled arity, shared by the scan and pipeline lowerings.
 func resolveScan(node *algebra.Scan, src Source) (types.Schema, [][]types.Value, error) {

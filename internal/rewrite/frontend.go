@@ -41,6 +41,12 @@ type QueryOpts struct {
 	// admission grant — used instead of a per-query governor derived from
 	// MemBudget. One-shot callers leave it nil.
 	Gov *physical.MemGovernor
+	// Admit, when set, is called by Query after planning and only for a
+	// plan that can reserve memory (not physical.PipelineOnly); the
+	// governor it returns replaces Gov, and its error aborts the query.
+	// The query server sets it to take an admission grant, so a plan of
+	// scans, filters and projections never queues for memory.
+	Admit func(context.Context) (*physical.MemGovernor, error)
 	// AttrBounds switches the frontend from the tuple-level UA rewrite to
 	// the attribute-level AU-DB mode: plans are rewritten with
 	// RewriteAttrBounds and executed against the spine-encoded catalog,
@@ -120,11 +126,17 @@ func (f *Frontend) attrMask(name string) []bool {
 // columnar when the plan's root produces vectors and row-backed otherwise,
 // rows materialized lazily — the *physical.Result contract shared with
 // engine.Session. Plan-cache hits and misses are counted only in
-// PlanCacheStats.
+// PlanCacheStats. opt.Admit runs between planning and execution, so each
+// query is planned once and asks for memory only if its plan can use it.
 func (f *Frontend) Query(ctx context.Context, query string, opt QueryOpts) (*physical.Result, error) {
 	plan, err := f.PlanSQL(query, opt)
 	if err != nil {
 		return nil, err
+	}
+	if opt.Admit != nil && !physical.PipelineOnly(plan) {
+		if opt.Gov, err = opt.Admit(ctx); err != nil {
+			return nil, err
+		}
 	}
 	return engine.NewSession(f.catalog(opt.AttrBounds), opt.physical()).Execute(ctx, plan)
 }

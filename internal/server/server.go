@@ -28,8 +28,10 @@ type Config struct {
 	GlobalBudget int64
 	// QueryBudget is the default per-query admission ask when a session
 	// has not set its own mem_budget; 0 defaults to GlobalBudget/4 (so
-	// four default queries run concurrently before the fifth queues).
-	// Ignored when GlobalBudget is unlimited.
+	// four default queries that need memory run concurrently before the
+	// fifth queues). Only a plan that can reserve memory asks: one made of
+	// scans, filters and projections (physical.PipelineOnly) runs with no
+	// grant and never queues. Ignored when GlobalBudget is unlimited.
 	QueryBudget int64
 	// SpillDir is where governed queries spill; "" means the system temp
 	// directory.
@@ -58,6 +60,7 @@ type Server struct {
 
 	sessions atomic.Int64 // live connections
 	queries  atomic.Int64 // cumulative executed queries
+	panics   atomic.Int64 // request goroutines recovered from a panic
 }
 
 // New builds a server over cfg. The frontend's plan cache is enabled so
@@ -287,6 +290,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			inflight.Add(1)
 			go func() {
 				defer inflight.Done()
+				defer s.recoverRequest(fw, req.ID)
 				run(ctx)
 			}()
 		}
@@ -300,6 +304,17 @@ func (s *Server) handleConn(conn net.Conn) {
 	delete(s.conns, conn)
 	s.mu.Unlock()
 	s.wg.Done()
+}
+
+// recoverRequest turns a panic in a request goroutine into a terminal error
+// frame for that request and counts it, so one faulty query cannot take the
+// server down. The request's own deferred work — runQuery's grant release —
+// has run by then, so the grant is back before the frame is written.
+func (s *Server) recoverRequest(fw *frameWriter, id uint64) {
+	if r := recover(); r != nil {
+		s.panics.Add(1)
+		fw.writeJSON(Response{ID: id, Final: true, Error: fmt.Sprintf("internal error: %v", r)})
+	}
 }
 
 // dispatch handles one request on the read loop. Session ops and request
@@ -373,10 +388,12 @@ func (s *Server) hello(sess *session, req Request) Response {
 }
 
 // runQuery executes one SQL statement under the session's options and the
-// server's admission control, and streams the result. The admission grant
-// goes back before the request's terminal frame — the error response or
-// the stream trailer — is written, so a client that has read that frame
-// finds the grant released.
+// server's admission control, and streams the result. The frontend plans
+// first and takes the session's ask from admission only for a plan that can
+// reserve memory: a plan of scans, filters and projections runs with no
+// grant and never queues. The admission grant goes back before the
+// request's terminal frame — the error response or the stream trailer — is
+// written, so a client that has read that frame finds the grant released.
 func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, id uint64, sqlText string) {
 	if sess.timeoutMS > 0 {
 		var cancel context.CancelFunc
@@ -386,21 +403,21 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 
 	opt := sess.queryOpts()
 	opt.SpillDir = s.spillDir
-	ask := sess.memBudget
-	var grant *physical.Grant // nil without admission; Release is nil-safe and idempotent
+	var grant *physical.Grant // nil until admitted; Release is nil-safe and idempotent
+	// A failed header write or a panic returns before any terminal frame.
+	defer func() { grant.Release() }()
 	if s.admission != nil {
+		ask := sess.memBudget
 		if ask <= 0 {
 			ask = s.queryBudget
 		}
-		var err error
-		if grant, err = s.admission.Acquire(ctx, ask); err != nil {
-			fw.writeJSON(Response{ID: id, Error: err.Error()})
-			return
+		opt.Admit = func(ctx context.Context) (*physical.MemGovernor, error) {
+			var err error
+			grant, err = s.admission.Acquire(ctx, ask)
+			return grant.Gov(), err
 		}
-		defer grant.Release() // a failed header write returns before any terminal frame
-		opt.Gov = grant.Gov()
 	} else {
-		opt.MemBudget = ask
+		opt.MemBudget = sess.memBudget
 	}
 
 	res, err := s.front.Query(ctx, sqlText, opt)
@@ -420,11 +437,10 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 // and the governed hash join's in-memory probe hand over columnar results
 // at every DOP; plans whose root has no columnar output (sorts, aggregates,
 // distincts, limits, nested-loop and spilled joins) arrive row-backed and
-// columnarize first — FromRows round-trips values exactly. The query's
-// admission grant
-// stays held while chunks are written, so the result's memory is accounted
-// for as long as it is being read, and is released after the last chunk and
-// before the trailer, on every arm.
+// columnarize first — FromRows round-trips values exactly. A query that
+// took an admission grant holds it while chunks are written, so the
+// result's memory is accounted for as long as it is being read, and
+// releases it after the last chunk and before the trailer, on every arm.
 func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, res *physical.Result, grant *physical.Grant) {
 	var vecs []vector.Vector
 	n := res.NumRows()
@@ -486,5 +502,6 @@ func (s *Server) stats() *Stats {
 		Queued:      queued,
 		PlanHits:    hits,
 		PlanMisses:  misses,
+		Panics:      s.panics.Load(),
 	}
 }

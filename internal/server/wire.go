@@ -142,8 +142,11 @@ type SessionOpts struct {
 	Fuse *bool `json:"fuse,omitempty"`
 	// MemBudget is the session's per-query memory ask as a byte-size
 	// string ("64M", "2G", plain bytes; "0" = server default). Under a
-	// global budget it is the admission grant the session's queries
-	// request; without one it becomes a plain per-query governor.
+	// global budget it is the admission grant a query requests once it is
+	// planned, if its plan has a join, aggregate, sort or any other node
+	// beyond scans, filters and projections; a plan of only those runs
+	// with no grant. Without a global budget it becomes a plain per-query
+	// governor.
 	MemBudget *string `json:"mem_budget,omitempty"`
 	// TimeoutMS bounds each query's total time — queueing in admission
 	// included — in milliseconds (0 = no timeout).
@@ -200,4 +203,5 @@ type Stats struct {
 	Queued      int64 `json:"queued"`       // queries that had to wait
 	PlanHits    int64 `json:"plan_hits"`    // plan-cache hits
 	PlanMisses  int64 `json:"plan_misses"`  // plan-cache misses
+	Panics      int64 `json:"panics"`       // requests that panicked and were answered with an error
 }
