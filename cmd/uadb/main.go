@@ -10,8 +10,8 @@
 // referenced with a model annotation in the query are read from the same
 // -table set and encoded on the fly. With no -query, queries are read from
 // stdin, one per line (exit with an empty line or EOF). -dop sets how many
-// workers a fused aggregate folds on (0 = one per CPU, 1 = serial) — the
-// engine's only parallel operator; fused chains and probes are serial.
+// workers an aggregate over a table folds on (0 = one per CPU, 1 =
+// serial) — the engine's only parallel operator; fused chains and probes are serial.
 // -mem-budget caps each query's pipeline-breaker working set (e.g. "64M",
 // "2G", or plain bytes; 0 = unlimited): sorts, aggregates, and join builds
 // that exceed the budget spill to temp files and stream back, so one big

@@ -1,11 +1,12 @@
 package repro_test
 
 // Fused plan shapes and directed aggregate parity. Fusion always applies:
-// maximal scan→filter→project(→probe, →aggregate) chains over columnar
-// tables collapse into FusedPipeline and FusedAggregate operators. These
-// tests pin which plans fuse — at every DOP and under a memory budget — and
-// hold the fused aggregate's unboxed accumulation arms
-// to the boxed serial HashAggregate on directed extreme values. The
+// maximal scan→filter→project(→probe) chains over columnar tables collapse
+// into FusedPipeline operators, and a chain capped by an aggregate into one
+// table-source HashAggregate. These tests pin which plans fuse — at every
+// DOP and under a memory budget — and hold the table-source aggregate's
+// unboxed accumulation arms to the operator-source HashAggregate on
+// directed extreme values. The
 // randomized byte-identity gate against the boxed operator tree is the
 // typed/boxed agreement harness (typed_agreement_test.go).
 
@@ -125,66 +126,53 @@ func fusedAggPlan(cat *engine.Catalog) *algebra.Aggregate {
 }
 
 // TestFusedAggEngages pins that fusion carries past the pipeline breaker: an
-// ungoverned aggregate over a fusable chain lowers to one FusedAggregate
+// aggregate over a fusable chain lowers to one table-source HashAggregate
 // (folding per morsel at DOP > 1), Explain renders the collapsed chain
-// including the aggregate, and a memory budget declines fusion back to the
-// governed spilling HashAggregate.
+// including the aggregate, and under a memory budget the same operator
+// folds the table serially, window by window, so it can spill.
 func TestFusedAggEngages(t *testing.T) {
 	cat := fusedTestCatalog()
+	explain := func(plan algebra.Node, opt physical.Options) string {
+		t.Helper()
+		out, err := engine.ExplainPhysicalOpts(plan, cat, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 
 	// Serial: the whole chain, breaker included, is one operator. A bare
 	// scan-aggregate fuses too — there is no worth gate past the breaker.
-	op, err := physical.LowerOpts(fusedAggPlan(cat), cat, physical.Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*physical.FusedAggregate); !ok {
-		t.Fatalf("serial fused aggregate lowering produced %T, want *FusedAggregate", op)
+	const chain = "scan t → filter → project → aggregate; by k#0; count(*),sum(kv#1)]\n"
+	if out := explain(fusedAggPlan(cat), physical.Options{DOP: 1}); out != "HashAggregate[dop=1; "+chain {
+		t.Fatalf("serial fused aggregate explain:\n%s", out)
 	}
 	bare := &algebra.Aggregate{
 		Input:   &algebra.Scan{Table: "t", TblSchema: cat.Get("t").Schema},
 		GroupBy: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}}, GroupNames: []string{"g"},
 		Aggs: []algebra.AggSpec{{Func: algebra.AggCount, Star: true, Name: "n"}},
 	}
-	out, err := engine.ExplainPhysicalOpts(bare, cat, physical.Options{DOP: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The optimizer prunes the scan through an inserted projection before
 	// lowering, so the collapsed chain shows it.
-	if want := "FusedAggregate[dop=1; scan t → project → aggregate; by k#0; count(*)]\n"; out != want {
-		t.Fatalf("fused aggregate explain:\n%s\nwant:\n%s", out, want)
+	if want := "HashAggregate[dop=1; scan t → project → aggregate; by k#0; count(*)]\n"; explain(bare, physical.Options{DOP: 1}) != want {
+		t.Fatalf("fused aggregate explain:\n%s\nwant:\n%s", explain(bare, physical.Options{DOP: 1}), want)
 	}
 
 	// Parallel: morsel workers fold windows straight off the shared source.
 	popt := physical.Options{DOP: 2, MorselSize: 16, MinParallelRows: 1}
-	op, err = physical.LowerOpts(fusedAggPlan(cat), cat, popt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa, ok := op.(*physical.FusedAggregate)
-	if !ok {
-		t.Fatalf("parallel fused aggregate lowering produced %T, want *FusedAggregate", op)
-	}
-	if fa.DOP() != 2 {
-		t.Fatalf("parallel fused aggregate DOP %d, want 2", fa.DOP())
+	if out := explain(fusedAggPlan(cat), popt); out != "HashAggregate[dop=2; "+chain {
+		t.Fatalf("parallel fused aggregate explain:\n%s", out)
 	}
 
-	// Governed: aggregation must stay the serial spilling HashAggregate; the
-	// chain below it still fuses.
-	gopt := physical.Options{DOP: 1, MemBudget: 8 << 10, SpillDir: t.TempDir()}
-	gout, err := engine.ExplainPhysicalOpts(fusedAggPlan(cat), cat, gopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(gout, "HashAggregate[") ||
-		!strings.Contains(gout, "FusedPipeline[scan t → filter → project]") {
-		t.Fatalf("governed fused aggregate explain:\n%s", gout)
+	// Governed: the same operator over the same chain, serial at any DOP.
+	gopt := physical.Options{DOP: 2, MorselSize: 16, MinParallelRows: 1, MemBudget: 8 << 10, SpillDir: t.TempDir()}
+	if out := explain(fusedAggPlan(cat), gopt); out != "HashAggregate[dop=1; "+chain {
+		t.Fatalf("governed fused aggregate explain:\n%s", out)
 	}
 }
 
-// TestFusedAggDirectedParity runs the fused aggregate against the serial
-// HashAggregate on the inputs that stress its unboxed accumulation arms:
+// TestFusedAggDirectedParity runs the table-source aggregate against the
+// operator-source aggregate on the inputs that stress its unboxed accumulation arms:
 // NaN and ±0 floats (Compare's NaN never replaces an extremum), integers
 // past 2^53 (min/max widen through float64 with ties keeping the incumbent,
 // exactly like Compare), NULL-riddled columns (skipped by every aggregate
@@ -245,9 +233,9 @@ func TestFusedAggDirectedParity(t *testing.T) {
 	}
 	cat := mk()
 	for pi, plan := range plans {
-		want := drainOpts(t, plan, rowSource{cat}, physical.Options{DOP: 1}, "serial HashAggregate")
+		want := drainOpts(t, plan, rowSource{cat}, physical.Options{DOP: 1}, "operator-source aggregate")
 		for _, dop := range typedDOPs() {
-			got := drainOpts(t, plan, cat, typedOpts(dop, 0, ""), "fused aggregate")
+			got := drainOpts(t, plan, cat, typedOpts(dop, 0, ""), "table-source aggregate")
 			mustMatchRows(t, got, want, fmt.Sprintf("plan %d dop %d: fused vs serial aggregate", pi, dop))
 		}
 	}

@@ -93,15 +93,16 @@ func compile(n algebra.Node, cat *Catalog, opt physical.Options) (physical.Opera
 // ExplainPhysical returns the physical operator tree Execute would run for
 // the plan, after optimization, as an indented string — the plan-shape
 // tests and EXPLAIN output both use it. It compiles with the same default
-// options as a zero-option Session, so a fused aggregate shows the worker
-// count it runs at (FusedAggregate[dop=N; …]).
+// options as a zero-option Session, so an aggregate over a table shows the
+// worker count it runs at (HashAggregate[dop=N; …]).
 func ExplainPhysical(n algebra.Node, cat *Catalog) (string, error) {
 	return ExplainPhysicalOpts(n, cat, physical.Options{})
 }
 
 // ExplainPhysicalOpts is ExplainPhysical under explicit execution options —
 // the tree Session.Execute runs under opt. Fused chains render as a single
-// FusedPipeline or FusedAggregate node listing the collapsed operators.
+// node listing the collapsed operators: a FusedPipeline, or a
+// HashAggregate over a table.
 func ExplainPhysicalOpts(n algebra.Node, cat *Catalog, opt physical.Options) (string, error) {
 	op, err := compile(n, cat, opt)
 	if err != nil {

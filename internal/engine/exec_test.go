@@ -315,15 +315,15 @@ func TestExecuteOptsParallelAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := physical.Explain(op); !strings.HasPrefix(s, "FusedAggregate[dop=4") {
-		t.Errorf("parallel compile must produce a 4-worker fused aggregate:\n%s", s)
+	if s := physical.Explain(op); !strings.HasPrefix(s, "HashAggregate[dop=4; scan big") {
+		t.Errorf("parallel compile must produce a 4-worker table-source aggregate:\n%s", s)
 	}
 }
 
 // TestGroupByAndDistinctFoldNegativeZero: GROUP BY and DISTINCT treat -0.0
 // and 0 as one value, as Value.Compare (and so WHERE x = 0, and every join)
-// does — with no budget (the fused aggregate) and under a 1 MiB budget (the
-// governed HashAggregate).
+// does — with no budget (one whole-table fold) and under a 1 MiB budget
+// (the governed fold, window by window).
 func TestGroupByAndDistinctFoldNegativeZero(t *testing.T) {
 	cat := NewCatalog()
 	a := NewTable(types.NewSchema("a", "x"))

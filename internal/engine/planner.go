@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/algebra"
@@ -139,34 +140,38 @@ func (p *Planner) planSingle(stmt *sql.SelectStmt) (algebra.Node, *scope, error)
 	}
 
 	// Plain projection. ORDER BY may reference either output columns
-	// (aliases) or input columns that are projected away; when a key only
-	// resolves against the input, sort before projecting.
+	// (aliases) or input columns that are projected away. When every key
+	// resolves against the output, sort after projecting; otherwise sort
+	// before it, each output key rewritten to its select-list expression.
 	exprs, names, err := p.compileSelectList(stmt.Items, sc)
 	if err != nil {
 		return nil, nil, err
 	}
 	outScope := projScope(names)
-	var preKeys, postKeys []algebra.SortKey
-	for _, oi := range stmt.OrderBy {
-		if e, err := compileExpr(oi.Expr, outScope); err == nil {
-			postKeys = append(postKeys, algebra.SortKey{Expr: e, Desc: oi.Desc})
-			continue
+	keys := make([]algebra.SortKey, len(stmt.OrderBy))
+	post := make([]bool, len(stmt.OrderBy)) // keys[i] is over the output
+	for i, oi := range stmt.OrderBy {
+		e, err := compileExpr(oi.Expr, outScope)
+		post[i] = err == nil
+		if !post[i] {
+			if e, err = compileExpr(oi.Expr, sc); err != nil {
+				return nil, nil, fmt.Errorf("engine: ORDER BY: %w", err)
+			}
 		}
-		e, err := compileExpr(oi.Expr, sc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: ORDER BY: %w", err)
+		keys[i] = algebra.SortKey{Expr: e, Desc: oi.Desc}
+	}
+	afterProject := !slices.Contains(post, false)
+	if len(keys) > 0 && !afterProject {
+		for i := range keys {
+			if post[i] {
+				keys[i].Expr = algebra.MapCols(keys[i].Expr, func(c algebra.Col) algebra.Expr { return exprs[c.Idx] })
+			}
 		}
-		preKeys = append(preKeys, algebra.SortKey{Expr: e, Desc: oi.Desc})
-	}
-	if len(preKeys) > 0 && len(postKeys) > 0 {
-		return nil, nil, fmt.Errorf("engine: ORDER BY mixing projected-away and output columns is not supported")
-	}
-	if len(preKeys) > 0 {
-		node = &algebra.Sort{Input: node, Keys: preKeys}
+		node = &algebra.Sort{Input: node, Keys: keys}
 	}
 	node = &algebra.Project{Input: node, Exprs: exprs, Names: names}
-	if len(postKeys) > 0 {
-		node = &algebra.Sort{Input: node, Keys: postKeys}
+	if len(keys) > 0 && afterProject {
+		node = &algebra.Sort{Input: node, Keys: keys}
 	}
 	if stmt.Distinct {
 		node = &algebra.Distinct{Input: node}

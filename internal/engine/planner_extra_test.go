@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/physical"
@@ -67,11 +66,46 @@ func TestOrderByAliasAndInputColumn(t *testing.T) {
 	if res.Rows[0][0].Str() != "bob" {
 		t.Errorf("order by projected-away column: %v", res.Rows)
 	}
-	// Mixing both kinds is rejected with a clear error.
-	_, err := testRunSQL(cat, "SELECT name AS n FROM users ORDER BY n, age")
-	if err == nil || !strings.Contains(err.Error(), "ORDER BY") {
-		t.Errorf("expected mixed ORDER BY error, got %v", err)
+	// Mixing both kinds sorts before the projection, the alias standing
+	// for its select-list expression.
+	mixed := run(t, cat, "SELECT name AS n FROM users ORDER BY n, age")
+	if want := run(t, cat, "SELECT name AS n FROM users ORDER BY name, age"); !sameRows(mixed.Rows, want.Rows) {
+		t.Errorf("mixed ORDER BY: %v, want %v", mixed.Rows, want.Rows)
 	}
+}
+
+// TestOrderByRenamedColumnMixedWithOutput: a key naming an input column
+// that the select list renames, next to an output column, orders exactly
+// like the same query spelled with the alias.
+func TestOrderByRenamedColumnMixedWithOutput(t *testing.T) {
+	cat := NewCatalog()
+	tb := NewTable(types.NewSchema("t", "id", "k", "v"))
+	for _, r := range [][3]int64{{5, 2, 50}, {1, 1, 10}, {4, 2, 40}, {2, 1, 20}, {3, 0, 30}, {0, 2, 0}} {
+		tb.AppendVals(types.NewInt(r[0]), types.NewInt(r[1]), types.NewInt(r[2]))
+	}
+	cat.Put(tb)
+	byInput := run(t, cat, "SELECT k AS held, id, v FROM t ORDER BY k, id")
+	byAlias := run(t, cat, "SELECT k AS held, id, v FROM t ORDER BY held, id")
+	if !sameRows(byInput.Rows, byAlias.Rows) {
+		t.Fatalf("ORDER BY k, id: %v\nORDER BY held, id: %v", byInput.Rows, byAlias.Rows)
+	}
+	if ids := []int64{byAlias.Rows[0][1].Int(), byAlias.Rows[5][1].Int()}; ids[0] != 3 || ids[1] != 5 {
+		t.Fatalf("ORDER BY held, id: %v", byAlias.Rows)
+	}
+}
+
+// sameRows reports whether two row lists hold identical values in identical
+// order.
+func sameRows(a, b [][]types.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if types.Tuple(a[i]).Key() != types.Tuple(b[i]).Key() {
+			return false
+		}
+	}
+	return true
 }
 
 func TestHavingUnknownColumn(t *testing.T) {

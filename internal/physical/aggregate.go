@@ -7,25 +7,29 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/spill"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
-// HashAggregate groups the input by the key expressions and computes the
-// aggregate functions. Open consumes the input batch by batch, each batch's
-// columns one window of FusedAggregate's fold (fusedAggFolder.foldWindow,
-// with no predicates): group-by keys and arguments evaluate through their
-// column kernels, groups are keyed by the per-vector canonical key encoding
-// (key.go), and one absorption rule accumulates the states. Next then
-// streams one row per group in first-seen order (a global aggregate over an
-// empty input still emits one row). Output rows are freshly allocated,
-// group-by columns first, aggregate columns after, and emitted in
-// shared-spine batches slicing the materialized result.
+// HashAggregate is the engine's one aggregate operator: it groups its
+// source by the key expressions and computes the aggregate functions. The
+// source is either a columnar table, with the composed Scan→Filter→Project
+// chain below the aggregate folded into Preds, GroupBy and the arguments
+// (all over the scan schema), or any operator's batches. Open folds the
+// source window by window through fusedAggFolder.foldWindow (fused_agg.go)
+// — an ungoverned table in one whole-table window, or at DOP > 1 one window
+// per morsel on DOP workers merged in morsel order; a governed table in
+// windows of DefaultBatchSize rows; an operator source batch by batch. Next
+// then streams one row per group in first-seen order (a global aggregate
+// over an empty input still emits one row). Output rows are freshly
+// allocated, group-by columns first, aggregate columns after, and emitted
+// in shared-spine batches slicing the materialized result.
 //
 // With a memory governor (Mem non-nil), the group table is bounded: each
-// new group Forces its estimated state bytes, and whenever a folded batch
+// new group Forces its estimated state bytes, and whenever a folded window
 // pushes the tracked total over budget the whole table — a "generation" of
 // partial states, tagged with their global first-seen sequence numbers —
 // is spilled to hash-partitioned temp files and the memory released.
-// After the input is exhausted, each partition is re-aggregated on its own
+// After the source is exhausted, each partition is re-aggregated on its own
 // (partials for one group always land in one partition, so the exact
 // aggState.merge combination applies generation by generation, in input
 // order), recursing with a re-salted hash if a partition alone still
@@ -35,13 +39,21 @@ import (
 // — the operator's output, which Next hands to the consumer — live outside
 // the budget, exactly as they do on the in-memory path.
 type HashAggregate struct {
-	Input      Operator
-	GroupBy    []algebra.Expr
-	GroupNames []string
-	Aggs       []algebra.AggSpec
-	Mem        *MemGovernor // nil: never spill (today's in-memory behavior)
-	SpillDir   string       // temp dir for spilled partitions; "" means os.TempDir()
-	schema     types.Schema
+	Input    Operator       // the source operator; nil when the source is a table
+	Preds    []algebra.Expr // composed over the scan schema (table source only)
+	GroupBy  []algebra.Expr // over the source's schema
+	Aggs     []algebra.AggSpec
+	Ops      []string     // collapsed chain, source first — Explain renders this
+	Mem      *MemGovernor // nil: never spill
+	SpillDir string       // temp dir for spilled partitions; "" means os.TempDir()
+
+	args   []algebra.Expr // per aggregate over the source's schema; nil for COUNT(*)
+	schema types.Schema
+	used   []bool        // the Input columns the fold reads
+	src    *morselSource // the table's columns and, at DOP > 1, its morsel queue
+	at     int           // the table rows folded so far in a serial Open
+	dop    int
+	folder *fusedAggFolder // the serial fold's kernels, compiled on first Open
 
 	out  [][]types.Value
 	pos  int
@@ -50,15 +62,68 @@ type HashAggregate struct {
 	b    Batch
 }
 
-// NewHashAggregate builds a hash aggregate with the output schema of the
-// logical Aggregate node it implements.
+// NewHashAggregate builds a hash aggregate over an operator's batches, with
+// the output schema of the logical Aggregate node it implements.
 func NewHashAggregate(in Operator, groupBy []algebra.Expr, groupNames []string, aggs []algebra.AggSpec) *HashAggregate {
-	attrs := append([]string{}, groupNames...)
-	for _, a := range aggs {
-		attrs = append(attrs, a.Name)
+	return newHashAggregate(inputChain(in),
+		&algebra.Aggregate{GroupBy: groupBy, GroupNames: groupNames, Aggs: aggs})
+}
+
+// newHashAggregate builds the aggregate that implements node over a
+// composed chain: the chain's predicates select, and the group keys and
+// arguments are composed through its projections down to the source's
+// schema.
+func newHashAggregate(fc *fusedChain, node *algebra.Aggregate) *HashAggregate {
+	h := &HashAggregate{Input: fc.input, Preds: fc.preds, Aggs: node.Aggs,
+		Ops:     append(fc.ops[:len(fc.ops):len(fc.ops)], "aggregate"),
+		GroupBy: make([]algebra.Expr, len(node.GroupBy)),
+		args:    make([]algebra.Expr, len(node.Aggs)),
+		schema:  node.Schema(), dop: 1}
+	for i, e := range node.GroupBy {
+		h.GroupBy[i] = substCols(e, fc.projs)
 	}
-	return &HashAggregate{Input: in, GroupBy: groupBy, GroupNames: groupNames,
-		Aggs: aggs, schema: types.Schema{Attrs: attrs}}
+	for i, a := range node.Aggs {
+		if !a.Star {
+			h.args[i] = substCols(a.Arg, fc.projs)
+		}
+	}
+	if fc.cols != nil {
+		h.src = &morselSource{cols: fc.cols}
+	} else {
+		h.used = usedCols(len(fc.projs), append(h.args, h.GroupBy...)...)
+	}
+	return h
+}
+
+// lowerAggregate lowers an aggregate to a HashAggregate. A Filter/Project
+// chain over a columnar table becomes a table source, folded in parallel
+// when the table is big enough to split and no governor bounds the groups;
+// anything else is lowered and read as an operator source.
+func lowerAggregate(node *algebra.Aggregate, src Source, opt Options) (Operator, error) {
+	fc, err := fuseChain(node.Input, src, opt, true)
+	if err != nil {
+		return nil, err
+	}
+	if fc == nil {
+		in, err := lowerNode(node.Input, src, opt)
+		if err != nil {
+			return nil, err
+		}
+		fc = inputChain(in)
+	}
+	if err := checkAggregate(node, len(fc.projs)); err != nil {
+		return nil, err
+	}
+	h := newHashAggregate(fc, node)
+	h.Mem, h.SpillDir = opt.Gov, opt.SpillDir
+	if h.src != nil {
+		h.src.size = opt.MorselSize
+		// Below MinParallelRows the table has too few morsels to balance.
+		if opt.Gov == nil && opt.DOP > 1 && fc.cols.N >= opt.MinParallelRows {
+			h.dop = opt.DOP
+		}
+	}
+	return h, nil
 }
 
 // Schema implements Operator.
@@ -188,62 +253,59 @@ func (st *aggState) result(aggs []algebra.AggSpec, nGroupCols int) []types.Value
 	return row
 }
 
-// newFolder compiles the aggregate's group-by keys and arguments into the
-// fold FusedAggregate runs — the same kernels and absorption arms, with no
-// predicates — and marks the input columns they read. Each input batch is
-// one window of that fold.
-func (h *HashAggregate) newFolder() (*fusedAggFolder, []bool) {
-	args := make([]algebra.Expr, len(h.Aggs))
-	for i, a := range h.Aggs {
-		if !a.Star {
-			args[i] = a.Arg
-		}
-	}
-	used := usedCols(h.Input.Schema().Arity(), append(args, h.GroupBy...)...)
-	return newFusedAggFolder(nil, h.GroupBy, args, h.Aggs), used
-}
-
-// Open implements Operator: it consumes the input and builds all groups.
+// Open implements Operator: it folds the whole source and renders the
+// groups.
 func (h *HashAggregate) Open() error {
-	h.out, h.pos, h.held, h.sp = nil, 0, 0, nil
-	if err := h.Input.Open(); err != nil {
-		return err
-	}
-	if h.Mem != nil {
-		return h.openGoverned()
-	}
-	groups := make(map[string]*aggState)
-	var states []*aggState // first-seen order
-	folder, used := h.newFolder()
-	for {
-		b, err := h.Input.Next()
-		if err != nil {
+	h.out, h.pos, h.held, h.sp, h.at = nil, 0, 0, nil, 0
+	if h.Input != nil {
+		if err := h.Input.Open(); err != nil {
 			return err
 		}
-		if b == nil {
-			break
-		}
-		folder.foldWindow(b.colsFor(used), b.Len(), groups, func(_ string, st *aggState) {
-			states = append(states, st)
-		})
 	}
-	h.out = finishAggStates(states, len(h.GroupBy) == 0, h.Aggs, len(h.GroupBy))
+	var rows [][]types.Value
+	if h.dop > 1 {
+		states := h.foldMorsels()
+		rows = make([][]types.Value, 0, len(states))
+		for _, st := range states {
+			rows = append(rows, st.result(h.Aggs, len(h.GroupBy)))
+		}
+	} else {
+		var err error
+		if rows, err = h.fold(); err != nil {
+			return err
+		}
+	}
+	if len(h.GroupBy) == 0 && len(rows) == 0 {
+		rows = append(rows, newAggState(nil, len(h.Aggs)).result(h.Aggs, 0))
+	}
+	h.out = rows
 	return nil
 }
 
-// finishAggStates renders final group states (in first-seen order) into
-// output rows — the shared tail of every aggregate operator. global applies
-// the empty-input rule: a global aggregate (no GROUP BY) over an empty input
-// still emits one row.
-func finishAggStates(states []*aggState, global bool, aggs []algebra.AggSpec, nGroupCols int) [][]types.Value {
-	if global && len(states) == 0 {
-		states = append(states, newAggState(nil, len(aggs)))
+// next returns the source's next window: the input's next batch (through
+// colsFor, so a row-only batch converts just the columns the fold reads),
+// or the table's next rows — all of them, or under a governor
+// DefaultBatchSize of them. ok is false once the source is exhausted.
+func (h *HashAggregate) next() (cols []vector.Vector, n int, ok bool, err error) {
+	if h.Input != nil {
+		b, err := h.Input.Next()
+		if b == nil || err != nil {
+			return nil, 0, false, err
+		}
+		return b.colsFor(h.used), b.Len(), true, nil
 	}
-	out := make([][]types.Value, 0, len(states))
-	for _, st := range states {
-		out = append(out, st.result(aggs, nGroupCols))
+	t, lo := h.src.cols, h.at
+	if lo >= t.N {
+		return nil, 0, false, nil
 	}
-	return out
+	h.at = t.N
+	if h.Mem != nil {
+		h.at = min(lo+DefaultBatchSize, t.N)
+	}
+	if lo == 0 && h.at == t.N {
+		return t.Vecs, t.N, true, nil
+	}
+	return t.Slice(lo, h.at), h.at - lo, true, nil
 }
 
 // SpillPartitions is the fan-out of the aggregate's (and grace join's)
@@ -331,16 +393,17 @@ type seqRow struct {
 	row []types.Value
 }
 
-// openGoverned is Open under a memory budget: generation spilling during
-// the fold, partitioned re-aggregation after it.
-func (h *HashAggregate) openGoverned() error {
+// fold is the serial fold: window by window, spilling a generation of
+// partial states whenever a window leaves the governor over budget, then
+// partitioned re-aggregation if anything spilled. It returns the rendered
+// groups in first-seen order.
+func (h *HashAggregate) fold() ([][]types.Value, error) {
 	nAggs := len(h.Aggs)
 	groups := make(map[string]*aggState)
 	var gen []aggPartial // live generation, creation (= first-seen) order
 	var genBytes int64
 	var nextSeq int64
 	var parts [SpillPartitions]*spill.Writer
-	spilled := false
 
 	spillGen := func() error {
 		// A cancelled query aborts before paying the eviction I/O; Close
@@ -372,14 +435,15 @@ func (h *HashAggregate) openGoverned() error {
 		h.Mem.Release(genBytes)
 		h.held -= genBytes
 		genBytes = 0
-		spilled = true
 		return nil
 	}
 
-	folder, used := h.newFolder()
+	if h.folder == nil {
+		h.folder = newFusedAggFolder(h.Preds, h.GroupBy, h.args, h.Aggs)
+	}
 	add := func(key string, st *aggState) {
-		// The group exists either way; Force tracks it and the post-batch
-		// pressure check below spills the generation if this batch pushed
+		// The group exists either way; Force tracks it and the post-window
+		// pressure check below spills the generation if this window pushed
 		// the table over budget.
 		b := h.stateMemSize(key, st)
 		h.Mem.Force(b)
@@ -389,40 +453,36 @@ func (h *HashAggregate) openGoverned() error {
 		nextSeq++
 	}
 	for {
-		b, err := h.Input.Next()
+		cols, n, ok, err := h.next()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if b == nil {
+		if !ok {
 			break
 		}
-		folder.foldWindow(b.colsFor(used), b.Len(), groups, add)
+		h.folder.foldWindow(cols, n, groups, add)
 		if h.Mem.Over() {
 			if err := spillGen(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 
-	if !spilled {
-		// Never under pressure: exactly the in-memory result.
-		states := gen
-		if len(h.GroupBy) == 0 && len(states) == 0 {
-			states = append(states, aggPartial{st: newAggState(nil, nAggs)})
-		}
-		h.out = make([][]types.Value, 0, len(states))
-		for _, p := range states {
-			h.out = append(h.out, p.st.result(h.Aggs, len(h.GroupBy)))
+	if h.sp == nil {
+		// Never spilled: the generation is every group, in first-seen order.
+		rows := make([][]types.Value, len(gen))
+		for i, p := range gen {
+			rows[i] = p.st.result(h.Aggs, len(h.GroupBy))
 		}
 		h.Mem.Release(genBytes)
 		h.held -= genBytes
-		return nil
+		return rows, nil
 	}
 
 	// Flush the live generation too, so every group is on disk, then
 	// re-aggregate partition by partition.
 	if err := spillGen(); err != nil {
-		return err
+		return nil, err
 	}
 	var results []seqRow
 	for _, w := range parts {
@@ -431,21 +491,18 @@ func (h *HashAggregate) openGoverned() error {
 		}
 		run, err := h.sp.finish(w)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := h.mergePartition(run, 1, &results); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].seq < results[j].seq })
-	if len(h.GroupBy) == 0 && len(results) == 0 {
-		results = append(results, seqRow{row: newAggState(nil, nAggs).result(h.Aggs, 0)})
+	rows := make([][]types.Value, len(results))
+	for i, r := range results {
+		rows[i] = r.row
 	}
-	h.out = make([][]types.Value, 0, len(results))
-	for _, r := range results {
-		h.out = append(h.out, r.row)
-	}
-	return nil
+	return rows, nil
 }
 
 // mergePartition re-aggregates one partition file: partial states are
@@ -633,8 +690,10 @@ func (h *HashAggregate) Close() error {
 	h.held = 0
 	cerr := h.sp.cleanup()
 	h.sp = nil
-	if err := h.Input.Close(); err != nil {
-		return err
+	if h.Input != nil {
+		if err := h.Input.Close(); err != nil {
+			return err
+		}
 	}
 	return cerr
 }

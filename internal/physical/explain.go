@@ -37,8 +37,17 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 		explain(sb, o.Left, depth+1)
 		explain(sb, o.Right, depth+1)
 	case *HashAggregate:
-		fmt.Fprintf(sb, "HashAggregate[by %s; %s]\n", exprList(o.GroupBy), aggList(o.Aggs))
-		explain(sb, o.Input, depth+1)
+		// A table source shows its worker count and collapsed chain; an
+		// operator source its input subtree.
+		dop := ""
+		if o.Input == nil {
+			dop = fmt.Sprintf("dop=%d; ", o.dop)
+		}
+		fmt.Fprintf(sb, "HashAggregate[%s%s; by %s; %s]\n",
+			dop, strings.Join(o.Ops, " → "), exprList(o.GroupBy), aggList(o.Aggs))
+		if o.Input != nil {
+			explain(sb, o.Input, depth+1)
+		}
 	case *Sort:
 		keys := make([]string, len(o.Keys))
 		for i, k := range o.Keys {
@@ -74,9 +83,6 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 			sb.WriteString("build:\n")
 			explain(sb, o.Probe.Build, depth+2)
 		}
-	case *FusedAggregate:
-		fmt.Fprintf(sb, "FusedAggregate[dop=%d; %s; by %s; %s]\n",
-			o.DOP(), strings.Join(o.Ops, " → "), exprList(o.GroupBy), aggList(o.Aggs))
 	default:
 		fmt.Fprintf(sb, "%T\n", op)
 	}

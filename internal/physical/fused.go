@@ -73,7 +73,6 @@ type FusedPipeline struct {
 	compiled  bool
 	predProgs []*algebra.Compiled
 	projProgs []*algebra.Compiled
-	sel, sel2 []int
 	out       Batch
 
 	// Cached zero-copy sub-window of the table: slice headers are immutable
@@ -141,7 +140,7 @@ func (f *FusedPipeline) RowCountHint() (int, bool) {
 	return 0, false
 }
 
-// selScratchPool recycles whole-table selection vectors across passes. A
+// selScratchPool recycles selection vectors across passes and windows. A
 // lowered plan is typically executed once and discarded, so per-operator
 // scratch reuse never amortizes; pooling does. The slices hold no pointers
 // and are fully overwritten before every read, so a pooled buffer carries no
@@ -165,47 +164,17 @@ func selScratchGet(n int) *[]int {
 // a zero-width window, so its (empty) vectors carry the column kinds that
 // the wire protocol's header tags and columnar consumers rely on.
 func (f *FusedPipeline) columns(cols []vector.Vector, n int) *vector.Columns {
-	// Range form first: if every predicate resolves to a contiguous row
-	// range, their conjunction is the ranges' intersection and no selection
-	// vector is needed at all.
-	lo, hi, ranged := 0, n, true
-	for _, prog := range f.predProgs {
-		plo, phi, ok := prog.SelectRangeVec(cols, n)
-		if !ok {
-			ranged = false
-			break
-		}
-		lo, hi = max(lo, plo), min(hi, phi)
-	}
-	var sel []int
-	if !ranged {
-		selBuf := selScratchGet(n)
-		defer selScratchPool.Put(selBuf)
-		f.sel = (*selBuf)[:0]
-		if len(f.predProgs) > 1 {
-			sel2Buf := selScratchGet(n)
-			defer selScratchPool.Put(sel2Buf)
-			f.sel2 = (*sel2Buf)[:0]
-		}
-		sel = f.selectWindow(cols, n)
-		f.sel, f.sel2 = nil, nil
-		// A selection that landed on one contiguous run (correlated or
-		// sorted data under a non-range predicate, or nothing at all)
-		// degenerates to a range.
-		if len(sel) == 0 {
-			lo, hi, ranged = 0, 0, true
-		} else if first := sel[0]; sel[len(sel)-1]-first == len(sel)-1 {
-			lo, hi, ranged = first, first+len(sel), true
-		}
+	lo, hi, sel, buf := selectRows(f.predProgs, cols, n)
+	if buf != nil {
+		defer selScratchPool.Put(buf)
 	}
 	vecs := make([]vector.Vector, len(f.projProgs))
-	if !ranged {
+	if sel != nil {
 		for j, prog := range f.projProgs {
 			vecs[j] = prog.EvalVecSel(cols, n, sel)
 		}
 		return &vector.Columns{N: len(sel), Vecs: vecs}
 	}
-	hi = max(lo, hi)
 	win := cols
 	if lo != 0 || hi != n {
 		win = f.window(cols, lo, hi)
@@ -268,27 +237,55 @@ func (f *FusedPipeline) drainColumns() (*vector.Columns, bool) {
 	return f.columns(f.src.Vecs, f.src.N), true
 }
 
-// selectWindow runs the composed predicate chain (at least one predicate)
-// over the window and returns the surviving positions (ascending,
-// scratch-backed). Sequential filters are logical conjunction on the kept
-// set: a row survives the chain of filters iff every predicate evaluates to
-// TRUE on it, so intersecting the per-predicate selection vectors reproduces
-// the chain exactly. (Predicates past the first run over the full window,
-// including rows an earlier filter dropped; the columnar kernels are total —
-// no faults, division by zero is NULL — so the extra evaluations cannot
-// change which rows the intersection keeps.)
-func (f *FusedPipeline) selectWindow(cols []vector.Vector, n int) []int {
-	sel := f.predProgs[0].SelectTruthyVec(cols, n, f.sel[:0])
-	for _, prog := range f.predProgs[1:] {
-		if len(sel) == 0 {
+// selectRows is the one selection routine of the column operators: it runs
+// the composed predicates over n rows of cols and reports the survivors as
+// the row range [lo, hi) when sel is nil, otherwise as the ascending
+// positions sel. Range form comes first: when every predicate resolves to a
+// contiguous row range (ascending columns, binary search), their conjunction
+// is the ranges' intersection and no selection vector is built. Otherwise
+// each predicate runs its unboxed selection kernel and the selection vectors
+// are intersected — a row survives a chain of filters iff every predicate is
+// TRUE on it. (Predicates past the first run over the full window, including
+// rows an earlier filter dropped; the columnar kernels are total — no
+// faults, division by zero is NULL — so the extra evaluations cannot change
+// which rows the intersection keeps.) A selection that lands on one
+// contiguous run (correlated or sorted data under a non-range predicate, or
+// nothing at all) degenerates to a range. Selection vectors live in buf,
+// pooled scratch the caller puts back once it is done with sel; buf is nil
+// when the range form needed none.
+func selectRows(progs []*algebra.Compiled, cols []vector.Vector, n int) (lo, hi int, sel []int, buf *[]int) {
+	lo, hi, ranged := 0, n, true
+	for _, prog := range progs {
+		plo, phi, ok := prog.SelectRangeVec(cols, n)
+		if !ok {
+			ranged = false
 			break
 		}
-		s2 := prog.SelectTruthyVec(cols, n, f.sel2[:0])
-		f.sel2 = s2
-		sel = intersectAsc(sel, s2)
+		lo, hi = max(lo, plo), min(hi, phi)
 	}
-	f.sel = sel
-	return sel
+	if ranged {
+		return lo, max(lo, hi), nil, nil
+	}
+	buf = selScratchGet(n)
+	sel = progs[0].SelectTruthyVec(cols, n, (*buf)[:0])
+	if len(progs) > 1 {
+		buf2 := selScratchGet(n)
+		for _, prog := range progs[1:] {
+			if len(sel) == 0 {
+				break
+			}
+			*buf2 = prog.SelectTruthyVec(cols, n, (*buf2)[:0])
+			sel = intersectAsc(sel, *buf2)
+		}
+		selScratchPool.Put(buf2)
+	}
+	if len(sel) == 0 {
+		return 0, 0, nil, buf
+	}
+	if first := sel[0]; sel[len(sel)-1]-first == len(sel)-1 {
+		return first, first + len(sel), nil, buf
+	}
+	return 0, 0, sel, buf
 }
 
 // intersectAsc intersects two ascending index lists, writing the result into
@@ -430,9 +427,14 @@ func fuseChain(n algebra.Node, src Source, opt Options, tableOnly bool) (*fusedC
 	if err != nil {
 		return nil, err
 	}
+	return inputChain(in), nil
+}
+
+// inputChain is the empty chain over an operator source.
+func inputChain(in Operator) *fusedChain {
 	fc := sourceChain(in.Schema().Attrs, "input")
 	fc.input = in
-	return fc, nil
+	return fc
 }
 
 // lowerPipeline lowers n to one FusedPipeline: a Filter/Project chain, or

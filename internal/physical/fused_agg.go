@@ -8,103 +8,41 @@ import (
 	"repro/internal/vector"
 )
 
-// Fused aggregation: the fused lowering extends past the first
-// pipeline breaker, collapsing a maximal Scan→Filter→Project→Aggregate chain
-// over a columnar table into one operator that folds group states straight
-// off the source vectors. Per window the composed predicates select (range
-// form or selection-vector form, exactly like FusedPipeline), the group-key
+// The aggregate fold: HashAggregate runs fusedAggFolder over column windows
+// of its source — a columnar table with a composed Scan→Filter→Project chain
+// below the aggregate, or any operator's batches. Per window the composed
+// predicates select (selectRows, exactly like FusedPipeline), the group-key
 // and argument expressions evaluate unboxed, keys are encoded with the
 // per-vector-type AppendElemKey fast paths, and the numeric aggregates
 // accumulate into unboxed int64/float64 state — no intermediate batch, no
 // boxed argument cell, and only one boxed representative row per distinct
 // group.
 //
-// Fusion remains an execution strategy, never a semantics change: the
-// folder is also HashAggregate's, and its typed arms reproduce aggState's
-// one absorption rule (absorbValue) case for case: NULL arguments are
-// skipped, COUNT counts every non-null argument (strings and booleans
-// included — those take absorbValue itself), SUM/AVG keep the serial
-// per-group addition order (rows ascending within each aggregate, and
-// per-aggregate accumulators are independent, so float sums land on the
-// identical last ulp), and MIN/MAX replicate types.Value.Compare — integer
-// comparisons widen through float64 with ties keeping the incumbent, and
-// NaN never replaces nor is replaced, exactly as Compare orders it. Group
-// output order is the engine-wide first-seen order: at DOP 1 the operator
-// folds one whole-table window; at DOP > 1 it merges per-morsel partials in
-// morsel sequence order via mergeSeqPartials. Under a memory governor fused
-// aggregation declines and the governed (spilling) HashAggregate runs
-// instead, exactly as an equi-join stays the governed HashJoin.
-
-// fusedAggChain is a recognized Scan→Filter→Project→Aggregate chain: the
-// underlying fusedChain with the aggregate's group-by keys and arguments
-// composed down to expressions over the scan schema.
-type fusedAggChain struct {
-	table   string
-	cols    *vector.Columns
-	preds   []algebra.Expr
-	groupBy []algebra.Expr // composed; empty for a global aggregate
-	args    []algebra.Expr // composed per aggregate; nil for COUNT(*)
-	aggs    []algebra.AggSpec
-	ops     []string
-	schema  types.Schema // output: group names then aggregate names
-	nGroup  int
-}
-
-// fusedAggFor recognizes a fusable aggregate rooted at node: a
-// Filter/Project chain over a columnar table below, with the group keys and
-// aggregate arguments composed through it. ok is false — with no error and
-// nothing lowered — when the chain sits over anything else; validation
-// errors are the ones serial lowering would report. Even a bare
-// scan-aggregate saves the batch stream, so a recognized chain always
-// fuses.
-func fusedAggFor(node *algebra.Aggregate, src Source, opt Options) (*fusedAggChain, bool, error) {
-	fc, err := fuseChain(node.Input, src, opt, true)
-	if fc == nil || err != nil {
-		return nil, false, err
-	}
-	if err := checkAggregate(node, len(fc.projs)); err != nil {
-		return nil, false, err
-	}
-	groupBy := make([]algebra.Expr, len(node.GroupBy))
-	for i, e := range node.GroupBy {
-		groupBy[i] = substCols(e, fc.projs)
-	}
-	args := make([]algebra.Expr, len(node.Aggs))
-	for i, a := range node.Aggs {
-		if a.Star {
-			continue
-		}
-		args[i] = substCols(a.Arg, fc.projs)
-	}
-	attrs := append([]string{}, node.GroupNames...)
-	for _, a := range node.Aggs {
-		attrs = append(attrs, a.Name)
-	}
-	return &fusedAggChain{
-		table: fc.table, cols: fc.cols,
-		preds: fc.preds, groupBy: groupBy, args: args, aggs: node.Aggs,
-		ops:    append(fc.ops[:len(fc.ops):len(fc.ops)], "aggregate"),
-		schema: types.Schema{Attrs: attrs},
-		nGroup: len(node.GroupBy),
-	}, true, nil
-}
+// The typed arms reproduce aggState's one absorption rule (absorbValue)
+// case for case: NULL arguments are skipped, COUNT counts every non-null
+// argument (strings and booleans included — those take absorbValue itself),
+// SUM/AVG keep the serial per-group addition order (rows ascending within
+// each aggregate, and per-aggregate accumulators are independent, so float
+// sums land on the identical last ulp however the rows split into windows),
+// and MIN/MAX replicate types.Value.Compare — integer comparisons widen
+// through float64 with ties keeping the incumbent, and NaN never replaces
+// nor is replaced, exactly as Compare orders it. Group output order is the
+// engine-wide first-seen order: serial folds create groups in row order,
+// and a parallel fold merges per-morsel partials in morsel sequence order
+// via mergeSeqPartials.
 
 // fusedAggFolder folds column windows into group states without boxing:
-// the engine's one aggregate fold. FusedAggregate runs it over one
-// whole-table window at DOP 1 and over one window per morsel by each worker
-// at DOP > 1; HashAggregate runs it, with no predicates, over each input
-// batch. One folder belongs to one goroutine — its kernels keep private
-// scratch, so parallel workers each build their own.
+// the engine's one aggregate fold. One folder belongs to one goroutine — its
+// kernels keep private scratch, so parallel workers each build their own.
 type fusedAggFolder struct {
 	predProgs  []*algebra.Compiled
 	groupProgs []*algebra.Compiled
 	argProgs   []*algebra.Compiled // nil entries are COUNT(*)
 	aggs       []algebra.AggSpec
 
-	sel, sel2 []int
-	keyVecs   []vector.Vector
-	keyBuf    []byte
-	slots     []*aggState // selected row → its group, in selection order
+	keyVecs []vector.Vector
+	keyBuf  []byte
+	slots   []*aggState // selected row → its group, in selection order
 	// nonNumeric marks the aggregates that have absorbed a non-numeric
 	// value: their typed arms are off (see absorbCol).
 	nonNumeric []bool
@@ -127,74 +65,23 @@ func newFusedAggFolder(preds, groupBy, args []algebra.Expr, aggs []algebra.AggSp
 	return f
 }
 
-// selectWindow mirrors FusedPipeline.selectWindow over the folder's own
-// scratch: per-predicate unboxed selection, ascending intersection.
-func (f *fusedAggFolder) selectWindow(cols []vector.Vector, n int) []int {
-	sel := f.predProgs[0].SelectTruthyVec(cols, n, f.sel[:0])
-	for _, prog := range f.predProgs[1:] {
-		if len(sel) == 0 {
-			break
-		}
-		s2 := prog.SelectTruthyVec(cols, n, f.sel2[:0])
-		f.sel2 = s2
-		sel = intersectAsc(sel, s2)
-	}
-	f.sel = sel
-	return sel
-}
-
-// sliceVecs is a zero-copy sub-window of an already-sliced column window
-// (Columns.Slice for plain []vector.Vector).
-func sliceVecs(cols []vector.Vector, lo, hi int) []vector.Vector {
-	out := make([]vector.Vector, len(cols))
-	for j, v := range cols {
-		out[j] = v.Slice(lo, hi)
-	}
-	return out
-}
-
 // foldWindow absorbs one column window into groups, calling add (in
-// first-seen order) for every group created along the way. The selection
-// logic is FusedPipeline's: range form when every predicate resolves to a
-// contiguous row range (ascending columns, binary search), otherwise
-// selection vectors with dense-run degeneration. Pass 1 assigns every
-// selected row its group (creating states first-seen); pass 2 accumulates
-// each aggregate column-at-a-time through the unboxed per-kind loops.
+// first-seen order) for every group created along the way. The predicates
+// select through selectRows; pass 1 then assigns every selected row its
+// group (creating states first-seen), and pass 2 accumulates each aggregate
+// column-at-a-time through the unboxed per-kind loops.
 func (f *fusedAggFolder) foldWindow(cols []vector.Vector, n int, groups map[string]*aggState, add func(key string, st *aggState)) {
-	if n == 0 {
-		return
+	lo, hi, sel, buf := selectRows(f.predProgs, cols, n)
+	if buf != nil {
+		defer selScratchPool.Put(buf)
 	}
-	lo, hi, ranged := 0, n, true
-	for _, prog := range f.predProgs {
-		plo, phi, ok := prog.SelectRangeVec(cols, n)
-		if !ok {
-			ranged = false
-			break
-		}
-		lo, hi = max(lo, plo), min(hi, phi)
-	}
-	var sel []int
-	if !ranged {
-		f.sel = f.sel[:0]
-		if len(f.predProgs) > 1 {
-			f.sel2 = f.sel2[:0]
-		}
-		sel = f.selectWindow(cols, n)
-		if len(sel) == 0 {
+	win, m, count := cols, n, len(sel)
+	if sel == nil {
+		if lo == hi {
 			return
 		}
-		if first := sel[0]; sel[len(sel)-1]-first == len(sel)-1 {
-			lo, hi, ranged = first, first+len(sel), true
-			sel = nil
-		}
-	} else if lo >= hi {
-		return
-	}
-	win, m := cols, n
-	count := len(sel)
-	if ranged {
 		if lo != 0 || hi != n {
-			win, m = sliceVecs(cols, lo, hi), hi-lo
+			win, m = (&vector.Columns{N: n, Vecs: cols}).Slice(lo, hi), hi-lo
 		}
 		count = m
 	}
@@ -246,8 +133,8 @@ func (f *fusedAggFolder) foldWindow(cols []vector.Vector, n int, groups map[stri
 // is also what Compare's 0 does), floats compare IEEE so NaN neither
 // replaces nor is replaced. Strings, booleans, and mixed-kind columns take
 // the boxed arm, which is absorbValue itself — and so do all later columns
-// of an aggregate that has absorbed a non-numeric value (a HashAggregate
-// input may switch kinds between batches), whose extrema the unboxed
+// of an aggregate that has absorbed a non-numeric value (an operator source
+// may switch kinds between batches), whose extrema the unboxed
 // comparisons cannot read.
 func (f *fusedAggFolder) absorbCol(a int, vec vector.Vector, slots []*aggState, sel []int) {
 	switch tv := vec.(type) {
@@ -325,37 +212,6 @@ func (f *fusedAggFolder) absorbCol(a int, vec vector.Vector, slots []*aggState, 
 	}
 }
 
-// FusedAggregate runs a whole fused Scan→Filter→Project→Aggregate chain —
-// scan, filters, projections, grouping, accumulation — as folds over the
-// resolved table's column vectors at Open; Next then streams the rendered
-// group rows exactly like HashAggregate. At DOP 1 it folds one whole-table
-// window, so every group's additions run in row order and float sums are
-// bit-identical to the serial HashAggregate. At DOP > 1 the workers claim
-// morsels straight off the shared source — folding is pure compute, so
-// there is no per-worker operator pipeline at all — fold each morsel's
-// window into a private partial-state map with their own folder, and Open
-// merges the partials in morsel sequence order (mergeSeqPartials), which
-// keeps the result a pure function of the input and the group order the
-// serial engine's first-seen order.
-type FusedAggregate struct {
-	Table   string
-	GroupBy []algebra.Expr // composed over the scan schema
-	Aggs    []algebra.AggSpec
-	Preds   []algebra.Expr // composed over the scan schema
-	Ops     []string       // collapsed chain, scan first — Explain renders this
-
-	args   []algebra.Expr
-	schema types.Schema
-	nGroup int
-	dop    int
-	src    *morselSource // the table's columns and, at DOP > 1, its morsel queue
-
-	folder *fusedAggFolder // the DOP 1 fold's kernels, compiled on first Open
-	out    [][]types.Value
-	pos    int
-	b      Batch
-}
-
 // partialGroup is one group's partial aggregate state for a single morsel,
 // tagged with its canonical key so the merge can find its global peer.
 // Groups travel in the morsel's first-seen order.
@@ -371,44 +227,33 @@ type aggPacket struct {
 	groups []partialGroup
 }
 
-// Schema implements Operator.
-func (h *FusedAggregate) Schema() types.Schema { return h.schema }
-
-// DOP reports the aggregate's worker count (1: one whole-table fold).
-func (h *FusedAggregate) DOP() int { return h.dop }
-
-// Open implements Operator: fold, merge where parallel, render the groups.
-func (h *FusedAggregate) Open() error {
-	h.out, h.pos = nil, 0
-	var states []*aggState // first-seen order
-	if h.dop <= 1 {
-		if h.folder == nil {
-			h.folder = newFusedAggFolder(h.Preds, h.GroupBy, h.args, h.Aggs)
-		}
-		groups := make(map[string]*aggState)
-		cols := h.src.cols
-		h.folder.foldWindow(cols.Vecs, cols.N, groups, func(_ string, st *aggState) {
-			states = append(states, st)
-		})
-	} else {
-		states = h.foldMorsels()
-	}
-	h.out = finishAggStates(states, h.nGroup == 0, h.Aggs, h.nGroup)
-	return nil
-}
-
-// foldMorsels is the DOP > 1 fold: fan out, fold per morsel, merge in
+// foldMorsels is the parallel fold: fan out, fold per morsel, merge in
 // sequence order. Workers send one packet per claimed morsel; folding cannot
-// fail, so there is no error path out of the workers.
-func (h *FusedAggregate) foldMorsels() []*aggState {
+// fail, so there is no error path out of the workers. A worker that panics
+// (a bug, or an expression's Eval) stops the morsel queue, and once every
+// worker has stopped the first panic value is raised again here, on the
+// goroutine that called Open, where the caller's recovery can answer it.
+func (h *HashAggregate) foldMorsels() []*aggState {
 	h.src.reset()
 	// Two packets per worker let workers fold ahead of the collecting loop.
 	ch := make(chan aggPacket, 2*h.dop)
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var panicked any
 	for i := 0; i < h.dop; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					h.src.stop()
+					mu.Lock()
+					if panicked == nil {
+						panicked = r
+					}
+					mu.Unlock()
+				}
+			}()
 			folder := newFusedAggFolder(h.Preds, h.GroupBy, h.args, h.Aggs)
 			for {
 				seq, lo, hi, ok := h.src.claim()
@@ -433,6 +278,9 @@ func (h *FusedAggregate) foldMorsels() []*aggState {
 	for p := range ch {
 		bySeq[p.seq] = p.groups
 	}
+	if panicked != nil { // read after ch closed, so after every worker stopped
+		panic(panicked)
+	}
 	return mergeSeqPartials(bySeq, h.src.nMorsels())
 }
 
@@ -455,55 +303,4 @@ func mergeSeqPartials(bySeq map[int][]partialGroup, nMorsels int) []*aggState {
 		}
 	}
 	return states
-}
-
-// RowCountHint implements RowCountHinter: after Open the groups are
-// materialized, so the count is exact.
-func (h *FusedAggregate) RowCountHint() (int, bool) { return len(h.out) - h.pos, true }
-
-// Next implements Operator.
-func (h *FusedAggregate) Next() (*Batch, error) {
-	if h.pos >= len(h.out) {
-		return nil, nil
-	}
-	end := h.pos + DefaultBatchSize
-	if end > len(h.out) {
-		end = len(h.out)
-	}
-	h.b.SetShared(h.out[h.pos:end])
-	h.pos = end
-	return &h.b, nil
-}
-
-// Close implements Operator. A fused aggregate has no input operator; only
-// the materialized output is released.
-func (h *FusedAggregate) Close() error {
-	h.out = nil
-	return nil
-}
-
-// lowerFusedAggregate lowers an ungoverned fusable aggregate to a
-// FusedAggregate, parallel when the table is big enough to split. ok is
-// false when the chain doesn't fuse or a memory governor is set; the caller
-// falls back to the HashAggregate over whatever its input lowers to — under
-// a budget that is the governed (spilling) form, like the governed join.
-func lowerFusedAggregate(node *algebra.Aggregate, src Source, opt Options) (Operator, bool, error) {
-	if opt.Gov != nil {
-		return nil, false, nil
-	}
-	fa, ok, err := fusedAggFor(node, src, opt)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	// Below MinParallelRows the table has too few morsels to balance: fold
-	// it as one whole-table window.
-	dop := 1
-	if opt.DOP > 1 && fa.cols.N >= opt.MinParallelRows {
-		dop = opt.DOP
-	}
-	return &FusedAggregate{
-		Table: fa.table, GroupBy: fa.groupBy, Aggs: fa.aggs, Preds: fa.preds,
-		Ops: fa.ops, args: fa.args, schema: fa.schema, nGroup: fa.nGroup,
-		dop: dop, src: &morselSource{cols: fa.cols, size: opt.MorselSize},
-	}, true, nil
 }

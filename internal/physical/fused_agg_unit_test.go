@@ -32,12 +32,12 @@ func mixedAggTable(n int) (types.Schema, [][]types.Value, *vector.Columns) {
 	return types.NewSchema("t", "k", "v", "f"), rows, vector.FromRows(rows, 3)
 }
 
-// TestFusedAggregateSerialUnit drives the serial fused aggregate end to end
-// in-package: a range-form filter (v < 60 over the ascending v column, which
+// TestTableAggregateSerialUnit drives the serial table-source aggregate end
+// to end in-package: a range-form filter (v < 60 over the ascending v column, which
 // slices a strict sub-window of the table), int and float unboxed absorption
 // with NULL/NaN rows, and the COUNT(*)/AVG finishing rules — all compared
-// against the unfused serial engine on the same plan.
-func TestFusedAggregateSerialUnit(t *testing.T) {
+// against the operator-source aggregate on the same plan.
+func TestTableAggregateSerialUnit(t *testing.T) {
 	schema, rows, cols := mixedAggTable(100)
 	src := aggFuzzSource{schema: schema, rows: rows, cols: cols}
 	col := func(i int, name string) algebra.Expr { return algebra.Col{Idx: i, Name: name} }
@@ -62,12 +62,12 @@ func TestFusedAggregateSerialUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fusedOp.(*FusedAggregate); !ok {
-		t.Fatalf("lowered to %T, want *FusedAggregate", fusedOp)
+	if h, ok := fusedOp.(*HashAggregate); !ok || h.Input != nil {
+		t.Fatalf("lowered to %T, want a table-source *HashAggregate", fusedOp)
 	}
-	if ex := Explain(fusedOp); !strings.Contains(ex, "FusedAggregate[") ||
+	if ex := Explain(fusedOp); !strings.HasPrefix(ex, "HashAggregate[dop=1; scan t → filter → aggregate;") ||
 		!strings.Contains(ex, "count(*)") {
-		t.Fatalf("explain missing fused aggregate rendering:\n%s", ex)
+		t.Fatalf("explain missing table-source aggregate rendering:\n%s", ex)
 	}
 
 	unfusedOp, err := LowerOpts(plan, struct{ Source }{src}, Options{DOP: 1})
@@ -79,7 +79,7 @@ func TestFusedAggregateSerialUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// FusedAggregate has no columnar output path, so DrainColumns must fall
+	// HashAggregate has no columnar output path, so DrainColumns must fall
 	// back to a row-backed Result that matches the unfused drain exactly.
 	res, err := DrainColumns(fusedOp)
 	if err != nil {
@@ -150,10 +150,10 @@ func TestDrainColumnsFusedChainUnit(t *testing.T) {
 	}
 }
 
-// TestParallelFusedAggregateUnit drives the fused aggregate at DOP 2
+// TestTableAggregateParallelUnit drives the table-source aggregate at DOP 2
 // in-package — per-morsel folds merged in sequence order — and pins its
-// explain rendering and DOP accessor against the boxed serial engine.
-func TestParallelFusedAggregateUnit(t *testing.T) {
+// explain rendering against the operator-source aggregate.
+func TestTableAggregateParallelUnit(t *testing.T) {
 	schema, rows, cols := mixedAggTable(200)
 	src := aggFuzzSource{schema: schema, rows: rows, cols: cols}
 	col := func(i int, name string) algebra.Expr { return algebra.Col{Idx: i, Name: name} }
@@ -171,15 +171,11 @@ func TestParallelFusedAggregateUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, ok := op.(*FusedAggregate)
-	if !ok {
-		t.Fatalf("lowered to %T, want *FusedAggregate", op)
+	if h, ok := op.(*HashAggregate); !ok || h.dop != 2 {
+		t.Fatalf("lowered to %T, want a table-source *HashAggregate at DOP 2", op)
 	}
-	if fa.DOP() != 2 {
-		t.Fatalf("DOP = %d, want 2", fa.DOP())
-	}
-	if ex := Explain(op); !strings.Contains(ex, "FusedAggregate[dop=2") {
-		t.Fatalf("explain missing parallel fused aggregate:\n%s", ex)
+	if ex := Explain(op); !strings.HasPrefix(ex, "HashAggregate[dop=2; scan t → aggregate;") {
+		t.Fatalf("explain missing parallel table-source aggregate:\n%s", ex)
 	}
 	got, err := Drain(op)
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/vector"
 )
 
-// aggFuzzSource is a one-table Source with columnar storage, the shape the
-// fused-aggregate lowering requires.
+// aggFuzzSource is a one-table Source with columnar storage, the shape an
+// aggregate's table source requires.
 type aggFuzzSource struct {
 	schema types.Schema
 	rows   [][]types.Value
@@ -89,15 +89,15 @@ func (d *aggFuzzDec) expr(arity, depth int) algebra.Expr {
 }
 
 // FuzzFusedAgg decodes a random table and a random (optionally filtered,
-// optionally grouped) aggregate plan, and requires the fused lowering to
-// produce byte-identical rows, in identical order, to the serial
-// HashAggregate over the same catalog stripped of columns. At DOP 1 the
-// fused aggregate folds one whole-table window, in the serial addition
-// order, over the full value pool. Its morsel-parallel form re-associates
-// float sums across morsel partials (see aggState.merge), so at DOP 2 the
-// input is decoded exact — the first byte picks the mode — and compared
-// only then. Plans whose expressions have no columnar kernels simply decline
-// fusion and still must agree (the fallback composes).
+// optionally grouped) aggregate plan, and requires HashAggregate's table
+// source to produce byte-identical rows, in identical order, to its
+// operator source: the same plan over the same catalog stripped of
+// columns, which folds batch-sized windows of converted rows below a
+// separate pipeline. At DOP 1 the table source folds one whole-table
+// window, in the serial addition order, over the full value pool. Its
+// morsel-parallel form re-associates float sums across morsel partials
+// (see aggState.merge), so at DOP 2 the input is decoded exact — the first
+// byte picks the mode — and compared only then.
 func FuzzFusedAgg(f *testing.F) {
 	f.Add([]byte{0x03, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
@@ -157,19 +157,19 @@ func FuzzFusedAgg(f *testing.F) {
 			}
 			return out
 		}
-		want := drain(struct{ Source }{src}, Options{DOP: 1}, "boxed serial")
+		want := drain(struct{ Source }{src}, Options{DOP: 1}, "operator source")
 		opts := []Options{{DOP: 1}}
 		if d.exact {
 			opts = append(opts, Options{DOP: 2, MorselSize: 8, MinParallelRows: 1})
 		}
 		for _, opt := range opts {
-			got := drain(src, opt, "fused")
+			got := drain(src, opt, "table source")
 			if len(got) != len(want) {
 				t.Fatalf("dop %d: %d rows, want %d", opt.DOP, len(got), len(want))
 			}
 			for i := range got {
 				if types.Tuple(got[i]).Key() != types.Tuple(want[i]).Key() {
-					t.Fatalf("dop %d row %d: fused %v, want %v", opt.DOP, i, got[i], want[i])
+					t.Fatalf("dop %d row %d: table source %v, want %v", opt.DOP, i, got[i], want[i])
 				}
 			}
 		}

@@ -20,12 +20,13 @@ func Lower(n algebra.Node, src Source) (Operator, error) {
 // chain lowers to one FusedPipeline over whatever sits beneath it — a
 // columnar table, or any other lowered operator — and every equi-join
 // lowered without a memory governor becomes a pipeline's probe stage (see
-// fused.go); a chain capped by an aggregate over a columnar table lowers to
-// a FusedAggregate (fused_agg.go). Parallelism is a property of one
-// operator: with DOP > 1 and a table of at least MinParallelRows rows, a
-// fused aggregate folds morsels on DOP workers and merges the partials in
-// morsel order. Pipelines and everything else run serially, so the plan
-// shape is the same at every DOP except for the aggregate's worker count.
+// fused.go); every aggregate lowers to one HashAggregate, whose source is a
+// columnar table when a chain over one sits beneath it (aggregate.go).
+// Parallelism is a property of that operator: with DOP > 1, no governor and
+// a table of at least MinParallelRows rows, the aggregate folds morsels on
+// DOP workers and merges the partials in morsel order. Pipelines and
+// everything else run serially, so the plan shape is the same at every DOP
+// except for the aggregate's worker count.
 func LowerOpts(n algebra.Node, src Source, opt Options) (Operator, error) {
 	return lowerNode(n, src, opt.normalized())
 }
@@ -82,21 +83,7 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		return &UnionAll{Left: l, Right: r}, nil
 
 	case *algebra.Aggregate:
-		if fa, ok, err := lowerFusedAggregate(node, src, opt); err != nil {
-			return nil, err
-		} else if ok {
-			return fa, nil
-		}
-		in, err := lowerNode(node.Input, src, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkAggregate(node, in.Schema().Arity()); err != nil {
-			return nil, err
-		}
-		ha := NewHashAggregate(in, node.GroupBy, node.GroupNames, node.Aggs)
-		ha.Mem, ha.SpillDir = opt.Gov, opt.SpillDir
-		return ha, nil
+		return lowerAggregate(node, src, opt)
 
 	case *algebra.Sort:
 		in, err := lowerNode(node.Input, src, opt)

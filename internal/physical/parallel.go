@@ -16,30 +16,30 @@ const DefaultMorselSize = 16384
 
 // Options tunes plan lowering. The zero value asks for automatic parallelism
 // (DOP = runtime.GOMAXPROCS) with default morsel sizing and no memory
-// budget. Parallelism is a property of one operator: FusedAggregate folds
-// morsels on DOP workers. Every other operator — fused pipelines and fused
-// probes included — runs serially, so DOP changes no other plan shape. DOP
-// = 1 folds one whole-table window, which is also what Lower (without
-// options) does.
+// budget. Parallelism is a property of one operator: an ungoverned
+// HashAggregate over a table folds morsels on DOP workers. Every other
+// operator — fused pipelines and fused probes included — runs serially, so
+// DOP changes no other plan shape. DOP = 1 folds one whole-table window,
+// which is also what Lower (without options) does.
 type Options struct {
-	// DOP is the degree of parallelism: how many workers a fused aggregate
-	// folds morsels on. <= 0 means runtime.GOMAXPROCS(0); 1 is serial.
+	// DOP is the degree of parallelism: how many workers an aggregate over
+	// a table folds morsels on. <= 0 means runtime.GOMAXPROCS(0); 1 is serial.
 	DOP int
 	// MorselSize is the rows-per-morsel unit of work distribution;
 	// <= 0 means DefaultMorselSize.
 	MorselSize int
 	// MinParallelRows is the smallest base table worth aggregating in
-	// parallel; fused aggregates over smaller tables fold serially no matter
-	// the DOP. <= 0 means twice the morsel size (below that there is nothing
+	// parallel; aggregates over smaller tables fold serially no matter the
+	// DOP. <= 0 means twice the morsel size (below that there is nothing
 	// to balance).
 	MinParallelRows int
 	// MemBudget caps the query's pipeline-breaker working set in bytes
 	// (the -mem-budget flag). <= 0 means unlimited: no governor is built
 	// and nothing ever spills. With a budget, sort, hash aggregate, and hash
-	// join degrade to their spilling forms under pressure — and the fused
-	// probe and fused aggregate decline in their favour (fused chains below
-	// them still fuse), because the fused breakers' build tables and
-	// partial states are ungoverned.
+	// join degrade to their spilling forms under pressure: the fused probe
+	// declines in favour of the hash join, because its build table is
+	// ungoverned, and an aggregate folds serially in windows, because its
+	// workers' partial states are (fused chains below both still fuse).
 	MemBudget int64
 	// SpillDir is where spill runs are written; "" means os.TempDir().
 	SpillDir string
@@ -68,7 +68,7 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// morselSource is the shared work queue of a parallel fused aggregate: the
+// morselSource is the shared work queue of a parallel aggregate: the
 // scanned table's columns, split into fixed-size morsels claimed by workers
 // with one atomic increment each. Morsel sequence numbers are positions in
 // the original table order; the aggregate merges per-morsel partials in
@@ -88,6 +88,9 @@ func (m *morselSource) nMorsels() int {
 
 // reset rewinds the queue for a fresh Open.
 func (m *morselSource) reset() { m.next.Store(0) }
+
+// stop hands out no further morsels until the next reset.
+func (m *morselSource) stop() { m.next.Store(int64(m.nMorsels())) }
 
 // claim hands out the next unclaimed morsel. Safe for concurrent use.
 func (m *morselSource) claim() (seq, lo, hi int, ok bool) {

@@ -3,9 +3,11 @@ package physical
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/types"
@@ -13,8 +15,8 @@ import (
 )
 
 // parSource is an in-memory ColumnSource for lowering tests: every table
-// carries its columnar form, so fusable chains fuse — and fused aggregates
-// parallelize — exactly as they do over the engine's catalog.
+// carries its columnar form, so fusable chains fuse — and aggregates over
+// them parallelize — exactly as they do over the engine's catalog.
 // struct{ Source }{src} strips the columns, which is the boxed serial
 // reference engine.
 type parSource map[string]struct {
@@ -206,9 +208,9 @@ func TestFusedChainsAreDOPInvariant(t *testing.T) {
 	}
 }
 
-// TestParallelAggregateMatchesSerial: the fused aggregate's per-morsel
-// partials merged in morsel order must reproduce the boxed serial
-// HashAggregate's first-seen group order and exact integer aggregate values,
+// TestParallelAggregateMatchesSerial: the table-source aggregate's
+// per-morsel partials merged in morsel order must reproduce the serial
+// operator-source aggregate's first-seen group order and exact integer aggregate values,
 // including NULL groups and NULL arguments.
 func TestParallelAggregateMatchesSerial(t *testing.T) {
 	src := parSource{}
@@ -237,8 +239,8 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fa, ok := op.(*FusedAggregate); !ok || fa.DOP() != dop {
-				t.Fatalf("%s: want FusedAggregate[dop=%d], got:\n%s", name, dop, Explain(op))
+			if want := fmt.Sprintf("HashAggregate[dop=%d; scan t", dop); !strings.HasPrefix(Explain(op), want) {
+				t.Fatalf("%s: want %s…, got:\n%s", name, want, Explain(op))
 			}
 			got, err := Drain(op)
 			if err != nil {
@@ -255,6 +257,54 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 	}, Aggs: aggs[:2]}
 	mustIdentical(t, mustRows(t, empty, src, parOpts(3)),
 		mustRows(t, empty, struct{ Source }{src}, Options{DOP: 1}), "empty global aggregate")
+}
+
+// panicExpr is an expression whose Eval panics — a stand-in for a bug in an
+// aggregate worker.
+type panicExpr struct{}
+
+func (panicExpr) Eval([]types.Value) types.Value { panic("panicExpr evaluated") }
+func (panicExpr) String() string                 { return "panic()" }
+
+// TestAggregateWorkerPanic: a panic in a morsel worker reaches the
+// goroutine that opened the aggregate, where a caller can recover it, and
+// leaves no worker behind.
+func TestAggregateWorkerPanic(t *testing.T) {
+	src := parSource{}
+	src.put("t", []string{"k", "v", "c"}, intTable(1200, 9))
+	plan := &algebra.Aggregate{
+		Input:      scanNode("t", src["t"].schema),
+		GroupBy:    []algebra.Expr{algebra.Col{Idx: 0}},
+		GroupNames: []string{"g"},
+		Aggs:       []algebra.AggSpec{{Func: algebra.AggSum, Arg: panicExpr{}, Name: "s"}},
+	}
+	op, err := LowerOpts(plan, src, parOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := Explain(op); !strings.HasPrefix(ex, "HashAggregate[dop=4") {
+		t.Fatalf("want a parallel aggregate:\n%s", ex)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "panicExpr evaluated" {
+				t.Errorf("recovered %v, want the worker's panic value", r)
+			}
+		}()
+		_, _ = Drain(op)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "foldMorsels") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("aggregate goroutines left running:\n%s", stacks)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // failOp errors on the n-th Next call (or on Open when openErr is set).

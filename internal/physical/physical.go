@@ -5,10 +5,12 @@
 // has one operator: the pipeline (FusedPipeline), which runs every
 // Filter/Project chain over a columnar table or any other operator's
 // batches and carries every equi-join lowered without a memory budget as
-// its probe stage. The rest are the zero-copy scan of a bare table, the
-// fused and hash aggregates, the governed (grace-spilling) hash join, the
-// nested-loop join, the run-merging sort, the early-terminating limit,
-// union-all, and distinct.
+// its probe stage. Aggregation has one operator too: HashAggregate, which
+// folds a columnar table (with the Filter/Project chain below it) or any
+// other operator's batches, and spills under a memory budget. The rest are
+// the zero-copy scan of a bare table, the governed (grace-spilling) hash
+// join, the nested-loop join, the run-merging sort, the early-terminating
+// limit, union-all, and distinct.
 //
 // The layer is deliberately independent of the engine's catalog: plans are
 // lowered against a Source, so the same operators run the deterministic

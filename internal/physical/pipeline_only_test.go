@@ -26,7 +26,7 @@ import (
 
 // reservingOps are the Explain prefixes of the operators that call
 // MemGovernor.Reserve.
-var reservingOps = []string{"HashJoin[", "Sort[", "HashAggregate[", "FusedAggregate["}
+var reservingOps = []string{"HashJoin[", "Sort[", "HashAggregate["}
 
 // breaker reports whether n contains a Join, Aggregate or Sort node.
 func breaker(n algebra.Node) bool {

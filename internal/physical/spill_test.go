@@ -197,6 +197,50 @@ func TestAggregateSpillRecursion(t *testing.T) {
 	requireEmptyDir(t, dir, "after aggregate Close")
 }
 
+// TestGovernedAggregateTablePeak: under a budget a table-source aggregate
+// folds windows of DefaultBatchSize rows and checks the governor after
+// each, exactly as the operator-source aggregate does batch by batch over
+// the same table stripped of its columns. A whole-table window would Force
+// every one of the 60k groups before the first check, so its peak would
+// run far past the stripped plan's.
+func TestGovernedAggregateTablePeak(t *testing.T) {
+	src := parSource{}
+	src.put("t", []string{"k", "v", "c"}, intTable(70000, 70000))
+	plan := &algebra.Aggregate{
+		Input: &algebra.Filter{
+			Input: scanNode("t", src["t"].schema),
+			Pred: algebra.Bin{Op: algebra.OpNe,
+				L: algebra.Bin{Op: algebra.OpMod, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(7)}},
+				R: algebra.Const{V: types.NewInt(3)}},
+		},
+		GroupBy:    []algebra.Expr{algebra.Col{Idx: 0}},
+		GroupNames: []string{"k"},
+		Aggs:       []algebra.AggSpec{{Func: algebra.AggCount, Star: true, Name: "n"}},
+	}
+	run := func(s Source) ([][]types.Value, int64) {
+		t.Helper()
+		gov := NewMemGovernor(4 << 20)
+		op, err := LowerOpts(plan, s, Options{DOP: 1, Gov: gov, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := drainAll(t, op, "governed aggregate")
+		if gov.InUse() != 0 {
+			t.Fatalf("%d bytes still reserved after Close", gov.InUse())
+		}
+		return rows, gov.Peak()
+	}
+	got, tablePeak := run(src)
+	want, strippedPeak := run(struct{ Source }{src})
+	if len(want) < 60000 {
+		t.Fatalf("%d groups, want at least 60000", len(want))
+	}
+	requireSameRows(t, got, want, "table vs stripped governed aggregate")
+	if tablePeak > strippedPeak {
+		t.Fatalf("table-source peak %d B exceeds the stripped source's %d B", tablePeak, strippedPeak)
+	}
+}
+
 func TestGraceJoinAgrees(t *testing.T) {
 	lschema, lrows := spillTable(8000, 701)
 	rschema, rrows := spillTable(3000, 701)

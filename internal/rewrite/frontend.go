@@ -20,8 +20,8 @@ import (
 // Frontend.Query is its only consumer — so every way of running a UA-SQL
 // query shares one code path into the engine.
 type QueryOpts struct {
-	// DOP is how many workers a fused aggregate folds on — the engine's
-	// only parallel operator: 0 means automatic (GOMAXPROCS), 1 serial.
+	// DOP is how many workers an aggregate over a table folds on — the
+	// engine's only parallel operator: 0 means automatic (GOMAXPROCS), 1 serial.
 	// The UA rewrite rides the same engine either way — the paper's
 	// lightweight claim — so parallel speedups apply to UA queries and
 	// deterministic ones alike.

@@ -2,10 +2,10 @@ package repro_test
 
 // Exchange-order determinism: the engine must produce byte-identical ordered
 // output to the boxed serial engine — not just once, but across hundreds of
-// repetitions at DOP 1, 2, and NumCPU. The fused aggregate is the one
+// repetitions at DOP 1, 2, and NumCPU. The table-source aggregate is the one
 // parallel operator: its morsel-to-worker assignment is scheduling-dependent
 // and only the morsel sequence merge order makes its output deterministic,
-// so it is pinned to actually lower to FusedAggregate[dop=2 at DOP 2. The
+// so it is pinned to actually lower to HashAggregate[dop=2 at DOP 2. The
 // fused pipeline and fused probe run serially at every DOP; they stay in the
 // set as DOP-invariance inputs and are pinned to the serial DOP 1 plan. CI
 // runs this under -race, which is the enforcement mechanism for the
@@ -25,7 +25,7 @@ import (
 )
 
 // stressOpts splits the small test tables into many morsels so every DOP > 1
-// actually runs the fused aggregate's workers.
+// actually runs the table-source aggregate's workers.
 func stressOpts(dop int) physical.Options {
 	return physical.Options{DOP: dop, MorselSize: 128, MinParallelRows: 1}
 }
@@ -61,7 +61,7 @@ func stressCatalog() *engine.Catalog {
 }
 
 // stressPlans are the fused shapes: a filter+project pipeline, a fused-probe
-// equi-join, and a fused aggregate — the only one that parallelizes.
+// equi-join, and a table-source aggregate — the only one that parallelizes.
 func stressPlans(cat *engine.Catalog) map[string]algebra.Node {
 	scan := func(name string) *algebra.Scan {
 		return &algebra.Scan{Table: name, TblSchema: cat.Get(name).Schema}
@@ -121,8 +121,8 @@ func mustLowerAtDOP2(t *testing.T, plan algebra.Node, src physical.Source, what 
 		return physical.Explain(op)
 	}
 	s := explain(2)
-	if strings.HasPrefix(s, "FusedAggregate[") {
-		if !strings.HasPrefix(s, "FusedAggregate[dop=2") {
+	if strings.HasPrefix(s, "HashAggregate[dop=") {
+		if !strings.HasPrefix(s, "HashAggregate[dop=2") {
 			t.Fatalf("%s: DOP 2 aggregate lowered serially:\n%s", what, s)
 		}
 		return

@@ -1,15 +1,17 @@
 package repro_test
 
 // Plan shapes of the benchmark's queries. Every Filter/Project chain lowers
-// to a FusedPipeline over whatever sits beneath it, and every equi-join
-// lowered without a memory budget is a pipeline's probe stage: PDBench
-// Q1–Q3, the lookup IN and join templates and both AU-DB aggregate queries,
-// under their UA rewrite and as deterministic twins, must leave no
-// standalone Filter, Project or HashJoin in the lowered tree. Under a
-// budget an equi-join stays the governed HashJoin.
+// to a FusedPipeline over whatever sits beneath it, or into the
+// table-source HashAggregate that caps it, and every equi-join lowered
+// without a memory budget is a pipeline's probe stage: PDBench Q1–Q3, the
+// lookup IN and join templates and both AU-DB aggregate queries, under
+// their UA rewrite and as deterministic twins, must leave no standalone
+// Filter, Project or HashJoin in the lowered tree. Under a budget an
+// equi-join stays the governed HashJoin.
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,7 +26,8 @@ import (
 )
 
 // assertOnePath fails when the rendered physical tree holds a standalone
-// Filter, Project or HashJoin, or no fused operator at all.
+// Filter, Project or HashJoin, or no fused chain at all (a pipeline, or an
+// aggregate over a table).
 func assertOnePath(t *testing.T, name, explain string) {
 	t.Helper()
 	for _, l := range strings.Split(explain, "\n") {
@@ -36,7 +39,7 @@ func assertOnePath(t *testing.T, name, explain string) {
 			}
 		}
 	}
-	if !strings.Contains(explain, "Fused") {
+	if !strings.Contains(explain, "FusedPipeline[") && !strings.Contains(explain, "HashAggregate[dop=") {
 		t.Errorf("%s: no fused operator:\n%s", name, explain)
 	}
 }
@@ -152,5 +155,12 @@ func TestBenchmarkFiltersLowerFused(t *testing.T) {
 		name := fmt.Sprintf("audb-aggregate %d", i)
 		assertOnePath(t, name+" AU", explainUA(t, audb, audb.AEnc, q, rewrite.QueryOpts{AttrBounds: true}, opt))
 		assertOnePath(t, name+" deterministic", explainDet(t, det, q, opt))
+		// The benchmark runs them at DOP = GOMAXPROCS over a table above the
+		// parallel threshold: the aggregate must fold the encoded table's
+		// morsels on that many workers.
+		out := explainUA(t, audb, audb.AEnc, q, rewrite.QueryOpts{AttrBounds: true}, physical.Options{MinParallelRows: 1})
+		if want := fmt.Sprintf("HashAggregate[dop=%d; scan lineitem", runtime.GOMAXPROCS(0)); !strings.Contains(out, want) {
+			t.Errorf("%s AU: want %s…, got:\n%s", name, want, out)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package repro_test
 
 // Randomized typed/boxed agreement: the columnar engine (scans over a
 // ColumnSource, per-vector key encoding, and the table pipelines, probe
-// stages and fused aggregates that chains over columns lower to) must
+// stages and table-source aggregates that chains over columns lower to) must
 // produce byte-identical results, in identical first-seen order, to the
 // same plans run against the same catalog stripped of its columnar storage
 // — row-backed scans under pipelines that read them as operator inputs,
@@ -50,12 +50,12 @@ func typedDOPs() []int {
 // typedBudgets are the memory regimes the suite runs under: unlimited, and a
 // budget tight enough to force the governor on for these tables. Under a
 // governor equi-joins stay the spilling HashJoin instead of a probe stage
-// and the fused aggregate declines to the spilling HashAggregate —
+// and a table-source aggregate folds serially in spillable windows —
 // agreement pins that the governed forms actually compose.
 func typedBudgets() []int64 { return []int64{0, 8 << 10} }
 
 // typedOpts is the option set of one agreement run: small morsels so every
-// DOP above 1 runs the fused aggregate's workers.
+// DOP above 1 runs the table-source aggregate's workers.
 func typedOpts(dop int, budget int64, dir string) physical.Options {
 	return physical.Options{DOP: dop, MorselSize: 64, MinParallelRows: 1,
 		MemBudget: budget, SpillDir: dir}
