@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -28,6 +29,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // wireExtremes is the projection-only corpus: every value the engine can
@@ -90,8 +92,30 @@ func wireFrontend(rows int) *rewrite.Frontend {
 		readings.AppendVals(types.NewInt(int64(i)), types.NewFloat(float64(i%40)+0.5), types.NewFloat(p))
 	}
 	front.Raw.Put(readings)
+
+	// sparse is inserted in descending id order, and n is NULL below
+	// sparseNulls(rows): sorted by id, its first 1024-row batch has an
+	// all-NULL n (a boxed column) and the later batches a typed one.
+	sparse := engine.NewTable(types.NewSchema("sparse", "id", "n"))
+	for i := rows - 1; i >= 0; i-- {
+		n := types.Value(types.NewInt(int64(i)))
+		if i < sparseNulls(rows) {
+			n = types.Null()
+		}
+		sparse.AppendVals(types.NewInt(int64(i)), n)
+	}
+	front.Enc.Put(rewrite.EncodeDeterministic(sparse))
 	return front
 }
+
+// sparseNulls is how many leading ids of the sparse table have a NULL n.
+func sparseNulls(rows int) int { return rows * 3 / 8 }
+
+// The sort-rooted statements over sparse: every row, and none.
+const (
+	sparseSorted = "SELECT id, n FROM sparse ORDER BY id"
+	sparseEmpty  = "SELECT id, n FROM sparse WHERE id < 0 ORDER BY id"
+)
 
 // wireQueries draws the trial statements: every family carries an ORDER BY
 // over a unique key so row order is deterministic at any DOP, and only
@@ -170,7 +194,7 @@ func mustMatchWire(t *testing.T, what, q string, gotSchema []string, got [][]typ
 // never a semantics change, under every execution regime the server offers.
 func TestColumnarWireAgreementRandomized(t *testing.T) {
 	const rows = 4000
-	queries := wireQueries(rand.New(rand.NewSource(97)), 15)
+	queries := append(wireQueries(rand.New(rand.NewSource(97)), 15), sparseSorted, sparseEmpty)
 
 	// Serial one-shot reference, computed once per statement.
 	refFront := wireFrontend(rows)
@@ -298,6 +322,67 @@ func TestColumnarWireColumnsAccess(t *testing.T) {
 			if !wireBitEqual(v.Value(i), rows[i][j]) {
 				t.Fatalf("col %d row %d: vector %v, boxed %v", j, i, v.Value(i), rows[i][j])
 			}
+		}
+	}
+}
+
+// TestColumnarWireSortKindChange pins the preconditions of the sparse
+// inputs of the agreement harness: both statements are sort-rooted, and
+// the drain of the full one appends typed batches onto the boxed column its
+// NULL-only first batch started, so the harness compares that column over
+// colbin with the in-process result. The empty one keeps the wire kind
+// tags of an empty drain: 'V' (boxed) for every column.
+func TestColumnarWireSortKindChange(t *testing.T) {
+	const rows = 4000
+	ref := wireFrontend(rows)
+	for _, q := range []string{sparseSorted, sparseEmpty} {
+		plan, err := ref.PlanSQL(q, rewrite.QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex, err := engine.ExplainPhysical(plan, ref.Enc); err != nil || !strings.HasPrefix(ex, "Sort[") {
+			t.Fatalf("%q is not sort-rooted (err %v):\n%s", q, err, ex)
+		}
+	}
+	res, err := ref.Query(context.Background(), sparseSorted, rewrite.QueryOpts{DOP: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, boxed := res.Cols().Vecs[1].(*vector.ValueVector); !boxed {
+		t.Fatalf("column n drained as %T, want the boxed column a NULL-only first batch starts", res.Cols().Vecs[1])
+	}
+	for i, row := range res.Rows() {
+		n := types.Value(types.NewInt(int64(i)))
+		if i < sparseNulls(rows) {
+			n = types.Null()
+		}
+		if !wireBitEqual(row[0], types.NewInt(int64(i))) || !wireBitEqual(row[1], n) {
+			t.Fatalf("row %d = %v, want [%d %v]", i, row, i, n)
+		}
+	}
+
+	srv := server.New(server.Config{Front: wireFrontend(rows)})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	none, err := c.Query(sparseEmpty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if none.NumRows() != 0 || len(none.Columns().Vecs) != len(res.Schema.Attrs) {
+		t.Fatalf("empty result: %d rows in %d columns", none.NumRows(), len(none.Columns().Vecs))
+	}
+	for j, v := range none.Columns().Vecs {
+		if tag := vector.WireTag(v); tag != 'V' {
+			t.Errorf("empty result column %d: wire kind %q, want 'V'", j, tag)
 		}
 	}
 }

@@ -102,36 +102,13 @@ func Write(t *engine.Table, w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteResult streams a columnar query result as CSV straight from its
-// vectors — per-kind cell rendering with no boxed Value in between — falling
-// back to the row path for row-backed results. The bytes are identical to
-// Write over the materialized rows: the typed arms mirror Value.String
-// exactly (strconv.FormatInt; FormatFloat 'g' -1; "true"/"false"; raw
-// strings) and NULLs become empty cells either way.
+// WriteResult streams a query result as CSV straight from its vectors —
+// per-kind cell rendering with no boxed Value in between. The bytes are
+// identical to Write over the materialized rows: the typed arms mirror
+// Value.String exactly (strconv.FormatInt; FormatFloat 'g' -1;
+// "true"/"false"; raw strings) and NULLs become empty cells either way.
 func WriteResult(res *physical.Result, w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(res.Schema.Attrs); err != nil {
-		return err
-	}
-	cols := res.Cols()
-	if cols == nil {
-		for _, row := range res.Rows() {
-			rec := make([]string, len(row))
-			for i, v := range row {
-				if v.IsNull() {
-					rec[i] = ""
-				} else {
-					rec[i] = v.String()
-				}
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	}
-	return writeColumnRecords(cw, cols)
+	return WriteColumns(res.Schema.Attrs, res.Cols(), w)
 }
 
 // WriteColumns streams a set of result columns as CSV — header row, then
@@ -143,10 +120,6 @@ func WriteColumns(attrs []string, cols *vector.Columns, w io.Writer) error {
 	if err := cw.Write(attrs); err != nil {
 		return err
 	}
-	return writeColumnRecords(cw, cols)
-}
-
-func writeColumnRecords(cw *csv.Writer, cols *vector.Columns) error {
 	rec := make([]string, len(cols.Vecs))
 	for i := 0; i < cols.N; i++ {
 		for j, vec := range cols.Vecs {

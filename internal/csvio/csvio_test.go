@@ -174,8 +174,8 @@ func TestWhitespaceAndSpelledNulls(t *testing.T) {
 }
 
 // TestWriteColumnsWriteResultParity pins that every CSV write path — the
-// boxed row loop (Write, row-backed WriteResult) and the vector-direct loop
-// (columnar WriteResult, WriteColumns) — emits byte-identical output over
+// boxed row loop (Write) and the vector-direct loop (WriteResult,
+// WriteColumns) — emits byte-identical output over
 // an adversarial value set: NULLs in typed and boxed columns, embedded
 // separators / quotes / newlines, unicode, negative zero, large ints, and
 // a mixed-kind column that forces the boxed vector arm. The -connect CSV
@@ -212,12 +212,6 @@ func TestWriteColumnsWriteResultParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	outputs["Write(table)"] = buf.String()
-
-	buf.Reset()
-	if err := WriteResult(physical.NewRowResult(schema, rows), &buf); err != nil {
-		t.Fatal(err)
-	}
-	outputs["WriteResult(rows)"] = buf.String()
 
 	buf.Reset()
 	if err := WriteResult(physical.NewColumnarResult(schema, cols), &buf); err != nil {

@@ -20,18 +20,16 @@ import (
 // (predicate pushdown, equi-join extraction, projection pruning), lowering
 // puts it onto the batch-at-a-time operator tree of internal/physical —
 // morsel-parallel where the plan and table sizes allow — and the result
-// comes back as a *physical.Result: columnar when the plan's root can emit
-// vectors, row-backed otherwise, with boxed rows materialized lazily on the
-// first Result.Rows call either way. Scans resolve table names at lowering
+// comes back as a *physical.Result: columns, with boxed rows materialized
+// lazily on the first Result.Rows call. Scans resolve table names at lowering
 // time, so the same plan can run against different catalogs (the
 // deterministic and the UA-encoded database) — the symmetry the UA-DB
 // overhead experiments rely on.
 //
 // Cancellation: Execute binds ctx to the query's memory governor (spill
 // paths poll it, so a governed query aborts mid-eviction) and checks it
-// between output batches while draining. Result rows may alias catalog
-// storage when the plan preserves rows end to end; callers must not mutate
-// them in place — the contract the catalog's own tables carry.
+// between output batches while draining. Result rows are materialized
+// copies and never alias catalog storage.
 type Session struct {
 	// Cat is the catalog queries resolve tables against.
 	Cat *Catalog

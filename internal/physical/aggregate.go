@@ -20,9 +20,9 @@ import (
 // per morsel on DOP workers merged in morsel order; a governed table in
 // windows of DefaultBatchSize rows; an operator source batch by batch. Next
 // then streams one row per group in first-seen order (a global aggregate
-// over an empty input still emits one row). Output rows are freshly
-// allocated, group-by columns first, aggregate columns after, and emitted
-// in shared-spine batches slicing the materialized result.
+// over an empty input still emits one row): Open renders the groups as
+// rows, group-by columns first, aggregate columns after, and turns them
+// into columns once, which Next emits as zero-copy windows.
 //
 // With a memory governor (Mem non-nil), the group table is bounded: each
 // new group Forces its estimated state bytes, and whenever a folded window
@@ -35,9 +35,9 @@ import (
 // order), recursing with a re-salted hash if a partition alone still
 // exceeds the budget. The final groups are ordered by their first-seen
 // sequence numbers, which restores the in-memory operator's global
-// first-seen output order byte for byte. Only the materialized result rows
-// — the operator's output, which Next hands to the consumer — live outside
-// the budget, exactly as they do on the in-memory path.
+// first-seen output order byte for byte. Only the rendered result — the
+// operator's output, which Next hands to the consumer — lives outside
+// the budget, exactly as it does on the in-memory path.
 type HashAggregate struct {
 	Input    Operator       // the source operator; nil when the source is a table
 	Preds    []algebra.Expr // composed over the scan schema (table source only)
@@ -49,13 +49,12 @@ type HashAggregate struct {
 
 	args   []algebra.Expr // per aggregate over the source's schema; nil for COUNT(*)
 	schema types.Schema
-	used   []bool        // the Input columns the fold reads
 	src    *morselSource // the table's columns and, at DOP > 1, its morsel queue
 	at     int           // the table rows folded so far in a serial Open
 	dop    int
 	folder *fusedAggFolder // the serial fold's kernels, compiled on first Open
 
-	out  [][]types.Value
+	out  *vector.Columns // the rendered groups, built by Open
 	pos  int
 	held int64
 	sp   *spillSet
@@ -89,8 +88,6 @@ func newHashAggregate(fc *fusedChain, node *algebra.Aggregate) *HashAggregate {
 	}
 	if fc.cols != nil {
 		h.src = &morselSource{cols: fc.cols}
-	} else {
-		h.used = usedCols(len(fc.projs), append(h.args, h.GroupBy...)...)
 	}
 	return h
 }
@@ -278,13 +275,12 @@ func (h *HashAggregate) Open() error {
 	if len(h.GroupBy) == 0 && len(rows) == 0 {
 		rows = append(rows, newAggState(nil, len(h.Aggs)).result(h.Aggs, 0))
 	}
-	h.out = rows
+	h.out = vector.FromRows(rows, h.schema.Arity())
 	return nil
 }
 
-// next returns the source's next window: the input's next batch (through
-// colsFor, so a row-only batch converts just the columns the fold reads),
-// or the table's next rows — all of them, or under a governor
+// next returns the source's next window: the input's next batch, or the
+// table's next rows — all of them, or under a governor
 // DefaultBatchSize of them. ok is false once the source is exhausted.
 func (h *HashAggregate) next() (cols []vector.Vector, n int, ok bool, err error) {
 	if h.Input != nil {
@@ -292,7 +288,7 @@ func (h *HashAggregate) next() (cols []vector.Vector, n int, ok bool, err error)
 		if b == nil || err != nil {
 			return nil, 0, false, err
 		}
-		return b.colsFor(h.used), b.Len(), true, nil
+		return b.Cols(), b.Len(), true, nil
 	}
 	t, lo := h.src.cols, h.at
 	if lo >= t.N {
@@ -664,20 +660,13 @@ func (h *HashAggregate) repartition(order []*aggPartial, bytes int64, cur aggPar
 	return nil
 }
 
-// RowCountHint implements RowCountHinter: after Open the groups are
-// materialized, so the count is exact.
-func (h *HashAggregate) RowCountHint() (int, bool) { return len(h.out) - h.pos, true }
-
 // Next implements Operator.
 func (h *HashAggregate) Next() (*Batch, error) {
-	if h.pos >= len(h.out) {
+	if h.pos >= h.out.N {
 		return nil, nil
 	}
-	end := h.pos + DefaultBatchSize
-	if end > len(h.out) {
-		end = len(h.out)
-	}
-	h.b.SetShared(h.out[h.pos:end])
+	end := min(h.pos+DefaultBatchSize, h.out.N)
+	h.b.SetCols(h.out.Slice(h.pos, end), end-h.pos)
 	h.pos = end
 	return &h.b, nil
 }

@@ -5,18 +5,21 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
-// TestScanBatchesAreSharedAndZeroCopy: a scan's batches must alias the
-// table's row array (zero copy) and be marked shared so consumers never
-// compact them in place.
+// TestScanBatchesAreSharedAndZeroCopy: a columnar scan's batches must be
+// windows sharing the table's column storage (zero copy), cut at the batch
+// size, and describe exactly the table's rows.
 func TestScanBatchesAreSharedAndZeroCopy(t *testing.T) {
-	rows := [][]types.Value{{iv(1)}, {iv(2)}, {iv(3)}, {iv(4)}, {iv(5)}}
-	s := scanOf(rows, "a")
-	s.BatchSize = 2
+	schema, rows, cols := colIntTable(2500)
+	s := NewColumnarScan("t", schema, rows, cols)
+	s.BatchSize = 1000
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
+	table := cols.Vecs[1].(*vector.Int64Vector).Vals
 	seen := 0
 	for {
 		b, err := s.Next()
@@ -26,18 +29,18 @@ func TestScanBatchesAreSharedAndZeroCopy(t *testing.T) {
 		if b == nil {
 			break
 		}
-		if !b.Shared() {
-			t.Fatal("scan batch not marked shared")
-		}
-		if b.Len() == 0 || b.Len() > 2 {
+		if b.Len() == 0 || b.Len() > 1000 {
 			t.Fatalf("batch size %d out of range", b.Len())
 		}
-		for i := 0; i < b.Len(); i++ {
-			if &b.Row(i)[0] != &rows[seen][0] {
-				t.Fatalf("row %d does not alias table storage", seen)
-			}
-			seen++
+		if win := b.Cols()[1].(*vector.Int64Vector).Vals; &win[0] != &table[seen] {
+			t.Fatalf("batch at row %d does not alias table storage", seen)
 		}
+		for i, row := range b.Rows() {
+			if !types.Tuple(row).Equal(types.Tuple(rows[seen+i])) {
+				t.Fatalf("row %d: batch %v, table %v", seen+i, row, rows[seen+i])
+			}
+		}
+		seen += b.Len()
 	}
 	if seen != len(rows) {
 		t.Fatalf("scanned %d rows, want %d", seen, len(rows))
@@ -80,90 +83,102 @@ func TestFilterDoesNotCorruptSharedSpines(t *testing.T) {
 	}
 }
 
-// TestApplySelInPlaceVsScratch pins the two compaction paths directly.
-func TestApplySelInPlaceVsScratch(t *testing.T) {
-	mk := func() [][]types.Value {
-		return [][]types.Value{{iv(10)}, {iv(11)}, {iv(12)}, {iv(13)}}
+// TestEveryOperatorEmitsColumns: every operator's batches carry a column
+// vector per output column, and every drained Result is columnar — the
+// operators that work on rows internally (sort, nested-loop and grace hash
+// join, aggregate) and a scan over a row-only source included.
+func TestEveryOperatorEmitsColumns(t *testing.T) {
+	schema, rows := spillTable(3000, 7)
+	scan := func() *Scan {
+		s := NewScan("t", schema, rows)
+		s.BatchSize = 700
+		return s
 	}
-
-	// Owned spine: compacted in place, same batch returned.
-	owned := NewBatch(4)
-	for _, r := range mk() {
-		owned.Append(r)
-	}
-	var scratch Batch
-	got := applySel(owned, []int{1, 3}, &scratch)
-	if got != owned || got.Len() != 2 || got.Row(0)[0].Int() != 11 || got.Row(1)[0].Int() != 13 {
-		t.Fatalf("in-place compaction wrong: len=%d", got.Len())
-	}
-
-	// Shared spine: the aliased storage must be untouched; the scratch
-	// batch receives the selection.
-	backing := mk()
-	shared := &Batch{}
-	shared.SetShared(backing)
-	got = applySel(shared, []int{0, 2}, &scratch)
-	if got != &scratch || got.Len() != 2 || got.Row(1)[0].Int() != 12 {
-		t.Fatalf("scratch compaction wrong: len=%d", got.Len())
-	}
-	for i, want := range []int64{10, 11, 12, 13} {
-		if backing[i][0].Int() != want {
-			t.Fatalf("shared backing mutated at %d", i)
-		}
-	}
-
-	// Full selection: pass-through without copying, shared or not.
-	shared.SetShared(backing)
-	if got := applySel(shared, []int{0, 1, 2, 3}, &scratch); got != shared {
-		t.Fatal("full selection should pass the batch through")
-	}
-}
-
-// TestRowCountHints: operators that know their exact output size after Open
-// must say so, and only then.
-func TestRowCountHints(t *testing.T) {
-	rows := [][]types.Value{{iv(1), iv(10)}, {iv(2), iv(20)}, {iv(3), iv(30)}}
-	newScan := func() *Scan { return scanOf(rows, "k", "v") }
-
-	check := func(name string, op Operator, want int) {
-		t.Helper()
-		if err := op.Open(); err != nil {
+	byV := []algebra.SortKey{{Expr: algebra.Col{Idx: 1}, Desc: true}}
+	cschema, crows, ccols := mixedAggTable(3000)
+	tableAgg := func() Operator {
+		plan := &algebra.Aggregate{Input: &algebra.Scan{Table: "t", TblSchema: cschema},
+			GroupBy: []algebra.Expr{algebra.Col{Idx: 0}}, GroupNames: []string{"k"},
+			Aggs: []algebra.AggSpec{{Func: algebra.AggSum, Arg: algebra.Col{Idx: 1}, Name: "s"}}}
+		op, err := LowerOpts(plan, aggFuzzSource{schema: cschema, rows: crows, cols: ccols}, Options{DOP: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-		defer op.Close()
-		h, ok := op.(RowCountHinter)
-		if !ok {
-			t.Fatalf("%s: no RowCountHint", name)
+		if h, ok := op.(*HashAggregate); !ok || h.Input != nil {
+			t.Fatalf("lowered to %T, want a table-source *HashAggregate", op)
 		}
-		n, known := h.RowCountHint()
-		if !known || n != want {
-			t.Errorf("%s: hint = %d/%v, want %d/true", name, n, known, want)
+		return op
+	}
+	cases := []struct {
+		name    string
+		op      func() Operator
+		spilled func(Operator) bool // checked after Open; nil: nothing to check
+	}{
+		{name: "scan of a row-only source", op: func() Operator { return scan() }},
+		{name: "sort", op: func() Operator { return &Sort{Input: scan(), Keys: byV} }},
+		{name: "spilled sort", op: func() Operator {
+			return &Sort{Input: scan(), Keys: byV, Mem: NewMemGovernor(16 << 10), SpillDir: t.TempDir()}
+		}, spilled: func(op Operator) bool { return op.(*Sort).sp != nil }},
+		{name: "nested-loop join", op: func() Operator {
+			return NewNestedLoopJoin(&Limit{Input: scan(), N: 40}, &Limit{Input: scan(), N: 60},
+				algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 3}})
+		}},
+		{name: "grace hash join", op: func() Operator {
+			j := NewHashJoin(scan(), scan(), []int{0}, []int{0}, nil)
+			j.Mem, j.SpillDir = NewMemGovernor(16<<10), t.TempDir()
+			return &Limit{Input: j, N: 5000}
+		}, spilled: func(op Operator) bool { return op.(*Limit).Input.(*HashJoin).graceHeap != nil }},
+		{name: "distinct", op: func() Operator {
+			return &Distinct{Input: pipelineOver(scan(), nil, []algebra.Expr{algebra.Col{Idx: 2}}, []string{"s"})}
+		}},
+		{name: "limit", op: func() Operator { return &Limit{Input: scan(), N: 1000} }},
+		{name: "union all", op: func() Operator { return &UnionAll{Left: scan(), Right: scan()} }},
+		{name: "table-source aggregate", op: tableAgg},
+		{name: "input-source aggregate", op: func() Operator {
+			return NewHashAggregate(scan(), []algebra.Expr{algebra.Col{Idx: 2}}, []string{"s"},
+				[]algebra.AggSpec{{Func: algebra.AggCount, Star: true, Name: "n"}})
+		}},
+	}
+	for _, c := range cases {
+		op := c.op()
+		if err := op.Open(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-
-	check("scan", newScan(), 3)
-	check("project", pipelineOver(newScan(), nil,
-		[]algebra.Expr{algebra.Col{Idx: 0}}, []string{"k"}), 3)
-	check("limit", &Limit{Input: newScan(), N: 2}, 2)
-	check("limit-loose", &Limit{Input: newScan(), N: 99}, 3)
-	check("union", &UnionAll{Left: newScan(), Right: newScan()}, 6)
-	check("sort", &Sort{Input: newScan(),
-		Keys: []algebra.SortKey{{Expr: algebra.Col{Idx: 0}}}}, 3)
-	check("aggregate", NewHashAggregate(newScan(),
-		[]algebra.Expr{algebra.Col{Idx: 0}}, []string{"k"},
-		[]algebra.AggSpec{{Func: algebra.AggCount, Star: true, Name: "n"}}), 3)
-
-	// Data-dependent operators must not know (or implement) the hint.
-	f := pipelineOver(newScan(), algebra.Const{V: types.NewBool(true)}, nil, nil)
-	if err := f.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, known := f.RowCountHint(); known {
-		t.Error("filtering pipeline should not hint")
-	}
-	f.Close()
-	if _, ok := any(&Distinct{Input: newScan()}).(RowCountHinter); ok {
-		t.Error("distinct should not hint")
+		if c.spilled != nil && !c.spilled(op) {
+			t.Fatalf("%s: did not spill", c.name)
+		}
+		arity, batches := op.Schema().Arity(), 0
+		for {
+			b, err := op.Next()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if b == nil {
+				break
+			}
+			batches++
+			if len(b.Cols()) != arity {
+				t.Fatalf("%s: batch %d has %d columns, want %d", c.name, batches, len(b.Cols()), arity)
+			}
+			for j, v := range b.Cols() {
+				if v == nil || v.Len() != b.Len() {
+					t.Fatalf("%s: batch %d column %d does not hold the batch's %d rows", c.name, batches, j, b.Len())
+				}
+			}
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if batches == 0 {
+			t.Fatalf("%s: emitted no batch", c.name)
+		}
+		res, err := DrainColumns(c.op())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Cols() == nil || len(res.Cols().Vecs) != arity {
+			t.Fatalf("%s: drained Result is not columnar", c.name)
+		}
 	}
 }
 

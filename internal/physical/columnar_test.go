@@ -17,8 +17,9 @@ func colIntTable(n int) (types.Schema, [][]types.Value, *vector.Columns) {
 	return schema, rows, vector.FromRows(rows, 2)
 }
 
-// TestColumnarScanEmitsDualViewBatches: a columnar scan's batches carry both
-// a zero-copy shared row spine and zero-copy vector windows, in agreement.
+// TestColumnarScanEmitsDualViewBatches: a columnar scan's batches carry a
+// vector window per column, and the row view materialized from them agrees
+// with both the vectors and the table's rows.
 func TestColumnarScanEmitsDualViewBatches(t *testing.T) {
 	schema, rows, cols := colIntTable(2500)
 	s := NewColumnarScan("t", schema, rows, cols)
@@ -35,17 +36,21 @@ func TestColumnarScanEmitsDualViewBatches(t *testing.T) {
 		if b == nil {
 			break
 		}
-		if !b.Shared() {
-			t.Fatal("columnar scan batch lost its shared row spine")
-		}
 		bc := b.Cols()
-		if bc == nil {
-			t.Fatal("columnar scan batch has no columnar view")
+		if len(bc) != len(schema.Attrs) {
+			t.Fatalf("columnar scan batch has %d column vectors, want %d", len(bc), len(schema.Attrs))
 		}
-		for i := 0; i < b.Len(); i++ {
+		brows := b.Rows()
+		if len(brows) != b.Len() {
+			t.Fatalf("row view has %d rows, batch length %d", len(brows), b.Len())
+		}
+		for i, row := range brows {
 			for j, v := range bc {
-				if !v.Value(i).Equal(b.Row(i)[j]) {
-					t.Fatalf("row %d col %d: vector %v != row %v", seen+i, j, v.Value(i), b.Row(i)[j])
+				if !v.Value(i).Equal(row[j]) {
+					t.Fatalf("row %d col %d: vector %v != row %v", seen+i, j, v.Value(i), row[j])
+				}
+				if !row[j].Equal(rows[seen+i][j]) {
+					t.Fatalf("row %d col %d: batch %v != table %v", seen+i, j, row[j], rows[seen+i][j])
 				}
 			}
 		}
@@ -92,35 +97,8 @@ func TestColumnOnlyBatchMaterializesStableRows(t *testing.T) {
 	}
 }
 
-// TestApplySelDropsStaleColumnarView: narrowing a dual-view batch through a
-// selection vector must not leave the old (pre-selection) columns attached.
-func TestApplySelDropsStaleColumnarView(t *testing.T) {
-	rows := [][]types.Value{
-		{types.NewInt(0)}, {types.NewInt(1)}, {types.NewInt(2)},
-	}
-	var b Batch
-	b.SetCols(vector.FromRows(rows, 1).Slice(0, 3), 3)
-	b.Rows() // force the owned row view so applySel compacts in place
-	var scratch Batch
-	out := applySel(&b, []int{0, 2}, &scratch)
-	if out.Cols() != nil {
-		t.Fatal("applySel kept a columnar view describing pre-selection rows")
-	}
-	if out.Len() != 2 || !out.Row(1)[0].Equal(types.NewInt(2)) {
-		t.Fatalf("applySel result wrong: len %d", out.Len())
-	}
-
-	// Full selection keeps the batch — and its still-valid columns — intact.
-	var b2 Batch
-	b2.SetCols(vector.FromRows(rows, 1).Slice(0, 3), 3)
-	out2 := applySel(&b2, []int{0, 1, 2}, &scratch)
-	if out2.Cols() == nil {
-		t.Fatal("applySel dropped a columnar view that still described every row")
-	}
-}
-
-// TestFilterTypedPathKeepsColumns: a filtering pipeline over dual-view scan
-// batches emits column-only batches holding exactly the selected rows.
+// TestFilterTypedPathKeepsColumns: a filtering pipeline over a columnar
+// scan's batches emits batches holding exactly the selected rows.
 func TestFilterTypedPathKeepsColumns(t *testing.T) {
 	schema, rows, cols := colIntTable(3000)
 	pred := algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1, Name: "v"},
@@ -142,10 +120,10 @@ func TestFilterTypedPathKeepsColumns(t *testing.T) {
 	if err != nil || b == nil {
 		t.Fatalf("Next: %v %v", b, err)
 	}
-	if b.KeyCols() == nil {
-		t.Fatal("filtering pipeline emitted a batch with a row view")
-	}
 	bc := b.Cols()
+	if b.Len() != 1024 || len(bc) != 2 {
+		t.Fatalf("filtering pipeline emitted %d rows in %d columns, want 1024 in 2", b.Len(), len(bc))
+	}
 	for i := 0; i < b.Len(); i++ {
 		for j, v := range bc {
 			if !v.Value(i).Equal(rows[i][j]) {

@@ -55,10 +55,9 @@ type FusedProbe struct {
 // vectors intersected; the projections then evaluate unboxed, densely over a
 // zero-copy sub-window when the survivors form one run, or over the whole
 // window gathered at the survivors. Its output vectors serve every consumer:
-// the root drain of a table pass hands them over as a columnar Result, Next
-// emits them as column-only batches (rows are boxed only if the parent asks,
-// by vector.Materialize), and a Probe stage expands them against its build
-// table, emitting column-only batches of joined rows.
+// the root drain of a table pass hands them over as a Result, Next emits
+// them as batches, and a Probe stage expands them against its build table,
+// emitting batches of joined rows.
 type FusedPipeline struct {
 	Preds []algebra.Expr
 	Projs []algebra.Expr
@@ -125,19 +124,16 @@ func (f *FusedPipeline) Open() error {
 	return err
 }
 
-// RowCountHint implements RowCountHinter: a predicate-free, probe-less
-// chain preserves its source's cardinality exactly.
-func (f *FusedPipeline) RowCountHint() (int, bool) {
-	if f.Probe != nil || len(f.Preds) > 0 {
-		return 0, false
+// usedCols marks the columns of an arity-wide input that the expressions
+// read (nil expressions read none).
+func usedCols(arity int, es ...algebra.Expr) []bool {
+	used := make([]bool, arity)
+	for _, e := range es {
+		if e != nil {
+			algebra.WalkCols(e, func(c algebra.Col) { used[c.Idx] = true })
+		}
 	}
-	if f.Input == nil {
-		return f.src.N, true
-	}
-	if h, ok := f.Input.(RowCountHinter); ok {
-		return h.RowCountHint()
-	}
-	return 0, false
+	return used
 }
 
 // selScratchPool recycles selection vectors across passes and windows. A
@@ -208,8 +204,7 @@ func (f *FusedPipeline) window(cols []vector.Vector, lo, hi int) []vector.Vector
 }
 
 // pass runs the chain over the next stretch of the source: the whole table,
-// once per Open, or the input's next batch (through colsFor, so a row-only
-// batch converts just the columns the chain reads). nil means the source is
+// once per Open, or the input's next batch. nil means the source is
 // exhausted.
 func (f *FusedPipeline) pass() (*vector.Columns, error) {
 	if f.Input == nil {
@@ -223,7 +218,7 @@ func (f *FusedPipeline) pass() (*vector.Columns, error) {
 	if b == nil || err != nil {
 		return nil, err
 	}
-	return f.columns(b.colsFor(f.used), b.Len()), nil
+	return f.columns(b.Cols(), b.Len()), nil
 }
 
 // drainColumns implements colsDrainer for a probe-less chain over a table:
@@ -308,7 +303,7 @@ func intersectAsc(a, b []int) []int {
 }
 
 // Next implements Operator: a probe-less chain emits each pass's output
-// vectors as one column-only batch; a probe stage expands each pass against
+// vectors as one batch; a probe stage expands each pass against
 // its build table batch by batch.
 func (f *FusedPipeline) Next() (*Batch, error) {
 	for {

@@ -79,14 +79,14 @@ func TestTableAggregateSerialUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// HashAggregate has no columnar output path, so DrainColumns must fall
-	// back to a row-backed Result that matches the unfused drain exactly.
+	// The aggregate emits its groups as columns, so DrainColumns returns a
+	// columnar Result that matches the unfused drain exactly.
 	res, err := DrainColumns(fusedOp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cols() != nil {
-		t.Fatal("aggregate result claims a columnar form")
+	if res.Cols() == nil {
+		t.Fatal("aggregate result has no columnar form")
 	}
 	got := res.Rows()
 	if res.NumRows() != len(want) || len(got) != len(want) {

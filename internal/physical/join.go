@@ -15,7 +15,7 @@ import (
 // every reservation, so the join never spills), into a columnar hash table
 // keyed on EquiR (hashTable), then Next streams the left (probe) input batch
 // by batch. Each probe batch is read as columns and matched against the
-// table, and the joined rows go out as column-only batches, both sides'
+// table, and the joined rows go out as batches, both sides'
 // columns gathered at the matching positions; a residual predicate selects
 // among them with its column kernel. One probe batch can fan out into many
 // output batches, so the probe (joinProbe) resumes mid-row across Next
@@ -51,9 +51,10 @@ type HashJoin struct {
 
 	held      int64
 	sp        *spillSet
-	graceHeap *mergeHeap    // non-nil: Next streams the grace output merge
-	graceTag  []types.Value // scratch: [seq | concatenated output row]
-	out       Batch         // grace output
+	graceHeap *mergeHeap      // non-nil: Next streams the grace output merge
+	graceTag  []types.Value   // scratch: [seq | concatenated output row]
+	spine     [][]types.Value // the merged rows of the grace batch being emitted
+	out       Batch           // grace output
 }
 
 // gracePart is one hash partition of a grace join's build side: resident
@@ -124,7 +125,7 @@ func buildHashTable(op Operator, keys []int) (*hashTable, error) {
 		if b == nil {
 			break
 		}
-		for c, v := range b.colsFor(nil) {
+		for c, v := range b.Cols() {
 			vecs[c] = vector.Append(vecs[c], v)
 		}
 		n += b.Len()
@@ -276,8 +277,8 @@ func (t *hashTable) lookupRow(row []types.Value, keys []int) int32 {
 	return t.byteHead(key)
 }
 
-// joinProbe expands columnar probe batches against a hash table into
-// column-only output batches: the (probe row, build row) pairs of up to
+// joinProbe expands probe batches against a hash table into output
+// batches: the (probe row, build row) pairs of up to
 // DefaultBatchSize matches, both sides' columns gathered at them, the
 // residual's selection kernel narrowing them. HashJoin and the pipeline
 // probe stage share it.
@@ -853,28 +854,29 @@ func (j *HashJoin) Next() (*Batch, error) {
 		if b == nil || err != nil {
 			return nil, err
 		}
-		j.probe.start(b.colsFor(nil), b.Len())
+		j.probe.start(b.Cols(), b.Len())
 		j.probing = true
 	}
 }
 
-// graceNext streams the sequence-ordered merge of the grace output runs,
-// stripping the leading sequence tag. Decoded rows are freshly allocated,
-// so the re-sliced rows obey the engine-wide stability rule.
+// graceNext streams the sequence-ordered merge of the grace output runs
+// through a reused spine, stripping the leading sequence tag, and emits it
+// converted to columns.
 func (j *HashJoin) graceNext() (*Batch, error) {
 	if j.graceHeap.Len() == 0 {
 		return nil, nil
 	}
-	j.out.Reset()
-	if err := j.graceHeap.emit(&j.out, DefaultBatchSize); err != nil {
+	var err error
+	if j.spine, err = j.graceHeap.emit(j.spine[:0], DefaultBatchSize); err != nil {
 		return nil, err
 	}
-	if j.out.Len() == 0 {
+	if len(j.spine) == 0 {
 		return nil, nil
 	}
-	for i, row := range j.out.rows {
-		j.out.rows[i] = row[1:]
+	for i, row := range j.spine {
+		j.spine[i] = row[1:]
 	}
+	j.out.setRows(j.spine, j.schema.Arity())
 	return &j.out, nil
 }
 
@@ -882,7 +884,7 @@ func (j *HashJoin) graceNext() (*Batch, error) {
 // reservation still held and remove every spill file — including on early
 // Close mid-merge.
 func (j *HashJoin) Close() error {
-	j.probe, j.probing, j.graceHeap = joinProbe{}, false, nil
+	j.probe, j.probing, j.graceHeap, j.spine = joinProbe{}, false, nil, nil
 	j.Mem.Release(j.held)
 	j.held = 0
 	serr := j.sp.cleanup()
@@ -899,23 +901,23 @@ func (j *HashJoin) Close() error {
 }
 
 // NestedLoopJoin is the theta-join fallback: the right input is materialized
-// once on Open, and every (left, right) pair satisfying the predicate is
-// emitted, batch by batch, as a slab row (one allocation per batch of rows;
-// storage is committed only for pairs the predicate accepts). It runs in
-// O(n·m), so the optimizer extracts equi-join keys precisely to keep this
-// operator for genuinely non-equi predicates.
+// as rows once on Open, and every (left, right) pair satisfying the
+// predicate is concatenated into a reused row buffer and emitted, batch by
+// batch, converted to columns. It runs in O(n·m), so the optimizer extracts
+// equi-join keys precisely to keep this operator for genuinely non-equi
+// predicates.
 type NestedLoopJoin struct {
 	Left, Right Operator
 	Pred        algebra.Expr // nil accepts all pairs
 	schema      types.Schema
 
 	inner     [][]types.Value
-	probe     *Batch
-	probeRows [][]types.Value // cached row view of the current probe batch
+	probeRows [][]types.Value // the current probe batch, materialized
 	pi        int             // probe row index currently being expanded
 	ii        int             // next inner row for that probe row
+	buf       []types.Value   // the cells of the output rows being built
+	spine     [][]types.Value // the accepted output rows, carved from buf
 	out       Batch
-	sl        *slab
 }
 
 // NewNestedLoopJoin builds a nested-loop join.
@@ -929,8 +931,7 @@ func (j *NestedLoopJoin) Schema() types.Schema { return j.schema }
 
 // Open implements Operator: it materializes the inner (right) input.
 func (j *NestedLoopJoin) Open() error {
-	j.inner, j.probe, j.pi, j.ii = nil, nil, 0, 0
-	j.sl = newSlab(j.schema.Arity())
+	j.inner, j.probeRows, j.pi, j.ii = nil, nil, 0, 0
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
@@ -950,49 +951,52 @@ func (j *NestedLoopJoin) Open() error {
 	return nil
 }
 
-// Next implements Operator.
+// Next implements Operator. Each candidate pair is built in the next free
+// row of buf and kept only if the predicate accepts it.
 func (j *NestedLoopJoin) Next() (*Batch, error) {
-	j.out.Reset()
+	width := j.schema.Arity()
+	if j.buf == nil {
+		j.buf = make([]types.Value, DefaultBatchSize*width)
+	}
+	j.spine = j.spine[:0]
 	for {
-		if j.probe != nil {
-			for j.pi < j.probe.Len() {
-				l := j.probeRows[j.pi]
-				for j.ii < len(j.inner) {
-					row := j.sl.peek()
-					copy(row, l)
-					copy(row[len(l):], j.inner[j.ii])
-					j.ii++
-					if j.Pred != nil && !algebra.Truthy(j.Pred.Eval(row)) {
-						continue
-					}
-					j.sl.commit()
-					j.out.Append(row)
-					if j.out.Len() >= DefaultBatchSize {
-						return &j.out, nil
-					}
+		for j.pi < len(j.probeRows) {
+			l := j.probeRows[j.pi]
+			for j.ii < len(j.inner) {
+				k := len(j.spine)
+				row := j.buf[k*width : (k+1)*width : (k+1)*width]
+				copy(row, l)
+				copy(row[len(l):], j.inner[j.ii])
+				j.ii++
+				if j.Pred != nil && !algebra.Truthy(j.Pred.Eval(row)) {
+					continue
 				}
-				j.pi++
-				j.ii = 0
+				if j.spine = append(j.spine, row); len(j.spine) == DefaultBatchSize {
+					j.out.setRows(j.spine, width)
+					return &j.out, nil
+				}
 			}
-			j.probe = nil
+			j.pi++
+			j.ii = 0
 		}
 		b, err := j.Left.Next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			if j.out.Len() > 0 {
-				return &j.out, nil
+			if len(j.spine) == 0 {
+				return nil, nil
 			}
-			return nil, nil
+			j.out.setRows(j.spine, width)
+			return &j.out, nil
 		}
-		j.probe, j.probeRows, j.pi, j.ii = b, b.Rows(), 0, 0
+		j.probeRows, j.pi, j.ii = b.Rows(), 0, 0
 	}
 }
 
 // Close implements Operator.
 func (j *NestedLoopJoin) Close() error {
-	j.inner, j.probe, j.probeRows, j.sl = nil, nil, nil, nil
+	j.inner, j.probeRows, j.buf, j.spine = nil, nil, nil, nil
 	lerr := j.Left.Close()
 	rerr := j.Right.Close()
 	if lerr != nil {

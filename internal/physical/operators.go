@@ -5,21 +5,10 @@ import (
 	"repro/internal/vector"
 )
 
-// Scan emits the rows of a resolved base table in batches whose spines are
-// zero-copy slices of the table's row array (marked shared — consumers must
-// not compact them in place). The row slices alias table storage; operators
-// above that construct rows (joins, HashAggregate) emit fresh slices and
-// never mutate inputs, while row-preserving operators (Sort, Distinct,
-// UnionAll) pass the aliased slices through. Callers
-// therefore must not mutate result rows of row-preserving plans in place;
-// Limit is the exception and copies, so that LIMIT results are always safe
-// to mutate.
-//
-// When the source also provides columnar table storage (ColumnSource), each
-// batch additionally carries zero-copy vector windows of the table's
-// columns, which the column kernels above read directly (without it they
-// convert the rows they read); row consumers keep reading the row view for
-// free.
+// Scan emits the rows of a resolved base table in batches of column
+// vectors. When the source provides columnar table storage (ColumnSource),
+// each batch is a zero-copy window of the table's columns; a row-only source
+// has each batch's rows converted with vector.FromRows.
 type Scan struct {
 	Table     string
 	BatchSize int // rows per batch; 0 means DefaultBatchSize
@@ -35,9 +24,8 @@ func NewScan(table string, schema types.Schema, rows [][]types.Value) *Scan {
 	return &Scan{Table: table, schema: schema, rows: rows}
 }
 
-// NewColumnarScan builds a scan that emits dual-view batches: the row spine
-// plus zero-copy windows of cols. A cols whose length disagrees with rows
-// (a stale cache) is ignored.
+// NewColumnarScan builds a scan that emits zero-copy windows of cols. A
+// cols whose length disagrees with rows (a stale cache) is ignored.
 func NewColumnarScan(table string, schema types.Schema, rows [][]types.Value, cols *vector.Columns) *Scan {
 	s := NewScan(table, schema, rows)
 	if cols != nil && cols.N == len(rows) {
@@ -52,9 +40,6 @@ func (s *Scan) Schema() types.Schema { return s.schema }
 // Open implements Operator.
 func (s *Scan) Open() error { s.pos = 0; return nil }
 
-// RowCountHint implements RowCountHinter: a scan knows its table size.
-func (s *Scan) RowCountHint() (int, bool) { return len(s.rows) - s.pos, true }
-
 // Next implements Operator.
 func (s *Scan) Next() (*Batch, error) {
 	if s.pos >= len(s.rows) {
@@ -64,14 +49,11 @@ func (s *Scan) Next() (*Batch, error) {
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	end := s.pos + size
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
+	end := min(s.pos+size, len(s.rows))
 	if s.cols != nil {
-		s.out.SetSharedWithCols(s.rows[s.pos:end], s.cols.Slice(s.pos, end))
+		s.out.SetCols(s.cols.Slice(s.pos, end), end-s.pos)
 	} else {
-		s.out.SetShared(s.rows[s.pos:end])
+		s.out.setRows(s.rows[s.pos:end], s.schema.Arity())
 	}
 	s.pos = end
 	return &s.out, nil
@@ -82,8 +64,8 @@ func (s *Scan) Close() error { return nil }
 
 // drainColumns implements colsDrainer: a columnar scan at the root of a plan
 // hands its whole table over as one zero-copy columnar result — no batches,
-// no row spine, no boxing. The columns alias table storage; Result documents
-// the read-only rule.
+// no boxing. The columns alias table storage; Result documents the
+// read-only rule.
 func (s *Scan) drainColumns() (*vector.Columns, bool) {
 	if s.cols == nil || s.pos != 0 {
 		return nil, false
@@ -93,9 +75,8 @@ func (s *Scan) drainColumns() (*vector.Columns, bool) {
 }
 
 // Limit emits the first N input rows and then stops pulling from its input —
-// early termination that streaming producers below benefit from. Emitted
-// rows are copied (slab-allocated per batch) so callers can mutate them, or
-// append past them, without corrupting the source table the rows may alias.
+// early termination that streaming producers below benefit from. A batch
+// that crosses the limit goes out as zero-copy windows of its vectors.
 type Limit struct {
 	Input   Operator
 	N       int64
@@ -109,22 +90,6 @@ func (l *Limit) Schema() types.Schema { return l.Input.Schema() }
 // Open implements Operator.
 func (l *Limit) Open() error { l.emitted = 0; return l.Input.Open() }
 
-// RowCountHint implements RowCountHinter when the input's count is known.
-func (l *Limit) RowCountHint() (int, bool) {
-	h, ok := l.Input.(RowCountHinter)
-	if !ok {
-		return 0, false
-	}
-	n, known := h.RowCountHint()
-	if !known {
-		return 0, false
-	}
-	if int64(n) > l.N {
-		n = int(l.N)
-	}
-	return n, true
-}
-
 // Next implements Operator.
 func (l *Limit) Next() (*Batch, error) {
 	if l.emitted >= l.N {
@@ -134,28 +99,23 @@ func (l *Limit) Next() (*Batch, error) {
 	if b == nil || err != nil {
 		return nil, err
 	}
-	take := b.Len()
-	if rem := l.N - l.emitted; int64(take) > rem {
-		take = int(rem)
+	if rem := l.N - l.emitted; int64(b.Len()) > rem {
+		win := make([]vector.Vector, len(b.Cols()))
+		for j, v := range b.Cols() {
+			win[j] = v.Slice(0, int(rem))
+		}
+		l.out.SetCols(win, int(rem))
+		b = &l.out
 	}
-	l.emitted += int64(take)
-	width := l.Schema().Arity()
-	buf := make([]types.Value, take*width)
-	rows := b.Rows()
-	l.out.Reset()
-	for i := 0; i < take; i++ {
-		row := buf[i*width : (i+1)*width : (i+1)*width]
-		copy(row, rows[i])
-		l.out.Append(row)
-	}
-	return &l.out, nil
+	l.emitted += int64(b.Len())
+	return b, nil
 }
 
 // Close implements Operator.
 func (l *Limit) Close() error { return l.Input.Close() }
 
 // UnionAll streams the left input's batches, then the right's (bag union).
-// Batches pass through untouched, shared flag and all.
+// Batches pass through untouched.
 type UnionAll struct {
 	Left, Right Operator
 	onRight     bool
@@ -171,24 +131,6 @@ func (u *UnionAll) Open() error {
 		return err
 	}
 	return u.Right.Open()
-}
-
-// RowCountHint implements RowCountHinter when both inputs' counts are known.
-func (u *UnionAll) RowCountHint() (int, bool) {
-	lh, ok := u.Left.(RowCountHinter)
-	if !ok {
-		return 0, false
-	}
-	rh, ok := u.Right.(RowCountHinter)
-	if !ok {
-		return 0, false
-	}
-	ln, lok := lh.RowCountHint()
-	rn, rok := rh.RowCountHint()
-	if !lok || !rok {
-		return 0, false
-	}
-	return ln + rn, true
 }
 
 // Next implements Operator.
@@ -214,18 +156,16 @@ func (u *UnionAll) Close() error {
 }
 
 // Distinct keeps the first occurrence of each row, keyed by the shared
-// canonical binary encoding (see key.go). It narrows each batch through a
-// selection vector — in place for owned spines, into its own
-// spine for shared ones — so dedup moves row pointers, never row data. On
-// columnar batches the keys are encoded straight from the vectors (the
-// per-vector-type AppendElemKey fast paths), skipping the boxed reads.
+// canonical binary encoding (see key.go) read straight from the batch's
+// vectors. A batch that loses rows goes out gathered at its selection; one
+// that keeps them all passes through.
 type Distinct struct {
 	Input Operator
 	seen  map[string]struct{}
 
-	sel     []int
-	keyBuf  []byte
-	scratch Batch
+	sel    []int
+	keyBuf []byte
+	out    Batch
 }
 
 // Schema implements Operator.
@@ -244,30 +184,28 @@ func (d *Distinct) Next() (*Batch, error) {
 		if b == nil || err != nil {
 			return nil, err
 		}
+		cols := b.Cols()
 		d.sel = d.sel[:0]
-		if cols := b.KeyCols(); cols != nil {
-			for i, n := 0, b.Len(); i < n; i++ {
-				d.keyBuf = appendVecRowKey(d.keyBuf[:0], cols, i)
-				if _, dup := d.seen[string(d.keyBuf)]; dup {
-					continue
-				}
-				d.seen[string(d.keyBuf)] = struct{}{}
-				d.sel = append(d.sel, i)
+		for i, n := 0, b.Len(); i < n; i++ {
+			d.keyBuf = appendVecRowKey(d.keyBuf[:0], cols, i)
+			if _, dup := d.seen[string(d.keyBuf)]; dup {
+				continue
 			}
-		} else {
-			for i, row := range b.Rows() {
-				d.keyBuf = appendRowKey(d.keyBuf[:0], row)
-				if _, dup := d.seen[string(d.keyBuf)]; dup {
-					continue
-				}
-				d.seen[string(d.keyBuf)] = struct{}{}
-				d.sel = append(d.sel, i)
-			}
+			d.seen[string(d.keyBuf)] = struct{}{}
+			d.sel = append(d.sel, i)
 		}
-		if len(d.sel) == 0 {
+		switch len(d.sel) {
+		case 0:
 			continue
+		case b.Len():
+			return b, nil
 		}
-		return applySel(b, d.sel, &d.scratch), nil
+		out := make([]vector.Vector, len(cols))
+		for j, v := range cols {
+			out[j] = v.Gather(d.sel)
+		}
+		d.out.SetCols(out, len(d.sel))
+		return &d.out, nil
 	}
 }
 

@@ -25,31 +25,21 @@ import (
 	"repro/internal/vector"
 )
 
-// Operator is a batch-at-a-time iterator over rows. The contract:
+// Operator is a batch-at-a-time iterator over rows held as columns. The
+// contract:
 //
 //   - Open prepares the operator (and its inputs) for iteration.
 //   - Next returns the next non-empty batch, or (nil, nil) when the input is
-//     exhausted; empty batches are never returned. The batch (its spine) is
-//     valid only until the operator's next Next or Close call; row slices
-//     inside it are stable until Close and may be retained. See Batch for
-//     the full ownership rules.
+//     exhausted; empty batches are never returned. Every batch carries one
+//     vector per output column. The batch and its vectors are valid only
+//     until the operator's next Next or Close call; a consumer that keeps
+//     data longer copies it. See Batch for the full ownership rules.
 //   - Close releases resources; it must be safe to call after Open failed.
 type Operator interface {
 	Schema() types.Schema
 	Open() error
 	Next() (*Batch, error)
 	Close() error
-}
-
-// RowCountHinter is optionally implemented by operators that know, after
-// Open, exactly how many rows their Next calls will emit in total. The row
-// drain uses the hint to size its result slice in one allocation. Operators
-// whose output size is data-dependent and not yet materialized (filters,
-// joins, distinct) simply do not implement it.
-type RowCountHinter interface {
-	// RowCountHint reports the exact remaining row count, and whether it is
-	// known. Valid only between Open and the first Next.
-	RowCountHint() (int, bool)
 }
 
 // Source resolves table names at lowering time, so one logical plan can run
@@ -62,8 +52,9 @@ type Source interface {
 
 // ColumnSource is optionally implemented by sources that also hold columnar
 // storage (internal/vector) for their tables. Scans over such sources emit
-// dual-view batches and the typed operator paths engage; sources without it
-// run the boxed row engine unchanged.
+// zero-copy windows of that storage, and pipelines and aggregates read it
+// whole; a scan over a source without it converts each batch's rows
+// (vector.FromRows), and every operator above runs unchanged.
 type ColumnSource interface {
 	// ResolveColumns returns the cached columnar form of the named table, or
 	// ok=false when none is available. The result must describe exactly the

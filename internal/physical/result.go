@@ -7,27 +7,22 @@ import (
 	"repro/internal/vector"
 )
 
-// Result is a drained query result that keeps its columnar form when the
-// plan produced one: a schema plus either column vectors (zero per-row
-// boxing on the way out of the engine) or boxed rows (the classic Drain
-// shape, for plans with no columnar output path). Row access is lazy — the
+// Result is a drained query result: a schema plus column vectors, with no
+// per-row boxing on the way out of the engine. Row access is lazy — the
 // first Rows call materializes boxed rows from the vectors and caches them —
-// so a consumer that streams straight from columns (CSV output, vector-aware
-// clients) never pays for boxing at all.
+// so a consumer that streams straight from columns (CSV output, the wire
+// protocol) never pays for boxing at all.
 //
-// Ownership: columnar results may alias table storage and compiled-kernel
-// scratch, so the columns are valid only until the producing operator is
+// Ownership: the columns may alias table storage and compiled-kernel
+// scratch, so they are valid only until the producing operator is
 // re-executed (Open/Drain on the same lowered plan invalidates them); rows
-// returned by Rows are materialized copies and obey the engine-wide
-// row-stability rule instead (stable forever, but possibly aliasing table
-// cells — do not mutate in place). Plans lowered fresh per query, as the
-// engine does, never observe the reuse.
+// returned by Rows are materialized copies, stable forever. Plans lowered
+// fresh per query, as the engine does, never observe the reuse.
 type Result struct {
 	Schema types.Schema
 
-	cols     *vector.Columns
-	rows     [][]types.Value
-	haveRows bool
+	cols *vector.Columns
+	rows [][]types.Value // materialized by the first Rows call
 }
 
 // NewColumnarResult wraps column vectors as a result.
@@ -35,53 +30,36 @@ func NewColumnarResult(schema types.Schema, cols *vector.Columns) *Result {
 	return &Result{Schema: schema, cols: cols}
 }
 
-// NewRowResult wraps boxed rows as a result.
-func NewRowResult(schema types.Schema, rows [][]types.Value) *Result {
-	return &Result{Schema: schema, rows: rows, haveRows: true}
-}
-
 // NumRows reports the result's row count without materializing anything.
-func (r *Result) NumRows() int {
-	if r.cols != nil {
-		return r.cols.N
-	}
-	return len(r.rows)
-}
+func (r *Result) NumRows() int { return r.cols.N }
 
-// Cols returns the columnar form, or nil for a row-backed result.
+// Cols returns the result's columns.
 func (r *Result) Cols() *vector.Columns { return r.cols }
 
 // Rows returns the result as boxed rows, materializing (and caching) them
-// from the columns on first call. Row-backed results return their rows
-// as-is, so Drain-equivalent consumers see byte-identical data either way.
+// from the columns on first call.
 func (r *Result) Rows() [][]types.Value {
-	if !r.haveRows {
+	if r.rows == nil {
 		r.rows = vector.Materialize(r.cols.Vecs, r.cols.N)
-		r.haveRows = true
 	}
 	return r.rows
 }
 
-// colsDrainer is optionally implemented by operators that can produce their
-// entire output as column vectors with no per-row boxing — a passthrough
-// columnar scan, or a probe-less fused pipeline. DrainColumns calls it once
-// right after Open; handled=false falls back to the boxed row drain.
+// colsDrainer is optionally implemented by operators that can hand over
+// their entire output as column vectors at once — a columnar scan, or a
+// probe-less pipeline over a table. DrainColumns calls it once right after
+// Open; handled=false falls back to the batch loop.
 type colsDrainer interface {
 	drainColumns() (cols *vector.Columns, handled bool)
 }
 
-// DrainColumns opens op, drains its whole output, and closes it. When the
-// root operator can emit its output as vectors, no output row is ever
-// boxed — the boxed [][]types.Value sink (and its alloc-zeroing + GC-marking
-// cost, the structural floor of row draining at scale) disappears, and
-// boxed Values exist only if the caller materializes via Result.Rows. A
-// root that hands over its whole output at once (a columnar scan, a
-// probe-less fused chain) does so directly; otherwise the batch loop
-// concatenates column-only batches (a projection's, an in-memory hash
-// join's) into a columnar Result, and a root that emits batches with a row
-// view (a sort, an aggregate) drains into a row-backed one. The call is
-// total: every plan drains, only the representation differs. The Close
-// error is reported only when iteration itself succeeded.
+// DrainColumns opens op, drains its whole output into a columnar Result,
+// and closes it. A root that hands over its whole output at once (a
+// columnar scan, a probe-less pipeline over a table) does so directly;
+// otherwise the batch loop copies each batch's expiring vectors onto
+// columns of the result's own (vector.Append). An empty output is
+// vector.FromRows(nil, arity): boxed, empty columns. The Close error is
+// reported only when iteration itself succeeded.
 func DrainColumns(op Operator) (*Result, error) {
 	return DrainColumnsContext(context.Background(), op)
 }
@@ -112,20 +90,8 @@ func DrainColumnsContext(ctx context.Context, op Operator) (*Result, error) {
 			return NewColumnarResult(op.Schema(), cols), nil
 		}
 	}
-	// Column-only batches are folded into columns of the result's own
-	// (vector.Append) while every batch is column-only; the first batch with
-	// a row view turns the drain to rows, boxing the columns gathered so
-	// far and every later column-only batch.
-	var vecs []vector.Vector
-	n := 0
-	var rows [][]types.Value
-	byRows := false
-	hint := 0
-	if h, ok := op.(RowCountHinter); ok {
-		if c, known := h.RowCountHint(); known {
-			hint = c
-		}
-	}
+	arity := op.Schema().Arity()
+	vecs, n := make([]vector.Vector, arity), 0
 	for {
 		if err := ctx.Err(); err != nil {
 			op.Close()
@@ -139,37 +105,22 @@ func DrainColumnsContext(ctx context.Context, op Operator) (*Result, error) {
 		if b == nil {
 			break
 		}
-		if !byRows && b.rows == nil && b.cols != nil {
-			if vecs == nil {
-				vecs = make([]vector.Vector, len(b.cols))
-			}
-			for c, v := range b.cols {
-				vecs[c] = vector.Append(vecs[c], v)
-			}
-			n += b.Len()
-			continue
+		for c, v := range b.Cols() {
+			vecs[c] = vector.Append(vecs[c], v)
 		}
-		if !byRows {
-			byRows = true
-			rows = make([][]types.Value, 0, max(hint, n))
-			if n > 0 {
-				rows = append(rows, vector.Materialize(vecs, n)...)
-			}
-		}
-		rows = append(rows, b.Rows()...)
+		n += b.Len()
 	}
 	if err := op.Close(); err != nil {
 		return nil, err
 	}
-	if !byRows && vecs != nil {
-		return NewColumnarResult(op.Schema(), &vector.Columns{N: n, Vecs: vecs}), nil
+	if n == 0 {
+		return NewColumnarResult(op.Schema(), vector.FromRows(nil, arity)), nil
 	}
-	return NewRowResult(op.Schema(), rows), nil
+	return NewColumnarResult(op.Schema(), &vector.Columns{N: n, Vecs: vecs}), nil
 }
 
 // Drain is DrainColumns materialized to boxed rows. The spine is owned by
-// the caller; the rows obey the engine-wide stability rule (stable, but
-// possibly aliasing table storage — do not mutate in place).
+// the caller; the rows are freshly materialized.
 func Drain(op Operator) ([][]types.Value, error) {
 	res, err := DrainColumns(op)
 	if err != nil {

@@ -158,12 +158,13 @@ func (h *mergeHeap) add(it mergeItem) error {
 	return nil
 }
 
-// emit appends up to max merged rows into out, advancing and refilling
-// cursors as they drain. It reports whether any rows remain.
-func (h *mergeHeap) emit(out *Batch, max int) error {
-	for h.Len() > 0 && out.Len() < max {
+// emit appends merged rows to out until it holds max of them or the merge
+// is exhausted, advancing and refilling cursors as they drain, and returns
+// the extended slice.
+func (h *mergeHeap) emit(out [][]types.Value, max int) ([][]types.Value, error) {
+	for h.Len() > 0 && len(out) < max {
 		top := &h.items[0]
-		out.Append(top.rows[top.pos])
+		out = append(out, top.rows[top.pos])
 		top.pos++
 		if top.pos < len(top.rows) {
 			heap.Fix(h, 0)
@@ -172,7 +173,7 @@ func (h *mergeHeap) emit(out *Batch, max int) error {
 		if top.refill != nil {
 			rows, err := top.refill()
 			if err != nil {
-				return err
+				return out, err
 			}
 			if len(rows) > 0 {
 				top.rows, top.pos = rows, 0
@@ -182,7 +183,7 @@ func (h *mergeHeap) emit(out *Batch, max int) error {
 		}
 		heap.Pop(h)
 	}
-	return nil
+	return out, nil
 }
 
 // maxMergeFanIn bounds how many run cursors a k-way merge holds open at
@@ -203,7 +204,7 @@ const maxMergeFanIn = 64
 // log_fanIn(runs) — for any realistic budget, two passes.
 func cascadeRuns(sp *spillSet, gov *MemGovernor, runs []*spill.Run,
 	less func(a, b []types.Value) bool) ([]*spill.Run, error) {
-	var scratch Batch
+	var scratch [][]types.Value
 	mergeGroup := func(group []*spill.Run) (*spill.Run, error) {
 		h := &mergeHeap{less: less}
 		readers := make([]*spill.Reader, 0, len(group))
@@ -222,14 +223,11 @@ func cascadeRuns(sp *spillSet, gov *MemGovernor, runs []*spill.Run,
 			return nil, err
 		}
 		for h.Len() > 0 {
-			scratch.Reset()
-			if err := h.emit(&scratch, DefaultBatchSize); err != nil {
+			var err error
+			if scratch, err = h.emit(scratch[:0], DefaultBatchSize); err != nil {
 				return nil, err
 			}
-			if scratch.Len() == 0 {
-				break
-			}
-			if err := w.AppendAll(scratch.rows); err != nil {
+			if err := w.AppendAll(scratch); err != nil {
 				return nil, err
 			}
 		}

@@ -15,10 +15,10 @@ import (
 // and streamed back frame by frame, slotting into the same k-way merge.
 const DefaultSortRunSize = 1 << 16
 
-// Sort orders the input by the keys. Open consumes the input's batches into
-// sorted runs of at most RunSize rows (retaining the stable row slices;
-// only the ephemeral batch spines are copied); Next streams the k-way merge
-// of the runs in batches of up to DefaultBatchSize through a reused spine.
+// Sort orders the input by the keys. Open consumes the input's batches,
+// materialized as rows, into sorted runs of at most RunSize rows; Next
+// streams the k-way merge of the runs through a reused spine of up to
+// DefaultBatchSize rows, each spine going out converted to columns.
 // The sort is stable: within a run sort.SliceStable preserves arrival
 // order, and the merge breaks comparator ties by run index (runs are
 // consecutive chunks of the input).
@@ -31,9 +31,7 @@ const DefaultSortRunSize = 1 << 16
 // cursors' resident frames. Because the final order of a stable sort is
 // fully determined by (key, input position) and run indexes are input
 // chunk positions, spilled and in-memory execution produce byte-identical
-// output regardless of where the run boundaries fall. Rows decoded from a
-// spill file are freshly allocated, so they satisfy the engine-wide
-// row-stability rule like any other emitted row.
+// output regardless of where the run boundaries fall.
 type Sort struct {
 	Input    Operator
 	Keys     []algebra.SortKey
@@ -42,10 +40,10 @@ type Sort struct {
 	SpillDir string       // temp dir for spilled runs; "" means os.TempDir()
 
 	runs  []sortRun
-	total int
 	held  int64 // bytes currently reserved with Mem
 	h     *mergeHeap
 	sp    *spillSet
+	spine [][]types.Value // the merged rows of the batch being emitted
 	out   Batch
 }
 
@@ -129,7 +127,7 @@ func (s *Sort) spillRun(r *sortRun) error {
 // Open implements Operator: it consumes the input into sorted runs —
 // spilling them under memory pressure — and prepares the merge.
 func (s *Sort) Open() error {
-	s.runs, s.h, s.total, s.held = nil, nil, 0, 0
+	s.runs, s.h, s.held = nil, nil, 0
 	s.sp = nil
 	if err := s.Input.Open(); err != nil {
 		return err
@@ -210,7 +208,6 @@ func (s *Sort) Open() error {
 				runBytes += bytes
 			}
 			run = append(run, row)
-			s.total++
 			if len(run) >= runSize {
 				flush()
 			}
@@ -262,29 +259,27 @@ func (s *Sort) Open() error {
 	return nil
 }
 
-// RowCountHint implements RowCountHinter: after Open every run is
-// materialized (in memory or on disk), so the count is exact.
-func (s *Sort) RowCountHint() (int, bool) { return s.total, true }
-
-// Next implements Operator.
+// Next implements Operator: the merge fills the reused spine, which goes
+// out converted to columns.
 func (s *Sort) Next() (*Batch, error) {
 	if s.h.Len() == 0 {
 		return nil, nil
 	}
-	s.out.Reset()
-	if err := s.h.emit(&s.out, DefaultBatchSize); err != nil {
+	var err error
+	if s.spine, err = s.h.emit(s.spine[:0], DefaultBatchSize); err != nil {
 		return nil, err
 	}
-	if s.out.Len() == 0 {
+	if len(s.spine) == 0 {
 		return nil, nil
 	}
+	s.out.setRows(s.spine, s.Schema().Arity())
 	return &s.out, nil
 }
 
 // Close implements Operator: drop the runs, release the reservation, and
 // remove every spill file — including on early Close mid-merge.
 func (s *Sort) Close() error {
-	s.runs, s.h = nil, nil
+	s.runs, s.h, s.spine = nil, nil, nil
 	s.Mem.Release(s.held)
 	s.held = 0
 	cerr := s.sp.cleanup()

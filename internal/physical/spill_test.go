@@ -335,7 +335,7 @@ func (e *errOp) Next() (*Batch, error) {
 	if e.calls >= e.failAt {
 		return nil, fmt.Errorf("injected mid-stream failure")
 	}
-	e.out.SetShared(e.rows)
+	e.out.setRows(e.rows, e.schema.Arity())
 	return &e.out, nil
 }
 func (e *errOp) Close() error { return nil }

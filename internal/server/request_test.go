@@ -61,6 +61,36 @@ func TestPipelinedSessionOpsApplyInOrder(t *testing.T) {
 	}
 }
 
+// TestReadRawFrameAllocatesAsPayloadArrives: a response frame's length
+// claim alone allocates at most one step, however much it claims, while a
+// payload bigger than the step still arrives whole, and one cut short is
+// an unexpected EOF.
+func TestReadRawFrameAllocatesAsPayloadArrives(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := server.ReadRawFrame(bytes.NewReader(lengthClaim(server.MaxFrame)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("bare MaxFrame claim: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Fatalf("bare MaxFrame claim allocated %d bytes, want < 8 MiB", alloc)
+	}
+
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 9<<16) // 9 MiB
+	var frame bytes.Buffer
+	if err := server.WriteRawFrame(&frame, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.ReadRawFrame(bytes.NewReader(frame.Bytes()[:5<<20])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	got, err := server.ReadRawFrame(&frame)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("9 MiB frame: %d bytes, err %v; want the payload back", len(got), err)
+	}
+}
+
 // TestRequestFrameCap: a request frame claiming more than MaxRequest bytes
 // closes the connection, and a frame's buffer grows only as its payload
 // arrives, so length claims alone cannot inflate the server's heap.

@@ -431,24 +431,15 @@ func (s *Server) runQuery(ctx context.Context, sess *session, fw *frameWriter, i
 }
 
 // streamResult writes one query result as a chunked binary column stream:
-// a JSON header frame carrying the schema and plan metadata, windowed
-// binary chunk frames sliced zero-copy off the result vectors, and a JSON
-// trailer frame with the totals. Scans, pipelines (probe stages included)
-// and the governed hash join's in-memory probe hand over columnar results
-// at every DOP; plans whose root has no columnar output (sorts, aggregates,
-// distincts, limits, nested-loop and spilled joins) arrive row-backed and
-// columnarize first — FromRows round-trips values exactly. A query that
-// took an admission grant holds it while chunks are written, so the
-// result's memory is accounted for as long as it is being read, and
-// releases it after the last chunk and before the trailer, on every arm.
+// a JSON header frame carrying the schema, the columns' wire kind tags and
+// plan metadata, windowed binary chunk frames sliced zero-copy off the
+// result vectors, and a JSON trailer frame with the totals. Every Result is
+// columnar, so no plan's output is boxed on the way out. A query that took
+// an admission grant holds it while chunks are written, so the result's
+// memory is accounted for as long as it is being read, and releases it
+// after the last chunk and before the trailer, on every arm.
 func (s *Server) streamResult(ctx context.Context, fw *frameWriter, id uint64, res *physical.Result, grant *physical.Grant) {
-	var vecs []vector.Vector
-	n := res.NumRows()
-	if cols := res.Cols(); cols != nil {
-		vecs = cols.Vecs
-	} else {
-		vecs = vector.FromRows(res.Rows(), len(res.Schema.Attrs)).Vecs
-	}
+	vecs, n := res.Cols().Vecs, res.NumRows()
 	kinds := make([]string, len(vecs))
 	for j, v := range vecs {
 		kinds[j] = string(vector.WireTag(v))

@@ -93,23 +93,41 @@ func WriteRawFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// frameAllocStep is the most ReadRawFrame allocates for a frame before its
+// payload arrives. A frame up to this size, every result chunk included,
+// takes one allocation; a bigger claim grows its buffer by doubling as the
+// bytes come in, so a bare length prefix cannot make a reader allocate
+// MaxFrame.
+const frameAllocStep = 4 << 20
+
 // ReadRawFrame reads one length-prefixed frame and returns its payload
 // bytes undecoded, so a reader can dispatch on the first byte (JSON frames
-// start with '{', binary chunk frames with ColMagic).
+// start with '{', binary chunk frames with ColMagic). A payload cut short
+// is io.ErrUnexpectedEOF.
 func ReadRawFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	payload := make([]byte, min(n, frameAllocStep))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got = len(payload); got == n {
+			return payload, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, payload)
+		payload = grown
 	}
-	return payload, nil
 }
 
 // Request is one client message.

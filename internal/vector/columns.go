@@ -28,14 +28,14 @@ func (c *Columns) Slice(lo, hi int) []Vector {
 func FromRows(rows [][]types.Value, arity int) *Columns {
 	c := &Columns{N: len(rows), Vecs: make([]Vector, arity)}
 	for j := 0; j < arity; j++ {
-		c.Vecs[j] = ColumnFromRows(rows, j)
+		c.Vecs[j] = columnFromRows(rows, j)
 	}
 	return c
 }
 
-// ColumnFromRows infers and builds the j-th column of a row table, as
+// columnFromRows infers and builds the j-th column of a row table, as
 // FromRows does for every column.
-func ColumnFromRows(rows [][]types.Value, j int) Vector {
+func columnFromRows(rows [][]types.Value, j int) Vector {
 	kind := types.KindNull
 	mixed := false
 	for _, r := range rows {

@@ -269,7 +269,7 @@ func TestAppend(t *testing.T) {
 				rows[i] = []types.Value{v}
 			}
 			lo := rng.Intn(n)
-			src := ColumnFromRows(rows, 0).Slice(lo, n)
+			src := columnFromRows(rows, 0).Slice(lo, n)
 			got = Append(got, src)
 			want = append(want, col[lo:]...)
 			srcs = append(srcs, src)
