@@ -3,9 +3,10 @@ package repro_test
 // Randomized columnar-sink agreement: DrainColumns — the result path that
 // hands query output over as vectors and boxes rows only on demand — must
 // materialize to byte-identical rows, in identical order, to the boxed Drain
-// of the same plan on the boxed serial engine. At every DOP, under unlimited
-// and governed memory budgets, on plain and UA-rewritten plans. This is the acceptance gate for the result sink: a columnar result
-// is a representation change, never a semantics change.
+// of the same plan on the boxed serial engine (every column boxed, DOP 1).
+// At every DOP, under unlimited and governed memory budgets, on plain and
+// UA-rewritten plans. This is the acceptance gate for the result sink: a
+// columnar result is a representation change, never a semantics change.
 
 import (
 	"context"
@@ -51,7 +52,7 @@ func TestColumnarResultAgreementRandomized(t *testing.T) {
 		g := &planGen{rng: rng, cat: cat}
 		plan, _ := g.gen(1 + rng.Intn(3))
 
-		want := drainOpts(t, plan, rowSource{cat}, physical.Options{DOP: 1}, "boxed serial")
+		want := drainOpts(t, plan, boxedSource{cat}, physical.Options{DOP: 1}, "boxed serial")
 		for _, dop := range typedDOPs() {
 			for _, budget := range columnarBudgets() {
 				got := drainColumnsOpts(t, plan, cat, typedOpts(dop, budget, dir), "columnar sink")
@@ -80,7 +81,7 @@ func TestColumnarResultAgreementUA(t *testing.T) {
 			t.Fatalf("rewrite: %v", err)
 		}
 
-		want := drainOpts(t, ua, rowSource{enc}, physical.Options{DOP: 1}, "boxed serial UA")
+		want := drainOpts(t, ua, boxedSource{enc}, physical.Options{DOP: 1}, "boxed serial UA")
 		for _, dop := range typedDOPs() {
 			for _, budget := range columnarBudgets() {
 				got := drainColumnsOpts(t, ua, enc, typedOpts(dop, budget, dir), "columnar sink UA")
@@ -137,7 +138,7 @@ func TestColumnarSinkEngages(t *testing.T) {
 // projections over hash joins, and hash joins emit column-only batches, so
 // both drain into a columnar Result — UA-rewritten and deterministic, at
 // DOP 0 and 1 — with the rows, in order, of the boxed Drain of the same
-// plan over row-only tables.
+// plan over boxed tables.
 func TestJoinRootedPlansDrainColumnar(t *testing.T) {
 	w := pdbench.Generate(pdbench.Config{SF: 0.05, Seed: 3})
 	uaDB := kdb.NewDatabase[semiring.Pair[int64]](semiring.UA[int64](semiring.Nat))
@@ -165,7 +166,7 @@ func TestJoinRootedPlansDrainColumnar(t *testing.T) {
 			plan algebra.Node
 			cat  *engine.Catalog
 		}{{q.Name + " UA", uaPlan, front.Enc}, {q.Name + " det", detPlan, det}} {
-			want := drainOpts(t, physical.Optimize(c.plan), rowSource{c.cat}, physical.Options{DOP: 1}, c.name+" boxed")
+			want := drainOpts(t, physical.Optimize(c.plan), boxedSource{c.cat}, physical.Options{DOP: 1}, c.name+" boxed")
 			if len(want) == 0 {
 				t.Fatalf("%s: empty answer proves nothing", c.name)
 			}

@@ -39,6 +39,12 @@ func fusedTestCatalog() *engine.Catalog {
 	return cat
 }
 
+// allRows is a Limit that keeps every row of in: a chain or aggregate over
+// it reads an operator input where over in itself it would read the table.
+func allRows(in algebra.Node) algebra.Node {
+	return &algebra.Limit{Input: in, N: math.MaxInt64}
+}
+
 func fusedChainPlan(cat *engine.Catalog) algebra.Node {
 	sch := cat.Get("t").Schema
 	k := algebra.Col{Idx: 0, Name: "k"}
@@ -222,18 +228,28 @@ func TestFusedAggDirectedParity(t *testing.T) {
 	}
 	never := algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1, Name: "i"},
 		R: algebra.Const{V: types.NewInt(-big * 2)}}
-	plans := []algebra.Node{
-		&algebra.Aggregate{Input: scan(mk()), GroupBy: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}},
-			GroupNames: []string{"g"}, Aggs: aggsAll},
-		&algebra.Aggregate{Input: scan(mk()), Aggs: aggsAll},
-		&algebra.Aggregate{Input: &algebra.Filter{Input: scan(mk()), Pred: never}, Aggs: aggsAll},
-		&algebra.Aggregate{Input: &algebra.Filter{Input: scan(mk()), Pred: never},
-			GroupBy:    []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}},
-			GroupNames: []string{"g"}, Aggs: aggsAll},
+	// plansOver builds the plans over base: the scan itself, or a Limit
+	// over it that makes each aggregate read an operator source.
+	plansOver := func(base algebra.Node) []algebra.Node {
+		return []algebra.Node{
+			&algebra.Aggregate{Input: base, GroupBy: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}},
+				GroupNames: []string{"g"}, Aggs: aggsAll},
+			&algebra.Aggregate{Input: base, Aggs: aggsAll},
+			&algebra.Aggregate{Input: &algebra.Filter{Input: base, Pred: never}, Aggs: aggsAll},
+			&algebra.Aggregate{Input: &algebra.Filter{Input: base, Pred: never},
+				GroupBy:    []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}},
+				GroupNames: []string{"g"}, Aggs: aggsAll},
+		}
 	}
 	cat := mk()
-	for pi, plan := range plans {
-		want := drainOpts(t, plan, rowSource{cat}, physical.Options{DOP: 1}, "operator-source aggregate")
+	opPlans := plansOver(allRows(scan(cat)))
+	for pi, plan := range plansOver(scan(cat)) {
+		if op, err := physical.LowerOpts(opPlans[pi], cat, physical.Options{DOP: 1}); err != nil {
+			t.Fatal(err)
+		} else if h, ok := op.(*physical.HashAggregate); !ok || h.Input == nil {
+			t.Fatalf("plan %d over a Limit lowered to:\n%swant an operator-source aggregate", pi, physical.Explain(op))
+		}
+		want := drainOpts(t, opPlans[pi], cat, physical.Options{DOP: 1}, "operator-source aggregate")
 		for _, dop := range typedDOPs() {
 			got := drainOpts(t, plan, cat, typedOpts(dop, 0, ""), "table-source aggregate")
 			mustMatchRows(t, got, want, fmt.Sprintf("plan %d dop %d: fused vs serial aggregate", pi, dop))
@@ -244,26 +260,26 @@ func TestFusedAggDirectedParity(t *testing.T) {
 // TestFilterOnlyAndPassthroughChainsFuse: every Filter/Project chain is a
 // pipeline, so a bare scan→filter chain and a passthrough projection with
 // no predicate each lower to one FusedPipeline over the table, and answer
-// like the row-at-a-time reference.
+// like the same chain over an operator input.
 func TestFilterOnlyAndPassthroughChainsFuse(t *testing.T) {
 	cat := fusedTestCatalog()
 	sch := cat.Get("t").Schema
 	v := algebra.Col{Idx: 1, Name: "v"}
-	filter := &algebra.Filter{
-		Input: &algebra.Scan{Table: "t", TblSchema: sch},
-		Pred:  algebra.Bin{Op: algebra.OpLt, L: v, R: algebra.Const{V: types.NewInt(100)}},
+	scan := &algebra.Scan{Table: "t", TblSchema: sch}
+	filter := func(in algebra.Node) algebra.Node {
+		return &algebra.Filter{Input: in,
+			Pred: algebra.Bin{Op: algebra.OpLt, L: v, R: algebra.Const{V: types.NewInt(100)}}}
 	}
-	passthrough := &algebra.Project{
-		Input: &algebra.Scan{Table: "t", TblSchema: sch},
-		Exprs: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}},
-		Names: []string{"k"},
+	passthrough := func(in algebra.Node) algebra.Node {
+		return &algebra.Project{Input: in,
+			Exprs: []algebra.Expr{algebra.Col{Idx: 0, Name: "k"}}, Names: []string{"k"}}
 	}
 	for name, c := range map[string]struct {
-		plan algebra.Node
-		ops  string
+		plan, input algebra.Node // over the table, and over an operator
+		ops         string
 	}{
-		"filter-only": {filter, "FusedPipeline[scan t → filter]\n"},
-		"passthrough": {passthrough, "FusedPipeline[scan t → project]\n"},
+		"filter-only": {filter(scan), filter(allRows(scan)), "FusedPipeline[scan t → filter]\n"},
+		"passthrough": {passthrough(scan), passthrough(allRows(scan)), "FusedPipeline[scan t → project]\n"},
 	} {
 		op, err := physical.LowerOpts(c.plan, cat, physical.Options{DOP: 1})
 		if err != nil {
@@ -272,7 +288,7 @@ func TestFilterOnlyAndPassthroughChainsFuse(t *testing.T) {
 		if s := physical.Explain(op); s != c.ops {
 			t.Fatalf("%s chain lowered to:\n%swant %s", name, s, c.ops)
 		}
-		want := drainOpts(t, c.plan, rowSource{cat}, physical.Options{DOP: 1}, "row-only source")
+		want := drainOpts(t, c.input, cat, physical.Options{DOP: 1}, "operator input")
 		got := drainOpts(t, c.plan, cat, physical.Options{DOP: 1}, name)
 		mustMatchRows(t, got, want, name+": table source vs operator input")
 	}

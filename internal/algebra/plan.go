@@ -61,8 +61,9 @@ func (n *Project) String() string {
 // Join combines two inputs. When EquiL/EquiR are non-empty the executor uses
 // a hash join on those column positions (left positions index the left
 // schema, right positions the right schema) and evaluates Residual on each
-// candidate pair; otherwise it falls back to a nested-loop join evaluating
-// Residual on the concatenated row. A nil Residual accepts all pairs.
+// candidate pair; otherwise every left row pairs with every right row and
+// Residual is evaluated on the concatenated row. A nil Residual accepts all
+// pairs.
 type Join struct {
 	Left, Right  Node
 	EquiL, EquiR []int

@@ -180,7 +180,7 @@ func TestJoinHashAndResidual(t *testing.T) {
 
 func TestThetaJoin(t *testing.T) {
 	cat := fixtureCatalog()
-	// Non-equi join falls back to nested loops.
+	// A non-equi join is a keyless product with the predicate as residual.
 	res := run(t, cat, "SELECT u.id, o.oid FROM users u, orders o WHERE o.uid < u.id")
 	if res.NumRows() == 0 {
 		t.Fatal("theta join returned nothing")

@@ -110,25 +110,14 @@ func ExplainPhysicalOpts(n algebra.Node, cat *Catalog, opt physical.Options) (st
 }
 
 // Resolve implements physical.Source: it hands the physical layer a table's
-// schema and backing rows at plan-lowering time.
-func (c *Catalog) Resolve(name string) (types.Schema, [][]types.Value, error) {
+// schema and columnar mirror at plan-lowering time. The mirror is built
+// lazily on the first query after a table changes.
+func (c *Catalog) Resolve(name string) (types.Schema, *vector.Columns, error) {
 	t := c.Get(name)
 	if t == nil {
 		return types.Schema{}, nil, &UnknownTableError{Name: name}
 	}
-	return t.Schema, t.Rows, nil
-}
-
-// ResolveColumns implements physical.ColumnSource: scans over catalog tables
-// get the table's columnar mirror alongside the rows, which switches the
-// physical engine onto its typed (unboxed) operator paths. The mirror is
-// built lazily on the first query after a table changes.
-func (c *Catalog) ResolveColumns(name string) (*vector.Columns, bool) {
-	t := c.Get(name)
-	if t == nil {
-		return nil, false
-	}
-	return t.Columns(), true
+	return t.Schema, t.Columns(), nil
 }
 
 // UnknownTableError reports a scan of a table the catalog does not hold.

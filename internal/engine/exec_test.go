@@ -15,8 +15,8 @@ import (
 
 // TestPlanShapeHashJoinForEquiJoins pins the acceptance criterion: SQL
 // equi-joins must execute as hash joins — a pipeline's probe stage, or the
-// governed HashJoin under a memory budget — and theta joins via the
-// nested-loop fallback.
+// governed HashJoin under a memory budget — and theta joins as a keyless
+// probe, the pipeline's product stage.
 func TestPlanShapeHashJoinForEquiJoins(t *testing.T) {
 	cat := fixtureCatalog()
 	p := NewPlanner(cat)
@@ -33,8 +33,8 @@ func TestPlanShapeHashJoinForEquiJoins(t *testing.T) {
 	if !strings.Contains(s, "probe]") {
 		t.Errorf("equi-join must lower to a probe stage:\n%s", s)
 	}
-	if strings.Contains(s, "NestedLoopJoin") {
-		t.Errorf("equi-join must not nested-loop:\n%s", s)
+	if strings.Contains(s, "product]") {
+		t.Errorf("equi-join must not lower to a keyless product:\n%s", s)
 	}
 	// The amount filter must sit below the join, on the orders side: here
 	// inside the orders chain's pipeline.
@@ -58,8 +58,8 @@ func TestPlanShapeHashJoinForEquiJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(s, "NestedLoopJoin") {
-		t.Errorf("theta join must lower to NestedLoopJoin:\n%s", s)
+	if !strings.Contains(s, "→ product]") {
+		t.Errorf("theta join must lower to a product stage:\n%s", s)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestExecuteSchemaMismatch(t *testing.T) {
 }
 
 // TestHashAndNestedLoopAgree compares the optimizer's hash-join execution of
-// an equality join (via Execute) against the raw nested-loop lowering of the
+// an equality join (via Execute) against the raw keyless lowering of the
 // same plan, on a randomized workload.
 func TestHashAndNestedLoopAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -135,7 +135,7 @@ func TestHashAndNestedLoopAgree(t *testing.T) {
 		l, r := mk("l"), mk("r")
 		// The join carries the equality only as a residual: Execute's
 		// optimizer must turn it into a hash join; lowering the plan as-is
-		// keeps the nested loop.
+		// keeps it the residual of a keyless product.
 		plan := &algebra.Join{
 			Left:  &algebra.Scan{Table: "l", TblSchema: l.Schema},
 			Right: &algebra.Scan{Table: "r", TblSchema: r.Schema},
@@ -167,7 +167,7 @@ func TestHashAndNestedLoopAgree(t *testing.T) {
 		nlRes := NewTable(nlOp.Schema())
 		nlRes.Rows = nlRows
 		if !hashRes.EqualBag(nlRes) {
-			t.Fatalf("hash and nested-loop joins disagree:\nhash:\n%s\nnested:\n%s", hashRes, nlRes)
+			t.Fatalf("hash join and keyless product disagree:\nhash:\n%s\nproduct:\n%s", hashRes, nlRes)
 		}
 	}
 }
@@ -210,7 +210,7 @@ func TestRuntimeResolvedScanSchemas(t *testing.T) {
 	}
 	// A join over runtime-resolved scans: the left arity is statically
 	// unknown, so conjunct classification would be wrong — the optimizer
-	// must stand aside and the nested loop must still be correct.
+	// must stand aside and the keyless product must still be correct.
 	join := &algebra.Join{
 		Left:  &algebra.Scan{Table: "users"},
 		Right: &algebra.Scan{Table: "orders"},

@@ -2,11 +2,11 @@
 // middleware rewrites into: an in-memory catalog of tables and a planner
 // that compiles the SQL AST into the logical algebra of internal/algebra.
 // Execution is delegated to internal/physical — the optimizer normalizes the
-// logical plan and lowers it onto batch-at-a-time streaming operators (hash
-// joins for equi-conditions, nested loops as the theta fallback). The paper
-// ran against a commercial DBMS; all performance experiments here compare
-// rewritten queries against deterministic queries on this same engine, so
-// relative overheads remain meaningful (see DESIGN.md).
+// logical plan and lowers it onto batch-at-a-time streaming operators over
+// the tables' columns (hash joins; a theta-join probes on the empty key).
+// The paper ran against a commercial DBMS; all performance experiments here
+// compare rewritten queries against deterministic queries on this same
+// engine, so relative overheads remain meaningful (see ARCHITECTURE.md).
 package engine
 
 import (

@@ -129,9 +129,11 @@ func Fig17(nRows int, uRow float64, seed int64) (*Report, []Fig17Row, error) {
 	for _, q := range datagen.RealQueries() {
 		var detRes, uaRes *engine.Table
 		_ = detRes
-		// Average a few runs: these queries are sub-millisecond.
-		const reps = 5
-		var detT, uaT time.Duration
+		// These queries are sub-millisecond, so each side's time is the
+		// median of an odd number of runs, det and UA interleaved: one
+		// descheduled run moves a mean, not a median.
+		const reps = 7
+		var detT, uaT []float64
 		for i := 0; i < reps; i++ {
 			d, err := timeIt(func() error {
 				var e error
@@ -141,7 +143,7 @@ func Fig17(nRows int, uRow float64, seed int64) (*Report, []Fig17Row, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			detT += d
+			detT = append(detT, float64(d))
 			d, err = timeIt(func() error {
 				var e error
 				uaRes, e = frontQuery(front, q.SQL)
@@ -150,9 +152,10 @@ func Fig17(nRows int, uRow float64, seed int64) (*Report, []Fig17Row, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			uaT += d
+			uaT = append(uaT, float64(d))
 		}
-		row := Fig17Row{Query: q.Name, Det: detT / reps, UADB: uaT / reps}
+		row := Fig17Row{Query: q.Name,
+			Det: time.Duration(quartiles(detT)[2]), UADB: time.Duration(quartiles(uaT)[2])}
 		if row.Det > 0 {
 			row.Overhead = float64(row.UADB-row.Det) / float64(row.Det)
 		}

@@ -12,17 +12,18 @@ const DefaultBatchSize = 1024
 
 // Batch is the unit operators exchange: n rows described by one typed vector
 // per column (internal/vector). Every operator emits its batches this way —
-// scans as zero-copy windows of the table's columns, pipelines as kernel
-// output, and the operators that work on rows internally (sort, nested-loop
-// and grace hash join, aggregate) as vector.FromRows of their output rows.
+// scans as zero-copy windows of the table's columns, pipelines (their probe
+// stages included) as kernel output, and the operators that work on rows
+// internally (sort, grace hash join, aggregate) as vector.FromRows of their
+// output rows.
 //
 // The batch and its vectors belong to whichever operator returned it from
 // Next and are valid only until that operator's next Next or Close call: a
 // consumer that keeps data across batches copies it (vector.Append, as the
 // root drain and the hash join's build side do) or materializes rows. Rows
 // materializes freshly allocated rows that never alias the vectors, so rows
-// a consumer retains (sort runs, a nested-loop join's inner side) stay
-// valid whatever the producer does next.
+// a consumer retains (sort runs, a governed join's build rows) stay valid
+// whatever the producer does next.
 type Batch struct {
 	cols []vector.Vector
 	n    int

@@ -13,7 +13,7 @@ import (
 // size, and describe exactly the table's rows.
 func TestScanBatchesAreSharedAndZeroCopy(t *testing.T) {
 	schema, rows, cols := colIntTable(2500)
-	s := NewColumnarScan("t", schema, rows, cols)
+	s := NewScan("t", schema, cols)
 	s.BatchSize = 1000
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
@@ -85,22 +85,22 @@ func TestFilterDoesNotCorruptSharedSpines(t *testing.T) {
 
 // TestEveryOperatorEmitsColumns: every operator's batches carry a column
 // vector per output column, and every drained Result is columnar — the
-// operators that work on rows internally (sort, nested-loop and grace hash
-// join, aggregate) and a scan over a row-only source included.
+// operators that work on rows internally (sort, grace hash join, aggregate)
+// and a keyless join's product stage included.
 func TestEveryOperatorEmitsColumns(t *testing.T) {
 	schema, rows := spillTable(3000, 7)
 	scan := func() *Scan {
-		s := NewScan("t", schema, rows)
+		s := NewScan("t", schema, vector.FromRows(rows, schema.Arity()))
 		s.BatchSize = 700
 		return s
 	}
 	byV := []algebra.SortKey{{Expr: algebra.Col{Idx: 1}, Desc: true}}
-	cschema, crows, ccols := mixedAggTable(3000)
+	cschema, _, ccols := mixedAggTable(3000)
 	tableAgg := func() Operator {
 		plan := &algebra.Aggregate{Input: &algebra.Scan{Table: "t", TblSchema: cschema},
 			GroupBy: []algebra.Expr{algebra.Col{Idx: 0}}, GroupNames: []string{"k"},
 			Aggs: []algebra.AggSpec{{Func: algebra.AggSum, Arg: algebra.Col{Idx: 1}, Name: "s"}}}
-		op, err := LowerOpts(plan, aggFuzzSource{schema: cschema, rows: crows, cols: ccols}, Options{DOP: 1})
+		op, err := LowerOpts(plan, tableSource{cschema, ccols}, Options{DOP: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,14 +114,25 @@ func TestEveryOperatorEmitsColumns(t *testing.T) {
 		op      func() Operator
 		spilled func(Operator) bool // checked after Open; nil: nothing to check
 	}{
-		{name: "scan of a row-only source", op: func() Operator { return scan() }},
+		{name: "scan", op: func() Operator { return scan() }},
 		{name: "sort", op: func() Operator { return &Sort{Input: scan(), Keys: byV} }},
 		{name: "spilled sort", op: func() Operator {
 			return &Sort{Input: scan(), Keys: byV, Mem: NewMemGovernor(16 << 10), SpillDir: t.TempDir()}
 		}, spilled: func(op Operator) bool { return op.(*Sort).sp != nil }},
-		{name: "nested-loop join", op: func() Operator {
-			return NewNestedLoopJoin(&Limit{Input: scan(), N: 40}, &Limit{Input: scan(), N: 60},
-				algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 3}})
+		{name: "keyless join", op: func() Operator {
+			// 40 x 60 = 2,400 pairs: the product resumes mid probe row
+			// across output batches.
+			src := memSource{}
+			src.put("t", schema.Attrs, rows)
+			tscan := &algebra.Scan{Table: "t", TblSchema: src["t"].schema}
+			op, err := Lower(&algebra.Join{
+				Left:     &algebra.Limit{Input: tscan, N: 40},
+				Right:    &algebra.Limit{Input: tscan, N: 60},
+				Residual: algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 3}}}, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return op
 		}},
 		{name: "grace hash join", op: func() Operator {
 			j := NewHashJoin(scan(), scan(), []int{0}, []int{0}, nil)
@@ -183,10 +194,15 @@ func TestEveryOperatorEmitsColumns(t *testing.T) {
 }
 
 // TestRowKeyEncoderCollisions pins the operator-level key builders against
-// the collision traps from the satellite spec.
+// the classic collision traps.
 func TestRowKeyEncoderCollisions(t *testing.T) {
+	// k keys the row restricted to the columns idx.
 	k := func(row []types.Value, idx []int) string {
-		return string(appendColsKey(nil, row, idx))
+		sub := make([]types.Value, len(idx))
+		for i, j := range idx {
+			sub[i] = row[j]
+		}
+		return string(appendRowKey(nil, sub))
 	}
 	all2 := []int{0, 1}
 	if k([]types.Value{sv("a"), sv("bc")}, all2) == k([]types.Value{sv("ab"), sv("c")}, all2) {
@@ -194,9 +210,6 @@ func TestRowKeyEncoderCollisions(t *testing.T) {
 	}
 	if k([]types.Value{types.Null()}, []int{0}) == k([]types.Value{sv("")}, []int{0}) {
 		t.Error("NULL and empty string collide")
-	}
-	if string(appendRowKey(nil, []types.Value{iv(1)})) != k([]types.Value{iv(1)}, []int{0}) {
-		t.Error("appendRowKey and appendColsKey disagree on the same column set")
 	}
 	// Equal-by-Compare values must agree, e.g. 1 and 1.0 group together.
 	if k([]types.Value{iv(1)}, []int{0}) != k([]types.Value{types.NewFloat(1)}, []int{0}) {

@@ -22,7 +22,7 @@ func colIntTable(n int) (types.Schema, [][]types.Value, *vector.Columns) {
 // with both the vectors and the table's rows.
 func TestColumnarScanEmitsDualViewBatches(t *testing.T) {
 	schema, rows, cols := colIntTable(2500)
-	s := NewColumnarScan("t", schema, rows, cols)
+	s := NewScan("t", schema, cols)
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,16 @@ func TestColumnarScanEmitsDualViewBatches(t *testing.T) {
 	}
 }
 
-// TestColumnarScanRejectsStaleColumns: a columnar form whose length
-// disagrees with the rows (stale cache) must be dropped, not scanned.
-func TestColumnarScanRejectsStaleColumns(t *testing.T) {
-	schema, rows, cols := colIntTable(100)
-	s := NewColumnarScan("t", schema, rows[:50], cols)
-	if s.cols != nil {
-		t.Fatal("stale columnar storage was accepted")
+// TestLowerRejectsTableWithoutColumns: a source that resolves a table
+// without one column per schema attribute fails the lowering instead of
+// scanning out of bounds.
+func TestLowerRejectsTableWithoutColumns(t *testing.T) {
+	schema, _, cols := colIntTable(10)
+	scan := &algebra.Scan{Table: "t", TblSchema: schema}
+	for _, bad := range []*vector.Columns{nil, {N: cols.N, Vecs: cols.Vecs[:1]}} {
+		if _, err := Lower(scan, tableSource{schema, bad}); err == nil {
+			t.Errorf("lowering accepted %v for a %d-column table", bad, schema.Arity())
+		}
 	}
 }
 
@@ -103,7 +106,7 @@ func TestFilterTypedPathKeepsColumns(t *testing.T) {
 	schema, rows, cols := colIntTable(3000)
 	pred := algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1, Name: "v"},
 		R: algebra.Const{V: types.NewInt(1500)}}
-	got, err := Drain(pipelineOver(NewColumnarScan("t", schema, rows, cols), pred, nil, nil))
+	got, err := Drain(pipelineOver(NewScan("t", schema, cols), pred, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +114,7 @@ func TestFilterTypedPathKeepsColumns(t *testing.T) {
 		t.Fatalf("filter kept %d rows, want 1500", len(got))
 	}
 
-	f := pipelineOver(NewColumnarScan("t", schema, rows, cols), pred, nil, nil)
+	f := pipelineOver(NewScan("t", schema, cols), pred, nil, nil)
 	if err := f.Open(); err != nil {
 		t.Fatal(err)
 	}

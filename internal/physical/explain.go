@@ -28,14 +28,6 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 		fmt.Fprintf(sb, "HashJoin[L%v = R%v%s]\n", o.EquiL, o.EquiR, res)
 		explain(sb, o.Left, depth+1)
 		explain(sb, o.Right, depth+1)
-	case *NestedLoopJoin:
-		pred := "true"
-		if o.Pred != nil {
-			pred = o.Pred.String()
-		}
-		fmt.Fprintf(sb, "NestedLoopJoin[%s]\n", pred)
-		explain(sb, o.Left, depth+1)
-		explain(sb, o.Right, depth+1)
 	case *HashAggregate:
 		// A table source shows its worker count and collapsed chain; an
 		// operator source its input subtree.

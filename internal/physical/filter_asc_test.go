@@ -17,7 +17,7 @@ import (
 // both are pinned, as is the source table staying intact (the windows are
 // views, never gather targets).
 func TestFilterDenseSelectionKeepsAsc(t *testing.T) {
-	schema, rows, cols := colIntTable(2500)
+	schema, _, cols := colIntTable(2500)
 	src := cols.Vecs[1].(*vector.Int64Vector)
 	if !src.Asc {
 		t.Fatal("test table's v column was not detected ascending")
@@ -26,7 +26,7 @@ func TestFilterDenseSelectionKeepsAsc(t *testing.T) {
 
 	// v < 1500 selects a contiguous prefix of every batch it touches: the
 	// second scan batch (rows 1024..2047) keeps a strict dense prefix.
-	f := pipelineOver(NewColumnarScan("t", schema, rows, cols),
+	f := pipelineOver(NewScan("t", schema, cols),
 		algebra.Bin{Op: algebra.OpLt, L: v, R: algebra.Const{V: types.NewInt(1500)}}, nil, nil)
 	if err := f.Open(); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestFilterDenseSelectionKeepsAsc(t *testing.T) {
 
 	// A scattered selection (k == 2 picks every 5th row) gathers into fresh
 	// storage and correctly drops Asc on the still-ascending v column.
-	f = pipelineOver(NewColumnarScan("t", schema, rows, cols),
+	f = pipelineOver(NewScan("t", schema, cols),
 		algebra.Bin{Op: algebra.OpEq, L: algebra.Col{Idx: 0, Name: "k"},
 			R: algebra.Const{V: types.NewInt(2)}}, nil, nil)
 	if err := f.Open(); err != nil {

@@ -9,14 +9,14 @@ import (
 )
 
 // Pipelines: the lowering collapses every maximal chain of Filter and
-// Project nodes — capped, when it sits on the probe side of an equi-join
-// lowered without a memory governor, by that join's probe — into one
-// FusedPipeline operator. The chain is composed at lowering time by
+// Project nodes — capped, when it sits on the probe side of a join, by that
+// join's probe (an equi-join's only while no memory governor bounds it) —
+// into one FusedPipeline operator. The chain is composed at lowering time by
 // expression substitution: each Filter predicate and each final Project
 // expression is rewritten in terms of the columns of the chain's source, so
 // adjacent projections (a rename over a least(), the identities the pruner
-// leaves) collapse into one. The source is either a columnar table, which
-// the pipeline reads in one whole-table pass, or any other operator, whose
+// leaves) collapse into one. The source is either a table, which the
+// pipeline reads in one whole-table pass, or any other operator, whose
 // batches each run through the same pass. Execution selects with the
 // unboxed column kernels and evaluates the projections unboxed into output
 // vectors: no compacted row spines, no boxed cells, no per-operator Next
@@ -27,15 +27,17 @@ import (
 // every composed predicate selects them (ascending selection-vector
 // intersection), and the probe stage is the hash join's own probe
 // (joinProbe), so it keys and orders matches exactly as the governed
-// HashJoin does while its build fits. The randomized agreement harnesses pin
-// pipeline output byte-identical to the row-at-a-time reference and to the
-// nested-loop join at every DOP and memory budget.
+// HashJoin does while its build fits. A join with no equi keys probes on the
+// empty key, which emits every (probe row, build row) pair in nested-loop
+// order for the residual to select. The randomized agreement harnesses pin
+// pipeline output byte-identical to the row-at-a-time reference, and every
+// probe stage to a brute-force join, at every DOP and memory budget.
 
-// FusedProbe is the optional hash-join probe stage of a pipeline: the
-// chain's output columns are probed against the build table as they are —
-// keys read straight from the output vectors, and both sides' columns
-// gathered only at the matching positions — so no row of either side is
-// ever boxed.
+// FusedProbe is the optional hash-join probe stage of a pipeline (with no
+// equi keys, the product stage): the chain's output columns are probed
+// against the build table as they are — keys read straight from the output
+// vectors, and both sides' columns gathered only at the matching positions
+// — so no row of either side is ever boxed.
 type FusedProbe struct {
 	Build    Operator // build-side plan, drained into the hash table at Open
 	EquiL    []int    // key positions in the chain's projected schema
@@ -338,10 +340,8 @@ func (f *FusedPipeline) Close() error {
 }
 
 // fusedChain is a recognized Filter/Project chain, composed down to
-// expressions over its source: a columnar table (cols) or an operator
-// (input).
+// expressions over its source: a table (cols) or an operator (input).
 type fusedChain struct {
-	table string
 	cols  *vector.Columns
 	input Operator
 	preds []algebra.Expr
@@ -367,11 +367,11 @@ func substCols(e algebra.Expr, mapping []algebra.Expr) algebra.Expr {
 }
 
 // fuseChain composes the Filter/Project chain rooted at n — possibly empty —
-// down to the node beneath it. A Scan of a columnar table becomes the
-// table source; any other node is lowered and becomes the chain's input,
-// unless tableOnly, when the chain is declined (nil, with no error) before
-// anything is lowered. Validation errors are the ones an operator-at-a-time
-// lowering would report.
+// down to the node beneath it. A Scan becomes the table source; any other
+// node is lowered and becomes the chain's input, unless tableOnly, when the
+// chain is declined (nil, with no error) before anything is lowered.
+// Validation errors are the ones an operator-at-a-time lowering would
+// report.
 func fuseChain(n algebra.Node, src Source, opt Options, tableOnly bool) (*fusedChain, error) {
 	switch node := n.(type) {
 	case *algebra.Filter:
@@ -405,15 +405,13 @@ func fuseChain(n algebra.Node, src Source, opt Options, tableOnly bool) (*fusedC
 		return &out, nil
 
 	case *algebra.Scan:
-		schema, rows, err := resolveScan(node, src)
+		schema, cols, err := resolveScan(node, src)
 		if err != nil {
 			return nil, err
 		}
-		if cols := columnsFor(src, node.Table, len(rows)); cols != nil {
-			fc := sourceChain(schema.Attrs, "scan "+node.Table)
-			fc.table, fc.cols = node.Table, cols
-			return fc, nil
-		}
+		fc := sourceChain(schema.Attrs, "scan "+node.Table)
+		fc.cols = cols
+		return fc, nil
 	}
 	if tableOnly {
 		return nil, nil
@@ -433,10 +431,12 @@ func inputChain(in Operator) *fusedChain {
 }
 
 // lowerPipeline lowers n to one FusedPipeline: a Filter/Project chain, or
-// an equi-join lowered without a governor, whose probe side's chain the
-// pipeline runs and whose build side becomes the probe stage's table at
-// Open. Whatever sits beneath the chain — a join, an aggregate, a sort, a
-// scan of a table without columns — is lowered as the pipeline's input.
+// a join (see lowerNode), whose probe side's chain the pipeline runs and
+// whose build side becomes the probe stage's table at Open. A join with no
+// equi keys is a "product" stage: every build row shares the empty key, so
+// each probe row meets every build row, in build order, and the predicate
+// runs as the residual's selection kernel. Whatever sits beneath the chain
+// — a join, an aggregate, a sort — is lowered as the pipeline's input.
 func lowerPipeline(n algebra.Node, src Source, opt Options) (Operator, error) {
 	join, isJoin := n.(*algebra.Join)
 	if isJoin {
@@ -464,7 +464,11 @@ func lowerPipeline(n algebra.Node, src Source, opt Options) (Operator, error) {
 	if err := checkJoin(join, len(fc.projs), right.Schema().Arity()); err != nil {
 		return nil, err
 	}
-	fp.Ops = append(fc.ops[:len(fc.ops):len(fc.ops)], "probe")
+	stage := "probe"
+	if len(join.EquiL) == 0 {
+		stage = "product"
+	}
+	fp.Ops = append(fc.ops[:len(fc.ops):len(fc.ops)], stage)
 	fp.Probe = &FusedProbe{Build: right, EquiL: join.EquiL, EquiR: join.EquiR, Residual: join.Residual}
 	fp.schema = fp.schema.Concat(right.Schema())
 	return fp, nil

@@ -38,8 +38,8 @@ func mixedAggTable(n int) (types.Schema, [][]types.Value, *vector.Columns) {
 // with NULL/NaN rows, and the COUNT(*)/AVG finishing rules — all compared
 // against the operator-source aggregate on the same plan.
 func TestTableAggregateSerialUnit(t *testing.T) {
-	schema, rows, cols := mixedAggTable(100)
-	src := aggFuzzSource{schema: schema, rows: rows, cols: cols}
+	schema, _, cols := mixedAggTable(100)
+	src := tableSource{schema, cols}
 	col := func(i int, name string) algebra.Expr { return algebra.Col{Idx: i, Name: name} }
 	plan := &algebra.Aggregate{
 		Input: &algebra.Filter{
@@ -70,7 +70,7 @@ func TestTableAggregateSerialUnit(t *testing.T) {
 		t.Fatalf("explain missing table-source aggregate rendering:\n%s", ex)
 	}
 
-	unfusedOp, err := LowerOpts(plan, struct{ Source }{src}, Options{DOP: 1})
+	unfusedOp, err := LowerOpts(limitScans(plan), src, Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestTableAggregateSerialUnit(t *testing.T) {
 // boxed during the drain), NumRows answers without materializing, and Rows
 // materializes once and caches.
 func TestDrainColumnsFusedChainUnit(t *testing.T) {
-	schema, rows, cols := colIntTable(300)
-	src := aggFuzzSource{schema: schema, rows: rows, cols: cols}
+	schema, _, cols := colIntTable(300)
+	src := tableSource{schema, cols}
 	col := func(i int, name string) algebra.Expr { return algebra.Col{Idx: i, Name: name} }
 	plan := &algebra.Project{
 		Input: &algebra.Filter{
@@ -135,7 +135,7 @@ func TestDrainColumnsFusedChainUnit(t *testing.T) {
 	if len(r1) != 150 || &r1[0] != &r2[0] {
 		t.Fatal("Rows must materialize once and cache")
 	}
-	unfused, err := LowerOpts(plan, struct{ Source }{src}, Options{DOP: 1})
+	unfused, err := LowerOpts(limitScans(plan), src, Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +154,8 @@ func TestDrainColumnsFusedChainUnit(t *testing.T) {
 // in-package — per-morsel folds merged in sequence order — and pins its
 // explain rendering against the operator-source aggregate.
 func TestTableAggregateParallelUnit(t *testing.T) {
-	schema, rows, cols := mixedAggTable(200)
-	src := aggFuzzSource{schema: schema, rows: rows, cols: cols}
+	schema, _, cols := mixedAggTable(200)
+	src := tableSource{schema, cols}
 	col := func(i int, name string) algebra.Expr { return algebra.Col{Idx: i, Name: name} }
 	plan := &algebra.Aggregate{
 		Input:      &algebra.Scan{Table: "t", TblSchema: schema},
@@ -181,7 +181,7 @@ func TestTableAggregateParallelUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfused, err := LowerOpts(plan, struct{ Source }{src}, Options{DOP: 1})
+	unfused, err := LowerOpts(limitScans(plan), src, Options{DOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

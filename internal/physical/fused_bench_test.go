@@ -8,25 +8,13 @@ import (
 	"repro/internal/vector"
 )
 
-// benchFusedSource is a minimal ColumnSource over one generated table.
-type benchFusedSource struct {
-	schema types.Schema
-	rows   [][]types.Value
-	cols   *vector.Columns
-}
-
-func (s *benchFusedSource) Resolve(string) (types.Schema, [][]types.Value, error) {
-	return s.schema, s.rows, nil
-}
-func (s *benchFusedSource) ResolveColumns(string) (*vector.Columns, bool) { return s.cols, true }
-
-func fusedBenchPlan(n int) (algebra.Node, *benchFusedSource) {
+func fusedBenchPlan(n int) (algebra.Node, tableSource) {
 	rows := make([][]types.Value, n)
 	for i := range rows {
 		rows[i] = []types.Value{types.NewInt(int64(i % 7)), types.NewInt(int64(i))}
 	}
 	schema := types.NewSchema("t", "k", "v")
-	src := &benchFusedSource{schema: schema, rows: rows, cols: vector.FromRows(rows, 2)}
+	src := tableSource{schema, vector.FromRows(rows, 2)}
 	k := algebra.Col{Idx: 0, Name: "k"}
 	v := algebra.Col{Idx: 1, Name: "v"}
 	plan := &algebra.Project{

@@ -9,20 +9,6 @@ import (
 	"repro/internal/vector"
 )
 
-// aggFuzzSource is a one-table Source with columnar storage, the shape an
-// aggregate's table source requires.
-type aggFuzzSource struct {
-	schema types.Schema
-	rows   [][]types.Value
-	cols   *vector.Columns
-}
-
-func (s aggFuzzSource) Resolve(string) (types.Schema, [][]types.Value, error) {
-	return s.schema, s.rows, nil
-}
-
-func (s aggFuzzSource) ResolveColumns(string) (*vector.Columns, bool) { return s.cols, true }
-
 // aggFuzzDec decodes fuzz bytes into values, expressions, and plans. Runs
 // out of data gracefully (zero bytes forever). An exact decoder draws only
 // values and operators whose aggregates are independent of association:
@@ -91,8 +77,8 @@ func (d *aggFuzzDec) expr(arity, depth int) algebra.Expr {
 // FuzzFusedAgg decodes a random table and a random (optionally filtered,
 // optionally grouped) aggregate plan, and requires HashAggregate's table
 // source to produce byte-identical rows, in identical order, to its
-// operator source: the same plan over the same catalog stripped of
-// columns, which folds batch-sized windows of converted rows below a
+// operator source: the same plan with every scan under a Limit that keeps
+// all rows, which folds the scan's batch-sized column windows below a
 // separate pipeline. At DOP 1 the table source folds one whole-table
 // window, in the serial addition order, over the full value pool. Its
 // morsel-parallel form re-associates float sums across morsel partials
@@ -144,10 +130,10 @@ func FuzzFusedAgg(f *testing.F) {
 		plan := &algebra.Aggregate{Input: input, GroupBy: groupBy,
 			GroupNames: groupNames, Aggs: aggs}
 
-		src := aggFuzzSource{schema: schema, rows: rows, cols: vector.FromRows(rows, arity)}
-		drain := func(s Source, opt Options, what string) [][]types.Value {
+		src := tableSource{schema, vector.FromRows(rows, arity)}
+		drain := func(plan algebra.Node, opt Options, what string) [][]types.Value {
 			t.Helper()
-			op, err := LowerOpts(plan, s, opt)
+			op, err := LowerOpts(plan, src, opt)
 			if err != nil {
 				t.Fatalf("%s: lower: %v", what, err)
 			}
@@ -157,13 +143,13 @@ func FuzzFusedAgg(f *testing.F) {
 			}
 			return out
 		}
-		want := drain(struct{ Source }{src}, Options{DOP: 1}, "operator source")
+		want := drain(limitScans(plan), Options{DOP: 1}, "operator source")
 		opts := []Options{{DOP: 1}}
 		if d.exact {
 			opts = append(opts, Options{DOP: 2, MorselSize: 8, MinParallelRows: 1})
 		}
 		for _, opt := range opts {
-			got := drain(src, opt, "table source")
+			got := drain(plan, opt, "table source")
 			if len(got) != len(want) {
 				t.Fatalf("dop %d: %d rows, want %d", opt.DOP, len(got), len(want))
 			}

@@ -899,108 +899,3 @@ func (j *HashJoin) Close() error {
 	}
 	return serr
 }
-
-// NestedLoopJoin is the theta-join fallback: the right input is materialized
-// as rows once on Open, and every (left, right) pair satisfying the
-// predicate is concatenated into a reused row buffer and emitted, batch by
-// batch, converted to columns. It runs in O(n·m), so the optimizer extracts
-// equi-join keys precisely to keep this operator for genuinely non-equi
-// predicates.
-type NestedLoopJoin struct {
-	Left, Right Operator
-	Pred        algebra.Expr // nil accepts all pairs
-	schema      types.Schema
-
-	inner     [][]types.Value
-	probeRows [][]types.Value // the current probe batch, materialized
-	pi        int             // probe row index currently being expanded
-	ii        int             // next inner row for that probe row
-	buf       []types.Value   // the cells of the output rows being built
-	spine     [][]types.Value // the accepted output rows, carved from buf
-	out       Batch
-}
-
-// NewNestedLoopJoin builds a nested-loop join.
-func NewNestedLoopJoin(l, r Operator, pred algebra.Expr) *NestedLoopJoin {
-	return &NestedLoopJoin{Left: l, Right: r, Pred: pred,
-		schema: l.Schema().Concat(r.Schema())}
-}
-
-// Schema implements Operator.
-func (j *NestedLoopJoin) Schema() types.Schema { return j.schema }
-
-// Open implements Operator: it materializes the inner (right) input.
-func (j *NestedLoopJoin) Open() error {
-	j.inner, j.probeRows, j.pi, j.ii = nil, nil, 0, 0
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	if err := j.Right.Open(); err != nil {
-		return err
-	}
-	for {
-		b, err := j.Right.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		j.inner = append(j.inner, b.Rows()...)
-	}
-	return nil
-}
-
-// Next implements Operator. Each candidate pair is built in the next free
-// row of buf and kept only if the predicate accepts it.
-func (j *NestedLoopJoin) Next() (*Batch, error) {
-	width := j.schema.Arity()
-	if j.buf == nil {
-		j.buf = make([]types.Value, DefaultBatchSize*width)
-	}
-	j.spine = j.spine[:0]
-	for {
-		for j.pi < len(j.probeRows) {
-			l := j.probeRows[j.pi]
-			for j.ii < len(j.inner) {
-				k := len(j.spine)
-				row := j.buf[k*width : (k+1)*width : (k+1)*width]
-				copy(row, l)
-				copy(row[len(l):], j.inner[j.ii])
-				j.ii++
-				if j.Pred != nil && !algebra.Truthy(j.Pred.Eval(row)) {
-					continue
-				}
-				if j.spine = append(j.spine, row); len(j.spine) == DefaultBatchSize {
-					j.out.setRows(j.spine, width)
-					return &j.out, nil
-				}
-			}
-			j.pi++
-			j.ii = 0
-		}
-		b, err := j.Left.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			if len(j.spine) == 0 {
-				return nil, nil
-			}
-			j.out.setRows(j.spine, width)
-			return &j.out, nil
-		}
-		j.probeRows, j.pi, j.ii = b.Rows(), 0, 0
-	}
-}
-
-// Close implements Operator.
-func (j *NestedLoopJoin) Close() error {
-	j.inner, j.probeRows, j.buf, j.spine = nil, nil, nil, nil
-	lerr := j.Left.Close()
-	rerr := j.Right.Close()
-	if lerr != nil {
-		return lerr
-	}
-	return rerr
-}

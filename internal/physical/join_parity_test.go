@@ -11,24 +11,42 @@ import (
 	"repro/internal/vector"
 )
 
-// The hash join must agree with the nested-loop join that runs the same
-// equalities as a predicate: whether the optimizer extracts an equi-join
-// into hash keys is a plan choice, never a semantics change. The trial
-// below decodes two tables whose key columns draw from values that split
-// a byte or word key from Value.Compare — -0.0 and 0, 1 and 1.0, integers
-// past 2^53 that collapse to one float64, strings and booleans beside
-// numbers, NULLs — and runs every hash-join form against the nested loop:
-// the HashJoin over row-only and columnar inputs, in memory and forced onto
-// its grace path, and the pipeline probe stage over a filtered table, over
-// a bare table, over a row-only source (an operator input), and stacked on
-// another probe. NaN is left out: Value.Compare makes it equal to every
-// number, which no hash key can reproduce.
+// Every join form must agree with a brute-force oracle that runs the join
+// predicate — the key equalities and the residual — on every (left, right)
+// pair: whether the optimizer extracts an equi-join into hash keys is a plan
+// choice, never a semantics change. The trial below decodes two tables
+// whose key columns draw from values that split a byte or word key from
+// Value.Compare — -0.0 and 0, 1 and 1.0, integers past 2^53 that collapse
+// to one float64, strings and booleans beside numbers, NULLs — and runs
+// every hash-join form against the oracle: the HashJoin over typed and
+// boxed column inputs, in memory and forced onto its grace path, and the
+// pipeline probe stage over a filtered table, over a bare table, over an
+// operator input, and stacked on another probe. The keyless form — the
+// whole predicate as the residual of a product stage — also runs on tables
+// decoded with NaN keys: Value.Compare makes NaN equal to every number,
+// which no hash key can reproduce but the residual's column kernel does.
+
+// bruteJoin is the join oracle: for each left row, for each right row, the
+// concatenated pair when pred (nil: every pair) is TRUE on it.
+func bruteJoin(l, r [][]types.Value, pred algebra.Expr) [][]types.Value {
+	var out [][]types.Value
+	for _, lr := range l {
+		for _, rr := range r {
+			row := append(append([]types.Value{}, lr...), rr...)
+			if pred == nil || algebra.Truthy(pred.Eval(row)) {
+				out = append(out, row)
+			}
+		}
+	}
+	return out
+}
 
 // joinDec decodes fuzz bytes into a join trial, running out of data
 // gracefully (zero bytes forever).
 type joinDec struct {
 	data []byte
 	pos  int
+	nan  bool // float keys may be NaN
 }
 
 func (d *joinDec) byte() byte {
@@ -51,6 +69,9 @@ func (d *joinDec) key(shape byte) types.Value {
 	}
 	ints := []int64{0, 1, 2, big, big + 1, big + 2}
 	floats := []float64{0, math.Copysign(0, -1), 1, 2.5, float64(big), float64(big + 2)}
+	if d.nan {
+		floats = append(floats, math.NaN())
+	}
 	switch shape {
 	case 1:
 		return types.NewInt(ints[int(b/7)%len(ints)])
@@ -80,21 +101,23 @@ func (d *joinDec) table() [][]types.Value {
 	return rows
 }
 
-// joinTrialSource serves the trial's two tables with columnar storage, so
-// the lowered probe stages read them as table sources.
-type joinTrialSource map[string][][]types.Value
-
-func (s joinTrialSource) Resolve(name string) (types.Schema, [][]types.Value, error) {
-	return types.Schema{Name: name, Attrs: []string{"k1", "k2", "p"}}, s[name], nil
+// boxedCols converts rows to columns that are all boxed (ValueVector), the
+// other arm of every kernel's typed/boxed switch.
+func boxedCols(rows [][]types.Value, arity int) *vector.Columns {
+	vecs := make([]vector.Vector, arity)
+	for j := range vecs {
+		vals := make([]types.Value, len(rows))
+		for i, row := range rows {
+			vals[i] = row[j]
+		}
+		vecs[j] = vector.NewValueVector(vals)
+	}
+	return &vector.Columns{N: len(rows), Vecs: vecs}
 }
 
-func (s joinTrialSource) ResolveColumns(name string) (*vector.Columns, bool) {
-	return vector.FromRows(s[name], 3), true
-}
-
-// hashJoinTrial runs one decoded trial: every hash-join form must emit
-// exactly the nested-loop join's rows, in its order (probe order, then
-// build order within one probe row).
+// hashJoinTrial runs one decoded trial: every join form must emit exactly
+// the oracle's rows, in its order (probe order, then build order within one
+// probe row).
 func hashJoinTrial(t *testing.T, data []byte) {
 	d := &joinDec{data: data}
 	l, r := d.table(), d.table()
@@ -114,8 +137,8 @@ func hashJoinTrial(t *testing.T, data []byte) {
 		}
 		return algebra.Bin{Op: algebra.OpLe, L: algebra.Col{Idx: 2}, R: algebra.Col{Idx: arity + 2}}
 	}
-	// predAt is the join predicate the nested loop runs: the key equalities
-	// and the residual.
+	// predAt is the whole join predicate: the key equalities and the
+	// residual.
 	predAt := func(arity int) algebra.Expr {
 		pred := residualAt(arity)
 		for i := range equiL {
@@ -130,21 +153,9 @@ func hashJoinTrial(t *testing.T, data []byte) {
 	}
 	residual := residualAt(3)
 	schema := types.Schema{Attrs: []string{"k1", "k2", "p"}}
-	rowScan := func(rows [][]types.Value) Operator { return NewScan("t", schema, rows) }
-	colScan := func(rows [][]types.Value) Operator {
-		return NewColumnarScan("t", schema, rows, vector.FromRows(rows, 3))
-	}
-	nested, err := Drain(NewNestedLoopJoin(rowScan(l), rowScan(r), predAt(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (l ⋈ r) ⋈ r, the outer join keyed and filtered on the l columns.
-	stacked, err := Drain(NewNestedLoopJoin(
-		NewNestedLoopJoin(rowScan(l), rowScan(r), predAt(3)), rowScan(r), predAt(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := nested
+	scan := func(rows [][]types.Value) Operator { return NewScan("t", schema, vector.FromRows(rows, 3)) }
+	boxedScan := func(rows [][]types.Value) Operator { return NewScan("t", schema, boxedCols(rows, 3)) }
+	var want [][]types.Value
 	check := func(what string, op Operator) {
 		t.Helper()
 		got, err := Drain(op)
@@ -152,30 +163,33 @@ func hashJoinTrial(t *testing.T, data []byte) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d rows, nested loop %d\nl=%v\nr=%v\nkeys %v=%v", what, len(got), len(want), l, r, equiL, equiR)
+			t.Fatalf("%s: %d rows, oracle %d\nl=%v\nr=%v\nkeys %v=%v", what, len(got), len(want), l, r, equiL, equiR)
 		}
 		for i := range got {
 			if types.Tuple(got[i]).Key() != types.Tuple(want[i]).Key() {
-				t.Fatalf("%s: row %d = %v, nested loop %v", what, i, got[i], want[i])
+				t.Fatalf("%s: row %d = %v, oracle %v", what, i, got[i], want[i])
 			}
 		}
 	}
-	check("rows", NewHashJoin(rowScan(l), rowScan(r), equiL, equiR, residual))
-	check("columns", NewHashJoin(colScan(l), colScan(r), equiL, equiR, residual))
-	check("row probe, column build", NewHashJoin(rowScan(l), colScan(r), equiL, equiR, residual))
+	want = bruteJoin(l, r, predAt(3))
+	check("columns", NewHashJoin(scan(l), scan(r), equiL, equiR, residual))
+	check("boxed probe, typed build", NewHashJoin(boxedScan(l), scan(r), equiL, equiR, residual))
+	check("typed probe, boxed build", NewHashJoin(scan(l), boxedScan(r), equiL, equiR, residual))
 	for _, budget := range []int64{600, 1 << 30} {
-		j := NewHashJoin(colScan(l), colScan(r), equiL, equiR, residual)
+		j := NewHashJoin(scan(l), scan(r), equiL, equiR, residual)
 		j.Mem, j.SpillDir = NewMemGovernor(budget), t.TempDir()
 		check("governed", j)
 	}
 
 	// The pipeline probe stages, as the lowering builds them.
-	src := joinTrialSource{"l": l, "r": r}
-	scan := func(name string) algebra.Node {
-		return &algebra.Scan{Table: name, TblSchema: types.Schema{Name: name, Attrs: schema.Attrs}}
+	src := memSource{}
+	src.put("l", schema.Attrs, l)
+	src.put("r", schema.Attrs, r)
+	tscan := func(name string) algebra.Node {
+		return &algebra.Scan{Table: name, TblSchema: types.NewSchema(name, schema.Attrs...)}
 	}
 	join := func(left algebra.Node, residual algebra.Expr) *algebra.Join {
-		return &algebra.Join{Left: left, Right: scan("r"), EquiL: equiL, EquiR: equiR, Residual: residual}
+		return &algebra.Join{Left: left, Right: tscan("r"), EquiL: equiL, EquiR: equiR, Residual: residual}
 	}
 	probe := func(what string, plan algebra.Node, src Source, wantOps string, input bool) {
 		t.Helper()
@@ -190,14 +204,25 @@ func hashJoinTrial(t *testing.T, data []byte) {
 		check(what, op)
 	}
 	// A filter that keeps every row makes the probe side a composed chain.
-	keepAll := &algebra.Filter{Input: scan("l"),
+	keepAll := &algebra.Filter{Input: tscan("l"),
 		Pred: algebra.Bin{Op: algebra.OpGe, L: algebra.Col{Idx: 2}, R: algebra.Const{V: types.NewInt(0)}}}
 	probe("filtered probe", join(keepAll, residual), src, "scan l → filter → probe", false)
-	probe("bare-scan probe", join(scan("l"), residual), src, "scan l → probe", false)
-	rowOnly := struct{ Source }{src}
-	probe("row-only probe", join(keepAll, residual), rowOnly, "input → filter → probe", true)
-	want = stacked
-	probe("stacked probes", join(join(scan("l"), residual), residualAt(6)), src, "input → probe", true)
+	probe("bare-scan probe", join(tscan("l"), residual), src, "scan l → probe", false)
+	probe("operator-input probe", join(limitScans(keepAll), residual), src, "input → filter → probe", true)
+	probe("keyless product", &algebra.Join{Left: tscan("l"), Right: tscan("r"), Residual: predAt(3)},
+		src, "scan l → product", false)
+	// (l ⋈ r) ⋈ r, the outer join keyed and filtered on the l columns.
+	want = bruteJoin(want, r, predAt(6))
+	probe("stacked probes", join(join(tscan("l"), residual), residualAt(6)), src, "input → probe", true)
+
+	// The keyless product again, over the same bytes decoded with NaN keys.
+	d = &joinDec{data: data, nan: true}
+	l, r = d.table(), d.table()
+	src.put("l", schema.Attrs, l)
+	src.put("r", schema.Attrs, r)
+	want = bruteJoin(l, r, predAt(3))
+	probe("keyless product with NaN", &algebra.Join{Left: tscan("l"), Right: tscan("r"), Residual: predAt(3)},
+		src, "scan l → product", false)
 }
 
 func TestHashJoinMatchesNestedLoop(t *testing.T) {

@@ -35,16 +35,6 @@ func appendRowKey(buf []byte, row []types.Value) []byte {
 	return buf
 }
 
-// appendColsKey appends the canonical key of the row restricted to the
-// columns idx, as appendRowKey does for the whole row.
-func appendColsKey(buf []byte, row []types.Value, idx []int) []byte {
-	for _, j := range idx {
-		buf = appendValueKey(buf, row[j])
-		buf = append(buf, '|')
-	}
-	return buf
-}
-
 // appendJoinKey appends the equi-join key of the row's columns idx, or
 // reports false when any key column is NULL — NULL join keys never match,
 // per SQL semantics, so such rows are skipped entirely.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Lower compiles a logical plan into a physical operator tree, resolving
@@ -18,10 +19,11 @@ func Lower(n algebra.Node, src Source) (Operator, error) {
 
 // LowerOpts is Lower with execution options. Every maximal Filter/Project
 // chain lowers to one FusedPipeline over whatever sits beneath it — a
-// columnar table, or any other lowered operator — and every equi-join
-// lowered without a memory governor becomes a pipeline's probe stage (see
-// fused.go); every aggregate lowers to one HashAggregate, whose source is a
-// columnar table when a chain over one sits beneath it (aggregate.go).
+// table, or any other lowered operator — and every join becomes a
+// pipeline's probe stage (see fused.go), except an equi-join under a memory
+// governor, which is the spilling HashJoin; every aggregate lowers to one
+// HashAggregate, whose source is a table when a chain over one sits beneath
+// it (aggregate.go).
 // Parallelism is a property of that operator: with DOP > 1, no governor and
 // a table of at least MinParallelRows rows, the aggregate folds morsels on
 // DOP workers and merges the partials in morsel order. Pipelines and
@@ -34,17 +36,19 @@ func LowerOpts(n algebra.Node, src Source, opt Options) (Operator, error) {
 func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 	switch node := n.(type) {
 	case *algebra.Scan:
-		schema, rows, err := resolveScan(node, src)
+		schema, cols, err := resolveScan(node, src)
 		if err != nil {
 			return nil, err
 		}
-		return NewColumnarScan(node.Table, schema, rows, columnsFor(src, node.Table, len(rows))), nil
+		return NewScan(node.Table, schema, cols), nil
 
 	case *algebra.Filter, *algebra.Project:
 		return lowerPipeline(n, src, opt)
 
 	case *algebra.Join:
-		if len(node.EquiL) > 0 && opt.Gov == nil {
+		// Only a memory budget keeps an equi-join out of a pipeline: the
+		// governed join can spill its build side.
+		if len(node.EquiL) == 0 || opt.Gov == nil {
 			return lowerPipeline(n, src, opt)
 		}
 		l, err := lowerNode(node.Left, src, opt)
@@ -58,14 +62,9 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		if err := checkJoin(node, l.Schema().Arity(), r.Schema().Arity()); err != nil {
 			return nil, err
 		}
-		if len(node.EquiL) > 0 {
-			// Only a memory budget keeps an equi-join out of a pipeline:
-			// the governed join can spill its build side.
-			hj := NewHashJoin(l, r, node.EquiL, node.EquiR, node.Residual)
-			hj.Mem, hj.SpillDir = opt.Gov, opt.SpillDir
-			return hj, nil
-		}
-		return NewNestedLoopJoin(l, r, node.Residual), nil
+		hj := NewHashJoin(l, r, node.EquiL, node.EquiR, node.Residual)
+		hj.Mem, hj.SpillDir = opt.Gov, opt.SpillDir
+		return hj, nil
 
 	case *algebra.UnionAll:
 		l, err := lowerNode(node.Left, src, opt)
@@ -136,8 +135,8 @@ func PipelineOnly(n algebra.Node) bool {
 
 // resolveScan resolves a logical scan against the source and cross-checks
 // the compiled arity, shared by the scan and pipeline lowerings.
-func resolveScan(node *algebra.Scan, src Source) (types.Schema, [][]types.Value, error) {
-	schema, rows, err := src.Resolve(node.Table)
+func resolveScan(node *algebra.Scan, src Source) (types.Schema, *vector.Columns, error) {
+	schema, cols, err := src.Resolve(node.Table)
 	if err != nil {
 		return types.Schema{}, nil, err
 	}
@@ -145,7 +144,11 @@ func resolveScan(node *algebra.Scan, src Source) (types.Schema, [][]types.Value,
 		return types.Schema{}, nil, fmt.Errorf("physical: scan of %q: plan expects %d columns, table has %d",
 			node.Table, want, schema.Arity())
 	}
-	return schema, rows, nil
+	if cols == nil || len(cols.Vecs) != schema.Arity() {
+		return types.Schema{}, nil, fmt.Errorf("physical: table %q resolved without its %d columns",
+			node.Table, schema.Arity())
+	}
+	return schema, cols, nil
 }
 
 // checkProject validates a projection node against its input arity.

@@ -14,7 +14,7 @@ import (
 // committed baseline and no verdict; compare runs with benchstat.
 func BenchmarkOperators(b *testing.B) {
 	const n, groups = 200_000, 25_000
-	src := parSource{}
+	src := memSource{}
 	schema, rows := spillTable(n, groups)
 	src.put("t", schema.Attrs, rows)
 	_, urows := spillTable(n, n) // unique keys: the self join is 1:1

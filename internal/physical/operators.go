@@ -5,33 +5,20 @@ import (
 	"repro/internal/vector"
 )
 
-// Scan emits the rows of a resolved base table in batches of column
-// vectors. When the source provides columnar table storage (ColumnSource),
-// each batch is a zero-copy window of the table's columns; a row-only source
-// has each batch's rows converted with vector.FromRows.
+// Scan emits the rows of a resolved base table in batches, each a zero-copy
+// window of the table's columns.
 type Scan struct {
 	Table     string
 	BatchSize int // rows per batch; 0 means DefaultBatchSize
 	schema    types.Schema
-	rows      [][]types.Value
-	cols      *vector.Columns // nil: row-only source
+	cols      *vector.Columns
 	pos       int
 	out       Batch
 }
 
-// NewScan builds a scan over pre-resolved rows.
-func NewScan(table string, schema types.Schema, rows [][]types.Value) *Scan {
-	return &Scan{Table: table, schema: schema, rows: rows}
-}
-
-// NewColumnarScan builds a scan that emits zero-copy windows of cols. A
-// cols whose length disagrees with rows (a stale cache) is ignored.
-func NewColumnarScan(table string, schema types.Schema, rows [][]types.Value, cols *vector.Columns) *Scan {
-	s := NewScan(table, schema, rows)
-	if cols != nil && cols.N == len(rows) {
-		s.cols = cols
-	}
-	return s
+// NewScan builds a scan over a resolved table's columns.
+func NewScan(table string, schema types.Schema, cols *vector.Columns) *Scan {
+	return &Scan{Table: table, schema: schema, cols: cols}
 }
 
 // Schema implements Operator.
@@ -42,19 +29,15 @@ func (s *Scan) Open() error { s.pos = 0; return nil }
 
 // Next implements Operator.
 func (s *Scan) Next() (*Batch, error) {
-	if s.pos >= len(s.rows) {
+	if s.pos >= s.cols.N {
 		return nil, nil
 	}
 	size := s.BatchSize
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	end := min(s.pos+size, len(s.rows))
-	if s.cols != nil {
-		s.out.SetCols(s.cols.Slice(s.pos, end), end-s.pos)
-	} else {
-		s.out.setRows(s.rows[s.pos:end], s.schema.Arity())
-	}
+	end := min(s.pos+size, s.cols.N)
+	s.out.SetCols(s.cols.Slice(s.pos, end), end-s.pos)
 	s.pos = end
 	return &s.out, nil
 }
@@ -62,15 +45,15 @@ func (s *Scan) Next() (*Batch, error) {
 // Close implements Operator.
 func (s *Scan) Close() error { return nil }
 
-// drainColumns implements colsDrainer: a columnar scan at the root of a plan
-// hands its whole table over as one zero-copy columnar result — no batches,
-// no boxing. The columns alias table storage; Result documents the
-// read-only rule.
+// drainColumns implements colsDrainer: a scan at the root of a plan hands
+// its whole table over as one zero-copy columnar result — no batches, no
+// boxing. The columns alias table storage; Result documents the read-only
+// rule.
 func (s *Scan) drainColumns() (*vector.Columns, bool) {
-	if s.cols == nil || s.pos != 0 {
+	if s.pos != 0 {
 		return nil, false
 	}
-	s.pos = len(s.rows)
+	s.pos = s.cols.N
 	return s.cols, true
 }
 

@@ -65,14 +65,14 @@ func TestEquiExtractionFromResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := Explain(raw); !strings.Contains(s, "NestedLoopJoin") {
-		t.Fatalf("unoptimized plan should nested-loop:\n%s", s)
+	if s := Explain(raw); !strings.Contains(s, "→ product]") {
+		t.Fatalf("unoptimized plan should be a keyless product:\n%s", s)
 	}
 	opt, err := Lower(Optimize(plan), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := Explain(opt); !strings.Contains(s, "probe]") {
+	if s := Explain(opt); !strings.Contains(s, "→ probe]") {
 		t.Fatalf("optimized plan should hash-join:\n%s", s)
 	}
 

@@ -14,39 +14,6 @@ import (
 	"repro/internal/vector"
 )
 
-// parSource is an in-memory ColumnSource for lowering tests: every table
-// carries its columnar form, so fusable chains fuse — and aggregates over
-// them parallelize — exactly as they do over the engine's catalog.
-// struct{ Source }{src} strips the columns, which is the boxed serial
-// reference engine.
-type parSource map[string]struct {
-	schema types.Schema
-	rows   [][]types.Value
-}
-
-func (s parSource) Resolve(table string) (types.Schema, [][]types.Value, error) {
-	t, ok := s[table]
-	if !ok {
-		return types.Schema{}, nil, fmt.Errorf("no table %q", table)
-	}
-	return t.schema, t.rows, nil
-}
-
-func (s parSource) ResolveColumns(table string) (*vector.Columns, bool) {
-	t, ok := s[table]
-	if !ok {
-		return nil, false
-	}
-	return vector.FromRows(t.rows, t.schema.Arity()), true
-}
-
-func (s parSource) put(name string, attrs []string, rows [][]types.Value) {
-	s[name] = struct {
-		schema types.Schema
-		rows   [][]types.Value
-	}{types.NewSchema(name, attrs...), rows}
-}
-
 // intTable builds n rows of (i%domain, i, i%3 as string-ish mix with NULLs).
 func intTable(n, domain int) [][]types.Value {
 	rows := make([][]types.Value, n)
@@ -103,7 +70,7 @@ func scanNode(name string, schema types.Schema) *algebra.Scan {
 }
 
 // sfpPlan is the canonical filter+project pipeline over t.
-func sfpPlan(src parSource) algebra.Node {
+func sfpPlan(src memSource) algebra.Node {
 	return &algebra.Project{
 		Input: &algebra.Filter{
 			Input: scanNode("t", src["t"].schema),
@@ -116,13 +83,13 @@ func sfpPlan(src parSource) algebra.Node {
 	}
 }
 
-// TestNonFusableChainLowersSerially: a chain over a source without columns
-// lowers at DOP 2 to a serial pipeline whose input is the row-only Scan,
-// answering like the DOP 1 plan. Every expression has a column kernel, so
-// the same chain over the columnar source — a BETWEEN filter as the planner
-// lowers it included — reads the table directly and answers identically.
+// TestNonFusableChainLowersSerially: a chain over an operator (a Limit over
+// the scan) lowers at DOP 2 to a serial pipeline over that input, answering
+// like the DOP 1 plan. Every expression has a column kernel, so the same
+// chain straight over the scan — a BETWEEN filter as the planner lowers it
+// included — reads the table directly and answers identically.
 func TestNonFusableChainLowersSerially(t *testing.T) {
-	src := parSource{}
+	src := memSource{}
 	src.put("t", []string{"k", "v", "c"}, intTable(1000, 7))
 	v := algebra.Col{Idx: 1}
 	between := &algebra.Project{
@@ -134,14 +101,14 @@ func TestNonFusableChainLowersSerially(t *testing.T) {
 		Names: []string{"kv"},
 	}
 	for name, plan := range map[string]algebra.Node{"between": between, "sfp": sfpPlan(src)} {
-		rowOnly := struct{ Source }{src}
-		op, err := LowerOpts(plan, rowOnly, parOpts(2))
+		overInput := limitScans(plan)
+		op, err := LowerOpts(overInput, src, parOpts(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := Explain(op)
-		if s != "FusedPipeline[input → filter → project]\n  input:\n    Scan(t)\n" {
-			t.Errorf("%s: a row-only chain must lower to a pipeline over its scan:\n%s", name, s)
+		if !strings.HasPrefix(s, "FusedPipeline[input → filter → project]\n  input:\n    Limit[") {
+			t.Errorf("%s: a chain over an operator must lower to a pipeline over it:\n%s", name, s)
 		}
 		if op, err = LowerOpts(plan, src, parOpts(2)); err != nil {
 			t.Fatal(err)
@@ -149,8 +116,8 @@ func TestNonFusableChainLowersSerially(t *testing.T) {
 		if _, fused := op.(*FusedPipeline); !fused {
 			t.Errorf("%s: a columnar chain must fuse:\n%s", name, Explain(op))
 		}
-		want := mustRows(t, plan, rowOnly, Options{DOP: 1})
-		mustIdentical(t, mustRows(t, plan, rowOnly, parOpts(2)), want, name+" row-only")
+		want := mustRows(t, overInput, src, Options{DOP: 1})
+		mustIdentical(t, mustRows(t, overInput, src, parOpts(2)), want, name+" operator input")
 		mustIdentical(t, mustRows(t, plan, src, parOpts(2)), want, name+" fused")
 	}
 }
@@ -159,9 +126,9 @@ func TestNonFusableChainLowersSerially(t *testing.T) {
 // serially, so over a table big enough for morsel parallelism (two default
 // morsels) the lowered plan is the same at DOP 0, 1, and 2, a fused chain
 // drains to columns at every DOP, and every DOP — and a re-drain of the
-// same lowered plan — answers like the boxed serial engine.
+// same lowered plan — answers like the serial plan over an operator input.
 func TestFusedChainsAreDOPInvariant(t *testing.T) {
-	src := parSource{}
+	src := memSource{}
 	src.put("t", []string{"k", "v", "c"}, intTable(2*DefaultMorselSize, 7))
 	var r [][]types.Value
 	for i := int64(0); i < 7; i++ {
@@ -175,7 +142,7 @@ func TestFusedChainsAreDOPInvariant(t *testing.T) {
 		EquiL: []int{0}, EquiR: []int{0},
 	}
 	for name, plan := range map[string]algebra.Node{"chain": sfpPlan(src), "probe": join} {
-		want := mustRows(t, plan, struct{ Source }{src}, Options{DOP: 1})
+		want := mustRows(t, limitScans(plan), src, Options{DOP: 1})
 		var serial string
 		for _, dop := range []int{1, 0, 2} {
 			op, err := LowerOpts(plan, src, Options{DOP: dop})
@@ -213,7 +180,7 @@ func TestFusedChainsAreDOPInvariant(t *testing.T) {
 // operator-source aggregate's first-seen group order and exact integer aggregate values,
 // including NULL groups and NULL arguments.
 func TestParallelAggregateMatchesSerial(t *testing.T) {
-	src := parSource{}
+	src := memSource{}
 	src.put("t", []string{"k", "v", "c"}, intTable(1200, 9))
 	aggs := []algebra.AggSpec{
 		{Func: algebra.AggCount, Star: true, Name: "n"},
@@ -233,7 +200,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		Pred:  algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(400)}},
 	}, Aggs: aggs}
 	for name, plan := range map[string]algebra.Node{"grouped": grouped, "global": global} {
-		want := mustRows(t, plan, struct{ Source }{src}, Options{DOP: 1})
+		want := mustRows(t, limitScans(plan), src, Options{DOP: 1})
 		for _, dop := range []int{2, 4} {
 			op, err := LowerOpts(plan, src, parOpts(dop))
 			if err != nil {
@@ -256,7 +223,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		Pred:  algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1}, R: algebra.Const{V: types.NewInt(-1)}},
 	}, Aggs: aggs[:2]}
 	mustIdentical(t, mustRows(t, empty, src, parOpts(3)),
-		mustRows(t, empty, struct{ Source }{src}, Options{DOP: 1}), "empty global aggregate")
+		mustRows(t, limitScans(empty), src, Options{DOP: 1}), "empty global aggregate")
 }
 
 // panicExpr is an expression whose Eval panics — a stand-in for a bug in an
@@ -270,7 +237,7 @@ func (panicExpr) String() string                 { return "panic()" }
 // goroutine that opened the aggregate, where a caller can recover it, and
 // leaves no worker behind.
 func TestAggregateWorkerPanic(t *testing.T) {
-	src := parSource{}
+	src := memSource{}
 	src.put("t", []string{"k", "v", "c"}, intTable(1200, 9))
 	plan := &algebra.Aggregate{
 		Input:      scanNode("t", src["t"].schema),

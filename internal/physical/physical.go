@@ -7,10 +7,12 @@
 // batches and carries every equi-join lowered without a memory budget as
 // its probe stage. Aggregation has one operator too: HashAggregate, which
 // folds a columnar table (with the Filter/Project chain below it) or any
-// other operator's batches, and spills under a memory budget. The rest are
-// the zero-copy scan of a bare table, the governed (grace-spilling) hash
-// join, the nested-loop join, the run-merging sort, the early-terminating
-// limit, union-all, and distinct.
+// other operator's batches, and spills under a memory budget. A join with
+// no equi keys is a pipeline too: its probe stage runs on the empty key, so
+// every build row matches and the predicate selects among the pairs. The
+// rest are the zero-copy scan of a bare table, the governed (grace-spilling)
+// hash join, the run-merging sort, the early-terminating limit, union-all,
+// and distinct.
 //
 // The layer is deliberately independent of the engine's catalog: plans are
 // lowered against a Source, so the same operators run the deterministic
@@ -43,37 +45,11 @@ type Operator interface {
 }
 
 // Source resolves table names at lowering time, so one logical plan can run
-// against different databases (deterministic vs UA-encoded).
+// against different databases (deterministic vs UA-encoded). Tables reach
+// the physical layer only as columns (internal/vector): a scan emits
+// zero-copy windows of them, and pipelines and aggregates read them whole.
 type Source interface {
-	// Resolve returns the schema and backing rows of the named table, or an
-	// error when the table does not exist.
-	Resolve(table string) (types.Schema, [][]types.Value, error)
-}
-
-// ColumnSource is optionally implemented by sources that also hold columnar
-// storage (internal/vector) for their tables. Scans over such sources emit
-// zero-copy windows of that storage, and pipelines and aggregates read it
-// whole; a scan over a source without it converts each batch's rows
-// (vector.FromRows), and every operator above runs unchanged.
-type ColumnSource interface {
-	// ResolveColumns returns the cached columnar form of the named table, or
-	// ok=false when none is available. The result must describe exactly the
-	// rows Resolve returns (lowering discards a columnar form whose length
-	// disagrees, so a stale cache degrades to the row path rather than
-	// corrupting results).
-	ResolveColumns(table string) (cols *vector.Columns, ok bool)
-}
-
-// columnsFor resolves the columnar form of a table when the source provides
-// one that matches the resolved row count.
-func columnsFor(src Source, table string, nRows int) *vector.Columns {
-	cs, ok := src.(ColumnSource)
-	if !ok {
-		return nil
-	}
-	cols, ok := cs.ResolveColumns(table)
-	if !ok || cols == nil || cols.N != nRows {
-		return nil
-	}
-	return cols
+	// Resolve returns the schema and columns of the named table, or an
+	// error when the table does not exist. The columns are read-only.
+	Resolve(table string) (types.Schema, *vector.Columns, error)
 }

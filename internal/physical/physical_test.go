@@ -1,29 +1,29 @@
 package physical
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 func iv(v int64) types.Value  { return types.NewInt(v) }
 func sv(v string) types.Value { return types.NewString(v) }
 
-// memSource is an in-memory Source for tests.
-type memSource map[string]struct {
-	schema types.Schema
-	rows   [][]types.Value
-}
+// memSource is an in-memory Source for tests; put converts each table's
+// rows to columns once.
+type memSource map[string]tableSource
 
-func (m memSource) Resolve(name string) (types.Schema, [][]types.Value, error) {
+func (m memSource) Resolve(name string) (types.Schema, *vector.Columns, error) {
 	t, ok := m[name]
 	if !ok {
 		return types.Schema{}, nil, &unknownTable{name}
 	}
-	return t.schema, t.rows, nil
+	return t.schema, t.cols, nil
 }
 
 type unknownTable struct{ name string }
@@ -31,10 +31,46 @@ type unknownTable struct{ name string }
 func (e *unknownTable) Error() string { return "unknown table " + e.name }
 
 func (m memSource) put(name string, attrs []string, rows [][]types.Value) {
-	m[name] = struct {
-		schema types.Schema
-		rows   [][]types.Value
-	}{types.Schema{Name: name, Attrs: attrs}, rows}
+	m[name] = tableSource{types.NewSchema(name, attrs...), vector.FromRows(rows, len(attrs))}
+}
+
+// tableSource is a one-table Source: it serves its table under every name.
+type tableSource struct {
+	schema types.Schema
+	cols   *vector.Columns
+}
+
+func (s tableSource) Resolve(string) (types.Schema, *vector.Columns, error) {
+	return s.schema, s.cols, nil
+}
+
+// limitScans returns n with every Scan below its Filter, Project, Aggregate
+// and Join nodes under a Limit that keeps all of the scan's rows. A chain
+// over a scan lowers to a pipeline or aggregate that reads the table; over
+// the Limit it reads an operator input's batches instead, so the two plans
+// compare the table and operator sources of one operator.
+func limitScans(n algebra.Node) algebra.Node {
+	switch node := n.(type) {
+	case *algebra.Scan:
+		return &algebra.Limit{Input: node, N: math.MaxInt64}
+	case *algebra.Filter:
+		c := *node
+		c.Input = limitScans(node.Input)
+		return &c
+	case *algebra.Project:
+		c := *node
+		c.Input = limitScans(node.Input)
+		return &c
+	case *algebra.Aggregate:
+		c := *node
+		c.Input = limitScans(node.Input)
+		return &c
+	case *algebra.Join:
+		c := *node
+		c.Left, c.Right = limitScans(node.Left), limitScans(node.Right)
+		return &c
+	}
+	return n
 }
 
 func multiset(rows [][]types.Value) map[string]int {
@@ -59,7 +95,12 @@ func sameBag(t *testing.T, a, b [][]types.Value) {
 }
 
 func scanOf(rows [][]types.Value, attrs ...string) *Scan {
-	return NewScan("t", types.Schema{Name: "t", Attrs: attrs}, rows)
+	return scanRows("t", types.NewSchema("t", attrs...), rows)
+}
+
+// scanRows scans rows converted to columns.
+func scanRows(name string, schema types.Schema, rows [][]types.Value) *Scan {
+	return NewScan(name, schema, vector.FromRows(rows, schema.Arity()))
 }
 
 // randomTable builds rows with a key column drawn from a small domain
@@ -86,16 +127,11 @@ func TestHashVsNestedLoopRandomized(t *testing.T) {
 		l := randomTable(rng, rng.Intn(40), 1+rng.Intn(6))
 		r := randomTable(rng, rng.Intn(40), 1+rng.Intn(6))
 		hj := NewHashJoin(scanOf(l, "k", "p"), scanOf(r, "k", "q"), []int{0}, []int{0}, nil)
-		nl := NewNestedLoopJoin(scanOf(l, "k", "p"), scanOf(r, "k", "q"), eq)
 		hrows, err := Drain(hj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nrows, err := Drain(nl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBag(t, hrows, nrows)
+		sameBag(t, hrows, bruteJoin(l, r, eq))
 	}
 }
 
@@ -111,10 +147,18 @@ func TestJoinsOverEmptyInputs(t *testing.T) {
 		if err != nil || len(rows) != 0 {
 			t.Errorf("case %d: hash join over empty input: rows=%d err=%v", i, len(rows), err)
 		}
-		nl := NewNestedLoopJoin(scanOf(c.l, "k", "p"), scanOf(c.r, "k", "q"), nil)
-		rows, err = Drain(nl)
+		src := memSource{}
+		src.put("l", []string{"k", "p"}, c.l)
+		src.put("r", []string{"k", "q"}, c.r)
+		product, err := Lower(&algebra.Join{
+			Left:  &algebra.Scan{Table: "l", TblSchema: types.NewSchema("l", "k", "p")},
+			Right: &algebra.Scan{Table: "r", TblSchema: types.NewSchema("r", "k", "q")}}, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err = Drain(product)
 		if err != nil || len(rows) != 0 {
-			t.Errorf("case %d: nested-loop join over empty input: rows=%d err=%v", i, len(rows), err)
+			t.Errorf("case %d: keyless join over empty input: rows=%d err=%v", i, len(rows), err)
 		}
 	}
 }
@@ -287,7 +331,7 @@ func TestExplainShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := Explain(op); s != "FusedPipeline[input → probe]\n  input:\n    Scan(r)\n  build:\n    Scan(s)\n" {
+	if s := Explain(op); s != "FusedPipeline[scan r → probe]\n  build:\n    Scan(s)\n" {
 		t.Errorf("explain missing the probe stage:\n%s", s)
 	}
 	if op, err = LowerOpts(hash, src, Options{MemBudget: 1 << 20}); err != nil {
@@ -299,11 +343,13 @@ func TestExplainShapes(t *testing.T) {
 
 	theta := &algebra.Join{Left: scanR, Right: scanS,
 		Residual: algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 1}}}
-	op, err = Lower(theta, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Explain(op); !strings.Contains(s, "NestedLoopJoin") {
-		t.Errorf("explain missing NestedLoopJoin:\n%s", s)
+	// A keyless join is a product stage whatever the governor.
+	for _, budget := range []int64{0, 1 << 20} {
+		if op, err = LowerOpts(theta, src, Options{MemBudget: budget}); err != nil {
+			t.Fatal(err)
+		}
+		if s := Explain(op); s != "FusedPipeline[scan r → product]\n  build:\n    Scan(s)\n" {
+			t.Errorf("budget %d: explain missing the keyless product stage:\n%s", budget, s)
+		}
 	}
 }

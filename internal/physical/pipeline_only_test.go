@@ -6,7 +6,7 @@ package physical_test
 // sort is never admitted without one. The plans are the benchmark's —
 // PDBench Q1–Q3, the four lookup templates and both AU-DB aggregates, under
 // their rewrite and as deterministic twins — plus Limit, Distinct, UNION ALL
-// and nested-loop shapes.
+// and theta-join shapes.
 
 import (
 	"fmt"
@@ -155,7 +155,7 @@ func TestPipelineOnlyMatchesLowering(t *testing.T) {
 		{"lookup IN", "SELECT did, name FROM dims WHERE did IN (3, 20, 37, 54, 71)", true},
 		{"limit", "SELECT id, amount FROM events WHERE uid = 7 LIMIT 3", false},
 		{"union all", "SELECT id FROM events WHERE uid = 1 UNION ALL SELECT did FROM dims", false},
-		{"nested loop", "SELECT e.id, d.name FROM events e, dims d WHERE e.dim < d.did AND e.uid = 7", false},
+		{"theta join", "SELECT e.id, d.name FROM events e, dims d WHERE e.dim < d.did AND e.uid = 7", false},
 		{"sort", "SELECT id FROM events WHERE uid = 7 ORDER BY id", false},
 	} {
 		ua(lookup, cat, c.name+" UA", c.sql, false, c.want)

@@ -81,12 +81,12 @@ func spillDirHasFiles(t *testing.T, dir string) bool {
 func TestSortSpillsAndAgrees(t *testing.T) {
 	schema, rows := spillTable(20000, 37)
 	keys := []algebra.SortKey{{Expr: algebra.Col{Idx: 0}}, {Expr: algebra.Col{Idx: 1}, Desc: true}}
-	want := drainAll(t, &Sort{Input: NewScan("t", schema, rows), Keys: keys}, "in-memory sort")
+	want := drainAll(t, &Sort{Input: scanRows("t", schema, rows), Keys: keys}, "in-memory sort")
 
 	for _, budget := range []int64{RowsMemSize(rows) / 4, 64 << 10, 512} {
 		dir := t.TempDir()
 		gov := NewMemGovernor(budget)
-		s := &Sort{Input: NewScan("t", schema, rows), Keys: keys, Mem: gov, SpillDir: dir}
+		s := &Sort{Input: scanRows("t", schema, rows), Keys: keys, Mem: gov, SpillDir: dir}
 		got := drainAll(t, s, "spilling sort")
 		requireSameRows(t, got, want, fmt.Sprintf("sort at budget %d", budget))
 		requireEmptyDir(t, dir, "after sort Close")
@@ -105,7 +105,7 @@ func TestSortSpillsAndAgrees(t *testing.T) {
 func TestSortSpillActuallySpills(t *testing.T) {
 	schema, rows := spillTable(5000, 11)
 	dir := t.TempDir()
-	s := &Sort{Input: NewScan("t", schema, rows),
+	s := &Sort{Input: scanRows("t", schema, rows),
 		Keys: []algebra.SortKey{{Expr: algebra.Col{Idx: 2}}},
 		Mem:  NewMemGovernor(4 << 10), SpillDir: dir}
 	if err := s.Open(); err != nil {
@@ -143,9 +143,9 @@ func TestSortCascadeBoundsFanIn(t *testing.T) {
 
 	schema, rows := spillTable(20000, 37)
 	keys := []algebra.SortKey{{Expr: algebra.Col{Idx: 1}, Desc: true}}
-	want := drainAll(t, &Sort{Input: NewScan("t", schema, rows), Keys: keys}, "in-memory sort")
+	want := drainAll(t, &Sort{Input: scanRows("t", schema, rows), Keys: keys}, "in-memory sort")
 	dir := t.TempDir()
-	s := &Sort{Input: NewScan("t", schema, rows), Keys: keys,
+	s := &Sort{Input: scanRows("t", schema, rows), Keys: keys,
 		Mem: NewMemGovernor(512), SpillDir: dir} // ~4700 runs before the cascade
 	got := drainAll(t, s, "cascaded sort")
 	requireSameRows(t, got, want, "cascade parity")
@@ -163,13 +163,13 @@ func TestAggregateSpillsAndAgrees(t *testing.T) {
 		{Func: algebra.AggMax, Arg: algebra.Col{Idx: 2}, Name: "max"},
 		{Func: algebra.AggAvg, Arg: algebra.Col{Idx: 1}, Name: "avg"},
 	}
-	want := drainAll(t, NewHashAggregate(NewScan("t", schema, rows), groupBy, names, aggs),
+	want := drainAll(t, NewHashAggregate(scanRows("t", schema, rows), groupBy, names, aggs),
 		"in-memory aggregate")
 
 	for _, budget := range []int64{RowsMemSize(rows) / 4, 64 << 10, 2 << 10} {
 		dir := t.TempDir()
 		gov := NewMemGovernor(budget)
-		h := NewHashAggregate(NewScan("t", schema, rows), groupBy, names, aggs)
+		h := NewHashAggregate(scanRows("t", schema, rows), groupBy, names, aggs)
 		h.Mem, h.SpillDir = gov, dir
 		got := drainAll(t, h, "spilling aggregate")
 		requireSameRows(t, got, want, fmt.Sprintf("aggregate at budget %d", budget))
@@ -187,10 +187,10 @@ func TestAggregateSpillRecursion(t *testing.T) {
 	schema, rows := spillTable(30000, 9973) // nearly all groups distinct
 	groupBy := []algebra.Expr{algebra.Col{Idx: 0}}
 	aggs := []algebra.AggSpec{{Func: algebra.AggCount, Star: true, Name: "n"}}
-	want := drainAll(t, NewHashAggregate(NewScan("t", schema, rows), groupBy, []string{"k"}, aggs),
+	want := drainAll(t, NewHashAggregate(scanRows("t", schema, rows), groupBy, []string{"k"}, aggs),
 		"in-memory aggregate")
 	dir := t.TempDir()
-	h := NewHashAggregate(NewScan("t", schema, rows), groupBy, []string{"k"}, aggs)
+	h := NewHashAggregate(scanRows("t", schema, rows), groupBy, []string{"k"}, aggs)
 	h.Mem, h.SpillDir = NewMemGovernor(2<<10), dir
 	got := drainAll(t, h, "recursively spilling aggregate")
 	requireSameRows(t, got, want, "aggregate recursion")
@@ -200,11 +200,11 @@ func TestAggregateSpillRecursion(t *testing.T) {
 // TestGovernedAggregateTablePeak: under a budget a table-source aggregate
 // folds windows of DefaultBatchSize rows and checks the governor after
 // each, exactly as the operator-source aggregate does batch by batch over
-// the same table stripped of its columns. A whole-table window would Force
-// every one of the 60k groups before the first check, so its peak would
-// run far past the stripped plan's.
+// a Limit that passes the same table's scan through. A whole-table window
+// would Force every one of the 60k groups before the first check, so its
+// peak would run far past the operator-source plan's.
 func TestGovernedAggregateTablePeak(t *testing.T) {
-	src := parSource{}
+	src := memSource{}
 	src.put("t", []string{"k", "v", "c"}, intTable(70000, 70000))
 	plan := &algebra.Aggregate{
 		Input: &algebra.Filter{
@@ -217,10 +217,10 @@ func TestGovernedAggregateTablePeak(t *testing.T) {
 		GroupNames: []string{"k"},
 		Aggs:       []algebra.AggSpec{{Func: algebra.AggCount, Star: true, Name: "n"}},
 	}
-	run := func(s Source) ([][]types.Value, int64) {
+	run := func(plan algebra.Node) ([][]types.Value, int64) {
 		t.Helper()
 		gov := NewMemGovernor(4 << 20)
-		op, err := LowerOpts(plan, s, Options{DOP: 1, Gov: gov, SpillDir: t.TempDir()})
+		op, err := LowerOpts(plan, src, Options{DOP: 1, Gov: gov, SpillDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,14 +230,14 @@ func TestGovernedAggregateTablePeak(t *testing.T) {
 		}
 		return rows, gov.Peak()
 	}
-	got, tablePeak := run(src)
-	want, strippedPeak := run(struct{ Source }{src})
+	got, tablePeak := run(plan)
+	want, inputPeak := run(limitScans(plan))
 	if len(want) < 60000 {
 		t.Fatalf("%d groups, want at least 60000", len(want))
 	}
-	requireSameRows(t, got, want, "table vs stripped governed aggregate")
-	if tablePeak > strippedPeak {
-		t.Fatalf("table-source peak %d B exceeds the stripped source's %d B", tablePeak, strippedPeak)
+	requireSameRows(t, got, want, "table vs operator-source governed aggregate")
+	if tablePeak > inputPeak {
+		t.Fatalf("table-source peak %d B exceeds the operator source's %d B", tablePeak, inputPeak)
 	}
 }
 
@@ -256,14 +256,14 @@ func TestGraceJoinAgrees(t *testing.T) {
 
 	for _, res := range []algebra.Expr{nil, residual} {
 		want := drainAll(t, NewHashJoin(
-			NewScan("l", lschema, lrows), NewScan("r", rschema, rrows),
+			scanRows("l", lschema, lrows), scanRows("r", rschema, rrows),
 			[]int{0}, []int{0}, res), "in-memory join")
 
 		for _, budget := range []int64{RowsMemSize(rrows) / 4, 32 << 10, 1 << 10} {
 			dir := t.TempDir()
 			gov := NewMemGovernor(budget)
 			j := NewHashJoin(
-				NewScan("l", lschema, lrows), NewScan("r", rschema, rrows),
+				scanRows("l", lschema, lrows), scanRows("r", rschema, rrows),
 				[]int{0}, []int{0}, res)
 			j.Mem, j.SpillDir = gov, dir
 			got := drainAll(t, j, "grace join")
@@ -284,11 +284,11 @@ func TestGraceJoinSkewedKey(t *testing.T) {
 	lschema, lrows := spillTable(2000, 1)
 	rschema, rrows := spillTable(4000, 1) // every build row shares key 0
 	want := drainAll(t, NewHashJoin(
-		NewScan("l", lschema, lrows[:3]), NewScan("r", rschema, rrows),
+		scanRows("l", lschema, lrows[:3]), scanRows("r", rschema, rrows),
 		[]int{0}, []int{0}, nil), "in-memory skewed join")
 	dir := t.TempDir()
 	j := NewHashJoin(
-		NewScan("l", lschema, lrows[:3]), NewScan("r", rschema, rrows),
+		scanRows("l", lschema, lrows[:3]), scanRows("r", rschema, rrows),
 		[]int{0}, []int{0}, nil)
 	j.Mem, j.SpillDir = NewMemGovernor(1<<10), dir
 	got := drainAll(t, j, "skewed grace join")
@@ -303,7 +303,7 @@ func TestGovernedButFitsIsUntouched(t *testing.T) {
 	schema, rows := spillTable(2000, 13)
 	dir := t.TempDir()
 	gov := NewMemGovernor(1 << 30)
-	s := &Sort{Input: NewScan("t", schema, rows),
+	s := &Sort{Input: scanRows("t", schema, rows),
 		Keys: []algebra.SortKey{{Expr: algebra.Col{Idx: 1}, Desc: true}},
 		Mem:  gov, SpillDir: dir}
 	if err := s.Open(); err != nil {
@@ -363,7 +363,7 @@ func TestCorruptedSpillFileIsAQueryError(t *testing.T) {
 	// and each run file is bigger than the reader's 64KB buffer — so the
 	// corruption below lands in bytes the merge has yet to fetch from disk
 	// (only each run's first frame is resident after Open).
-	s := &Sort{Input: NewScan("t", schema, rows),
+	s := &Sort{Input: scanRows("t", schema, rows),
 		Keys: []algebra.SortKey{{Expr: algebra.Col{Idx: 1}}},
 		Mem:  NewMemGovernor(4 << 20), SpillDir: dir}
 	if err := s.Open(); err != nil {
@@ -407,7 +407,7 @@ func TestCorruptedSpillFileIsAQueryError(t *testing.T) {
 // an error from the operator, not a panic.
 func TestBadSpillDirIsAQueryError(t *testing.T) {
 	schema, rows := spillTable(5000, 7)
-	s := &Sort{Input: NewScan("t", schema, rows),
+	s := &Sort{Input: scanRows("t", schema, rows),
 		Keys:     []algebra.SortKey{{Expr: algebra.Col{Idx: 1}}},
 		Mem:      NewMemGovernor(2 << 10),
 		SpillDir: filepath.Join(t.TempDir(), "does", "not", "exist")}
@@ -424,7 +424,8 @@ func TestBadSpillDirIsAQueryError(t *testing.T) {
 // operator while its probe-side chain reads the table directly.
 func TestGovernedLoweringShape(t *testing.T) {
 	schema, rows := spillTable(40000, 11)
-	src := testSource{"t": {schema, rows}}
+	src := memSource{}
+	src.put("t", schema.Attrs, rows)
 	plan := &algebra.Join{
 		Left: &algebra.Project{
 			Input: &algebra.Filter{
@@ -442,7 +443,7 @@ func TestGovernedLoweringShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := Explain(serial); !strings.HasPrefix(s, "FusedPipeline[input → filter → project → probe]\n") {
+	if s := Explain(serial); !strings.HasPrefix(s, "FusedPipeline[scan t → filter → project → probe]\n") {
 		t.Fatalf("unbudgeted equi-join must be a pipeline's probe stage:\n%s", s)
 	}
 	governed, err := LowerOpts(plan, src, Options{DOP: 1, MemBudget: 1 << 20})
@@ -457,9 +458,7 @@ func TestGovernedLoweringShape(t *testing.T) {
 		t.Fatalf("governed join lost its probe-side pipeline:\n%s", Explain(governed))
 	}
 
-	csrc := parSource{}
-	csrc.put("t", schema.Attrs, rows)
-	par, err := LowerOpts(plan, csrc, Options{DOP: 4, MemBudget: 1 << 20,
+	par, err := LowerOpts(plan, src, Options{DOP: 4, MemBudget: 1 << 20,
 		MorselSize: 4096, MinParallelRows: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -471,18 +470,4 @@ func TestGovernedLoweringShape(t *testing.T) {
 	if !strings.Contains(shape, "  FusedPipeline[scan t → filter → project]\n") {
 		t.Fatalf("governed join lost its fused probe-side pipeline:\n%s", shape)
 	}
-}
-
-// testSource is a minimal physical.Source over in-test tables.
-type testSource map[string]struct {
-	schema types.Schema
-	rows   [][]types.Value
-}
-
-func (s testSource) Resolve(table string) (types.Schema, [][]types.Value, error) {
-	tb, ok := s[table]
-	if !ok {
-		return types.Schema{}, nil, fmt.Errorf("no table %q", table)
-	}
-	return tb.schema, tb.rows, nil
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/physical"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Operator is the frozen row-at-a-time iterator contract: Next returns one
@@ -55,11 +56,13 @@ func Drain(op Operator) ([][]types.Value, error) {
 func Lower(n algebra.Node, src physical.Source) (Operator, error) {
 	switch node := n.(type) {
 	case *algebra.Scan:
-		schema, rows, err := src.Resolve(node.Table)
+		schema, cols, err := src.Resolve(node.Table)
 		if err != nil {
 			return nil, err
 		}
-		return &Scan{schema: schema, rows: rows}, nil
+		// The reference boxes the table once and keeps its own Expr.Eval
+		// semantics from there on.
+		return &Scan{schema: schema, rows: vector.Materialize(cols.Vecs, cols.N)}, nil
 	case *algebra.Filter:
 		in, err := Lower(node.Input, src)
 		if err != nil {

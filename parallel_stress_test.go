@@ -154,7 +154,7 @@ func TestExchangeOrderDeterminismStress(t *testing.T) {
 	}
 	for name, plan := range plans {
 		mustLowerAtDOP2(t, plan, cat, name)
-		want := drainWith(t, plan, rowSource{cat}, physical.Options{DOP: 1})
+		want := drainWith(t, plan, boxedSource{cat}, physical.Options{DOP: 1})
 		for _, dop := range stressDOPs() {
 			opt := stressOpts(dop)
 			for i := 0; i < iters; i++ {
@@ -186,7 +186,7 @@ func TestExchangeOrderDeterminismUA(t *testing.T) {
 			t.Fatalf("%s: rewrite: %v", name, err)
 		}
 		mustLowerAtDOP2(t, ua, enc, "ua "+name)
-		want := drainWith(t, ua, rowSource{enc}, physical.Options{DOP: 1})
+		want := drainWith(t, ua, boxedSource{enc}, physical.Options{DOP: 1})
 		if len(want) == 0 {
 			t.Fatalf("%s: UA reference plan returned no rows", name)
 		}

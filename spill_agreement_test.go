@@ -135,7 +135,7 @@ func TestSpillAgreementRandomized(t *testing.T) {
 		g := &planGen{rng: rng, cat: cat}
 		plan, _ := g.gen(1 + rng.Intn(3))
 
-		want := drainOpts(t, plan, rowSource{cat}, physical.Options{DOP: 1}, "in-memory serial")
+		want := drainOpts(t, plan, boxedSource{cat}, physical.Options{DOP: 1}, "in-memory serial")
 		for _, budget := range spillBudgets(cat) {
 			for _, dop := range spillDOPs() {
 				got := drainSpilling(t, plan, cat, budget, dop, dir, "spilling")
@@ -168,7 +168,7 @@ func TestSpillAgreementUA(t *testing.T) {
 			t.Fatalf("rewrite: %v", err)
 		}
 
-		want := drainOpts(t, ua, rowSource{enc}, physical.Options{DOP: 1}, "in-memory serial UA")
+		want := drainOpts(t, ua, boxedSource{enc}, physical.Options{DOP: 1}, "in-memory serial UA")
 		for _, budget := range spillBudgets(det) {
 			for _, dop := range spillDOPs() {
 				got := drainSpilling(t, ua, enc, budget, dop, dir, "spilling UA")
@@ -229,7 +229,7 @@ func TestSpillAcceptance1M(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, q := range queries {
-		want := drainOpts(t, q.plan, rowSource{cat}, physical.Options{DOP: 1}, q.name+" in-memory")
+		want := drainOpts(t, q.plan, boxedSource{cat}, physical.Options{DOP: 1}, q.name+" in-memory")
 		for _, dop := range spillDOPs() {
 			gov := physical.NewMemGovernor(budget)
 			opt := physical.Options{DOP: dop, MemBudget: budget, SpillDir: dir, Gov: gov}

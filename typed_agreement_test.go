@@ -1,18 +1,16 @@
 package repro_test
 
-// Randomized typed/boxed agreement: the columnar engine (scans over a
-// ColumnSource, per-vector key encoding, and the table pipelines, probe
-// stages and table-source aggregates that chains over columns lower to) must
-// produce byte-identical results, in identical first-seen order, to the
-// same plans run against the same catalog stripped of its columnar storage
-// — row-backed scans under pipelines that read them as operator inputs,
-// and breakers, converting batch by batch to columns for the same
-// expression kernels (there is one evaluator). Serially and at
-// every DOP, under unlimited and tight memory budgets, on plain and
-// UA-rewritten plans. This is the acceptance gate for the columnar and
-// fused layers: columnar storage and fusion are optimizations, never a
-// semantics change; the batch agreement suite's row-at-a-time reference
-// engine is the oracle that shares no evaluator.
+// Randomized typed/boxed agreement: the columnar engine (typed vectors,
+// per-vector key encoding, and the table pipelines, probe stages and
+// table-source aggregates that chains over columns lower to) must produce
+// byte-identical results, in identical first-seen order, to the same plans
+// run against the same catalog with every column boxed — the same
+// operators, every kernel on its boxed (vector.ValueVector) arm. Serially
+// and at every DOP, under unlimited and tight memory budgets, on plain and
+// UA-rewritten plans. This is the acceptance gate for the typed column
+// layer: typed storage is an optimization, never a semantics change; the
+// batch agreement suite's row-at-a-time reference engine is the oracle that
+// shares no evaluator.
 
 import (
 	"math"
@@ -28,13 +26,25 @@ import (
 	"repro/internal/vector"
 )
 
-// rowSource strips the columnar half of a catalog: same tables, same rows,
-// but no ResolveColumns, so lowering produces the row-backed, unfused
-// reference tree.
-type rowSource struct{ cat *engine.Catalog }
+// boxedSource serves a catalog's tables with every column boxed
+// (vector.ValueVector): the same rows, but every kernel that reads them
+// takes its boxed arm — the reference the typed columns must agree with.
+type boxedSource struct{ cat *engine.Catalog }
 
-func (s rowSource) Resolve(table string) (types.Schema, [][]types.Value, error) {
-	return s.cat.Resolve(table)
+func (s boxedSource) Resolve(table string) (types.Schema, *vector.Columns, error) {
+	schema, cols, err := s.cat.Resolve(table)
+	if err != nil {
+		return schema, nil, err
+	}
+	vecs := make([]vector.Vector, len(cols.Vecs))
+	for j, v := range cols.Vecs {
+		vals := make([]types.Value, cols.N)
+		for i := range vals {
+			vals[i] = v.Value(i)
+		}
+		vecs[j] = vector.NewValueVector(vals)
+	}
+	return schema, &vector.Columns{N: cols.N, Vecs: vecs}, nil
 }
 
 // typedDOPs returns the worker counts the agreement suite runs: serial,
@@ -122,7 +132,7 @@ func TestTypedBoxedAgreementRandomized(t *testing.T) {
 		g := &planGen{rng: rng, cat: cat}
 		plan, _ := g.gen(1 + rng.Intn(3))
 
-		want := drainOpts(t, plan, rowSource{cat}, physical.Options{DOP: 1}, "boxed serial")
+		want := drainOpts(t, plan, boxedSource{cat}, physical.Options{DOP: 1}, "boxed serial")
 		for _, dop := range typedDOPs() {
 			for _, budget := range typedBudgets() {
 				got := drainOpts(t, plan, cat, typedOpts(dop, budget, dir), "typed")
@@ -153,7 +163,7 @@ func TestTypedBoxedAgreementUA(t *testing.T) {
 			t.Fatalf("rewrite: %v", err)
 		}
 
-		want := drainOpts(t, ua, rowSource{enc}, physical.Options{DOP: 1}, "boxed serial UA")
+		want := drainOpts(t, ua, boxedSource{enc}, physical.Options{DOP: 1}, "boxed serial UA")
 		for _, dop := range typedDOPs() {
 			for _, budget := range typedBudgets() {
 				got := drainOpts(t, ua, enc, typedOpts(dop, budget, dir), "typed UA")
@@ -177,9 +187,9 @@ func TestTypedPathEngages(t *testing.T) {
 	cat := engine.NewCatalog()
 	cat.Put(tb)
 
-	cols, ok := cat.ResolveColumns("t")
-	if !ok || cols == nil {
-		t.Fatal("catalog does not provide columnar storage")
+	_, cols, err := cat.Resolve("t")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, isInt := cols.Vecs[1].(*vector.Int64Vector); !isInt {
 		t.Fatalf("column v inferred as %T, want *Int64Vector", cols.Vecs[1])
