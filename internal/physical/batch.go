@@ -14,16 +14,16 @@ const DefaultBatchSize = 1024
 // per column (internal/vector). Every operator emits its batches this way —
 // scans as zero-copy windows of the table's columns, pipelines (their probe
 // stages included) as kernel output, and the operators that work on rows
-// internally (sort, grace hash join, aggregate) as vector.FromRows of their
+// internally (sort, the grace join, aggregate) as vector.FromRows of their
 // output rows.
 //
 // The batch and its vectors belong to whichever operator returned it from
 // Next and are valid only until that operator's next Next or Close call: a
 // consumer that keeps data across batches copies it (vector.Append, as the
-// root drain and the hash join's build side do) or materializes rows. Rows
+// root drain and a join's build side do) or materializes rows. Rows
 // materializes freshly allocated rows that never alias the vectors, so rows
-// a consumer retains (sort runs, a governed join's build rows) stay valid
-// whatever the producer does next.
+// a consumer retains (sort runs) stay valid whatever the producer does
+// next.
 type Batch struct {
 	cols []vector.Vector
 	n    int
@@ -46,4 +46,21 @@ func (b *Batch) SetCols(cols []vector.Vector, n int) { b.cols, b.n = cols, n }
 // reused once the call returns.
 func (b *Batch) setRows(rows [][]types.Value, arity int) {
 	b.SetCols(vector.FromRows(rows, arity).Vecs, len(rows))
+}
+
+// boxRows materializes the n rows of cols one DefaultBatchSize window at a
+// time, handing each window's rows to fn: how the grace join turns its
+// columns into the spill format's rows without boxing more than one window.
+func boxRows(cols []vector.Vector, n int, fn func([][]types.Value) error) error {
+	win := make([]vector.Vector, len(cols))
+	for lo := 0; lo < n; lo += DefaultBatchSize {
+		hi := min(lo+DefaultBatchSize, n)
+		for c, v := range cols {
+			win[c] = v.Slice(lo, hi)
+		}
+		if err := fn(vector.Materialize(win, hi-lo)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

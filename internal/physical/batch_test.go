@@ -135,10 +135,10 @@ func TestEveryOperatorEmitsColumns(t *testing.T) {
 			return op
 		}},
 		{name: "grace hash join", op: func() Operator {
-			j := NewHashJoin(scan(), scan(), []int{0}, []int{0}, nil)
-			j.Mem, j.SpillDir = NewMemGovernor(16<<10), t.TempDir()
+			j := newJoin(pipelineOver(scan(), nil, nil, nil), scan(), []int{0}, []int{0}, nil,
+				Options{Gov: NewMemGovernor(16 << 10), SpillDir: t.TempDir()})
 			return &Limit{Input: j, N: 5000}
-		}, spilled: func(op Operator) bool { return op.(*Limit).Input.(*HashJoin).graceHeap != nil }},
+		}, spilled: func(op Operator) bool { return op.(*Limit).Input.(*FusedPipeline).grace != nil }},
 		{name: "distinct", op: func() Operator {
 			return &Distinct{Input: pipelineOver(scan(), nil, []algebra.Expr{algebra.Col{Idx: 2}}, []string{"s"})}
 		}},

@@ -20,14 +20,6 @@ func explain(sb *strings.Builder, op Operator, depth int) {
 	switch o := op.(type) {
 	case *Scan:
 		fmt.Fprintf(sb, "Scan(%s)\n", o.Table)
-	case *HashJoin:
-		res := ""
-		if o.Residual != nil {
-			res = fmt.Sprintf(", residual %s", o.Residual)
-		}
-		fmt.Fprintf(sb, "HashJoin[L%v = R%v%s]\n", o.EquiL, o.EquiR, res)
-		explain(sb, o.Left, depth+1)
-		explain(sb, o.Right, depth+1)
 	case *HashAggregate:
 		// A table source shows its worker count and collapsed chain; an
 		// operator source its input subtree.

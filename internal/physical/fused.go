@@ -10,24 +10,22 @@ import (
 
 // Pipelines: the lowering collapses every maximal chain of Filter and
 // Project nodes — capped, when it sits on the probe side of a join, by that
-// join's probe (an equi-join's only while no memory governor bounds it) —
-// into one FusedPipeline operator. The chain is composed at lowering time by
-// expression substitution: each Filter predicate and each final Project
-// expression is rewritten in terms of the columns of the chain's source, so
-// adjacent projections (a rename over a least(), the identities the pruner
-// leaves) collapse into one. The source is either a table, which the
-// pipeline reads in one whole-table pass, or any other operator, whose
-// batches each run through the same pass. Execution selects with the
-// unboxed column kernels and evaluates the projections unboxed into output
-// vectors: no compacted row spines, no boxed cells, no per-operator Next
-// dispatch within the chain.
+// join's probe — into one FusedPipeline operator. The chain is composed at
+// lowering time by expression substitution: each Filter predicate and each
+// final Project expression is rewritten in terms of the columns of the
+// chain's source, so adjacent projections (a rename over a least(), the
+// identities the pruner leaves) collapse into one. The source is either a
+// table, which the pipeline reads in one whole-table pass, or any other
+// operator, whose batches each run through the same pass. Execution selects
+// with the unboxed column kernels and evaluates the projections unboxed into
+// output vectors: no compacted row spines, no boxed cells, no per-operator
+// Next dispatch within the chain.
 //
 // A pipeline is the engine's one operator for non-breaking work, so its
 // kernels are the semantics: rows survive a multi-filter chain exactly when
 // every composed predicate selects them (ascending selection-vector
-// intersection), and the probe stage is the hash join's own probe
-// (joinProbe), so it keys and orders matches exactly as the governed
-// HashJoin does while its build fits. A join with no equi keys probes on the
+// intersection), and the probe stage is the engine's one hash join
+// (join.go), at every memory budget. A join with no equi keys probes on the
 // empty key, which emits every (probe row, build row) pair in nested-loop
 // order for the residual to select. The randomized agreement harnesses pin
 // pipeline output byte-identical to the row-at-a-time reference, and every
@@ -43,6 +41,8 @@ type FusedProbe struct {
 	EquiL    []int    // key positions in the chain's projected schema
 	EquiR    []int    // key positions in the build schema
 	Residual algebra.Expr
+	Mem      *MemGovernor // nil: the build is never reserved and never spills
+	SpillDir string       // temp dir for the grace join's files; "" means os.TempDir()
 }
 
 // FusedPipeline executes a composed Filter/Project(→probe) chain. Everything
@@ -82,8 +82,10 @@ type FusedPipeline struct {
 	colsWin              []vector.Vector
 	colsWinLo, colsWinHi int
 
-	probe   joinProbe // the probe stage, resumable across Next calls
-	probing bool      // probe holds a pass not yet fully expanded
+	probe   joinProbe  // the probe stage, resumable across Next calls
+	probing bool       // probe holds a pass not yet fully expanded
+	held    int64      // bytes the build holds reserved with Probe.Mem
+	grace   *graceJoin // non-nil: the build spilled; Next streams its output
 }
 
 // Schema implements Operator.
@@ -91,7 +93,8 @@ func (f *FusedPipeline) Schema() types.Schema { return f.schema }
 
 // Open implements Operator: kernels compile on the first Open and are
 // memoized across re-Opens of the same instance, and a probe stage drains
-// its build side into the hash table before the first pass.
+// its build side into the hash table before the first pass. A build that
+// spilled runs the whole grace join here, reading the chain's passes.
 func (f *FusedPipeline) Open() error {
 	if !f.compiled {
 		f.predProgs = algebra.CompileAll(f.Preds)
@@ -102,7 +105,7 @@ func (f *FusedPipeline) Open() error {
 		}
 		f.compiled = true
 	}
-	f.done, f.probe, f.probing = false, joinProbe{}, false
+	f.done, f.probe, f.probing, f.held, f.grace = false, joinProbe{}, false, 0, nil
 	if f.Input != nil {
 		if err := f.Input.Open(); err != nil {
 			return err
@@ -112,16 +115,15 @@ func (f *FusedPipeline) Open() error {
 		return nil
 	}
 	build := f.Probe.Build
-	var table *hashTable
 	err := build.Open()
 	if err == nil {
-		table, err = buildHashTable(build, f.Probe.EquiR)
+		err = f.buildHashTable()
 	}
 	if cerr := build.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
-		f.probe = newJoinProbe(table, f.Probe.EquiL, f.Probe.Residual)
+	if err == nil && f.grace != nil {
+		err = f.grace.probe(f.pass)
 	}
 	return err
 }
@@ -306,8 +308,11 @@ func intersectAsc(a, b []int) []int {
 
 // Next implements Operator: a probe-less chain emits each pass's output
 // vectors as one batch; a probe stage expands each pass against
-// its build table batch by batch.
+// its build table batch by batch, or streams its grace join's output.
 func (f *FusedPipeline) Next() (*Batch, error) {
+	if f.grace != nil {
+		return f.grace.next()
+	}
 	for {
 		if f.probing {
 			if b := f.probe.next(); b != nil {
@@ -329,14 +334,23 @@ func (f *FusedPipeline) Next() (*Batch, error) {
 	}
 }
 
-// Close implements Operator. The build side was already closed when Open
-// drained it.
+// Close implements Operator: it releases the build's reservation and
+// removes any grace join files. The build side was already closed when
+// Open drained it.
 func (f *FusedPipeline) Close() error {
 	f.probe, f.probing = joinProbe{}, false
-	if f.Input != nil {
-		return f.Input.Close()
+	var err error
+	if f.Probe != nil {
+		f.Probe.Mem.Release(f.held)
+		err = f.grace.close()
+		f.held, f.grace = 0, nil
 	}
-	return nil
+	if f.Input != nil {
+		if ierr := f.Input.Close(); ierr != nil {
+			return ierr
+		}
+	}
+	return err
 }
 
 // fusedChain is a recognized Filter/Project chain, composed down to
@@ -432,11 +446,9 @@ func inputChain(in Operator) *fusedChain {
 
 // lowerPipeline lowers n to one FusedPipeline: a Filter/Project chain, or
 // a join (see lowerNode), whose probe side's chain the pipeline runs and
-// whose build side becomes the probe stage's table at Open. A join with no
-// equi keys is a "product" stage: every build row shares the empty key, so
-// each probe row meets every build row, in build order, and the predicate
-// runs as the residual's selection kernel. Whatever sits beneath the chain
-// — a join, an aggregate, a sort — is lowered as the pipeline's input.
+// whose build side becomes the probe stage's table at Open. Whatever sits
+// beneath the chain — a join, an aggregate, a sort — is lowered as the
+// pipeline's input.
 func lowerPipeline(n algebra.Node, src Source, opt Options) (Operator, error) {
 	join, isJoin := n.(*algebra.Join)
 	if isJoin {
@@ -464,12 +476,23 @@ func lowerPipeline(n algebra.Node, src Source, opt Options) (Operator, error) {
 	if err := checkJoin(join, len(fc.projs), right.Schema().Arity()); err != nil {
 		return nil, err
 	}
+	return newJoin(fp, right, join.EquiL, join.EquiR, join.Residual, opt), nil
+}
+
+// newJoin caps pipeline fp with the probe stage of a join against build
+// side right on the given keys. A join with no equi keys is a "product"
+// stage: every build row shares the empty key, so each probe row meets
+// every build row, in build order, and the predicate runs as the
+// residual's selection kernel. The stage's build reserves with opt.Gov and
+// spills to opt.SpillDir.
+func newJoin(fp *FusedPipeline, right Operator, equiL, equiR []int, residual algebra.Expr, opt Options) *FusedPipeline {
 	stage := "probe"
-	if len(join.EquiL) == 0 {
+	if len(equiL) == 0 {
 		stage = "product"
 	}
-	fp.Ops = append(fc.ops[:len(fc.ops):len(fc.ops)], stage)
-	fp.Probe = &FusedProbe{Build: right, EquiL: join.EquiL, EquiR: join.EquiR, Residual: join.Residual}
+	fp.Ops = append(fp.Ops[:len(fp.Ops):len(fp.Ops)], stage)
+	fp.Probe = &FusedProbe{Build: right, EquiL: equiL, EquiR: equiR, Residual: residual,
+		Mem: opt.Gov, SpillDir: opt.SpillDir}
 	fp.schema = fp.schema.Concat(right.Schema())
-	return fp, nil
+	return fp
 }

@@ -7,90 +7,11 @@ import (
 	"repro/internal/vector"
 )
 
-// HashJoin is the governed equi-join: the lowering picks it only under a
-// memory budget, and every equi-join lowered without one is a pipeline's
-// probe stage (FusedPipeline), which shares its hash table and probe. It
-// runs in O(|build| + |probe| + |output|): Open drains the right (build)
-// input, reserving each row with the governor (Mem; a nil governor grants
-// every reservation, so the join never spills), into a columnar hash table
-// keyed on EquiR (hashTable), then Next streams the left (probe) input batch
-// by batch. Each probe batch is read as columns and matched against the
-// table, and the joined rows go out as batches, both sides'
-// columns gathered at the matching positions; a residual predicate selects
-// among them with its column kernel. One probe batch can fan out into many
-// output batches, so the probe (joinProbe) resumes mid-row across Next
-// calls. Output comes in probe order, and in build order within one probe
-// row. NULL join keys never match, per SQL semantics.
-//
-// The first failed reservation switches Open to a hybrid Grace hash join:
-// build rows are hash-partitioned, resident partitions are evicted to temp
-// files fattest-first under pressure, and the survivors become in-memory
-// hash tables. The probe pass then routes each probe row by the same hash —
-// rows hitting resident partitions join immediately, rows hitting spilled
-// partitions are appended to per-partition probe files — and every output
-// row is tagged with its probe row's global sequence number and spooled to
-// an output run. Spilled partitions join partition at a time afterwards
-// (recursing with a re-salted hash when one partition alone exceeds the
-// budget), each producing its own sequence-ordered output run, and Next
-// streams the k-way merge of the runs by sequence number — which is exactly
-// the in-memory operator's probe order, so spilled and in-memory execution
-// emit byte-identical rows in identical order. A partition's table keeps
-// global build order (one key routes to one partition), so per-probe-row
-// match order is preserved too.
-type HashJoin struct {
-	Left, Right  Operator // Right is the build side
-	EquiL, EquiR []int
-	Residual     algebra.Expr
-	Mem          *MemGovernor // nil: never spill
-	SpillDir     string       // temp dir for spill files; "" means os.TempDir()
-	schema       types.Schema
-
-	probe   joinProbe // the in-memory probe; its table is the build side
-	probing bool      // probe holds a batch not yet fully expanded
-	keyBuf  []byte
-
-	held      int64
-	sp        *spillSet
-	graceHeap *mergeHeap      // non-nil: Next streams the grace output merge
-	graceTag  []types.Value   // scratch: [seq | concatenated output row]
-	spine     [][]types.Value // the merged rows of the grace batch being emitted
-	out       Batch           // grace output
-}
-
-// gracePart is one hash partition of a grace join's build side: resident
-// rows (later a built hash table), or temp files once evicted.
-type gracePart struct {
-	rows    [][]types.Value // resident build rows, or a spilled tail buffer
-	bytes   int64           // reserved estimate of rows
-	spilled bool
-	bw      *spill.Writer // build rows on disk
-	brun    *spill.Run
-	pw      *spill.Writer // probe rows on disk, [seq | probe row]
-	table   *hashTable    // a resident partition's build table
-}
-
-// NewHashJoin builds a hash join; key positions are left- and right-relative.
-func NewHashJoin(l, r Operator, equiL, equiR []int, residual algebra.Expr) *HashJoin {
-	return &HashJoin{Left: l, Right: r, EquiL: equiL, EquiR: equiR,
-		Residual: residual, schema: l.Schema().Concat(r.Schema())}
-}
-
-// Schema implements Operator.
-func (j *HashJoin) Schema() types.Schema { return j.schema }
-
-// Open implements Operator: it builds the build side's hash table (or,
-// under memory pressure, the grace partitioning — see the type comment).
-func (j *HashJoin) Open() error {
-	j.probe, j.probing = joinProbe{}, false
-	j.held, j.sp, j.graceHeap = 0, nil, nil
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	if err := j.Right.Open(); err != nil {
-		return err
-	}
-	return j.openGoverned()
-}
+// Joins: every join, at every memory budget, is a pipeline's probe stage
+// (see fused.go), running in O(|build| + |probe| + |output|). Open drains
+// the build side into a columnar hash table (hashTable); Next expands the
+// chain's passes against it (joinProbe). Output comes in probe order, and
+// in build order within one probe row. NULL join keys never match.
 
 // hashTable is the build table of every hash join: the build side kept as
 // columns, its rows linked in build order into one chain per distinct join
@@ -99,9 +20,9 @@ func (j *HashJoin) Open() error {
 // order the build saw them. NULL-keyed rows are left out of every chain.
 // A single numeric key column keys on its joinWord, any other key on its
 // byte key (appendVecJoinKey); both encodings agree on which keys are
-// equal, so the choice never changes a result. The governed join's
-// whole-build table and resident grace partitions, each spilled partition
-// join, and the pipeline probe stage all build this one structure.
+// equal, so the choice never changes a result. The probe stage's table,
+// the grace join's resident partitions and each spilled partition join all
+// build this one structure.
 type hashTable struct {
 	cols   *vector.Columns
 	words  map[uint64]int32 // single numeric key column: join word -> slot
@@ -111,19 +32,37 @@ type hashTable struct {
 	keyBuf []byte
 }
 
-// buildHashTable drains an opened operator into a hash table on the key
-// columns keys. Batch columns are copied as they arrive (vector.Append): a
-// columnar view lives only until its producer's next Next.
-func buildHashTable(op Operator, keys []int) (*hashTable, error) {
-	vecs := make([]vector.Vector, op.Schema().Arity())
+// buildHashTable drains the probe stage's opened build side into its hash
+// table, copying batch columns as they arrive (vector.Append). Under a
+// governor each batch is first reserved at its colsMemSize. A keyless
+// build that does not fit stays resident as forced slack, having no key to
+// partition on; a keyed one switches to the grace join (f.grace).
+func (f *FusedPipeline) buildHashTable() error {
+	p := f.Probe
+	vecs := make([]vector.Vector, p.Build.Schema().Arity())
 	n := 0
 	for {
-		b, err := op.Next()
+		b, err := p.Build.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if b == nil {
 			break
+		}
+		if p.Mem != nil {
+			bytes := colsMemSize(b.Cols(), b.Len())
+			if !p.Mem.Reserve(bytes) {
+				if len(p.EquiR) > 0 {
+					// The grace join's partitions reserve what they hold.
+					p.Mem.Release(f.held)
+					f.held = 0
+					f.grace = &graceJoin{mem: p.Mem, sp: newSpillSet(p.SpillDir, p.Mem), equiL: p.EquiL,
+						equiR: p.EquiR, residual: p.Residual, arity: len(vecs), width: f.schema.Arity()}
+					return f.grace.build(vecs, n, b, p.Build)
+				}
+				p.Mem.Force(bytes)
+			}
+			f.held += bytes
 		}
 		for c, v := range b.Cols() {
 			vecs[c] = vector.Append(vecs[c], v)
@@ -131,9 +70,13 @@ func buildHashTable(op Operator, keys []int) (*hashTable, error) {
 		n += b.Len()
 	}
 	if n == 0 {
-		return newHashTable(vector.FromRows(nil, len(vecs)), keys), nil
+		for c := range vecs {
+			vecs[c] = vector.NewValueVector(nil)
+		}
 	}
-	return newHashTable(&vector.Columns{N: n, Vecs: vecs}, keys), nil
+	table := newHashTable(&vector.Columns{N: n, Vecs: vecs}, p.EquiR)
+	f.probe = newJoinProbe(table, p.EquiL, len(f.Projs), p.Residual)
+	return nil
 }
 
 // newHashTable indexes cols on the key columns keys. Rows are chained from
@@ -278,14 +221,16 @@ func (t *hashTable) lookupRow(row []types.Value, keys []int) int32 {
 }
 
 // joinProbe expands probe batches against a hash table into output
-// batches: the (probe row, build row) pairs of up to
-// DefaultBatchSize matches, both sides' columns gathered at them, the
-// residual's selection kernel narrowing them. HashJoin and the pipeline
-// probe stage share it.
+// batches: the (probe row, build row) pairs of up to DefaultBatchSize
+// matches, both sides' columns gathered at them. A residual's selection
+// kernel first narrows the pairs, reading only its own columns gathered at
+// the candidates, so every output column is gathered once, at the
+// survivors.
 type joinProbe struct {
 	table    *hashTable
 	keys     []int             // key positions in the probe columns
 	residual *algebra.Compiled // nil: every match is emitted
+	resCols  []int             // the output columns the residual reads
 
 	cols       []vector.Vector // the probe batch being expanded
 	heads      []int32         // per probe row, its first match (-1 none)
@@ -293,14 +238,22 @@ type joinProbe struct {
 	bi         int32           // next match of probe row pi-1, -1 none
 	psel, bsel []int           // pairs of the batch being built
 	sel        []int
+	cand       []vector.Vector // the residual's columns at the candidate pairs
 	out        Batch
 }
 
-// newJoinProbe prepares a probe of table keyed on the probe columns keys.
-func newJoinProbe(table *hashTable, keys []int, residual algebra.Expr) joinProbe {
+// newJoinProbe prepares a probe of table keyed on the columns keys of a
+// probe side with probeArity columns.
+func newJoinProbe(table *hashTable, keys []int, probeArity int, residual algebra.Expr) joinProbe {
 	p := joinProbe{table: table, keys: keys, bi: -1}
 	if residual != nil {
 		p.residual = algebra.Compile(residual)
+		p.cand = make([]vector.Vector, probeArity+len(table.cols.Vecs))
+		for c, used := range usedCols(len(p.cand), residual) {
+			if used {
+				p.resCols = append(p.resCols, c)
+			}
+		}
 	}
 	return p
 }
@@ -316,6 +269,7 @@ func (p *joinProbe) start(cols []vector.Vector, n int) {
 // next returns the next output batch of the current probe batch, or nil
 // once that batch is fully expanded.
 func (p *joinProbe) next() *Batch {
+	build := p.table.cols.Vecs
 	for {
 		p.psel, p.bsel = p.psel[:0], p.bsel[:0]
 		for len(p.psel) < DefaultBatchSize {
@@ -331,11 +285,27 @@ func (p *joinProbe) next() *Batch {
 			p.bsel = append(p.bsel, int(p.bi))
 			p.bi = p.table.next[p.bi]
 		}
-		n := len(p.psel)
-		if n == 0 {
+		if len(p.psel) == 0 {
 			return nil
 		}
-		build := p.table.cols.Vecs
+		if p.residual != nil {
+			for _, c := range p.resCols {
+				if c < len(p.cols) {
+					p.cand[c] = p.cols[c].Gather(p.psel)
+				} else {
+					p.cand[c] = build[c-len(p.cols)].Gather(p.bsel)
+				}
+			}
+			p.sel = p.residual.SelectTruthyVec(p.cand, len(p.psel), p.sel[:0])
+			if len(p.sel) == 0 {
+				continue
+			}
+			// sel ascends, so the pairs narrow in place.
+			for i, s := range p.sel {
+				p.psel[i], p.bsel[i] = p.psel[s], p.bsel[s]
+			}
+			p.psel, p.bsel = p.psel[:len(p.sel)], p.bsel[:len(p.sel)]
+		}
 		out := make([]vector.Vector, len(p.cols)+len(build))
 		for c, v := range p.cols {
 			out[c] = v.Gather(p.psel)
@@ -343,200 +313,188 @@ func (p *joinProbe) next() *Batch {
 		for c, v := range build {
 			out[len(p.cols)+c] = v.Gather(p.bsel)
 		}
-		if p.residual != nil {
-			p.sel = p.residual.SelectTruthyVec(out, n, p.sel[:0])
-			if len(p.sel) == 0 {
-				continue
-			}
-			if len(p.sel) < n {
-				for c, v := range out {
-					out[c] = v.Gather(p.sel)
-				}
-				n = len(p.sel)
-			}
-		}
-		p.out.SetCols(out, n)
+		p.out.SetCols(out, len(p.psel))
 		return &p.out
 	}
+}
+
+// graceJoin is the hybrid Grace hash join a keyed probe stage switches to
+// when its build does not fit. Build rows, boxed for the row spill format
+// (boxRows), are hash-partitioned; resident partitions are evicted to temp
+// files fattest-first under pressure, and the survivors become in-memory
+// hash tables. The probe pass then routes each row of the chain's passes by
+// the same hash — rows hitting resident partitions join immediately, rows
+// hitting spilled partitions are appended to per-partition probe files —
+// and every output row is tagged with its probe row's sequence number and
+// spooled to an output run. Spilled partitions join one at a time
+// afterwards (re-split under a re-salted hash when one alone exceeds the
+// budget), and Next streams the merge of the output runs by sequence
+// number: exactly the in-memory probe order. A partition's table keeps
+// build order (one key routes to one partition), so spilled and in-memory
+// execution emit byte-identical rows in identical order.
+type graceJoin struct {
+	mem          *MemGovernor
+	sp           *spillSet
+	equiL, equiR []int
+	residual     algebra.Expr
+	arity        int   // the build side's columns
+	width        int   // the output's columns
+	held         int64 // bytes reserved with mem
+	parts        []gracePart
+	keyBuf       []byte
+
+	heap  *mergeHeap      // the output merge Next streams
+	tag   []types.Value   // scratch: [seq | concatenated output row]
+	spine [][]types.Value // the merged rows of the batch being emitted
+	out   Batch
+}
+
+// gracePart is one hash partition of a grace join's build side: resident
+// rows (later a built hash table), or temp files once evicted.
+type gracePart struct {
+	rows    [][]types.Value // resident build rows, or a spilled tail buffer
+	bytes   int64           // reserved estimate of rows
+	spilled bool
+	bw      *spill.Writer // build rows on disk
+	brun    *spill.Run
+	pw      *spill.Writer // probe rows on disk, [seq | probe row]
+	table   *hashTable    // a resident partition's build table
 }
 
 // graceFlushRows is how many rows a spilled partition buffers before the
 // buffer is appended to its file.
 const graceFlushRows = 1024
 
-// openGoverned drains the build side under reservation; if it fits, the
-// probe streams against one in-memory table. Otherwise it runs the full
-// hybrid grace join (partitioned build, routed probe, per-partition joins)
-// and leaves Next a sequence-ordered merge of the output runs.
-func (j *HashJoin) openGoverned() error {
-	var buffer [][]types.Value
-	var parts []gracePart
-	grace := false
-
-	// spillPart evicts one partition's resident rows to its file.
-	spillPart := func(p *gracePart) error {
-		// A cancelled query aborts before paying the eviction I/O; Close
-		// releases the reservations and removes any spill files.
-		if err := j.Mem.Err(); err != nil {
+// build partitions the build side, reserving it row by row: the n rows
+// buffered in cols, the batch b whose reservation failed, and the rest of
+// op. Spilled partitions then flush their tails, and resident ones become
+// per-partition hash tables (same layout as the single table).
+func (g *graceJoin) build(cols []vector.Vector, n int, b *Batch, op Operator) error {
+	g.parts = make([]gracePart, SpillPartitions)
+	addRows := func(rows [][]types.Value) error {
+		for _, row := range rows {
+			bytes := RowMemSize(row)
+			if err := g.reserveBuild(bytes); err != nil {
+				return err
+			}
+			if err := g.routeBuild(row, bytes); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := boxRows(cols, n, addRows); err != nil {
+		return err
+	}
+	for b != nil {
+		if err := boxRows(b.Cols(), b.Len(), addRows); err != nil {
 			return err
 		}
-		if p.bw == nil {
-			if j.sp == nil {
-				j.sp = newSpillSet(j.SpillDir, j.Mem)
-			}
-			w, err := j.sp.newWriter()
-			if err != nil {
-				return err
-			}
-			p.bw = w
-		}
-		if err := p.bw.AppendAll(p.rows); err != nil {
+		var err error
+		if b, err = op.Next(); err != nil {
 			return err
 		}
-		j.Mem.Release(p.bytes)
-		j.held -= p.bytes
-		p.rows, p.bytes, p.spilled = nil, 0, true
-		return nil
 	}
-	// routeBuild assigns an already-reserved row to its partition; NULL-key
-	// rows are dropped (they never match), releasing their reservation.
-	routeBuild := func(row []types.Value, bytes int64) error {
-		key, ok := appendJoinKey(j.keyBuf[:0], row, j.EquiR)
-		j.keyBuf = key
-		if !ok {
-			j.Mem.Release(bytes)
-			j.held -= bytes
-			return nil
+	for i := range g.parts {
+		p := &g.parts[i]
+		if !p.spilled {
+			p.table, p.rows = newHashTable(vector.FromRows(p.rows, g.arity), g.equiR), nil
+			continue
 		}
-		p := &parts[keyHashSalted(key, 0)%SpillPartitions]
-		p.rows = append(p.rows, row)
-		p.bytes += bytes
-		if p.spilled && len(p.rows) >= graceFlushRows {
-			return spillPart(p)
-		}
-		return nil
-	}
-	enterGrace := func() error {
-		if j.sp == nil {
-			// Even if no partition ever reaches its file (pressure may come
-			// entirely from sibling operators' reservations), the probe
-			// pass needs the spill set for its output runs.
-			j.sp = newSpillSet(j.SpillDir, j.Mem)
-		}
-		parts = make([]gracePart, SpillPartitions)
-		grace = true
-		for _, row := range buffer {
-			if err := routeBuild(row, RowMemSize(row)); err != nil {
+		if len(p.rows) > 0 {
+			if err := g.spillPart(p); err != nil {
 				return err
 			}
 		}
-		buffer = nil
-		return nil
-	}
-	// reserveBuild makes room for one more build row, evicting the fattest
-	// resident partition until the reservation fits (or nothing resident
-	// remains, in which case the row proceeds as forced slack).
-	reserveBuild := func(bytes int64) error {
-		if j.Mem.Reserve(bytes) {
-			j.held += bytes
-			return nil
-		}
-		for {
-			best, bestBytes := -1, int64(0)
-			for i := range parts {
-				if parts[i].bytes > bestBytes {
-					best, bestBytes = i, parts[i].bytes
-				}
-			}
-			if best < 0 {
-				j.Mem.Force(bytes)
-				j.held += bytes
-				return nil
-			}
-			if err := spillPart(&parts[best]); err != nil {
-				return err
-			}
-			if j.Mem.Reserve(bytes) {
-				j.held += bytes
-				return nil
-			}
-		}
-	}
-
-	for {
-		b, err := j.Right.Next()
+		run, err := g.sp.finish(p.bw)
 		if err != nil {
 			return err
 		}
-		if b == nil {
-			break
-		}
-		for _, row := range b.Rows() {
-			bytes := RowMemSize(row)
-			if !grace {
-				if j.Mem.Reserve(bytes) {
-					j.held += bytes
-					buffer = append(buffer, row)
-					continue
-				}
-				if err := enterGrace(); err != nil {
-					return err
-				}
-			}
-			if err := reserveBuild(bytes); err != nil {
-				return err
-			}
-			if err := routeBuild(row, bytes); err != nil {
-				return err
-			}
-		}
+		p.brun, p.bw = run, nil
 	}
+	return nil
+}
 
-	arity := j.Right.Schema().Arity()
-	if !grace {
-		// The build fit: identical table, identical streaming probe.
-		j.probe = newJoinProbe(newHashTable(vector.FromRows(buffer, arity), j.EquiR), j.EquiL, j.Residual)
+// spillPart evicts one partition's resident rows to its file.
+func (g *graceJoin) spillPart(p *gracePart) error {
+	// A cancelled query aborts before paying the eviction I/O; Close
+	// releases the reservations and removes any spill files.
+	if err := g.mem.Err(); err != nil {
+		return err
+	}
+	if p.bw == nil {
+		w, err := g.sp.newWriter()
+		if err != nil {
+			return err
+		}
+		p.bw = w
+	}
+	if err := p.bw.AppendAll(p.rows); err != nil {
+		return err
+	}
+	g.mem.Release(p.bytes)
+	g.held -= p.bytes
+	p.rows, p.bytes, p.spilled = nil, 0, true
+	return nil
+}
+
+// routeBuild assigns an already-reserved row to its partition; NULL-key
+// rows are dropped (they never match), releasing their reservation.
+func (g *graceJoin) routeBuild(row []types.Value, bytes int64) error {
+	key, ok := appendJoinKey(g.keyBuf[:0], row, g.equiR)
+	g.keyBuf = key
+	if !ok {
+		g.mem.Release(bytes)
+		g.held -= bytes
 		return nil
 	}
-
-	// Finish the partitions: spilled ones flush their tails, resident ones
-	// become per-partition hash tables (same layout as the single table).
-	for i := range parts {
-		p := &parts[i]
-		if p.spilled {
-			if len(p.rows) > 0 {
-				if err := spillPart(p); err != nil {
-					return err
-				}
-			}
-			run, err := j.sp.finish(p.bw)
-			if err != nil {
-				return err
-			}
-			p.brun, p.bw = run, nil
-			continue
-		}
-		p.table, p.rows = newHashTable(vector.FromRows(p.rows, arity), j.EquiR), nil
+	p := &g.parts[keyHashSalted(key, 0)%SpillPartitions]
+	p.rows = append(p.rows, row)
+	p.bytes += bytes
+	if p.spilled && len(p.rows) >= graceFlushRows {
+		return g.spillPart(p)
 	}
-	return j.graceProbe(parts)
+	return nil
+}
+
+// reserveBuild makes room for one more build row, evicting the fattest
+// resident partition until the reservation fits (or nothing resident
+// remains, in which case the row proceeds as forced slack).
+func (g *graceJoin) reserveBuild(bytes int64) error {
+	for !g.mem.Reserve(bytes) {
+		best, bestBytes := -1, int64(0)
+		for i := range g.parts {
+			if g.parts[i].bytes > bestBytes {
+				best, bestBytes = i, g.parts[i].bytes
+			}
+		}
+		if best < 0 {
+			g.mem.Force(bytes)
+			break
+		}
+		if err := g.spillPart(&g.parts[best]); err != nil {
+			return err
+		}
+	}
+	g.held += bytes
+	return nil
 }
 
 // emitMatches writes the joined output rows of probe row l against its
 // matches in t, each tagged with the probe sequence number, to w — all but
 // those the residual rejects.
-func (j *HashJoin) emitMatches(w *spill.Writer, seq int64, l []types.Value, t *hashTable) error {
-	width := j.schema.Arity()
-	if cap(j.graceTag) < width+1 {
-		j.graceTag = make([]types.Value, width+1)
+func (g *graceJoin) emitMatches(w *spill.Writer, seq int64, l []types.Value, t *hashTable) error {
+	if cap(g.tag) < g.width+1 {
+		g.tag = make([]types.Value, g.width+1)
 	}
-	tag := j.graceTag[:width+1]
+	tag := g.tag[:g.width+1]
 	tag[0] = types.NewInt(seq)
 	copy(tag[1:], l)
-	for r := t.lookupRow(l, j.EquiL); r >= 0; r = t.next[r] {
+	for r := t.lookupRow(l, g.equiL); r >= 0; r = t.next[r] {
 		for c, v := range t.cols.Vecs {
 			tag[1+len(l)+c] = v.Value(int(r))
 		}
-		if j.Residual != nil && !algebra.Truthy(j.Residual.Eval(tag[1:])) {
+		if g.residual != nil && !algebra.Truthy(g.residual.Eval(tag[1:])) {
 			continue
 		}
 		if err := w.Append(tag); err != nil {
@@ -546,72 +504,78 @@ func (j *HashJoin) emitMatches(w *spill.Writer, seq int64, l []types.Value, t *h
 	return nil
 }
 
-// graceProbe consumes the probe input: resident-partition rows join
-// immediately into the memOut run, spilled-partition rows are appended to
-// per-partition probe files; then every spilled partition joins on its own
-// and the output runs are wired into the sequence merge Next streams.
-func (j *HashJoin) graceProbe(parts []gracePart) error {
-	memOut, err := j.sp.newWriter()
+// probe consumes the probe side, the chain's passes: resident-partition
+// rows join immediately into the memOut run, spilled-partition rows are
+// appended to per-partition probe files; then every spilled partition
+// joins on its own and the output runs are wired into the sequence merge
+// Next streams.
+func (g *graceJoin) probe(pass func() (*vector.Columns, error)) error {
+	memOut, err := g.sp.newWriter()
 	if err != nil {
 		return err
 	}
 	var probeTag []types.Value
 	var seq int64
-	for {
-		b, err := j.Left.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		for _, row := range b.Rows() {
+	route := func(rows [][]types.Value) error {
+		for _, row := range rows {
 			s := seq
 			seq++
-			key, ok := appendJoinKey(j.keyBuf[:0], row, j.EquiL)
-			j.keyBuf = key
+			key, ok := appendJoinKey(g.keyBuf[:0], row, g.equiL)
+			g.keyBuf = key
 			if !ok {
 				continue
 			}
-			p := &parts[keyHashSalted(key, 0)%SpillPartitions]
-			if p.spilled {
-				if p.pw == nil {
-					w, err := j.sp.newWriter()
-					if err != nil {
-						return err
-					}
-					p.pw = w
-				}
-				probeTag = append(probeTag[:0], types.NewInt(s))
-				probeTag = append(probeTag, row...)
-				if err := p.pw.Append(probeTag); err != nil {
+			p := &g.parts[keyHashSalted(key, 0)%SpillPartitions]
+			if !p.spilled {
+				if err := g.emitMatches(memOut, s, row, p.table); err != nil {
 					return err
 				}
 				continue
 			}
-			if err := j.emitMatches(memOut, s, row, p.table); err != nil {
+			if p.pw == nil {
+				w, err := g.sp.newWriter()
+				if err != nil {
+					return err
+				}
+				p.pw = w
+			}
+			probeTag = append(append(probeTag[:0], types.NewInt(s)), row...)
+			if err := p.pw.Append(probeTag); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	memRun, err := j.sp.finish(memOut)
+	for {
+		c, err := pass()
+		if err != nil {
+			return err
+		}
+		if c == nil {
+			break
+		}
+		if err := boxRows(c.Vecs, c.N, route); err != nil {
+			return err
+		}
+	}
+	memRun, err := g.sp.finish(memOut)
 	if err != nil {
 		return err
 	}
 	outRuns := []*spill.Run{memRun}
 	// Resident partitions are done probing; release them before loading
 	// spilled build partitions, so the budget is free for the joins.
-	for i := range parts {
-		p := &parts[i]
+	for i := range g.parts {
+		p := &g.parts[i]
 		if p.spilled {
 			continue
 		}
-		j.Mem.Release(p.bytes)
-		j.held -= p.bytes
+		g.mem.Release(p.bytes)
+		g.held -= p.bytes
 		p.bytes, p.table = 0, nil
 	}
-	for i := range parts {
-		p := &parts[i]
+	for i := range g.parts {
+		p := &g.parts[i]
 		if !p.spilled {
 			continue
 		}
@@ -622,11 +586,11 @@ func (j *HashJoin) graceProbe(parts []gracePart) error {
 			}
 			continue
 		}
-		prun, err := j.sp.finish(p.pw)
+		prun, err := g.sp.finish(p.pw)
 		if err != nil {
 			return err
 		}
-		if err := j.joinPartition(p.brun, prun, 1, &outRuns); err != nil {
+		if err := g.joinPartition(p.brun, prun, 1, &outRuns); err != nil {
 			return err
 		}
 	}
@@ -635,17 +599,17 @@ func (j *HashJoin) graceProbe(parts []gracePart) error {
 	// sequence numbers, so merging a prefix of runs by sequence yields a
 	// sequence-ordered run and the cascade preserves the final order.
 	bySeq := func(a, b []types.Value) bool { return a[0].Int() < b[0].Int() }
-	outRuns, err = cascadeRuns(j.sp, j.Mem, outRuns, bySeq)
+	outRuns, err = cascadeRuns(g.sp, g.mem, outRuns, bySeq)
 	if err != nil {
 		return err
 	}
-	j.graceHeap = &mergeHeap{less: bySeq}
+	g.heap = &mergeHeap{less: bySeq}
 	for i, run := range outRuns {
-		rd, err := j.sp.open(run)
+		rd, err := g.sp.open(run)
 		if err != nil {
 			return err
 		}
-		if err := j.graceHeap.add(mergeItem{run: i, refill: frameCursor(rd, j.Mem)}); err != nil {
+		if err := g.heap.add(mergeItem{run: i, refill: frameCursor(rd, g.mem)}); err != nil {
 			return err
 		}
 	}
@@ -657,8 +621,8 @@ func (j *HashJoin) graceProbe(parts []gracePart) error {
 // sequence-ordered output run. If the build partition alone exceeds the
 // budget it is re-split under a re-salted hash and the sub-pairs join
 // recursively. Consumed temp files are removed eagerly.
-func (j *HashJoin) joinPartition(brun, prun *spill.Run, depth int, outRuns *[]*spill.Run) error {
-	rd, err := j.sp.open(brun)
+func (g *graceJoin) joinPartition(brun, prun *spill.Run, depth int, outRuns *[]*spill.Run) error {
+	rd, err := g.sp.open(brun)
 	if err != nil {
 		return err
 	}
@@ -676,7 +640,7 @@ loadLoop:
 		}
 		for fi, row := range frame {
 			b := RowMemSize(row)
-			if !j.Mem.Reserve(b) {
+			if !g.mem.Reserve(b) {
 				if depth < maxSpillDepth {
 					// Budget tripped: carry the rest of this frame, unreserved,
 					// into the re-split below.
@@ -684,15 +648,15 @@ loadLoop:
 					rows = append(rows, frame[fi:]...)
 					break loadLoop
 				}
-				j.Mem.Force(b)
+				g.mem.Force(b)
 			}
-			j.held += b
+			g.held += b
 			bytes += b
 			rows = append(rows, row)
 		}
 	}
 	if split {
-		err := j.splitPartition(rows, bytes, rd, prun, depth, outRuns)
+		err := g.splitPartition(rows, bytes, rd, prun, depth, outRuns)
 		rd.Close()
 		if err != nil {
 			return err
@@ -701,12 +665,12 @@ loadLoop:
 	}
 	rd.Close()
 
-	table := newHashTable(vector.FromRows(rows, j.Right.Schema().Arity()), j.EquiR)
-	out, err := j.sp.newWriter()
+	table := newHashTable(vector.FromRows(rows, g.arity), g.equiR)
+	out, err := g.sp.newWriter()
 	if err != nil {
 		return err
 	}
-	prd, err := j.sp.open(prun)
+	prd, err := g.sp.open(prun)
 	if err != nil {
 		return err
 	}
@@ -719,19 +683,19 @@ loadLoop:
 			break
 		}
 		for _, pr := range frame {
-			if err := j.emitMatches(out, pr[0].Int(), pr[1:], table); err != nil {
+			if err := g.emitMatches(out, pr[0].Int(), pr[1:], table); err != nil {
 				return err
 			}
 		}
 	}
 	prd.Close()
-	orun, err := j.sp.finish(out)
+	orun, err := g.sp.finish(out)
 	if err != nil {
 		return err
 	}
 	*outRuns = append(*outRuns, orun)
-	j.Mem.Release(bytes)
-	j.held -= bytes
+	g.mem.Release(bytes)
+	g.held -= bytes
 	if err := brun.Remove(); err != nil {
 		return err
 	}
@@ -741,13 +705,13 @@ loadLoop:
 // splitPartition re-partitions an over-budget build partition (the rows
 // loaded so far plus the unread remainder) and its probe file under a
 // re-salted hash, then joins the sub-pairs recursively.
-func (j *HashJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spill.Reader,
+func (g *graceJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spill.Reader,
 	prun *spill.Run, depth int, outRuns *[]*spill.Run) error {
 	var subB, subP [SpillPartitions]*spill.Writer
 	route := func(subs *[SpillPartitions]*spill.Writer, row []types.Value, key []byte) error {
 		p := keyHashSalted(key, uint64(depth)) % SpillPartitions
 		if subs[p] == nil {
-			w, err := j.sp.newWriter()
+			w, err := g.sp.newWriter()
 			if err != nil {
 				return err
 			}
@@ -756,8 +720,8 @@ func (j *HashJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spill
 		return subs[p].Append(row)
 	}
 	routeBuild := func(row []types.Value) error {
-		key, ok := appendJoinKey(j.keyBuf[:0], row, j.EquiR)
-		j.keyBuf = key
+		key, ok := appendJoinKey(g.keyBuf[:0], row, g.equiR)
+		g.keyBuf = key
 		if !ok {
 			return nil
 		}
@@ -768,8 +732,8 @@ func (j *HashJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spill
 			return err
 		}
 	}
-	j.Mem.Release(bytes)
-	j.held -= bytes
+	g.mem.Release(bytes)
+	g.held -= bytes
 	for {
 		frame, err := rd.Next()
 		if err != nil {
@@ -784,7 +748,7 @@ func (j *HashJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spill
 			}
 		}
 	}
-	prd, err := j.sp.open(prun)
+	prd, err := g.sp.open(prun)
 	if err != nil {
 		return err
 	}
@@ -797,8 +761,8 @@ func (j *HashJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spill
 			break
 		}
 		for _, pr := range frame {
-			key, ok := appendJoinKey(j.keyBuf[:0], pr[1:], j.EquiL)
-			j.keyBuf = key
+			key, ok := appendJoinKey(g.keyBuf[:0], pr[1:], g.equiL)
+			g.keyBuf = key
 			if !ok {
 				continue
 			}
@@ -823,79 +787,46 @@ func (j *HashJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spill
 			}
 			continue
 		}
-		bsub, err := j.sp.finish(bw)
+		bsub, err := g.sp.finish(bw)
 		if err != nil {
 			return err
 		}
-		psub, err := j.sp.finish(pw)
+		psub, err := g.sp.finish(pw)
 		if err != nil {
 			return err
 		}
-		if err := j.joinPartition(bsub, psub, depth+1, outRuns); err != nil {
+		if err := g.joinPartition(bsub, psub, depth+1, outRuns); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Next implements Operator.
-func (j *HashJoin) Next() (*Batch, error) {
-	if j.graceHeap != nil {
-		return j.graceNext()
-	}
-	for {
-		if j.probing {
-			if b := j.probe.next(); b != nil {
-				return b, nil
-			}
-			j.probing = false
-		}
-		b, err := j.Left.Next()
-		if b == nil || err != nil {
-			return nil, err
-		}
-		j.probe.start(b.Cols(), b.Len())
-		j.probing = true
-	}
-}
-
-// graceNext streams the sequence-ordered merge of the grace output runs
-// through a reused spine, stripping the leading sequence tag, and emits it
-// converted to columns.
-func (j *HashJoin) graceNext() (*Batch, error) {
-	if j.graceHeap.Len() == 0 {
-		return nil, nil
-	}
+// next streams the sequence-ordered merge of the output runs through a
+// reused spine, stripping the leading sequence tag, and emits it converted
+// to columns.
+func (g *graceJoin) next() (*Batch, error) {
 	var err error
-	if j.spine, err = j.graceHeap.emit(j.spine[:0], DefaultBatchSize); err != nil {
+	if g.spine, err = g.heap.emit(g.spine[:0], DefaultBatchSize); err != nil {
 		return nil, err
 	}
-	if len(j.spine) == 0 {
+	if len(g.spine) == 0 {
 		return nil, nil
 	}
-	for i, row := range j.spine {
-		j.spine[i] = row[1:]
+	for i, row := range g.spine {
+		g.spine[i] = row[1:]
 	}
-	j.out.setRows(j.spine, j.schema.Arity())
-	return &j.out, nil
+	g.out.setRows(g.spine, g.width)
+	return &g.out, nil
 }
 
-// Close implements Operator: beyond the in-memory state, release any
-// reservation still held and remove every spill file — including on early
-// Close mid-merge.
-func (j *HashJoin) Close() error {
-	j.probe, j.probing, j.graceHeap, j.spine = joinProbe{}, false, nil, nil
-	j.Mem.Release(j.held)
-	j.held = 0
-	serr := j.sp.cleanup()
-	j.sp = nil
-	lerr := j.Left.Close()
-	rerr := j.Right.Close()
-	if lerr != nil {
-		return lerr
+// close releases every reservation the grace join still holds and removes
+// every spill file — including on early Close mid-merge. Safe on nil.
+func (g *graceJoin) close() error {
+	if g == nil {
+		return nil
 	}
-	if rerr != nil {
-		return rerr
-	}
-	return serr
+	g.mem.Release(g.held)
+	g.held = 0
+	return g.sp.cleanup()
 }

@@ -18,9 +18,9 @@ import (
 // whose key columns draw from values that split a byte or word key from
 // Value.Compare — -0.0 and 0, 1 and 1.0, integers past 2^53 that collapse
 // to one float64, strings and booleans beside numbers, NULLs — and runs
-// every hash-join form against the oracle: the HashJoin over typed and
-// boxed column inputs, in memory and forced onto its grace path, and the
-// pipeline probe stage over a filtered table, over a bare table, over an
+// every hash-join form against the oracle: the probe stage over typed and
+// boxed column inputs, in memory and forced onto its grace path, and as
+// the lowering builds it over a filtered table, over a bare table, over an
 // operator input, and stacked on another probe. The keyless form — the
 // whole predicate as the residual of a product stage — also runs on tables
 // decoded with NaN keys: Value.Compare makes NaN equal to every number,
@@ -172,13 +172,14 @@ func hashJoinTrial(t *testing.T, data []byte) {
 		}
 	}
 	want = bruteJoin(l, r, predAt(3))
-	check("columns", NewHashJoin(scan(l), scan(r), equiL, equiR, residual))
-	check("boxed probe, typed build", NewHashJoin(boxedScan(l), scan(r), equiL, equiR, residual))
-	check("typed probe, boxed build", NewHashJoin(scan(l), boxedScan(r), equiL, equiR, residual))
+	hashJoin := func(l, r Operator, opt Options) Operator {
+		return newJoin(pipelineOver(l, nil, nil, nil), r, equiL, equiR, residual, opt)
+	}
+	check("columns", hashJoin(scan(l), scan(r), Options{}))
+	check("boxed probe, typed build", hashJoin(boxedScan(l), scan(r), Options{}))
+	check("typed probe, boxed build", hashJoin(scan(l), boxedScan(r), Options{}))
 	for _, budget := range []int64{600, 1 << 30} {
-		j := NewHashJoin(scan(l), scan(r), equiL, equiR, residual)
-		j.Mem, j.SpillDir = NewMemGovernor(budget), t.TempDir()
-		check("governed", j)
+		check("governed", hashJoin(scan(l), scan(r), Options{Gov: NewMemGovernor(budget), SpillDir: t.TempDir()}))
 	}
 
 	// The pipeline probe stages, as the lowering builds them.
@@ -245,4 +246,32 @@ func FuzzHashJoinVsNestedLoop(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 8, 0, 1, 1, 0, 1, 0, 0, 1})
 	f.Add([]byte{5, 0, 0, 3, 8, 13, 21, 5, 0, 0, 2, 9, 11, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { hashJoinTrial(t, data) })
+}
+
+// TestThetaJoinGathersSurvivors: a residual's kernel reads only its own
+// columns at the candidate pairs, and the output columns are gathered only
+// at the survivors, so a 1,000 x 1,000 theta-join with one match per probe
+// row allocates for two key columns of candidates, not for every column of
+// all 10^6 pairs.
+func TestThetaJoinGathersSurvivors(t *testing.T) {
+	schema, rows := spillTable(1000, 1000)
+	src := memSource{}
+	src.put("l", schema.Attrs, rows)
+	src.put("r", schema.Attrs, rows)
+	plan := &algebra.Join{
+		Left:     &algebra.Scan{Table: "l", TblSchema: types.NewSchema("l", schema.Attrs...)},
+		Right:    &algebra.Scan{Table: "r", TblSchema: types.NewSchema("r", schema.Attrs...)},
+		Residual: algebra.Bin{Op: algebra.OpEq, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 3}}}
+	op := mustLower(t, plan, src, Options{DOP: 1})
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out, err := Drain(op)
+			if err != nil || len(out) != len(rows) {
+				b.Fatalf("%d rows (err %v), want %d", len(out), err, len(rows))
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 30<<20 {
+		t.Fatalf("theta-join allocates %.1f MB/op, want < 30 MB", float64(got)/(1<<20))
+	}
 }

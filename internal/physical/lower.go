@@ -20,10 +20,9 @@ func Lower(n algebra.Node, src Source) (Operator, error) {
 // LowerOpts is Lower with execution options. Every maximal Filter/Project
 // chain lowers to one FusedPipeline over whatever sits beneath it — a
 // table, or any other lowered operator — and every join becomes a
-// pipeline's probe stage (see fused.go), except an equi-join under a memory
-// governor, which is the spilling HashJoin; every aggregate lowers to one
-// HashAggregate, whose source is a table when a chain over one sits beneath
-// it (aggregate.go).
+// pipeline's probe stage at every memory budget (see fused.go and
+// join.go); every aggregate lowers to one HashAggregate, whose source is a
+// table when a chain over one sits beneath it (aggregate.go).
 // Parallelism is a property of that operator: with DOP > 1, no governor and
 // a table of at least MinParallelRows rows, the aggregate folds morsels on
 // DOP workers and merges the partials in morsel order. Pipelines and
@@ -42,29 +41,8 @@ func lowerNode(n algebra.Node, src Source, opt Options) (Operator, error) {
 		}
 		return NewScan(node.Table, schema, cols), nil
 
-	case *algebra.Filter, *algebra.Project:
+	case *algebra.Filter, *algebra.Project, *algebra.Join:
 		return lowerPipeline(n, src, opt)
-
-	case *algebra.Join:
-		// Only a memory budget keeps an equi-join out of a pipeline: the
-		// governed join can spill its build side.
-		if len(node.EquiL) == 0 || opt.Gov == nil {
-			return lowerPipeline(n, src, opt)
-		}
-		l, err := lowerNode(node.Left, src, opt)
-		if err != nil {
-			return nil, err
-		}
-		r, err := lowerNode(node.Right, src, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkJoin(node, l.Schema().Arity(), r.Schema().Arity()); err != nil {
-			return nil, err
-		}
-		hj := NewHashJoin(l, r, node.EquiL, node.EquiR, node.Residual)
-		hj.Mem, hj.SpillDir = opt.Gov, opt.SpillDir
-		return hj, nil
 
 	case *algebra.UnionAll:
 		l, err := lowerNode(node.Left, src, opt)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // MemGovernor is the query-wide memory budget tracker of the spilling
@@ -204,6 +205,31 @@ func RowsMemSize(rows [][]types.Value) int64 {
 		n += RowMemSize(r)
 	}
 	return n
+}
+
+// colsMemSize is RowsMemSize of the n rows cols hold, computed from the
+// columns without boxing them — how a join's columnar build reserves in the
+// governor's one accounting unit.
+func colsMemSize(cols []vector.Vector, n int) int64 {
+	size := int64(n) * (rowOverheadBytes + int64(len(cols))*valueMemBytes)
+	for _, v := range cols {
+		switch tv := v.(type) {
+		case *vector.StringVector:
+			for i, x := range tv.Vals[:n] {
+				if !tv.Null(i) {
+					size += int64(len(x))
+				}
+			}
+		case *vector.Int64Vector, *vector.Float64Vector, *vector.BoolVector:
+		default:
+			for i := 0; i < n; i++ {
+				if x := v.Value(i); x.Kind() == types.KindString {
+					size += int64(len(x.Str()))
+				}
+			}
+		}
+	}
+	return size
 }
 
 // ParseByteSize parses a human byte-size string for the -mem-budget flags:

@@ -35,11 +35,9 @@ type Options struct {
 	MinParallelRows int
 	// MemBudget caps the query's pipeline-breaker working set in bytes
 	// (the -mem-budget flag). <= 0 means unlimited: no governor is built
-	// and nothing ever spills. With a budget, sort, hash aggregate, and hash
-	// join degrade to their spilling forms under pressure: the fused probe
-	// declines in favour of the hash join, because its build table is
-	// ungoverned, and an aggregate folds serially in windows, because its
-	// workers' partial states are (fused chains below both still fuse).
+	// and nothing ever spills. With a budget, sort, hash aggregate and a
+	// join's build spill under pressure, and an aggregate over a table
+	// folds serially in windows, its workers' partial states ungoverned.
 	MemBudget int64
 	// SpillDir is where spill runs are written; "" means os.TempDir().
 	SpillDir string

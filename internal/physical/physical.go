@@ -4,15 +4,14 @@
 // operators (Open/Next/Close over Batch) they lower to. Non-breaking work
 // has one operator: the pipeline (FusedPipeline), which runs every
 // Filter/Project chain over a columnar table or any other operator's
-// batches and carries every equi-join lowered without a memory budget as
-// its probe stage. Aggregation has one operator too: HashAggregate, which
-// folds a columnar table (with the Filter/Project chain below it) or any
-// other operator's batches, and spills under a memory budget. A join with
-// no equi keys is a pipeline too: its probe stage runs on the empty key, so
-// every build row matches and the predicate selects among the pairs. The
-// rest are the zero-copy scan of a bare table, the governed (grace-spilling)
-// hash join, the run-merging sort, the early-terminating limit, union-all,
-// and distinct.
+// batches and carries every join, at every memory budget, as its probe
+// stage (a join with no equi keys probes on the empty key, so every build
+// row matches and the predicate selects among the pairs). Aggregation has
+// one operator too: HashAggregate, which folds a columnar table (with the
+// Filter/Project chain below it) or any other operator's batches. Both the
+// probe stage's build and HashAggregate spill under a memory budget. The
+// rest are the zero-copy scan of a bare table, the run-merging sort, the
+// early-terminating limit, union-all, and distinct.
 //
 // The layer is deliberately independent of the engine's catalog: plans are
 // lowered against a Source, so the same operators run the deterministic

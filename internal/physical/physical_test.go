@@ -1,8 +1,10 @@
 package physical
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -94,6 +96,16 @@ func sameBag(t *testing.T, a, b [][]types.Value) {
 	}
 }
 
+// mustLower lowers plan against src with opt.
+func mustLower(t *testing.T, plan algebra.Node, src Source, opt Options) Operator {
+	t.Helper()
+	op, err := LowerOpts(plan, src, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
 func scanOf(rows [][]types.Value, attrs ...string) *Scan {
 	return scanRows("t", types.NewSchema("t", attrs...), rows)
 }
@@ -126,7 +138,7 @@ func TestHashVsNestedLoopRandomized(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		l := randomTable(rng, rng.Intn(40), 1+rng.Intn(6))
 		r := randomTable(rng, rng.Intn(40), 1+rng.Intn(6))
-		hj := NewHashJoin(scanOf(l, "k", "p"), scanOf(r, "k", "q"), []int{0}, []int{0}, nil)
+		hj := newJoin(pipelineOver(scanOf(l, "k", "p"), nil, nil, nil), scanOf(r, "k", "q"), []int{0}, []int{0}, nil, Options{})
 		hrows, err := Drain(hj)
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +154,7 @@ func TestJoinsOverEmptyInputs(t *testing.T) {
 		{none, some}, {some, none}, {none, none},
 	}
 	for i, c := range cases {
-		hj := NewHashJoin(scanOf(c.l, "k", "p"), scanOf(c.r, "k", "q"), []int{0}, []int{0}, nil)
+		hj := newJoin(pipelineOver(scanOf(c.l, "k", "p"), nil, nil, nil), scanOf(c.r, "k", "q"), []int{0}, []int{0}, nil, Options{})
 		rows, err := Drain(hj)
 		if err != nil || len(rows) != 0 {
 			t.Errorf("case %d: hash join over empty input: rows=%d err=%v", i, len(rows), err)
@@ -272,31 +284,60 @@ func TestLimitTerminatesEarlyAndCopies(t *testing.T) {
 	}
 }
 
+// TestSortRunsMergeStable: a tiny budget forces a governed sort through
+// several spilled runs plus a resident tail, over duplicate keys, NaN keys
+// (in a NULL-free float column and beside NULLs), a DESC key and the
+// integers 2^53 and 2^53+1, which tie under Value.Compare's float64
+// widening. Both the spilled and the in-memory sort must equal a stable
+// sort of the rows under the merge's row comparator, and rows with tied
+// keys must keep their arrival order.
 func TestSortRunsMergeStable(t *testing.T) {
-	// Keys with duplicates; payload records arrival order. RunSize 2 forces
-	// a multi-run merge.
+	const big = int64(1) << 53
+	nan := types.NewFloat(math.NaN())
+	ks := []types.Value{types.NewFloat(1.5), nan, types.NewFloat(math.Copysign(0, -1)), types.NewFloat(0), types.NewFloat(2)}
+	bs := []int64{big, big + 1, 7, 7, 3}
+	ns := []types.Value{types.Null(), nan, types.NewFloat(1), types.NewFloat(1)}
 	var rows [][]types.Value
-	keys := []int64{3, 1, 2, 1, 3, 2, 1, 2, 3, 1}
-	for i, k := range keys {
-		rows = append(rows, []types.Value{iv(k), iv(int64(i))})
+	for i := 0; i < 200; i++ {
+		rows = append(rows, []types.Value{ks[(i*7)%len(ks)], iv(bs[(i*3)%len(bs)]), ns[(i/3)%len(ns)], iv(int64(i))})
 	}
-	s := &Sort{Input: scanOf(rows, "k", "ord"),
-		Keys:    []algebra.SortKey{{Expr: algebra.Col{Idx: 0, Name: "k"}}},
-		RunSize: 2}
-	out, err := Drain(s)
-	if err != nil || len(out) != len(rows) {
-		t.Fatalf("sort: rows=%d err=%v", len(out), err)
+	keys := []algebra.SortKey{{Expr: algebra.Col{Idx: 0, Name: "k"}}, {Expr: algebra.Col{Idx: 1, Name: "b"}, Desc: true},
+		{Expr: algebra.Col{Idx: 2, Name: "n"}}}
+	newSort := func(gov *MemGovernor) *Sort {
+		return &Sort{Input: scanOf(rows, "k", "b", "n", "ord"), Keys: keys, Mem: gov, SpillDir: t.TempDir()}
 	}
-	lastKey, lastOrd := int64(-1), int64(-1)
-	for _, r := range out {
-		k, ord := r[0].Int(), r[1].Int()
-		if k < lastKey {
-			t.Fatalf("not sorted: %v", out)
+	want := append([][]types.Value(nil), rows...)
+	ref := newSort(nil)
+	sort.SliceStable(want, func(i, j int) bool { return ref.less(want[i], want[j]) })
+
+	spilled := newSort(NewMemGovernor(4 << 10))
+	if err := spilled.Open(); err != nil {
+		t.Fatal(err)
+	}
+	disk, tail := 0, false
+	for _, r := range spilled.runs {
+		if r.run != nil {
+			disk++
 		}
-		if k == lastKey && ord < lastOrd {
-			t.Fatalf("not stable within key %d: %v", k, out)
+		tail = tail || r.rows != nil
+	}
+	if disk < 2 || !tail {
+		t.Fatalf("%d spilled runs, resident tail %v: want several runs and a tail", disk, tail)
+	}
+	if err := spilled.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Sort{spilled, newSort(nil)} {
+		out, err := Drain(s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		lastKey, lastOrd = k, ord
+		requireSameRows(t, out, want, fmt.Sprintf("sort (governed %v)", s.Mem != nil))
+		for i := 1; i < len(out); i++ {
+			if !s.less(out[i-1], out[i]) && out[i-1][3].Int() > out[i][3].Int() {
+				t.Fatalf("rows %d and %d tie but left arrival order: %v, %v", i-1, i, out[i-1], out[i])
+			}
+		}
 	}
 }
 
@@ -337,8 +378,8 @@ func TestExplainShapes(t *testing.T) {
 	if op, err = LowerOpts(hash, src, Options{MemBudget: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
-	if s := Explain(op); !strings.HasPrefix(s, "HashJoin[") {
-		t.Errorf("explain missing the governed HashJoin:\n%s", s)
+	if s := Explain(op); s != "FusedPipeline[scan r → probe]\n  build:\n    Scan(s)\n" {
+		t.Errorf("governed explain differs from the unbudgeted one:\n%s", s)
 	}
 
 	theta := &algebra.Join{Left: scanR, Right: scanS,

@@ -9,33 +9,27 @@ import (
 	"repro/internal/types"
 )
 
-// DefaultSortRunSize is the number of rows sorted per run before a new run
-// is started. Runs are merged with a loser-tree-style heap, so the operator
-// is external: under memory pressure (Mem) a sorted run is spilled to disk
-// and streamed back frame by frame, slotting into the same k-way merge.
-const DefaultSortRunSize = 1 << 16
-
 // Sort orders the input by the keys. Open consumes the input's batches,
-// materialized as rows, into sorted runs of at most RunSize rows; Next
-// streams the k-way merge of the runs through a reused spine of up to
-// DefaultBatchSize rows, each spine going out converted to columns.
-// The sort is stable: within a run sort.SliceStable preserves arrival
-// order, and the merge breaks comparator ties by run index (runs are
-// consecutive chunks of the input).
+// materialized as rows, into sorted runs; Next streams the k-way merge of
+// the runs through a reused spine of up to DefaultBatchSize rows, each
+// spine going out converted to columns. The sort is stable: within a run
+// sort.SliceStable preserves arrival order, and the merge breaks comparator
+// ties by run index (runs are consecutive chunks of the input). Without a
+// memory governor the input is one run.
 //
 // With a memory governor (Mem non-nil, set by lowering when -mem-budget is
-// configured), Open reserves the retained rows' estimated bytes; when a
-// reservation fails, every in-memory run — sorted runs and the growing
-// current run alike — is spilled to a temp file in SpillDir and its memory
-// released, so the operator's working set stays at one run plus the merge
-// cursors' resident frames. Because the final order of a stable sort is
-// fully determined by (key, input position) and run indexes are input
-// chunk positions, spilled and in-memory execution produce byte-identical
-// output regardless of where the run boundaries fall.
+// configured), the budget sets the run boundaries: Open reserves the
+// retained rows' estimated bytes, and when a reservation fails, every
+// in-memory run — sorted runs and the growing current run alike — is
+// spilled to a temp file in SpillDir and its memory released, so the
+// operator's working set stays at one run plus the merge cursors' resident
+// frames. Because the final order of a stable sort is fully determined by
+// (key, input position) and run indexes are input chunk positions, spilled
+// and in-memory execution produce byte-identical output regardless of
+// where the run boundaries fall.
 type Sort struct {
 	Input    Operator
 	Keys     []algebra.SortKey
-	RunSize  int          // 0 means DefaultSortRunSize
 	Mem      *MemGovernor // nil: never spill (today's in-memory behavior)
 	SpillDir string       // temp dir for spilled runs; "" means os.TempDir()
 
@@ -132,19 +126,6 @@ func (s *Sort) Open() error {
 	if err := s.Input.Open(); err != nil {
 		return err
 	}
-	runSize := s.RunSize
-	if runSize <= 0 {
-		runSize = DefaultSortRunSize
-		if s.Mem != nil {
-			// Governed: let the budget set the run boundaries. Bigger runs
-			// mean fewer spilled runs, and the merge phase holds one
-			// resident frame per spilled run — so run count, not run size,
-			// is what threatens the budget. Stable-sort output is a pure
-			// function of (key, input position), so boundaries are free to
-			// move.
-			runSize = int(^uint(0) >> 1)
-		}
-	}
 	var run [][]types.Value
 	var runBytes int64
 	flush := func() {
@@ -208,9 +189,6 @@ func (s *Sort) Open() error {
 				runBytes += bytes
 			}
 			run = append(run, row)
-			if len(run) >= runSize {
-				flush()
-			}
 		}
 	}
 	flush()

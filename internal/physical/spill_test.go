@@ -8,6 +8,7 @@ package physical
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // spillTable builds n rows (k cycling over domain, v = i, s = short string)
@@ -255,17 +257,14 @@ func TestGraceJoinAgrees(t *testing.T) {
 		L: algebra.Col{Idx: 1}, R: algebra.Col{Idx: 4}}
 
 	for _, res := range []algebra.Expr{nil, residual} {
-		want := drainAll(t, NewHashJoin(
-			scanRows("l", lschema, lrows), scanRows("r", rschema, rrows),
-			[]int{0}, []int{0}, res), "in-memory join")
+		want := drainAll(t, newJoin(pipelineOver(scanRows("l", lschema, lrows), nil, nil, nil),
+			scanRows("r", rschema, rrows), []int{0}, []int{0}, res, Options{}), "in-memory join")
 
 		for _, budget := range []int64{RowsMemSize(rrows) / 4, 32 << 10, 1 << 10} {
 			dir := t.TempDir()
 			gov := NewMemGovernor(budget)
-			j := NewHashJoin(
-				scanRows("l", lschema, lrows), scanRows("r", rschema, rrows),
-				[]int{0}, []int{0}, res)
-			j.Mem, j.SpillDir = gov, dir
+			j := newJoin(pipelineOver(scanRows("l", lschema, lrows), nil, nil, nil),
+				scanRows("r", rschema, rrows), []int{0}, []int{0}, res, Options{Gov: gov, SpillDir: dir})
 			got := drainAll(t, j, "grace join")
 			requireSameRows(t, got, want,
 				fmt.Sprintf("join at budget %d (residual %v)", budget, res != nil))
@@ -277,20 +276,76 @@ func TestGraceJoinAgrees(t *testing.T) {
 	}
 }
 
+// TestColsMemSizeMatchesRows pins the governor's one accounting unit:
+// colsMemSize of columns equals RowsMemSize of the rows they box into.
+func TestColsMemSizeMatchesRows(t *testing.T) {
+	nulls := vector.NewBitmap(3)
+	nulls.Set(1)
+	cases := []struct {
+		name string
+		cols []vector.Vector
+	}{
+		{"typed", []vector.Vector{vector.NewInt64Vector([]int64{1, 2, 3}, nil),
+			vector.NewFloat64Vector([]float64{0.5, 1, math.NaN()}, nil),
+			vector.NewBoolVector([]bool{true, false, true}, nil)}},
+		{"strings", []vector.Vector{vector.NewStringVector([]string{"", "ab", "long string"}, nil)}},
+		{"NULL-bearing", []vector.Vector{vector.NewInt64Vector([]int64{1, 2, 3}, nulls),
+			vector.NewStringVector([]string{"a", "payload under a NULL", "ccc"}, nulls)}},
+		{"boxed", []vector.Vector{vector.NewValueVector([]types.Value{types.NewString("xyz"),
+			types.Null(), types.NewInt(4)})}},
+		{"zero rows", []vector.Vector{vector.NewInt64Vector(nil, nil), vector.NewStringVector(nil, nil)}},
+	}
+	for _, c := range cases {
+		n := c.cols[0].Len()
+		if got, want := colsMemSize(c.cols, n), RowsMemSize(vector.Materialize(c.cols, n)); got != want {
+			t.Errorf("%s: colsMemSize %d, RowsMemSize of the rows %d", c.name, got, want)
+		}
+		win := make([]vector.Vector, len(c.cols))
+		for j, v := range c.cols {
+			win[j] = v.Slice(n/2, n)
+		}
+		if got, want := colsMemSize(win, n-n/2), RowsMemSize(vector.Materialize(win, n-n/2)); got != want {
+			t.Errorf("%s window: colsMemSize %d, RowsMemSize of the rows %d", c.name, got, want)
+		}
+	}
+}
+
+// TestGovernedProductBuildIsReserved: a keyless join's build has no key to
+// partition on, so a build larger than the budget stays resident — but the
+// governor must count it, and the result must not change.
+func TestGovernedProductBuildIsReserved(t *testing.T) {
+	schema, rows := spillTable(3000, 37)
+	src := memSource{}
+	src.put("l", schema.Attrs, rows[:40])
+	src.put("r", schema.Attrs, rows)
+	plan := &algebra.Join{
+		Left:     &algebra.Scan{Table: "l", TblSchema: types.NewSchema("l", schema.Attrs...)},
+		Right:    &algebra.Scan{Table: "r", TblSchema: types.NewSchema("r", schema.Attrs...)},
+		Residual: algebra.Bin{Op: algebra.OpLt, L: algebra.Col{Idx: 1}, R: algebra.Col{Idx: 3}}}
+	want := drainAll(t, mustLower(t, plan, src, Options{DOP: 1}), "ungoverned product")
+	gov := NewMemGovernor(16 << 10)
+	got := drainAll(t, mustLower(t, plan, src, Options{DOP: 1, Gov: gov, SpillDir: t.TempDir()}), "governed product")
+	requireSameRows(t, got, want, "governed product")
+	_, cols, _ := src.Resolve("r")
+	if build := colsMemSize(cols.Vecs, cols.N); gov.Peak() < build {
+		t.Fatalf("governor peak %d B is below the build's %d B", gov.Peak(), build)
+	}
+	if gov.InUse() != 0 {
+		t.Fatalf("%d bytes still reserved after Close", gov.InUse())
+	}
+}
+
 // TestGraceJoinSkewedKey forces the recursion cap: one build key carries
 // most of the rows, so no amount of re-partitioning can split it and the
 // partition must proceed as forced slack rather than recurse forever.
 func TestGraceJoinSkewedKey(t *testing.T) {
 	lschema, lrows := spillTable(2000, 1)
 	rschema, rrows := spillTable(4000, 1) // every build row shares key 0
-	want := drainAll(t, NewHashJoin(
-		scanRows("l", lschema, lrows[:3]), scanRows("r", rschema, rrows),
-		[]int{0}, []int{0}, nil), "in-memory skewed join")
+	want := drainAll(t, newJoin(pipelineOver(scanRows("l", lschema, lrows[:3]), nil, nil, nil),
+		scanRows("r", rschema, rrows), []int{0}, []int{0}, nil, Options{}), "in-memory skewed join")
 	dir := t.TempDir()
-	j := NewHashJoin(
-		scanRows("l", lschema, lrows[:3]), scanRows("r", rschema, rrows),
-		[]int{0}, []int{0}, nil)
-	j.Mem, j.SpillDir = NewMemGovernor(1<<10), dir
+	j := newJoin(pipelineOver(scanRows("l", lschema, lrows[:3]), nil, nil, nil),
+		scanRows("r", rschema, rrows), []int{0}, []int{0}, nil, Options{Gov: NewMemGovernor(1 << 10), SpillDir: dir})
 	got := drainAll(t, j, "skewed grace join")
 	requireSameRows(t, got, want, "skewed join")
 	requireEmptyDir(t, dir, "after skewed join Close")
@@ -417,11 +472,9 @@ func TestBadSpillDirIsAQueryError(t *testing.T) {
 	}
 }
 
-// TestGovernedLoweringShape: with no budget the equi-join is a pipeline's
-// probe stage (no governor anywhere); with a budget it is the governed
-// HashJoin, the governor threaded and its probe-side chain still one
-// pipeline, and at DOP > 1 the governed join stays the serial spilling
-// operator while its probe-side chain reads the table directly.
+// TestGovernedLoweringShape: the equi-join is a pipeline's probe stage at
+// every budget and DOP, the plan identical to the unbudgeted one; with a
+// budget the governor is threaded into the probe stage's build.
 func TestGovernedLoweringShape(t *testing.T) {
 	schema, rows := spillTable(40000, 11)
 	src := memSource{}
@@ -446,28 +499,17 @@ func TestGovernedLoweringShape(t *testing.T) {
 	if s := Explain(serial); !strings.HasPrefix(s, "FusedPipeline[scan t → filter → project → probe]\n") {
 		t.Fatalf("unbudgeted equi-join must be a pipeline's probe stage:\n%s", s)
 	}
-	governed, err := LowerOpts(plan, src, Options{DOP: 1, MemBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj, ok := governed.(*HashJoin)
-	if !ok || hj.Mem == nil {
-		t.Fatalf("governed lowering did not thread the governor (%T)", governed)
-	}
-	if _, ok := hj.Left.(*FusedPipeline); !ok {
-		t.Fatalf("governed join lost its probe-side pipeline:\n%s", Explain(governed))
-	}
-
-	par, err := LowerOpts(plan, src, Options{DOP: 4, MemBudget: 1 << 20,
-		MorselSize: 4096, MinParallelRows: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape := Explain(par)
-	if !strings.HasPrefix(shape, "HashJoin[") || strings.Contains(shape, "probe]") {
-		t.Fatalf("governed parallel join must be the serial spilling operator:\n%s", shape)
-	}
-	if !strings.Contains(shape, "  FusedPipeline[scan t → filter → project]\n") {
-		t.Fatalf("governed join lost its fused probe-side pipeline:\n%s", shape)
+	for _, opt := range []Options{{DOP: 1, MemBudget: 1 << 20},
+		{DOP: 4, MemBudget: 1 << 20, MorselSize: 4096, MinParallelRows: 1}} {
+		governed, err := LowerOpts(plan, src, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := Explain(governed); s != Explain(serial) {
+			t.Fatalf("DOP %d: governed plan differs from the unbudgeted one:\n%s\nwant:\n%s", opt.DOP, s, Explain(serial))
+		}
+		if fp := governed.(*FusedPipeline); fp.Probe.Mem == nil {
+			t.Fatalf("DOP %d: governed lowering did not thread the governor", opt.DOP)
+		}
 	}
 }

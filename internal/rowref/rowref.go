@@ -671,11 +671,14 @@ func (h *HashAggregate) Close() error {
 	return h.Input.Close()
 }
 
+// defaultSortRunSize is the number of rows Sort sorts per run.
+const defaultSortRunSize = 1 << 16
+
 // Sort orders the input by the keys: sorted runs merged by a heap, stable.
 type Sort struct {
 	Input   Operator
 	Keys    []algebra.SortKey
-	RunSize int // 0 means physical.DefaultSortRunSize
+	RunSize int // 0 means defaultSortRunSize
 
 	runs [][][]types.Value
 	h    *mergeHeap
@@ -706,7 +709,7 @@ func (s *Sort) Open() error {
 	}
 	runSize := s.RunSize
 	if runSize <= 0 {
-		runSize = physical.DefaultSortRunSize
+		runSize = defaultSortRunSize
 	}
 	var run [][]types.Value
 	flush := func() {

@@ -59,9 +59,9 @@ func typedDOPs() []int {
 
 // typedBudgets are the memory regimes the suite runs under: unlimited, and a
 // budget tight enough to force the governor on for these tables. Under a
-// governor equi-joins stay the spilling HashJoin instead of a probe stage
-// and a table-source aggregate folds serially in spillable windows —
-// agreement pins that the governed forms actually compose.
+// governor a join's build reserves, and spills through the grace join, and
+// a table-source aggregate folds serially in spillable windows — agreement
+// pins that the governed forms actually compose.
 func typedBudgets() []int64 { return []int64{0, 8 << 10} }
 
 // typedOpts is the option set of one agreement run: small morsels so every
