@@ -515,28 +515,19 @@ func (h *HashAggregate) mergePartition(run *spill.Run, depth int, out *[]seqRow)
 	if err != nil {
 		return err
 	}
+	refill := frameCursor(rd, h.Mem, &h.held)
 	var frame [][]types.Value
 	fi := 0
-	var frameHeld int64 // the resident frame, tracked like a merge cursor's
 	nextRow := func() ([]types.Value, error) {
-		for {
-			if fi < len(frame) {
-				r := frame[fi]
-				fi++
-				return r, nil
-			}
-			f, err := rd.Next()
-			h.Mem.Release(frameHeld)
-			h.held -= frameHeld
-			frameHeld = 0
+		for fi == len(frame) {
+			f, err := refill()
 			if err != nil || f == nil {
 				return nil, err
 			}
-			frameHeld = RowsMemSize(f)
-			h.Mem.Force(frameHeld)
-			h.held += frameHeld
 			frame, fi = f, 0
 		}
+		fi++
+		return frame[fi-1], nil
 	}
 	entries := make(map[string]int)
 	var order []*aggPartial
@@ -569,8 +560,6 @@ func (h *HashAggregate) mergePartition(run *spill.Run, depth int, out *[]seqRow)
 			if depth < maxSpillDepth {
 				err := h.repartition(order, bytes, aggPartial{seq: seq, st: st}, nextRow, depth, out)
 				rd.Close()
-				h.Mem.Release(frameHeld)
-				h.held -= frameHeld
 				if err != nil {
 					return err
 				}

@@ -13,9 +13,10 @@ const DefaultBatchSize = 1024
 // Batch is the unit operators exchange: n rows described by one typed vector
 // per column (internal/vector). Every operator emits its batches this way —
 // scans as zero-copy windows of the table's columns, pipelines (their probe
-// stages included) as kernel output, and the operators that work on rows
-// internally (sort, the grace join, aggregate) as vector.FromRows of their
-// output rows.
+// stages included) as kernel output, the aggregate as windows of its
+// result columns, and the two operators whose output is merged from row
+// runs (sort, and the grace join's spilled output) as vector.FromRows of
+// the merged rows.
 //
 // The batch and its vectors belong to whichever operator returned it from
 // Next and are valid only until that operator's next Next or Close call: a
@@ -46,21 +47,4 @@ func (b *Batch) SetCols(cols []vector.Vector, n int) { b.cols, b.n = cols, n }
 // reused once the call returns.
 func (b *Batch) setRows(rows [][]types.Value, arity int) {
 	b.SetCols(vector.FromRows(rows, arity).Vecs, len(rows))
-}
-
-// boxRows materializes the n rows of cols one DefaultBatchSize window at a
-// time, handing each window's rows to fn: how the grace join turns its
-// columns into the spill format's rows without boxing more than one window.
-func boxRows(cols []vector.Vector, n int, fn func([][]types.Value) error) error {
-	win := make([]vector.Vector, len(cols))
-	for lo := 0; lo < n; lo += DefaultBatchSize {
-		hi := min(lo+DefaultBatchSize, n)
-		for c, v := range cols {
-			win[c] = v.Slice(lo, hi)
-		}
-		if err := fn(vector.Materialize(win, hi-lo)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -216,10 +216,11 @@ func TestRowKeyEncoderCollisions(t *testing.T) {
 		t.Error("int 1 and float 1.0 should share a key")
 	}
 	// Join keys: NULL never participates.
-	if _, ok := appendJoinKey(nil, []types.Value{types.Null(), iv(1)}, []int{0}); ok {
+	nullOne := vector.FromRows([][]types.Value{{types.Null(), iv(1)}}, 2).Vecs
+	if _, ok := appendVecJoinKey(nil, nullOne, 0, []int{0}); ok {
 		t.Error("NULL join key should report no key")
 	}
-	if key, ok := appendJoinKey(nil, []types.Value{types.Null(), iv(1)}, []int{1}); !ok || len(key) == 0 {
+	if key, ok := appendVecJoinKey(nil, nullOne, 0, []int{1}); !ok || len(key) == 0 {
 		t.Error("non-NULL join key should encode")
 	}
 }

@@ -136,9 +136,8 @@ func TestFilterTypedPathKeepsColumns(t *testing.T) {
 	}
 }
 
-// TestVecKeyBuildersMatchRowBuilders: the columnar key builders must be
-// byte-identical to the row builders over the same data, NULL join-key
-// skipping included.
+// TestVecKeyBuildersMatchRowBuilders: the columnar row-key builder must be
+// byte-identical to the row builder over the same data.
 func TestVecKeyBuildersMatchRowBuilders(t *testing.T) {
 	rows := [][]types.Value{
 		{types.NewInt(1), types.NewString("a"), types.Null()},
@@ -146,15 +145,9 @@ func TestVecKeyBuildersMatchRowBuilders(t *testing.T) {
 		{types.NewInt(1 << 53), types.NewString("a|b"), types.NewBool(true)},
 	}
 	cols := vector.FromRows(rows, 3).Slice(0, len(rows))
-	idx := []int{2, 0}
 	for i, row := range rows {
 		if got, want := string(appendVecRowKey(nil, cols, i)), string(appendRowKey(nil, row)); got != want {
 			t.Errorf("row %d: vec row key %q != %q", i, got, want)
-		}
-		gotK, gotOK := appendVecJoinKey(nil, cols, i, idx)
-		wantK, wantOK := appendJoinKey(nil, row, idx)
-		if gotOK != wantOK || string(gotK) != string(wantK) {
-			t.Errorf("row %d: vec join key (%q,%v) != (%q,%v)", i, gotK, gotOK, wantK, wantOK)
 		}
 	}
 }

@@ -76,12 +76,6 @@ type FusedPipeline struct {
 	projProgs []*algebra.Compiled
 	out       Batch
 
-	// Cached zero-copy sub-window of the table: slice headers are immutable
-	// views of src, so a re-drained plan (bench loops, cached prepared
-	// plans) whose range repeats allocates no new headers.
-	colsWin              []vector.Vector
-	colsWinLo, colsWinHi int
-
 	probe   joinProbe  // the probe stage, resumable across Next calls
 	probing bool       // probe holds a pass not yet fully expanded
 	held    int64      // bytes the build holds reserved with Probe.Mem
@@ -185,26 +179,17 @@ func (f *FusedPipeline) columns(cols []vector.Vector, n int) *vector.Columns {
 	return &vector.Columns{N: hi - lo, Vecs: vecs}
 }
 
-// window returns zero-copy [lo, hi) windows of the source columns. A
-// table's windows are cached: the headers are immutable views of the
-// table's vectors, so sharing them across passes (and across the Results of
-// a re-drained plan) is safe, and a repeated range — the steady state of a
-// benchmark loop or a cached prepared plan — allocates nothing. An input
-// batch's windows cover only the columns the chain reads.
+// window returns zero-copy [lo, hi) windows of the source columns: every
+// column of a table, and of an input batch only the columns the chain
+// reads.
 func (f *FusedPipeline) window(cols []vector.Vector, lo, hi int) []vector.Vector {
-	if f.Input != nil {
-		win := make([]vector.Vector, len(cols))
-		for j, v := range cols {
-			if f.used[j] {
-				win[j] = v.Slice(lo, hi)
-			}
+	win := make([]vector.Vector, len(cols))
+	for j, v := range cols {
+		if f.Input == nil || f.used[j] {
+			win[j] = v.Slice(lo, hi)
 		}
-		return win
 	}
-	if f.colsWin == nil || f.colsWinLo != lo || f.colsWinHi != hi {
-		f.colsWin, f.colsWinLo, f.colsWinHi = f.src.Slice(lo, hi), lo, hi
-	}
-	return f.colsWin
+	return win
 }
 
 // pass runs the chain over the next stretch of the source: the whole table,

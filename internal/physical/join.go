@@ -11,7 +11,10 @@ import (
 // (see fused.go), running in O(|build| + |probe| + |output|). Open drains
 // the build side into a columnar hash table (hashTable); Next expands the
 // chain's passes against it (joinProbe). Output comes in probe order, and
-// in build order within one probe row. NULL join keys never match.
+// in build order within one probe row. NULL join keys never match. A keyed
+// build that does not fit its budget runs as a grace join (graceJoin),
+// which partitions columns and joins every partition through the same
+// hashTable and joinProbe; only its spill files hold rows.
 
 // hashTable is the build table of every hash join: the build side kept as
 // columns, its rows linked in build order into one chain per distinct join
@@ -21,8 +24,8 @@ import (
 // A single numeric key column keys on its joinWord, any other key on its
 // byte key (appendVecJoinKey); both encodings agree on which keys are
 // equal, so the choice never changes a result. The probe stage's table,
-// the grace join's resident partitions and each spilled partition join all
-// build this one structure.
+// the grace join's resident partitions (one table together) and each of its
+// spilled partitions all build this one structure.
 type hashTable struct {
 	cols   *vector.Columns
 	words  map[uint64]int32 // single numeric key column: join word -> slot
@@ -56,8 +59,7 @@ func (f *FusedPipeline) buildHashTable() error {
 					// The grace join's partitions reserve what they hold.
 					p.Mem.Release(f.held)
 					f.held = 0
-					f.grace = &graceJoin{mem: p.Mem, sp: newSpillSet(p.SpillDir, p.Mem), equiL: p.EquiL,
-						equiR: p.EquiR, residual: p.Residual, arity: len(vecs), width: f.schema.Arity()}
+					f.grace = newGraceJoin(p, len(vecs), f.schema.Arity())
 					return f.grace.build(vecs, n, b, p.Build)
 				}
 				p.Mem.Force(bytes)
@@ -202,24 +204,6 @@ func (t *hashTable) lookupVec(cols []vector.Vector, n int, keys []int, heads []i
 	return heads
 }
 
-// lookupRow returns the first build row matching a boxed row's key columns
-// keys, -1 for none — the grace join's probe of a resident or loaded
-// partition.
-func (t *hashTable) lookupRow(row []types.Value, keys []int) int32 {
-	if t.words != nil {
-		if x := row[keys[0]]; x.IsNumeric() {
-			return t.wordHead(joinWord(x.Float()))
-		}
-		return -1
-	}
-	key, ok := appendJoinKey(t.keyBuf[:0], row, keys)
-	t.keyBuf = key
-	if !ok {
-		return -1
-	}
-	return t.byteHead(key)
-}
-
 // joinProbe expands probe batches against a hash table into output
 // batches: the (probe row, build row) pairs of up to DefaultBatchSize
 // matches, both sides' columns gathered at them. A residual's selection
@@ -319,75 +303,108 @@ func (p *joinProbe) next() *Batch {
 }
 
 // graceJoin is the hybrid Grace hash join a keyed probe stage switches to
-// when its build does not fit. Build rows, boxed for the row spill format
-// (boxRows), are hash-partitioned; resident partitions are evicted to temp
-// files fattest-first under pressure, and the survivors become in-memory
-// hash tables. The probe pass then routes each row of the chain's passes by
-// the same hash — rows hitting resident partitions join immediately, rows
-// hitting spilled partitions are appended to per-partition probe files —
-// and every output row is tagged with its probe row's sequence number and
-// spooled to an output run. Spilled partitions join one at a time
-// afterwards (re-split under a re-salted hash when one alone exceeds the
-// budget), and Next streams the merge of the output runs by sequence
-// number: exactly the in-memory probe order. A partition's table keeps
-// build order (one key routes to one partition), so spilled and in-memory
-// execution emit byte-identical rows in identical order.
+// when its build does not fit. It works on columns one DefaultBatchSize
+// window at a time, and every partition joins through the probe stage's own
+// hashTable and joinProbe; rows exist only where a partition or an output
+// run is written to a spill file, or read back from one.
+//
+// Build rows are hash-partitioned on their join key (routeRows). A resident
+// partition gathers its rows under reservation; under pressure the fattest
+// is evicted to a temp file, and an evicted partition's later rows go
+// straight to that file. The resident partitions then become one hash
+// table: a key routes to exactly one partition, so a lookup there finds only
+// its own partition's rows, in build order. The probe numbers every row of
+// the chain's passes and probes each window, tagged [seq | probe row],
+// against that table — a row of a spilled partition finds nothing in it —
+// spooling the output, [seq | probe row | build row], to an output run;
+// rows of spilled partitions go, tagged, to per-partition probe files.
+// Spilled partitions join one at a time afterwards (re-split under a
+// re-salted hash when one alone exceeds the budget), and Next streams the
+// merge of the output runs by sequence number: exactly the in-memory probe
+// order, so spilled and in-memory execution emit identical rows in
+// identical order.
 type graceJoin struct {
-	mem          *MemGovernor
-	sp           *spillSet
-	equiL, equiR []int
-	residual     algebra.Expr
-	arity        int   // the build side's columns
-	width        int   // the output's columns
-	held         int64 // bytes reserved with mem
-	parts        []gracePart
-	keyBuf       []byte
-
-	heap  *mergeHeap      // the output merge Next streams
-	tag   []types.Value   // scratch: [seq | concatenated output row]
-	spine [][]types.Value // the merged rows of the batch being emitted
-	out   Batch
+	mem       *MemGovernor
+	sp        *spillSet
+	equiR     []int
+	probeKeys []int        // the probe keys in a [seq | probe row] tag
+	residual  algebra.Expr // the residual over [seq | probe row | build row]
+	arity     int          // the build side's columns
+	width     int          // the output's columns
+	tagArity  int          // the columns of a [seq | probe row] tag
+	held      int64        // bytes reserved with mem, merge cursors' frames included
+	parts     []gracePart
+	table     *hashTable             // the resident partitions, until the probe is done
+	sels      [SpillPartitions][]int // addBuild's scratch
+	routes    []int                  // routeRows' scratch
+	keyBuf    []byte
+	row       []types.Value   // writeRow's scratch
+	heap      *mergeHeap      // the output merge Next streams
+	spine     [][]types.Value // the merged rows of the batch being emitted
+	out       Batch
 }
 
 // gracePart is one hash partition of a grace join's build side: resident
-// rows (later a built hash table), or temp files once evicted.
+// column chunks, or temp files once evicted.
 type gracePart struct {
-	rows    [][]types.Value // resident build rows, or a spilled tail buffer
-	bytes   int64           // reserved estimate of rows
+	chunks  []*vector.Columns // resident build rows, gathered window by window
+	bytes   int64             // reserved for chunks
 	spilled bool
 	bw      *spill.Writer // build rows on disk
 	brun    *spill.Run
 	pw      *spill.Writer // probe rows on disk, [seq | probe row]
-	table   *hashTable    // a resident partition's build table
 }
 
-// graceFlushRows is how many rows a spilled partition buffers before the
-// buffer is appended to its file.
-const graceFlushRows = 1024
+// newGraceJoin prepares the grace join of probe stage p, whose build side
+// has arity columns and whose output has width.
+func newGraceJoin(p *FusedProbe, arity, width int) *graceJoin {
+	g := &graceJoin{mem: p.Mem, sp: newSpillSet(p.SpillDir, p.Mem), equiR: p.EquiR,
+		arity: arity, width: width, tagArity: 1 + width - arity}
+	for _, k := range p.EquiL {
+		g.probeKeys = append(g.probeKeys, k+1)
+	}
+	if p.Residual != nil {
+		g.residual = algebra.ShiftCols(p.Residual, 0, 1)
+	}
+	return g
+}
 
-// build partitions the build side, reserving it row by row: the n rows
-// buffered in cols, the batch b whose reservation failed, and the rest of
-// op. Spilled partitions then flush their tails, and resident ones become
-// per-partition hash tables (same layout as the single table).
+// routeRows appends to dst the spill partition of each of the n rows of
+// cols: the salted hash of the row's byte join key on the columns keys,
+// modulo SpillPartitions, or -1 for a NULL key, which never matches.
+func (g *graceJoin) routeRows(dst []int, cols []vector.Vector, n int, keys []int, salt uint64) []int {
+	for i := 0; i < n; i++ {
+		key, ok := appendVecJoinKey(g.keyBuf[:0], cols, i, keys)
+		g.keyBuf = key
+		p := -1
+		if ok {
+			p = int(keyHashSalted(key, salt) % SpillPartitions)
+		}
+		dst = append(dst, p)
+	}
+	return dst
+}
+
+// writeRow appends row r of cols to w, boxed into one reused row: where
+// the grace join's columns become the spill format's rows.
+func (g *graceJoin) writeRow(w *spill.Writer, cols []vector.Vector, r int) error {
+	g.row = g.row[:0]
+	for _, v := range cols {
+		g.row = append(g.row, v.Value(r))
+	}
+	return w.Append(g.row)
+}
+
+// build partitions the build side: the n rows buffered in cols, the batch b
+// whose reservation failed, and the rest of op. Spilled partitions then
+// finish their files, and the resident ones become one hash table.
 func (g *graceJoin) build(cols []vector.Vector, n int, b *Batch, op Operator) error {
 	g.parts = make([]gracePart, SpillPartitions)
-	addRows := func(rows [][]types.Value) error {
-		for _, row := range rows {
-			bytes := RowMemSize(row)
-			if err := g.reserveBuild(bytes); err != nil {
-				return err
-			}
-			if err := g.routeBuild(row, bytes); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := boxRows(cols, n, addRows); err != nil {
+	if err := g.addBuild(cols, n); err != nil {
 		return err
 	}
 	for b != nil {
-		if err := boxRows(b.Cols(), b.Len(), addRows); err != nil {
+		if err := g.addBuild(b.Cols(), b.Len()); err != nil {
 			return err
 		}
 		var err error
@@ -395,16 +412,18 @@ func (g *graceJoin) build(cols []vector.Vector, n int, b *Batch, op Operator) er
 			return err
 		}
 	}
+	resident := &vector.Columns{Vecs: make([]vector.Vector, g.arity)}
 	for i := range g.parts {
 		p := &g.parts[i]
 		if !p.spilled {
-			p.table, p.rows = newHashTable(vector.FromRows(p.rows, g.arity), g.equiR), nil
-			continue
-		}
-		if len(p.rows) > 0 {
-			if err := g.spillPart(p); err != nil {
-				return err
+			for _, chunk := range p.chunks {
+				for c, v := range chunk.Vecs {
+					resident.Vecs[c] = vector.Append(resident.Vecs[c], v)
+				}
+				resident.N += chunk.N
 			}
+			p.chunks = nil
+			continue
 		}
 		run, err := g.sp.finish(p.bw)
 		if err != nil {
@@ -412,55 +431,69 @@ func (g *graceJoin) build(cols []vector.Vector, n int, b *Batch, op Operator) er
 		}
 		p.brun, p.bw = run, nil
 	}
+	// With no resident rows the columns stay nil: a probe never gathers
+	// from a table it finds no match in.
+	g.table = newHashTable(resident, g.equiR)
 	return nil
 }
 
-// spillPart evicts one partition's resident rows to its file.
-func (g *graceJoin) spillPart(p *gracePart) error {
-	// A cancelled query aborts before paying the eviction I/O; Close
-	// releases the reservations and removes any spill files.
-	if err := g.mem.Err(); err != nil {
-		return err
-	}
-	if p.bw == nil {
-		w, err := g.sp.newWriter()
-		if err != nil {
-			return err
+// addBuild partitions n build rows of cols one window at a time. A resident
+// partition gathers its rows and reserves them, evicting fattest-first; a
+// spilled one boxes them straight into its file. NULL-keyed rows are
+// dropped before they are reserved.
+func (g *graceJoin) addBuild(cols []vector.Vector, n int) error {
+	win := make([]vector.Vector, len(cols))
+	for lo := 0; lo < n; lo += DefaultBatchSize {
+		hi := min(lo+DefaultBatchSize, n)
+		for c, v := range cols {
+			win[c] = v.Slice(lo, hi)
 		}
-		p.bw = w
+		g.routes = g.routeRows(g.routes[:0], win, hi-lo, g.equiR, 0)
+		for p := range g.sels {
+			g.sels[p] = g.sels[p][:0]
+		}
+		for r, p := range g.routes {
+			if p >= 0 {
+				g.sels[p] = append(g.sels[p], r)
+			}
+		}
+		for i, sel := range g.sels {
+			if len(sel) == 0 {
+				continue
+			}
+			p := &g.parts[i]
+			if !p.spilled {
+				chunk := make([]vector.Vector, len(win))
+				for c, v := range win {
+					chunk[c] = v.Gather(sel)
+				}
+				bytes := colsMemSize(chunk, len(sel))
+				if err := g.reserve(bytes); err != nil {
+					return err
+				}
+				if !p.spilled {
+					p.chunks = append(p.chunks, &vector.Columns{N: len(sel), Vecs: chunk})
+					p.bytes += bytes
+					continue
+				}
+				// The reservation evicted this very partition.
+				g.mem.Release(bytes)
+				g.held -= bytes
+			}
+			for _, r := range sel {
+				if err := g.writeRow(p.bw, win, r); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	if err := p.bw.AppendAll(p.rows); err != nil {
-		return err
-	}
-	g.mem.Release(p.bytes)
-	g.held -= p.bytes
-	p.rows, p.bytes, p.spilled = nil, 0, true
 	return nil
 }
 
-// routeBuild assigns an already-reserved row to its partition; NULL-key
-// rows are dropped (they never match), releasing their reservation.
-func (g *graceJoin) routeBuild(row []types.Value, bytes int64) error {
-	key, ok := appendJoinKey(g.keyBuf[:0], row, g.equiR)
-	g.keyBuf = key
-	if !ok {
-		g.mem.Release(bytes)
-		g.held -= bytes
-		return nil
-	}
-	p := &g.parts[keyHashSalted(key, 0)%SpillPartitions]
-	p.rows = append(p.rows, row)
-	p.bytes += bytes
-	if p.spilled && len(p.rows) >= graceFlushRows {
-		return g.spillPart(p)
-	}
-	return nil
-}
-
-// reserveBuild makes room for one more build row, evicting the fattest
+// reserve makes room for bytes more build rows, evicting the fattest
 // resident partition until the reservation fits (or nothing resident
-// remains, in which case the row proceeds as forced slack).
-func (g *graceJoin) reserveBuild(bytes int64) error {
+// remains, in which case the rows proceed as forced slack).
+func (g *graceJoin) reserve(bytes int64) error {
 	for !g.mem.Reserve(bytes) {
 		best, bestBytes := -1, int64(0)
 		for i := range g.parts {
@@ -480,72 +513,51 @@ func (g *graceJoin) reserveBuild(bytes int64) error {
 	return nil
 }
 
-// emitMatches writes the joined output rows of probe row l against its
-// matches in t, each tagged with the probe sequence number, to w — all but
-// those the residual rejects.
-func (g *graceJoin) emitMatches(w *spill.Writer, seq int64, l []types.Value, t *hashTable) error {
-	if cap(g.tag) < g.width+1 {
-		g.tag = make([]types.Value, g.width+1)
+// spillPart evicts one partition's resident rows to its new file.
+func (g *graceJoin) spillPart(p *gracePart) error {
+	// A cancelled query aborts before paying the eviction I/O; Close
+	// releases the reservations and removes any spill files.
+	if err := g.mem.Err(); err != nil {
+		return err
 	}
-	tag := g.tag[:g.width+1]
-	tag[0] = types.NewInt(seq)
-	copy(tag[1:], l)
-	for r := t.lookupRow(l, g.equiL); r >= 0; r = t.next[r] {
-		for c, v := range t.cols.Vecs {
-			tag[1+len(l)+c] = v.Value(int(r))
+	w, err := g.sp.newWriter()
+	if err != nil {
+		return err
+	}
+	for _, chunk := range p.chunks {
+		for r := 0; r < chunk.N; r++ {
+			if err := g.writeRow(w, chunk.Vecs, r); err != nil {
+				return err
+			}
 		}
-		if g.residual != nil && !algebra.Truthy(g.residual.Eval(tag[1:])) {
-			continue
-		}
-		if err := w.Append(tag); err != nil {
-			return err
+	}
+	g.mem.Release(p.bytes)
+	g.held -= p.bytes
+	p.bw, p.chunks, p.bytes, p.spilled = w, nil, 0, true
+	return nil
+}
+
+// joinInto expands n probe rows, tagged [seq | probe row] in cols, against
+// jp's table, writing every output row [seq | probe row | build row] to w.
+func (g *graceJoin) joinInto(w *spill.Writer, jp *joinProbe, cols []vector.Vector, n int) error {
+	jp.start(cols, n)
+	for b := jp.next(); b != nil; b = jp.next() {
+		for r := 0; r < b.Len(); r++ {
+			if err := g.writeRow(w, b.Cols(), r); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// probe consumes the probe side, the chain's passes: resident-partition
-// rows join immediately into the memOut run, spilled-partition rows are
-// appended to per-partition probe files; then every spilled partition
-// joins on its own and the output runs are wired into the sequence merge
-// Next streams.
-func (g *graceJoin) probe(pass func() (*vector.Columns, error)) error {
-	memOut, err := g.sp.newWriter()
-	if err != nil {
-		return err
-	}
-	var probeTag []types.Value
+// probePasses numbers the rows of the chain's passes and works them one
+// window at a time: the window, tagged [seq | probe row], joins against the
+// resident table into w, and its rows of spilled partitions go, tagged, to
+// their probe files.
+func (g *graceJoin) probePasses(w *spill.Writer, pass func() (*vector.Columns, error)) error {
+	jp := newJoinProbe(g.table, g.probeKeys, g.tagArity, g.residual)
 	var seq int64
-	route := func(rows [][]types.Value) error {
-		for _, row := range rows {
-			s := seq
-			seq++
-			key, ok := appendJoinKey(g.keyBuf[:0], row, g.equiL)
-			g.keyBuf = key
-			if !ok {
-				continue
-			}
-			p := &g.parts[keyHashSalted(key, 0)%SpillPartitions]
-			if !p.spilled {
-				if err := g.emitMatches(memOut, s, row, p.table); err != nil {
-					return err
-				}
-				continue
-			}
-			if p.pw == nil {
-				w, err := g.sp.newWriter()
-				if err != nil {
-					return err
-				}
-				p.pw = w
-			}
-			probeTag = append(append(probeTag[:0], types.NewInt(s)), row...)
-			if err := p.pw.Append(probeTag); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for {
 		c, err := pass()
 		if err != nil {
@@ -554,26 +566,63 @@ func (g *graceJoin) probe(pass func() (*vector.Columns, error)) error {
 		if c == nil {
 			break
 		}
-		if err := boxRows(c.Vecs, c.N, route); err != nil {
-			return err
+		for lo := 0; lo < c.N; lo += DefaultBatchSize {
+			hi := min(lo+DefaultBatchSize, c.N)
+			seqs := make([]int64, hi-lo)
+			for i := range seqs {
+				seqs[i] = seq
+				seq++
+			}
+			win := make([]vector.Vector, 1+len(c.Vecs))
+			win[0] = vector.NewInt64Vector(seqs, nil)
+			for j, v := range c.Vecs {
+				win[1+j] = v.Slice(lo, hi)
+			}
+			if err := g.joinInto(w, &jp, win, hi-lo); err != nil {
+				return err
+			}
+			g.routes = g.routeRows(g.routes[:0], win, hi-lo, g.probeKeys, 0)
+			for r, i := range g.routes {
+				if i < 0 || !g.parts[i].spilled {
+					continue
+				}
+				p := &g.parts[i]
+				if p.pw == nil {
+					if p.pw, err = g.sp.newWriter(); err != nil {
+						return err
+					}
+				}
+				if err := g.writeRow(p.pw, win, r); err != nil {
+					return err
+				}
+			}
 		}
+	}
+	return nil
+}
+
+// probe consumes the probe side, the chain's passes, against the resident
+// table (probePasses). Then every spilled partition joins on its own, and
+// the output runs are wired into the sequence merge Next streams.
+func (g *graceJoin) probe(pass func() (*vector.Columns, error)) error {
+	memOut, err := g.sp.newWriter()
+	if err != nil {
+		return err
+	}
+	if err := g.probePasses(memOut, pass); err != nil {
+		return err
 	}
 	memRun, err := g.sp.finish(memOut)
 	if err != nil {
 		return err
 	}
 	outRuns := []*spill.Run{memRun}
-	// Resident partitions are done probing; release them before loading
-	// spilled build partitions, so the budget is free for the joins.
-	for i := range g.parts {
-		p := &g.parts[i]
-		if p.spilled {
-			continue
-		}
-		g.mem.Release(p.bytes)
-		g.held -= p.bytes
-		p.bytes, p.table = 0, nil
-	}
+	// Resident partitions are done probing, and held is exactly their
+	// reservation; release it before loading spilled build partitions, so
+	// the budget is free for the joins.
+	g.table = nil
+	g.mem.Release(g.held)
+	g.held = 0
 	for i := range g.parts {
 		p := &g.parts[i]
 		if !p.spilled {
@@ -599,7 +648,7 @@ func (g *graceJoin) probe(pass func() (*vector.Columns, error)) error {
 	// sequence numbers, so merging a prefix of runs by sequence yields a
 	// sequence-ordered run and the cascade preserves the final order.
 	bySeq := func(a, b []types.Value) bool { return a[0].Int() < b[0].Int() }
-	outRuns, err = cascadeRuns(g.sp, g.mem, outRuns, bySeq)
+	outRuns, err = cascadeRuns(g.sp, g.mem, &g.held, outRuns, bySeq)
 	if err != nil {
 		return err
 	}
@@ -609,7 +658,7 @@ func (g *graceJoin) probe(pass func() (*vector.Columns, error)) error {
 		if err != nil {
 			return err
 		}
-		if err := g.heap.add(mergeItem{run: i, refill: frameCursor(rd, g.mem)}); err != nil {
+		if err := g.heap.add(mergeItem{run: i, refill: frameCursor(rd, g.mem, &g.held)}); err != nil {
 			return err
 		}
 	}
@@ -617,10 +666,11 @@ func (g *graceJoin) probe(pass func() (*vector.Columns, error)) error {
 }
 
 // joinPartition joins one spilled partition pair: the build file is loaded
-// under reservation and probed by the streamed probe file, appending a new
-// sequence-ordered output run. If the build partition alone exceeds the
-// budget it is re-split under a re-salted hash and the sub-pairs join
-// recursively. Consumed temp files are removed eagerly.
+// under reservation into a hash table, and the probe file is expanded
+// against it frame by frame, appending a new sequence-ordered output run.
+// If the build partition alone exceeds the budget it is re-split under a
+// re-salted hash and the sub-pairs join recursively. Consumed temp files
+// are removed eagerly.
 func (g *graceJoin) joinPartition(brun, prun *spill.Run, depth int, outRuns *[]*spill.Run) error {
 	rd, err := g.sp.open(brun)
 	if err != nil {
@@ -665,7 +715,8 @@ loadLoop:
 	}
 	rd.Close()
 
-	table := newHashTable(vector.FromRows(rows, g.arity), g.equiR)
+	jp := newJoinProbe(newHashTable(vector.FromRows(rows, g.arity), g.equiR),
+		g.probeKeys, g.tagArity, g.residual)
 	out, err := g.sp.newWriter()
 	if err != nil {
 		return err
@@ -682,10 +733,8 @@ loadLoop:
 		if frame == nil {
 			break
 		}
-		for _, pr := range frame {
-			if err := g.emitMatches(out, pr[0].Int(), pr[1:], table); err != nil {
-				return err
-			}
+		if err := g.joinInto(out, &jp, vector.FromRows(frame, g.tagArity).Vecs, len(frame)); err != nil {
+			return err
 		}
 	}
 	prd.Close()
@@ -708,29 +757,32 @@ loadLoop:
 func (g *graceJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spill.Reader,
 	prun *spill.Run, depth int, outRuns *[]*spill.Run) error {
 	var subB, subP [SpillPartitions]*spill.Writer
-	route := func(subs *[SpillPartitions]*spill.Writer, row []types.Value, key []byte) error {
-		p := keyHashSalted(key, uint64(depth)) % SpillPartitions
-		if subs[p] == nil {
-			w, err := g.sp.newWriter()
-			if err != nil {
-				return err
+	// route appends each of rows to the sub-partition its key columns keys
+	// route to at this depth, dropping NULL keys.
+	route := func(subs *[SpillPartitions]*spill.Writer, rows [][]types.Value, arity int, keys []int) error {
+		for lo := 0; lo < len(rows); lo += DefaultBatchSize {
+			win := rows[lo:min(lo+DefaultBatchSize, len(rows))]
+			g.routes = g.routeRows(g.routes[:0], vector.FromRows(win, arity).Vecs, len(win), keys, uint64(depth))
+			for i, p := range g.routes {
+				if p < 0 {
+					continue
+				}
+				if subs[p] == nil {
+					w, err := g.sp.newWriter()
+					if err != nil {
+						return err
+					}
+					subs[p] = w
+				}
+				if err := subs[p].Append(win[i]); err != nil {
+					return err
+				}
 			}
-			subs[p] = w
 		}
-		return subs[p].Append(row)
+		return nil
 	}
-	routeBuild := func(row []types.Value) error {
-		key, ok := appendJoinKey(g.keyBuf[:0], row, g.equiR)
-		g.keyBuf = key
-		if !ok {
-			return nil
-		}
-		return route(&subB, row, key)
-	}
-	for _, row := range loaded {
-		if err := routeBuild(row); err != nil {
-			return err
-		}
+	if err := route(&subB, loaded, g.arity, g.equiR); err != nil {
+		return err
 	}
 	g.mem.Release(bytes)
 	g.held -= bytes
@@ -742,10 +794,8 @@ func (g *graceJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spil
 		if frame == nil {
 			break
 		}
-		for _, row := range frame {
-			if err := routeBuild(row); err != nil {
-				return err
-			}
+		if err := route(&subB, frame, g.arity, g.equiR); err != nil {
+			return err
 		}
 	}
 	prd, err := g.sp.open(prun)
@@ -760,15 +810,8 @@ func (g *graceJoin) splitPartition(loaded [][]types.Value, bytes int64, rd *spil
 		if frame == nil {
 			break
 		}
-		for _, pr := range frame {
-			key, ok := appendJoinKey(g.keyBuf[:0], pr[1:], g.equiL)
-			g.keyBuf = key
-			if !ok {
-				continue
-			}
-			if err := route(&subP, pr, key); err != nil {
-				return err
-			}
+		if err := route(&subP, frame, g.tagArity, g.probeKeys); err != nil {
+			return err
 		}
 	}
 	prd.Close()
@@ -820,8 +863,9 @@ func (g *graceJoin) next() (*Batch, error) {
 	return &g.out, nil
 }
 
-// close releases every reservation the grace join still holds and removes
-// every spill file — including on early Close mid-merge. Safe on nil.
+// close releases every reservation the grace join still holds — its
+// partitions' and its merge cursors' frames — and removes every spill file,
+// including on early Close mid-merge. Safe on nil.
 func (g *graceJoin) close() error {
 	if g == nil {
 		return nil

@@ -181,6 +181,12 @@ func hashJoinTrial(t *testing.T, data []byte) {
 	for _, budget := range []int64{600, 1 << 30} {
 		check("governed", hashJoin(scan(l), scan(r), Options{Gov: NewMemGovernor(budget), SpillDir: t.TempDir()}))
 	}
+	// The grace join routes columns: boxed key columns must route as their
+	// typed twins do.
+	check("governed, boxed probe, typed build",
+		hashJoin(boxedScan(l), scan(r), Options{Gov: NewMemGovernor(600), SpillDir: t.TempDir()}))
+	check("governed, typed probe, boxed build",
+		hashJoin(scan(l), boxedScan(r), Options{Gov: NewMemGovernor(600), SpillDir: t.TempDir()}))
 
 	// The pipeline probe stages, as the lowering builds them.
 	src := memSource{}

@@ -35,20 +35,6 @@ func appendRowKey(buf []byte, row []types.Value) []byte {
 	return buf
 }
 
-// appendJoinKey appends the equi-join key of the row's columns idx, or
-// reports false when any key column is NULL — NULL join keys never match,
-// per SQL semantics, so such rows are skipped entirely.
-func appendJoinKey(buf []byte, row []types.Value, idx []int) ([]byte, bool) {
-	for _, j := range idx {
-		if row[j].IsNull() {
-			return buf, false
-		}
-		buf = appendValueKey(buf, row[j])
-		buf = append(buf, '|')
-	}
-	return buf, true
-}
-
 // appendValueKey appends one value's canonical encoding, -0.0 encoded as 0.
 func appendValueKey(buf []byte, v types.Value) []byte {
 	if v.Kind() == types.KindFloat && v.Float() == 0 {
@@ -96,7 +82,9 @@ func appendVecRowKey(buf []byte, cols []vector.Vector, i int) []byte {
 	return buf
 }
 
-// appendVecJoinKey is appendJoinKey over row i of a columnar batch.
+// appendVecJoinKey appends the equi-join key of row i's columns idx, or
+// reports false when any key column is NULL — NULL join keys never match,
+// per SQL semantics, so such rows are skipped entirely.
 func appendVecJoinKey(buf []byte, cols []vector.Vector, i int, idx []int) ([]byte, bool) {
 	for _, j := range idx {
 		col := cols[j]

@@ -202,7 +202,7 @@ const maxMergeFanIn = 64
 // Each pass merges consecutive groups of maxMergeFanIn runs into one run
 // apiece, so the data is rewritten once per pass and pass count is
 // log_fanIn(runs) — for any realistic budget, two passes.
-func cascadeRuns(sp *spillSet, gov *MemGovernor, runs []*spill.Run,
+func cascadeRuns(sp *spillSet, gov *MemGovernor, held *int64, runs []*spill.Run,
 	less func(a, b []types.Value) bool) ([]*spill.Run, error) {
 	var scratch [][]types.Value
 	mergeGroup := func(group []*spill.Run) (*spill.Run, error) {
@@ -214,7 +214,7 @@ func cascadeRuns(sp *spillSet, gov *MemGovernor, runs []*spill.Run,
 				return nil, err
 			}
 			readers = append(readers, rd)
-			if err := h.add(mergeItem{run: i, refill: frameCursor(rd, gov)}); err != nil {
+			if err := h.add(mergeItem{run: i, refill: frameCursor(rd, gov, held)}); err != nil {
 				return nil, err
 			}
 		}
@@ -269,18 +269,22 @@ func cascadeRuns(sp *spillSet, gov *MemGovernor, runs []*spill.Run,
 
 // frameCursor builds a mergeItem refill over a tracked reader, charging the
 // governor for the resident frame (and releasing the previous one) so the
-// merge's working set shows up in Peak like everything else.
-func frameCursor(r *spill.Reader, gov *MemGovernor) func() ([][]types.Value, error) {
-	var held int64
+// merge's working set shows up in Peak like everything else. The charge is
+// kept in the operator's own held, so the operator's Close releases a
+// frame still resident when it stops early.
+func frameCursor(r *spill.Reader, gov *MemGovernor, held *int64) func() ([][]types.Value, error) {
+	var frame int64
 	return func() ([][]types.Value, error) {
 		rows, err := r.Next()
-		gov.Release(held)
-		held = 0
+		gov.Release(frame)
+		*held -= frame
+		frame = 0
 		if err != nil || rows == nil {
 			return nil, err
 		}
-		held = RowsMemSize(rows)
-		gov.Force(held)
+		frame = RowsMemSize(rows)
+		gov.Force(frame)
+		*held += frame
 		return rows, nil
 	}
 }

@@ -210,7 +210,7 @@ func (s *Sort) Open() error {
 		for i := range s.runs {
 			disk[i] = s.runs[i].run
 		}
-		disk, err := cascadeRuns(s.sp, s.Mem, disk, s.less)
+		disk, err := cascadeRuns(s.sp, s.Mem, &s.held, disk, s.less)
 		if err != nil {
 			return err
 		}
@@ -228,7 +228,7 @@ func (s *Sort) Open() error {
 			if err != nil {
 				return err
 			}
-			it.refill = frameCursor(rd, s.Mem)
+			it.refill = frameCursor(rd, s.Mem, &s.held)
 		}
 		if err := s.h.add(it); err != nil {
 			return err

@@ -276,6 +276,45 @@ func TestGraceJoinAgrees(t *testing.T) {
 	}
 }
 
+// TestEarlyCloseReleasesMergeFrames: an operator closed mid-merge (a Limit
+// above stops pulling) must release the frames its merge cursors still hold,
+// not only its own runs and partitions, so the governor reads zero after
+// Close.
+func TestEarlyCloseReleasesMergeFrames(t *testing.T) {
+	schema, rows := spillTable(20000, 701)
+	lschema, lrows := spillTable(8000, 701)
+	rschema, rrows := spillTable(3000, 701)
+	cases := []struct {
+		name   string
+		budget int64
+		op     func(gov *MemGovernor, dir string) Operator
+	}{
+		{"sort", 64 << 10, func(gov *MemGovernor, dir string) Operator {
+			return &Sort{Input: scanRows("t", schema, rows), Mem: gov, SpillDir: dir,
+				Keys: []algebra.SortKey{{Expr: algebra.Col{Idx: 0}}, {Expr: algebra.Col{Idx: 1}}}}
+		}},
+		{"grace join", 32 << 10, func(gov *MemGovernor, dir string) Operator {
+			return newJoin(pipelineOver(scanRows("l", lschema, lrows), nil, nil, nil),
+				scanRows("r", rschema, rrows), []int{0}, []int{0}, nil, Options{Gov: gov, SpillDir: dir})
+		}},
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		gov := NewMemGovernor(c.budget)
+		got := drainAll(t, &Limit{Input: c.op(gov, dir), N: 10}, c.name)
+		if len(got) != 10 {
+			t.Fatalf("%s: %d rows through Limit 10", c.name, len(got))
+		}
+		if !spillDirHasFiles(t, dir) && gov.Peak() <= c.budget {
+			t.Fatalf("%s: nothing spilled at budget %d", c.name, c.budget)
+		}
+		requireEmptyDir(t, dir, c.name+" after early Close")
+		if gov.InUse() != 0 {
+			t.Errorf("%s: %d bytes still in use after early Close", c.name, gov.InUse())
+		}
+	}
+}
+
 // TestColsMemSizeMatchesRows pins the governor's one accounting unit:
 // colsMemSize of columns equals RowsMemSize of the rows they box into.
 func TestColsMemSizeMatchesRows(t *testing.T) {

@@ -136,12 +136,34 @@ func TestServerConcurrentSessionsAgree(t *testing.T) {
 	want := referenceResults(t, rows)
 
 	spillDir := t.TempDir()
-	srv, addr := startServer(t, server.Config{
+	// A holder session's ORDER BY takes the whole budget and stalls on its
+	// header frame, the only one naming a column "held", so the sessions
+	// below start behind it and admission queues whatever the query speed.
+	gl, addr, unblock := serveGated(t, server.Config{
 		Front:        testFrontend(rows),
 		GlobalBudget: global,
 		SpillDir:     spillDir,
-	})
-	_ = srv
+	}, `"held"`)
+	defer unblock() // before the clients' cleanup, whose close the stall would block
+	holder, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { holder.Close() })
+	whole := "1M"
+	if err := holder.Set(server.SessionOpts{MemBudget: &whole}); err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan error, 1)
+	go func() {
+		_, err := holder.Query("SELECT k AS held, id, v FROM big ORDER BY held, id")
+		held <- err
+	}()
+	select {
+	case <-gl.written:
+	case err := <-held:
+		t.Fatalf("holding ORDER BY finished before its stream stalled: %v", err)
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions*len(testQueries))
@@ -177,17 +199,22 @@ func TestServerConcurrentSessionsAgree(t *testing.T) {
 			}
 		}(s)
 	}
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	waitForStats(t, c, func(s *server.Stats) bool { return s.QueueLen >= 1 })
+	unblock()
+	if err := <-held; err != nil {
+		t.Errorf("holding ORDER BY: %v", err)
+	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
 
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +337,36 @@ func TestServerQueryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	waitForStats(t, c2, func(s *server.Stats) bool { return s.Granted == 0 })
+	waitForStats(t, c2, func(s *server.Stats) bool { return s.Granted == 0 && s.InUse == 0 })
+}
+
+// TestEarlyCloseLimitDrainsLedger: a spilling ORDER BY cut short by LIMIT
+// closes its sort mid-merge. The merge cursors' resident frames must be
+// released with it, or the query's governor rolls them into the server's
+// ledger for good.
+func TestEarlyCloseLimitDrainsLedger(t *testing.T) {
+	_, addr := startServer(t, server.Config{
+		Front:        testFrontend(12000),
+		GlobalBudget: 1 << 20,
+		SpillDir:     t.TempDir(),
+	})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	budget := "64K"
+	if err := c.Set(server.SessionOpts{MemBudget: &budget}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Query("SELECT k, id, v FROM big ORDER BY k, id LIMIT 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumRows() != 5 {
+		t.Fatalf("%d rows through LIMIT 5", res.NumRows())
+	}
+	waitForStats(t, c, func(s *server.Stats) bool { return s.Granted == 0 && s.InUse == 0 })
 }
 
 // TestServerDisconnectReleasesBudget: a client that vanishes mid-query
